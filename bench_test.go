@@ -1,7 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's §6
-// evaluation, plus the design-choice ablations DESIGN.md calls out. Each
-// benchmark runs the same code path as cmd/merlin-bench; EXPERIMENTS.md
-// records the paper-vs-measured comparison. Run with:
+// evaluation, plus the design-choice ablations. Each benchmark runs the
+// same code path as cmd/merlin-bench. Run with:
 //
 //	go test -bench=. -benchmem
 package merlin_test
@@ -118,22 +117,6 @@ func BenchmarkFig10bMMFS(b *testing.B) {
 		if _, err := experiments.Fig10MMFS(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Incremental compilation — full recompile versus Compiler.Update for
-// each case (the acceptance benchmark: the k=8 cap-change update must be
-// ≥5x faster than the full compile; the experiment rows report the
-// measured ratio).
-func BenchmarkIncremental(b *testing.B) {
-	for _, c := range experiments.IncrementalCases() {
-		b.Run(c.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.IncrementalRun(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -2,84 +2,47 @@
 // figures (§6) and prints their rows. Absolute numbers differ from the
 // paper — the substrate is the bundled simulator and simplex rather than a
 // hardware testbed and Gurobi — but the shapes (who wins, by roughly what
-// factor, where growth turns super-linear) reproduce; see EXPERIMENTS.md.
+// factor, where growth turns super-linear) reproduce. It is not the
+// performance benchmark: bench/ (see bench/README.md) measures the paths
+// merlinc and merlind run.
 //
 // Usage:
 //
-//	merlin-bench -list                              # print registered experiments
+//	merlin-bench -list                      # print registered experiments
 //	merlin-bench -run all
-//	merlin-bench -run fig4,hadoop,fig5,fig6,table7,fig8,fig9,fig10,incremental,sharding,solver,negotiate,failover,codegen,restart,tcam,ablation
+//	merlin-bench -run fig4,hadoop,fig5,fig6,table7,fig8,fig9,fig10,ablation
 //	merlin-bench -run fig6 -zoo-stride 1    # all 262 zoo topologies
-//	merlin-bench -run table7 -json          # also write BENCH_results.json
-//	merlin-bench -check -tolerance 0.25     # gate BENCH_results.json against BENCH_baseline.json
-//	merlin-bench -run negotiate -cpuprofile cpu.pprof -memprofile mem.pprof
-//
-// -check is the CI perf-regression gate: it compares every speedup
-// recorded in the results (table7's dense/sparse LP ratio, incremental,
-// sharding, solver's legacy-vs-flow-structured ratios, negotiate's
-// batched-vs-serial tenant ratio, failover,
-// codegen's shared-IR ratio, restart's warm-vs-cold recovery ratio,
-// tcam's estimate-vs-materialize expansion ratio)
-// against the committed
-// baseline floors and exits
-// non-zero when any regresses past the tolerance. Run standalone it reads
-// BENCH_results.json from a previous -json run and gates the full
-// baseline; combined with -run it checks the freshly measured results,
-// gating only the baseline experiments the -run selection covers (so
-// `-run failover -check` does not fail over the un-run experiments).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	"merlin/internal/experiments"
 )
 
-const resultsPath = "BENCH_results.json"
-
 func main() {
 	var (
-		run        = flag.String("run", "", "comma-separated experiments, see -list (default \"all\", or none with -check)")
-		list       = flag.Bool("list", false, "print the registered experiments and exit")
-		zooStride  = flag.Int("zoo-stride", 10, "sample every Nth Topology Zoo network for fig6 (1 = all 262)")
-		jsonOut    = flag.Bool("json", false, "write per-experiment wall-clock and phase timings to "+resultsPath)
-		check      = flag.Bool("check", false, "compare recorded speedups against -baseline and exit non-zero on regression")
-		tolerance  = flag.Float64("tolerance", 0.25, "allowed relative speedup regression before -check fails (0.25 = 25%)")
-		baseline   = flag.String("baseline", "BENCH_baseline.json", "baseline file for -check")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (after the selected experiments) to this file")
+		run       = flag.String("run", "all", "comma-separated experiments, see -list")
+		list      = flag.Bool("list", false, "print the registered experiments and exit")
+		zooStride = flag.Int("zoo-stride", 10, "sample every Nth Topology Zoo network for fig6 (1 = all 262)")
 	)
 	flag.Parse()
-	// Default to running everything unless this is a pure check (-check
-	// with neither -run nor -json): -json with nothing selected would
-	// otherwise clobber the results file with an empty measurement set.
-	if *run == "" && (*jsonOut || !*check) {
-		*run = "all"
-	}
-	if *check && (*tolerance < 0 || *tolerance >= 1) {
-		fmt.Fprintf(os.Stderr, "merlin-bench: -tolerance %g out of range [0, 1): 1-tolerance scales the baseline floors, so >= 1 disables the gate\n", *tolerance)
-		os.Exit(2)
-	}
 	want := map[string]bool{}
 	for _, name := range strings.Split(*run, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			want[name] = true
 		}
 	}
-	all := want["all"]
-	var results []experiments.BenchExperiment
-	printRows := func(rows []experiments.Row) []experiments.Row {
+	// show prints whatever rows were produced even on error, so a failure
+	// partway through a sweep leaves the completed rows to debug from.
+	show := func(rows []experiments.Row, err error) error {
 		for _, r := range rows {
 			fmt.Println(r.Format())
 		}
-		return rows
+		return err
 	}
 
 	// Experiments are registered first and run after the registry is
@@ -87,126 +50,81 @@ func main() {
 	// error before any measurement starts.
 	type bench struct {
 		name, title string
-		run         func() ([]experiments.Row, error)
+		run         func() error
 	}
 	var benches []bench
-	section := func(name, title string, f func() ([]experiments.Row, error)) {
+	section := func(name, title string, f func() error) {
 		benches = append(benches, bench{name: name, title: title, run: f})
 	}
 
-	printed := func(f func() ([]experiments.Row, error)) func() ([]experiments.Row, error) {
-		return func() ([]experiments.Row, error) {
-			rows, err := f()
-			// Print whatever was produced even on error, so a failure
-			// partway through a sweep leaves the completed rows to debug
-			// from (matching the pre-JSON behavior).
-			return printRows(rows), err
-		}
-	}
-	section("fig4", "expressiveness on the Stanford campus", printed(experiments.Fig4))
-	section("hadoop", "Hadoop sort under interference and guarantees (§6.2)", printed(experiments.Hadoop))
-	section("fig5", "Ring Paxos throughput without/with Merlin", printed(experiments.Fig5))
-	section("fig6", "Topology Zoo all-pairs compile times", printed(func() ([]experiments.Row, error) {
-		return experiments.Fig6(*zooStride)
-	}))
-	section("table7", "fat-tree provisioning cost split (Fig. 7 table)", func() ([]experiments.Row, error) {
-		var rows []experiments.Row
+	section("fig4", "expressiveness on the Stanford campus", func() error {
+		return show(experiments.Fig4())
+	})
+	section("hadoop", "Hadoop sort under interference and guarantees (§6.2)", func() error {
+		return show(experiments.Hadoop())
+	})
+	section("fig5", "Ring Paxos throughput without/with Merlin", func() error {
+		return show(experiments.Fig5())
+	})
+	section("fig6", "Topology Zoo all-pairs compile times", func() error {
+		return show(experiments.Fig6(*zooStride))
+	})
+	section("table7", "fat-tree provisioning cost split (Fig. 7 table)", func() error {
 		for _, c := range experiments.Table7Cases() {
-			// The comparison run also records the dense/sparse LP speedup
-			// the -check regression gate guards.
-			r, err := experiments.Table7Compare(c)
+			r, err := experiments.Table7(c)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			fmt.Println(r.Format())
-			rows = append(rows, r)
 		}
-		return rows, nil
+		return nil
 	})
-	section("fig8", "compile time vs traffic classes (four panels)", func() ([]experiments.Row, error) {
-		var rows []experiments.Row
+	section("fig8", "compile time vs traffic classes (four panels)", func() error {
 		for _, c := range experiments.Fig8Cases() {
-			rs, err := experiments.Fig8(c)
-			if err != nil {
-				return nil, err
+			if err := show(experiments.Fig8(c)); err != nil {
+				return err
 			}
-			rows = append(rows, printRows(rs)...)
 		}
-		return rows, nil
+		return nil
 	})
-	section("fig9", "negotiator verification scaling", func() ([]experiments.Row, error) {
-		var rows []experiments.Row
-		rs, err := experiments.Fig9Predicates([]int{100, 500, 1000, 2000, 4000})
-		if err != nil {
-			return nil, err
+	section("fig9", "negotiator verification scaling", func() error {
+		if err := show(experiments.Fig9Predicates([]int{100, 500, 1000, 2000, 4000})); err != nil {
+			return err
 		}
-		rows = append(rows, printRows(rs)...)
-		rs, err = experiments.Fig9Regexes([]int{50, 100, 200, 400, 800, 1000})
-		if err != nil {
-			return nil, err
+		if err := show(experiments.Fig9Regexes([]int{50, 100, 200, 400, 800, 1000})); err != nil {
+			return err
 		}
-		rows = append(rows, printRows(rs)...)
-		rs, err = experiments.Fig9Allocations([]int{100, 500, 1000, 2000, 4000})
-		if err != nil {
-			return nil, err
-		}
-		return append(rows, printRows(rs)...), nil
+		return show(experiments.Fig9Allocations([]int{100, 500, 1000, 2000, 4000}))
 	})
-	section("fig10", "AIMD and MMFS dynamic adaptation", func() ([]experiments.Row, error) {
+	section("fig10", "AIMD and MMFS dynamic adaptation", func() error {
 		aimd, err := experiments.Fig10AIMD()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Println("-- AIMD --")
-		rows := printRows(experiments.SeriesRows(aimd, 5))
+		show(experiments.SeriesRows(aimd, 5), nil)
 		mmfs, err := experiments.Fig10MMFS()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Println("-- MMFS --")
-		return append(rows, printRows(experiments.SeriesRows(mmfs, 2))...), nil
+		return show(experiments.SeriesRows(mmfs, 2), nil)
 	})
-	section("incremental", "incremental vs full recompilation (Compiler.Update)",
-		printed(experiments.Incremental))
-	section("sharding", "monolithic vs sharded provisioning (link-disjoint tenants)",
-		printed(experiments.Sharding))
-	section("solver", "general MIP vs bounded-variable simplex vs network simplex",
-		printed(experiments.Solver))
-	section("negotiate", "per-tenant serial negotiation vs batched sharded hub (tenant sweep)",
-		printed(experiments.Negotiate))
-	section("failover", "link-failure recovery vs cold recompile (topology dynamics)",
-		printed(experiments.Failover))
-	section("codegen", "shared-IR multi-target emission vs per-target lowering",
-		printed(experiments.Codegen))
-	section("restart", "merlind warm snapshot+tail restart vs cold journal replay",
-		printed(experiments.Restart))
-	section("tcam", "ternary expansion vs estimator, budget-overflow re-placement",
-		printed(experiments.Tcam))
-	section("ablation", "design-choice ablations", func() ([]experiments.Row, error) {
+	section("ablation", "design-choice ablations", func() error {
 		fmt.Println("-- path-selection heuristics (Fig. 3) --")
-		rows, err := experiments.AblationHeuristics()
-		if err != nil {
-			return nil, err
+		if err := show(experiments.AblationHeuristics()); err != nil {
+			return err
 		}
-		printRows(rows)
 		fmt.Println("-- greedy vs MIP --")
-		rs, err := experiments.AblationGreedyVsMIP(8)
-		if err != nil {
-			return nil, err
+		if err := show(experiments.AblationGreedyVsMIP(8)); err != nil {
+			return err
 		}
-		rows = append(rows, printRows(rs)...)
 		fmt.Println("-- DFA minimization in verification --")
-		rs, err = experiments.AblationMinimization([]int{100, 400})
-		if err != nil {
-			return nil, err
+		if err := show(experiments.AblationMinimization([]int{100, 400})); err != nil {
+			return err
 		}
-		rows = append(rows, printRows(rs)...)
 		fmt.Println("-- localization splits (§3.1) --")
-		rs, err = experiments.AblationLocalization()
-		if err != nil {
-			return nil, err
-		}
-		return append(rows, printRows(rs)...), nil
+		return show(experiments.AblationLocalization())
 	})
 
 	if *list {
@@ -228,117 +146,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	ran := 0
-	for _, b := range benches {
-		if !all && !want[b.name] {
-			continue
-		}
-		ran++
-		fmt.Printf("\n=== %s — %s ===\n", b.name, b.title)
-		start := time.Now()
-		rows, err := b.run()
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: %s: %v\n", b.name, err)
-			os.Exit(1)
-		}
-		results = append(results, experiments.BenchExperiment{
-			Name:   b.name,
-			Title:  b.title,
-			WallMS: float64(elapsed.Microseconds()) / 1000,
-			Rows:   rows,
-		})
-	}
-	// Profiles cover exactly the experiment runs above — stopped/written
-	// here so -json and -check bookkeeping stays out of them. (Error
-	// paths os.Exit without flushing; a failed run's profile is moot.)
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: -memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle the heap so the profile shows live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: -memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: -memprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// An explicit -run that selects nothing is an error even under -check:
-	// silently falling back to a stale BENCH_results.json would let a
-	// typo'd selection green-light numbers that were never measured.
-	if ran == 0 && *run != "" {
+	if len(want) == 0 {
 		fmt.Fprintf(os.Stderr, "merlin-bench: nothing selected by -run %q\n", *run)
 		os.Exit(2)
 	}
-	if *jsonOut {
-		payload := experiments.BenchFile{GeneratedAt: time.Now().UTC(), Experiments: results}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: marshaling results: %v\n", err)
+
+	for _, b := range benches {
+		if !want["all"] && !want[b.name] {
+			continue
+		}
+		fmt.Printf("\n=== %s — %s ===\n", b.name, b.title)
+		if err := b.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "merlin-bench: %s: %v\n", b.name, err)
 			os.Exit(1)
 		}
-		if err := os.WriteFile(resultsPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: writing %s: %v\n", resultsPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (%d experiments)\n", resultsPath, len(results))
-	}
-	if *check {
-		measured := &experiments.BenchFile{Experiments: results}
-		if ran == 0 {
-			var err error
-			measured, err = experiments.LoadBenchFile(resultsPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "merlin-bench: -check needs a previous -json run: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		base, err := experiments.LoadBenchFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "merlin-bench: loading baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if ran > 0 && !all {
-			// A combined `-run <subset> -check` gates only what it
-			// measured; un-run baseline experiments are not "missing".
-			// The standalone check (CI's) still gates the full baseline.
-			kept := base.Experiments[:0]
-			for _, e := range base.Experiments {
-				if want[e.Name] {
-					kept = append(kept, e)
-				}
-			}
-			base.Experiments = kept
-		}
-		regressions := experiments.CheckRegressions(measured, base, *tolerance)
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "merlin-bench: %d speedup regression(s) past %.0f%% tolerance:\n",
-				len(regressions), *tolerance*100)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("regression check passed: every recorded speedup within %.0f%% of baseline\n", *tolerance*100)
 	}
 }

@@ -22,10 +22,8 @@
 // Three artifacts are written to -out: sweep_summary.csv and
 // sweep_summary.json hold only deterministic fields — the same grid and
 // seeds reproduce them byte for byte — while sweep_cells.csv adds the
-// per-cell wall-clock measurements. The JSON summary is an
-// experiments.BenchFile, so the -check tooling and analysis scripts that
-// read BENCH_results.json consume it unchanged. The exit status is the
-// number of failed cells, clamped to 125.
+// per-cell wall-clock measurements. The exit status is the number of
+// failed cells, clamped to 125.
 package main
 
 import (
@@ -36,10 +34,30 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"merlin/internal/corpus"
-	"merlin/internal/experiments"
 )
+
+// summaryFile is the sweep_summary.json schema: one named experiment of
+// labelled rows. GeneratedAt is never set, so the bytes are reproducible.
+type summaryFile struct {
+	GeneratedAt time.Time           `json:"generated_at"`
+	Experiments []summaryExperiment `json:"experiments"`
+}
+
+type summaryExperiment struct {
+	Name   string       `json:"name"`
+	Title  string       `json:"title"`
+	WallMS float64      `json:"wall_ms"`
+	Rows   []summaryRow `json:"rows,omitempty"`
+}
+
+type summaryRow struct {
+	Label  string
+	Values map[string]string
+	Order  []string
+}
 
 func main() {
 	var (
@@ -149,8 +167,7 @@ func main() {
 }
 
 // writeArtifacts emits the three sweep artifacts. The summary pair holds
-// only deterministic fields (GeneratedAt stays zero so the BenchFile
-// bytes are reproducible); the cells CSV carries wall-clock.
+// only deterministic fields; the cells CSV carries wall-clock.
 func writeArtifacts(dir string, res *corpus.SweepResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -161,10 +178,10 @@ func writeArtifacts(dir string, res *corpus.SweepResult) error {
 	if err := os.WriteFile(filepath.Join(dir, "sweep_cells.csv"), res.CellsCSV(), 0o644); err != nil {
 		return err
 	}
-	rows := make([]experiments.Row, 0, len(res.GroupRows()))
+	rows := make([]summaryRow, 0, len(res.GroupRows()))
 	for _, g := range res.GroupRows() {
 		order := []string{"cells", "pass", "statements", "rules", "events", "checks"}
-		rows = append(rows, experiments.Row{
+		rows = append(rows, summaryRow{
 			Label: g.Label,
 			Order: order,
 			Values: map[string]string{
@@ -177,7 +194,7 @@ func writeArtifacts(dir string, res *corpus.SweepResult) error {
 			},
 		})
 	}
-	payload := experiments.BenchFile{Experiments: []experiments.BenchExperiment{{
+	payload := summaryFile{Experiments: []summaryExperiment{{
 		Name:  "sweep",
 		Title: "scenario corpus grid validation",
 		Rows:  rows,

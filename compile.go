@@ -41,20 +41,11 @@ type Options struct {
 	// allocator instead of the exact MIP — the scalable approximation
 	// the ablation benches compare against.
 	Greedy bool
-	// LegacyModel forces the paper-literal provisioning MIP encoding
-	// (explicit per-cable reservation variables and rows) instead of the
-	// compact bounded-variable one, and NoNetflow disables the
-	// network-simplex fast path for flow-structured shards. Both are
-	// measurement escape hatches for the solver benchmarks: the defaults
-	// are strictly faster and provably choose the same optima (see
-	// provision.Params).
-	LegacyModel bool
-	NoNetflow   bool
 	// NoShard solves the provisioning MIP monolithically instead of
 	// decomposing it into link-disjoint shards. The sharded solve is
 	// provably path-identical (see provision.Params.NoShard), so this is
-	// a differential-testing and measurement escape hatch: sweeps compile
-	// selected cells both ways and require identical outputs.
+	// a differential-testing escape hatch: sweeps compile selected cells
+	// both ways and require identical outputs.
 	NoShard bool
 	// Workers bounds the worker pool the compiler fans per-statement
 	// product-graph builds and per-destination sink trees out over.
@@ -510,9 +501,7 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 		c.stats.Solves++
 	default:
 		params := provision.Params{
-			MIP: c.opts.MIP, Workers: c.opts.Workers,
-			LegacyModel: c.opts.LegacyModel, NoNetflow: c.opts.NoNetflow,
-			NoShard: c.opts.NoShard,
+			MIP: c.opts.MIP, Workers: c.opts.Workers, NoShard: c.opts.NoShard,
 		}
 		if cached != nil && !cached.greedy && cached.heuristic == c.opts.Heuristic && cached.res != nil {
 			// Shard-level reuse: unchanged shards are served outright and
@@ -927,8 +916,7 @@ func (c *Compiler) replaceForBudgets(run *runState) error {
 		cost[r.ID] = float64(w)
 	}
 	sol, err := provision.Solve(c.t, run.requests, c.opts.Heuristic, provision.Params{
-		MIP: c.opts.MIP, Workers: c.opts.Workers, LegacyModel: c.opts.LegacyModel,
-		Budgets: budgets, EntryCost: cost,
+		MIP: c.opts.MIP, Workers: c.opts.Workers, Budgets: budgets, EntryCost: cost,
 	})
 	if err != nil {
 		return err

@@ -209,12 +209,6 @@ func IsBuiltinTarget(name string) bool {
 	return false
 }
 
-// IsBuiltin reports whether the named backend is a built-in.
-//
-// Deprecated: renamed IsBuiltinTarget in the backend API v2; this alias
-// keeps existing callers compiling.
-func IsBuiltin(name string) bool { return IsBuiltinTarget(name) }
-
 func init() {
 	Register(openflowBackend{})
 	Register(tcBackend{})

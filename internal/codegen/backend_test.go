@@ -24,11 +24,11 @@ func TestDefaultTargetsRegistered(t *testing.T) {
 		if b.Name() != name {
 			t.Fatalf("backend %q reports name %q", name, b.Name())
 		}
-		if !IsBuiltin(name) {
+		if !IsBuiltinTarget(name) {
 			t.Fatalf("default target %q not recognized as builtin", name)
 		}
 	}
-	if IsBuiltin("p4") {
+	if IsBuiltinTarget("p4") {
 		t.Fatal("p4 must not be a builtin: its diffs route through Diff.Backends")
 	}
 }

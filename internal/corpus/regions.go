@@ -124,18 +124,6 @@ func partitionRegions(t *topo.Topology, want int) []*region {
 	return kept
 }
 
-// Regions partitions the topology into up to want link-disjoint tenant
-// regions and returns each region's sorted node names and host names —
-// the exported face of the partitioner for benchmark workloads that
-// build provisioning requests directly.
-func Regions(t *topo.Topology, want int) (names, hosts [][]string) {
-	for _, r := range partitionRegions(t, want) {
-		names = append(names, r.names)
-		hosts = append(hosts, r.hosts)
-	}
-	return names, hosts
-}
-
 // reachable reports whether src reaches dst over live links, treating
 // cables in skip as down, node down (pass -1 for none) as failed, and —
 // when allowed is non-nil — refusing to traverse nodes outside allowed
@@ -171,36 +159,4 @@ func reachable(t *topo.Topology, src, dst topo.NodeID, skip map[topo.LinkID]bool
 		}
 	}
 	return false
-}
-
-// RegionConnects reports whether src still reaches dst through the named
-// region's nodes while the cable between skipA and skipB is down (pass
-// empty names to skip nothing) — the feasibility probe failure-schedule
-// generation and failover benchmarks share.
-func RegionConnects(t *topo.Topology, region []string, src, dst, skipA, skipB string) bool {
-	var allowed map[topo.NodeID]bool
-	if len(region) > 0 {
-		allowed = map[topo.NodeID]bool{}
-		for _, name := range region {
-			if id, ok := t.Lookup(name); ok {
-				allowed[id] = true
-			}
-		}
-	}
-	skip := map[topo.LinkID]bool{}
-	if skipA != "" && skipB != "" {
-		a, okA := t.Lookup(skipA)
-		b, okB := t.Lookup(skipB)
-		if okA && okB {
-			if c, ok := t.CableBetween(a, b); ok {
-				skip[c] = true
-			}
-		}
-	}
-	s, okS := t.Lookup(src)
-	d, okD := t.Lookup(dst)
-	if !okS || !okD {
-		return false
-	}
-	return reachable(t, s, d, skip, -1, allowed)
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) at laptop scale. Each Run function produces printable
 // rows in the paper's shape; cmd/merlin-bench renders them and the
-// repository-root benchmarks time them. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// repository-root benchmarks time them.
 package experiments
 
 import (
@@ -10,8 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"merlin/internal/lp"
-	"merlin/internal/mip"
 	"merlin/internal/negotiate"
 	"merlin/internal/policy"
 	"merlin/internal/pred"
@@ -308,52 +305,6 @@ func Table7(c Table7Case) (Row, error) {
 		"lp_construct_ms", fmt.Sprintf("%.1f", ms(res.Timing.GraphBuild+res.Timing.LPConstruct)),
 		"lp_solve_ms", fmt.Sprintf("%.1f", ms(res.Timing.LPSolve)),
 		"rateless_ms", fmt.Sprintf("%.1f", ms(res.Timing.Rateless)),
-	), nil
-}
-
-// Table7Compare runs one sweep case twice — once with the default
-// flow-structured solver stack, once with the dense tableau engine over
-// the legacy per-cable formulation with flow detection off (the PR-5
-// baseline the sparse engine replaced) — and reports the paper's columns
-// plus the baseline/default LP speedup. This is the recorded ratio the CI
-// regression gate guards: a change that slows the default stack (or
-// quietly routes solves back to the baseline path) drags the speedup
-// down. Costs one dense solve per case (~seconds at k=4), so benchmarks
-// time Table7 and only merlin-bench runs the comparison.
-func Table7Compare(c Table7Case) (Row, error) {
-	t := c.Build()
-	pol, classes, err := table7Policy(c, t)
-	if err != nil {
-		return Row{}, err
-	}
-	sparse, err := merlin.Compile(pol, t, nil, merlin.Options{NoDefault: true})
-	if err != nil {
-		return Row{}, err
-	}
-	dense, err := merlin.Compile(pol, t, nil, merlin.Options{
-		NoDefault:   true,
-		NoNetflow:   true,
-		LegacyModel: true,
-		MIP:         mip.Params{LP: lp.Params{Dense: true}},
-	})
-	if err != nil {
-		return Row{}, fmt.Errorf("dense engine: %w", err)
-	}
-	sparseMS := ms(sparse.Timing.LPSolve)
-	denseMS := ms(dense.Timing.LPSolve)
-	speedup := 0.0
-	if sparseMS > 0 {
-		speedup = denseMS / sparseMS
-	}
-	return row(c.Name,
-		"classes", fmt.Sprint(classes+c.Guaranteed),
-		"hosts", fmt.Sprint(len(t.Hosts())),
-		"switches", fmt.Sprint(len(t.Switches())),
-		"lp_construct_ms", fmt.Sprintf("%.1f", ms(sparse.Timing.GraphBuild+sparse.Timing.LPConstruct)),
-		"lp_solve_ms", fmt.Sprintf("%.1f", sparseMS),
-		"rateless_ms", fmt.Sprintf("%.1f", ms(sparse.Timing.Rateless)),
-		"dense_solve_ms", fmt.Sprintf("%.1f", denseMS),
-		"speedup", fmt.Sprintf("%.1f", speedup),
 	), nil
 }
 

@@ -57,22 +57,16 @@ const (
 	headerSize = 8        // 4B length + 4B crc
 	bodyMeta   = 9        // 8B seq + 1B kind
 	maxRecord  = 64 << 20 // guards recovery against garbage record lengths
+	maxBatch   = 4096     // bounds the records drained into one group commit
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Params tune a Store.
 type Params struct {
-	// NoGroupCommit makes every Append write and fsync its own record —
-	// the serial baseline the restart benchmark compares group commit
-	// against. Correct, just slow under concurrency.
-	NoGroupCommit bool
 	// NoSync skips fsync entirely. Tests only: a crash loses
 	// acknowledged records.
 	NoSync bool
-	// MaxBatch bounds the records drained into one group commit
-	// (default 4096).
-	MaxBatch int
 }
 
 // Record is one recovered journal entry.
@@ -134,9 +128,6 @@ type Store struct {
 // state, and readies it for appends. The returned Recovery holds the
 // newest valid snapshot and the record tail to replay after it.
 func Open(dir string, params Params) (*Store, *Recovery, error) {
-	if params.MaxBatch <= 0 {
-		params.MaxBatch = 4096
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -164,9 +155,7 @@ func Open(dir string, params Params) (*Store, *Recovery, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	if !params.NoGroupCommit {
-		go s.committer()
-	}
+	go s.committer()
 	return s, rec, nil
 }
 
@@ -199,12 +188,6 @@ func (s *Store) AppendAsync(kind byte, data []byte) (uint64, <-chan error, error
 	seq := s.nextSeq
 	s.nextSeq++
 	done := make(chan error, 1)
-	if s.params.NoGroupCommit {
-		err := s.writeLocked([]appendReq{{seq: seq, kind: kind, data: data}})
-		s.mu.Unlock()
-		done <- err
-		return seq, done, err
-	}
 	s.queue = append(s.queue, appendReq{seq: seq, kind: kind, data: data, done: done})
 	s.mu.Unlock()
 	select {
@@ -230,8 +213,8 @@ func (s *Store) committer() {
 				break
 			}
 			n := len(s.queue)
-			if n > s.params.MaxBatch {
-				n = s.params.MaxBatch
+			if n > maxBatch {
+				n = maxBatch
 			}
 			batch := s.queue[:n:n]
 			s.queue = append([]appendReq(nil), s.queue[n:]...)
@@ -365,13 +348,11 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	if !s.params.NoGroupCommit {
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
-		<-s.done
+	select {
+	case s.kick <- struct{}{}:
+	default:
 	}
+	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()

@@ -306,25 +306,6 @@ func TestSequenceGapIsFatal(t *testing.T) {
 	}
 }
 
-func TestNoGroupCommitSerialPath(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := reopen(t, dir, Params{NoGroupCommit: true})
-	for i := 0; i < 10; i++ {
-		mustAppend(t, s, 1, []byte(fmt.Sprintf("rec-%d", i)))
-	}
-	st := s.Stats()
-	if st.Appends != 10 || st.Commits != 10 {
-		t.Fatalf("serial path stats = %+v, want one commit per append", st)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_, rec := reopen(t, dir, Params{})
-	if len(rec.Records) != 10 {
-		t.Fatalf("recovered %d records, want 10", len(rec.Records))
-	}
-}
-
 func TestClosedStoreRejectsAppends(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := reopen(t, dir, Params{})

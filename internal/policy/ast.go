@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"merlin/internal/pred"
@@ -212,23 +213,25 @@ func FormulaIDs(f Formula) []string {
 	return out
 }
 
-// FormatRate renders a bit-per-second rate using the policy units.
+// FormatRate renders a bit-per-second rate using the policy units. The
+// mantissa is always plain decimal — the lexer has no exponent syntax —
+// so Parse reads back exactly the rate that was printed.
 func FormatRate(bps float64) string {
 	abs := math.Abs(bps)
+	unit, div := "bps", 1.0
 	switch {
 	case abs >= 8e9 && math.Mod(bps, 8e9) == 0:
-		return fmt.Sprintf("%gGB/s", bps/8e9)
+		unit, div = "GB/s", 8e9
 	case abs >= 8e6 && math.Mod(bps, 8e6) == 0:
-		return fmt.Sprintf("%gMB/s", bps/8e6)
+		unit, div = "MB/s", 8e6
 	case abs >= 1e9 && math.Mod(bps, 1e9) == 0:
-		return fmt.Sprintf("%gGbps", bps/1e9)
+		unit, div = "Gbps", 1e9
 	case abs >= 1e6 && math.Mod(bps, 1e6) == 0:
-		return fmt.Sprintf("%gMbps", bps/1e6)
+		unit, div = "Mbps", 1e6
 	case abs >= 1e3 && math.Mod(bps, 1e3) == 0:
-		return fmt.Sprintf("%gkbps", bps/1e3)
-	default:
-		return fmt.Sprintf("%gbps", bps)
+		unit, div = "kbps", 1e3
 	}
+	return strconv.FormatFloat(bps/div, 'f', -1, 64) + unit
 }
 
 // Validate checks structural well-formedness: unique statement IDs and

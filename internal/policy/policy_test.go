@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -420,9 +421,56 @@ func TestFormatRate(t *testing.T) {
 		{1e6, "1Mbps"},
 		{5e5, "500kbps"},
 		{42, "42bps"},
+		// No exponent forms: the lexer has no syntax for them.
+		{210937.5e3, "210937500bps"},
+		{1234567e3, "1234567kbps"},
+		{math.Ldexp(8e9, 70), "1180591620717411300000GB/s"}, // 2^70 ≥ 1e21 units, shortest digits
+		{0.3, "0.3bps"},
 	} {
 		if got := FormatRate(tc.bps); got != tc.want {
 			t.Errorf("FormatRate(%v) = %q, want %q", tc.bps, got, tc.want)
+		}
+	}
+}
+
+// TestFormatRateRoundTrip pins Parse(String(p)) == p for the rates a
+// negotiator can produce: AIMD halving leaves non-integer kbps, and
+// nothing bounds a cap from above.
+func TestFormatRateRoundTrip(t *testing.T) {
+	roundTrip := func(rate float64) {
+		t.Helper()
+		pol := &Policy{
+			Statements: []Statement{{ID: "x", Predicate: pred.True, Path: regex.Star{X: regex.Any{}}}},
+			Formula:    Max{Expr: BandExpr{IDs: []string{"x"}}, Rate: rate},
+		}
+		re, err := Parse(pol.String(), Env{})
+		if err != nil {
+			t.Fatalf("rate %v: re-parse of %q failed: %v", rate, pol.String(), err)
+		}
+		m, ok := re.Formula.(Max)
+		if !ok || m.Rate != rate {
+			t.Fatalf("rate %v rendered %q re-parsed as %#v", rate, FormatRate(rate), re.Formula)
+		}
+	}
+	for _, rate := range []float64{0, 210937.5e3, 1234567e3, 1e21, 8e30, 0.1, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		roundTrip(rate)
+	}
+	rng := rand.New(rand.NewSource(1))
+	units := []float64{1, 1e3, 1e6, 1e9, 8e6, 8e9}
+	for i := 0; i < 2000; i++ {
+		unit := units[rng.Intn(len(units))]
+		switch i % 4 {
+		case 0: // integer multiples of a unit, up to ≥ 1e21 per unit
+			roundTrip(math.Floor(math.Pow(10, rng.Float64()*24)) * unit)
+		case 1: // non-integer multiples
+			roundTrip(rng.Float64() * math.Pow(10, rng.Float64()*24) * unit)
+		case 2: // AIMD walks: repeated halving of a round rate
+			roundTrip(float64(1+rng.Intn(1000)) * unit / math.Pow(2, float64(rng.Intn(20))))
+		default: // any finite non-negative bit pattern
+			bits := rng.Uint64() &^ (1 << 63)
+			if v := math.Float64frombits(bits); !math.IsInf(v, 0) && !math.IsNaN(v) {
+				roundTrip(v)
+			}
 		}
 	}
 }

@@ -130,6 +130,19 @@ func TestShardedMatchesMonolithicOnDisjointRing(t *testing.T) {
 	if mono.ShardsSolved != 1 || len(mono.Shards) != 1 {
 		t.Fatalf("NoShard did not solve monolithically: %+v", mono.ShardsSolved)
 	}
+	// Each tenant's demand fits its arc, so under WSP both shards are pure
+	// flow problems; a min-max objective couples rated requests through
+	// their shared maximum and must keep the general path.
+	if sharded.NetflowShards != 2 {
+		t.Fatalf("network simplex fired on %d/2 WSP shards", sharded.NetflowShards)
+	}
+	minmax, err := Solve(tp, reqs, MinMaxRatio, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if minmax.NetflowShards != 0 {
+		t.Fatalf("network simplex fired on %d min-max shards", minmax.NetflowShards)
+	}
 	// Arc-confined routes are unique, so the solutions agree exactly.
 	for id := range mono.Paths {
 		if got, want := pathNames(tp, sharded.Paths[id]), pathNames(tp, mono.Paths[id]); strings.Join(got, ",") != strings.Join(want, ",") {

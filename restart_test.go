@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"merlin/internal/policy"
 )
 
 // sameResults asserts two compiled results are byte-identical across
@@ -244,6 +246,44 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	// Restoring onto a structurally different topology fails loudly.
 	if _, _, err := RestoreCompiler(FatTree(k+2, Gbps), snap2, opts); err == nil {
 		t.Fatal("restore onto a mismatched topology succeeded")
+	}
+}
+
+// TestSnapshotRestoreNonRoundRates: negotiated caps are arbitrary floats
+// (AIMD halving leaves fractional kbps), and the snapshot carries them as
+// policy text — they must restore to the identical rates.
+func TestSnapshotRestoreNonRoundRates(t *testing.T) {
+	tp := Ring(8, 1, 100*MBps)
+	opts := Options{NoDefault: true}
+	c := NewCompiler(tp, nil, opts)
+	if _, err := c.Compile(hubRingPolicy(t, tp, "at max(40MB/s)")); err != nil {
+		t.Fatal(err)
+	}
+	caps := policy.ConjFormula(
+		policy.Max{Expr: policy.BandExpr{IDs: []string{"a0"}}, Rate: 210937.5e3},
+		policy.Max{Expr: policy.BandExpr{IDs: []string{"b0"}}, Rate: 1234567e3})
+	if _, err := c.Update(Delta{Formula: caps}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap2, err := ParseSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := RestoreCompiler(Ring(8, 1, 100*MBps), snap2, opts)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	sameResults(t, "restore", res, c.Result())
+	if got := res.Allocations["a0"].Max; got != 210937.5e3 {
+		t.Fatalf("restored a0 cap %v, want 210937500", got)
 	}
 }
 
