@@ -35,6 +35,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -605,8 +606,10 @@ func (d *Daemon) buildMux() {
 	})
 	hubOp := func(kind opKind) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
+			// A body-less POST (a bare tick) is a valid empty request;
+			// anything else goes through decodeJSON's method check.
 			var req hubRequest
-			if r.ContentLength != 0 && !decodeJSON(w, r, &req) {
+			if (r.Method != http.MethodPost || r.ContentLength != 0) && !decodeJSON(w, r, &req) {
 				return
 			}
 			writeResult(w, d.submit(&op{kind: kind, hub: req}))
@@ -651,15 +654,24 @@ func (d *Daemon) buildMux() {
 	d.mux = mux
 }
 
+// maxBodyBytes bounds a request body (answered 413 beyond it); legitimate
+// bodies — a full-formula delta, a tenant proposal — are far smaller.
+const maxBodyBytes = 16 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST only"})
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{err.Error()})
 		return false
 	}
 	return true

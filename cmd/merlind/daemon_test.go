@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"merlin"
 	"merlin/internal/journal"
@@ -60,22 +61,30 @@ func podDelta(tp *merlin.Topology, p int, id string, mbps int) merlin.WireDelta 
 	return merlin.WireDelta{Add: []string{stmt}}
 }
 
-func postJSON(t *testing.T, url string, body any) (int, map[string]any) {
-	t.Helper()
+// post sends body as JSON and decodes the JSON reply; it reports errors
+// instead of failing a test so storm goroutines can use it.
+func post(url string, body any) (int, map[string]any, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("POST %s: decoding response: %v", url, err)
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	return resp.StatusCode, out, err
+}
+
+func postJSON(t *testing.T, url string, body any) (int, map[string]any) {
+	t.Helper()
+	status, out, err := post(url, body)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
 	}
-	return resp.StatusCode, out
+	return status, out
 }
 
 // sameResults asserts two compiled results are byte-identical in every
@@ -299,38 +308,29 @@ func TestDaemonCrashRecoveryTornTail(t *testing.T) {
 	sameResults(t, "post-retry warm restart", d3.c.Result(), ref2.Result())
 }
 
-// TestDaemonHubTickJournaled runs negotiation through the daemon: a
-// committed tick journals the hub's full policy, a restart reproduces
-// the committed allocation byte-identically, and hub sessions are
-// volatile — the tenant must re-register after the restart.
-func TestDaemonHubTickJournaled(t *testing.T) {
-	dir := t.TempDir()
-	mkcfg := func() Config {
-		tp := merlin.Ring(8, 1, 100*merlin.MBps)
-		arc := func(lo, hi int) string {
-			var names []string
-			for i := lo; i < hi; i++ {
-				names = append(names, fmt.Sprintf("s%d", i), fmt.Sprintf("h%d_0", i))
-			}
-			return "(" + strings.Join(names, "|") + ")*"
-		}
-		text := fmt.Sprintf("[ a0 : (eth.src = %s and eth.dst = %s) -> %s at max(40MB/s) ]",
-			mac(tp, "h0_0"), mac(tp, "h3_0"), arc(0, 4))
-		return Config{
-			DataDir:    dir,
-			Topo:       tp,
-			PolicyText: text,
-			Opts:       merlin.Options{NoDefault: true},
-			Journal:    journal.Params{NoSync: true},
-		}
+// hubRingConfig is a daemon config over an 8-ring whose genesis policy
+// caps one host pair — the statement the hub tests delegate.
+func hubRingConfig(dir string) Config {
+	tp := merlin.Ring(8, 1, 100*merlin.MBps)
+	var names []string
+	for i := 0; i < 4; i++ {
+		names = append(names, fmt.Sprintf("s%d", i), fmt.Sprintf("h%d_0", i))
 	}
-	d, err := NewDaemon(mkcfg())
-	if err != nil {
-		t.Fatal(err)
+	return Config{
+		DataDir: dir,
+		Topo:    tp,
+		PolicyText: fmt.Sprintf("[ a0 : (eth.src = %s and eth.dst = %s) -> (%s)* at max(40MB/s) ]",
+			mac(tp, "h0_0"), mac(tp, "h3_0"), strings.Join(names, "|")),
+		Opts:    merlin.Options{NoDefault: true},
+		Journal: journal.Params{NoSync: true},
 	}
-	srv := httptest.NewServer(d.Handler())
+}
 
-	status, body := postJSON(t, srv.URL+"/v1/hub/register", hubRequest{
+// stageTenantA opens the one session the hub tests drive and stages a
+// demand for it, so the next tick commits.
+func stageTenantA(t *testing.T, url string) {
+	t.Helper()
+	status, body := postJSON(t, url+"/v1/hub/register", hubRequest{
 		Tenant: "tenant-a", Shard: "left", ShardCapacityBps: 100 * merlin.MBps,
 		Statements: []string{"a0"},
 		AllocBps:   10 * merlin.MBps, IncreaseBps: 5 * merlin.MBps, Decrease: 0.5,
@@ -338,10 +338,25 @@ func TestDaemonHubTickJournaled(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("register: %d %v", status, body)
 	}
-	if status, body = postJSON(t, srv.URL+"/v1/hub/demand", hubRequest{Tenant: "tenant-a", DemandBps: 60 * merlin.MBps}); status != http.StatusOK {
+	if status, body = postJSON(t, url+"/v1/hub/demand", hubRequest{Tenant: "tenant-a", DemandBps: 60 * merlin.MBps}); status != http.StatusOK {
 		t.Fatalf("demand: %d %v", status, body)
 	}
-	status, body = postJSON(t, srv.URL+"/v1/hub/tick", nil)
+}
+
+// TestDaemonHubTickJournaled runs negotiation through the daemon: a
+// committed tick journals the hub's full policy, a restart reproduces
+// the committed allocation byte-identically, and hub sessions are
+// volatile — the tenant must re-register after the restart.
+func TestDaemonHubTickJournaled(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDaemon(hubRingConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+
+	stageTenantA(t, srv.URL)
+	status, body := postJSON(t, srv.URL+"/v1/hub/tick", nil)
 	if status != http.StatusOK {
 		t.Fatalf("tick: %d %v", status, body)
 	}
@@ -357,7 +372,7 @@ func TestDaemonHubTickJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := NewDaemon(mkcfg())
+	d2, err := NewDaemon(hubRingConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,6 +390,135 @@ func TestDaemonHubTickJournaled(t *testing.T) {
 	defer srv2.Close()
 	if status, _ := postJSON(t, srv2.URL+"/v1/hub/demand", hubRequest{Tenant: "tenant-a", DemandBps: merlin.MBps}); status != http.StatusNotFound {
 		t.Fatalf("stale session demand = %d, want 404", status)
+	}
+}
+
+// TestDaemonHubRoutesRequirePost pins the method check on the mutating
+// hub routes: a body-less GET must not reach the apply loop (it would run
+// and journal the op), while a body-less POST tick stays valid.
+func TestDaemonHubRoutesRequirePost(t *testing.T) {
+	d, err := NewDaemon(hubRingConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	stageTenantA(t, srv.URL)
+	before, seq := d.c.Result(), d.store.LastSeq()
+	for _, route := range []string{"tick", "register", "demand", "propose"} {
+		resp, err := http.Get(srv.URL + "/v1/hub/" + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET /v1/hub/%s = %d, want 405", route, resp.StatusCode)
+		}
+	}
+	if d.store.LastSeq() != seq || d.c.Result() != before {
+		t.Fatal("a GET on a hub route mutated the daemon")
+	}
+
+	// The staged demand is still pending: a body-less POST commits it.
+	resp, err := http.Post(srv.URL+"/v1/hub/tick", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || d.store.LastSeq() != seq+1 {
+		t.Fatalf("body-less POST tick = %d, journal %d -> %d; want one committed 200",
+			resp.StatusCode, seq, d.store.LastSeq())
+	}
+}
+
+// TestDaemonOversizeBodyRejected posts a body over maxBodyBytes: the
+// daemon answers 413, and neither the compiled result nor the journal
+// moves.
+func TestDaemonOversizeBodyRejected(t *testing.T) {
+	d, err := NewDaemon(fatTreeConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	before, seq := d.c.Result(), d.store.LastSeq()
+	huge := merlin.WireDelta{Add: []string{strings.Repeat("x", maxBodyBytes)}}
+	if status, _ := postJSON(t, srv.URL+"/v1/delta", huge); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit delta = %d, want 413", status)
+	}
+	if d.store.LastSeq() != seq || d.c.Result() != before {
+		t.Fatal("rejected over-limit body mutated the daemon")
+	}
+}
+
+// TestDaemonTopoStormCoalesces is the daemon twin of the library's
+// debounce tests: a switch failure and its link alarms arrive as separate
+// concurrent requests inside the debounce window, and collectTopo folds
+// them into one recompile and one journal record, acking every request.
+func TestDaemonTopoStormCoalesces(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fatTreeConfig(dir)
+	cfg.Debounce = time.Second
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+
+	storm := []merlin.TopoEvent{
+		merlin.SwitchFailure("agg0_0"),
+		merlin.LinkFailure("agg0_0", "edge0_0"),
+		merlin.LinkFailure("agg0_0", "edge0_1"),
+	}
+	base, seq := d.c.Stats(), d.store.LastSeq()
+	type reply struct {
+		status int
+		body   map[string]any
+		err    error
+	}
+	replies := make(chan reply, len(storm))
+	for _, ev := range storm {
+		go func(ev merlin.TopoEvent) {
+			var r reply
+			r.status, r.body, r.err = post(srv.URL+"/v1/topo", merlin.WireTopoEvents([]merlin.TopoEvent{ev}))
+			replies <- r
+		}(ev)
+	}
+	for range storm {
+		r := <-replies
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("storm request = %d %v (%v), want 200", r.status, r.body, r.err)
+		}
+		if r.body["seq"].(float64) != float64(seq+1) || r.body["coalesced"].(float64) != float64(len(storm)) {
+			t.Fatalf("storm request not acked by the one coalesced batch: %v", r.body)
+		}
+	}
+	if got := d.c.Stats().Updates - base.Updates; got != 1 {
+		t.Fatalf("storm cost %d updates, want 1", got)
+	}
+	srv.Close()
+
+	// Read the journal back before Close snapshots past it.
+	peek, rec, err := journal.Open(dir, journal.Params{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peek.Close()
+	topoRecs := 0
+	for _, r := range rec.Records {
+		if r.Kind == merlin.RecTopo {
+			topoRecs++
+		}
+	}
+	if topoRecs != 1 || len(rec.Records) != int(seq)+1 {
+		t.Fatalf("journal holds %d topo records of %d, want 1 of %d", topoRecs, len(rec.Records), seq+1)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,6 +17,10 @@ import (
 	"merlin/internal/journal"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a stalled client cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8640", "HTTP listen address")
@@ -56,7 +60,7 @@ func main() {
 	}
 	log.Printf("merlind: recovered (%s boot, seq %d) on %s, serving %s", d.Boot, d.BootSeq, *topoSpec, *addr)
 
-	srv := &http.Server{Addr: *addr, Handler: d.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

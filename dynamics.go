@@ -100,7 +100,7 @@ func (c *Compiler) ApplyTopo(events ...TopoEvent) (*Diff, error) {
 // is retried one event at a time, so one malformed event cannot discard
 // the valid failures coalesced alongside it — those remain facts and are
 // applied, each yielding its own diff. Updates serialize with concurrent
-// negotiation ticks (Watch) on the compiler's lock. The returned channel
+// negotiation ticks (WatchHub) on the compiler's lock. The returned channel
 // closes when the event channel does.
 func (c *Compiler) WatchTopo(events <-chan TopoEvent, onDiff func(*Diff), onErr func(error)) <-chan struct{} {
 	done := make(chan struct{})

@@ -1,84 +1,91 @@
-// Delegation: the §4 negotiator workflow — delegate a capped policy to a
-// tenant, verify a valid refinement and reject an invalid one, renegotiate
-// bandwidth over the TCP protocol, and run the AIMD/MMFS adaptation
-// schemes of Fig. 10.
+// Delegation: the §4 negotiation workflow on a Hub — delegate a capped
+// statement to a tenant session, accept a valid refinement and reject an
+// over-allocation, divide a shared link between two tenants with a
+// max-min fair-share tick, and run the AIMD/MMFS adaptation schemes of
+// Fig. 10 (which drive the same Hub).
 package main
 
 import (
 	"fmt"
 	"log"
-	"net"
 
 	merlin "merlin"
 	"merlin/internal/negotiate"
-	"merlin/internal/policy"
-	"merlin/internal/pred"
 )
 
-func main() {
-	// The §4.1 example: all pair traffic capped at 100 MB/s.
-	original, err := policy.Parse(`
-[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],
-max(x, 100MB/s)
-`, policy.Env{})
+func mustParse(src string) *merlin.Policy {
+	pol, err := merlin.ParsePolicy(src, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	root := merlin.NewNegotiator("admin", original)
-	tenant, err := root.Delegate("tenant-a", pred.True)
+	return pol
+}
+
+func main() {
+	// The §4.1 example: all pair traffic capped at 100 MB/s, delegated
+	// whole to tenant-a.
+	hub, err := merlin.NewHub(mustParse(`
+[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],
+max(x, 100MB/s)
+`), merlin.HubOptions{})
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := hub.AddShard("link", merlin.Gbps); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := hub.Register("tenant-a", "link", []string{"x"}, merlin.AIMDState{}); err != nil {
 		log.Fatal(err)
 	}
 
 	// The tenant refines: web logged at 50, ssh 25, the rest through dpi
 	// at 25 — exactly the paper's §4.1 transformation.
-	refined, err := policy.Parse(`
+	recompile, err := hub.Propose("tenant-a", mustParse(`
 [ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2 and tcp.dst = 80) -> .* log .*
   y : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2 and tcp.dst = 22) -> .*
   z : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2 and
        !(tcp.dst = 22 or tcp.dst = 80)) -> .* dpi .* ],
 max(x, 50MB/s) and max(y, 25MB/s) and max(z, 25MB/s)
-`, policy.Env{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	recompile, err := tenant.Propose(refined)
+`))
 	if err != nil {
 		log.Fatal("valid refinement rejected: ", err)
 	}
 	fmt.Printf("refinement accepted (recompilation needed: %v)\n", recompile)
 
-	// An over-allocation is caught by verification.
-	greedy, _ := policy.Parse(`
+	// An over-allocation is caught by verification against the delegation.
+	if _, err := hub.Propose("tenant-a", mustParse(`
 [ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],
 max(x, 400MB/s)
-`, policy.Env{})
-	if _, err := tenant.Propose(greedy); err != nil {
+`)); err != nil {
 		fmt.Println("over-allocation rejected:", err)
 	}
 
-	// Bandwidth renegotiation over TCP: two tenants share 100 Mbps.
-	srv := negotiate.NewServer(100e6)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// Bandwidth renegotiation: two tenants share 100 Mbps, each declaring
+	// 80; one max-min fair-share tick splits the link between them.
+	shared, err := merlin.NewHub(mustParse(`
+[ a : ip.src = 10.0.0.1 -> .* ; b : ip.src = 10.0.0.2 -> .* ],
+max(a, 100Mbps) and max(b, 100Mbps)
+`), merlin.HubOptions{MMFS: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	a, err := negotiate.Dial(ln.Addr().String(), "tenant-a")
-	if err != nil {
+	if err := shared.AddShard("link", 100*merlin.Mbps); err != nil {
 		log.Fatal(err)
 	}
-	defer a.Close()
-	b, err := negotiate.Dial(ln.Addr().String(), "tenant-b")
-	if err != nil {
+	var tenants []*merlin.Session
+	for _, id := range []string{"a", "b"} {
+		s, err := shared.Register("tenant-"+id, "link", []string{id}, merlin.AIMDState{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		s.OfferDemand(80 * merlin.Mbps)
+		tenants = append(tenants, s)
+	}
+	if _, err := shared.Tick(); err != nil {
 		log.Fatal(err)
 	}
-	defer b.Close()
-	ga, _ := a.Demand(80e6)
-	gb, _ := b.Demand(80e6)
-	ga, _ = a.Demand(80e6) // re-demand after b joined
-	fmt.Printf("negotiated: tenant-a %.0f Mbps, tenant-b %.0f Mbps\n", ga/1e6, gb/1e6)
+	fmt.Printf("negotiated: tenant-a %.0f Mbps, tenant-b %.0f Mbps\n",
+		tenants[0].Alloc()/merlin.Mbps, tenants[1].Alloc()/merlin.Mbps)
 
 	// Fig. 10 adaptation schemes.
 	aimd, err := negotiate.RunAIMD(negotiate.AIMDConfig{Seconds: 30})

@@ -395,18 +395,32 @@ func minFormula(k, n int, newRate float64) policy.Formula {
 }
 
 // TestFailoverBetweenNegotiationTicks is the end-to-end dynamic story: a
-// negotiator drives rate renegotiation ticks through Compiler.Watch while
-// a link failure arrives between ticks through Compiler.WatchTopo, and a
+// hub drives rate renegotiation ticks through Compiler.WatchHub while a
+// link failure arrives between ticks through Compiler.WatchTopo, and a
 // flow-level simulation follows the compiled paths throughout — traffic
 // blackholes at the failure, the reroute diff restores it, and the next
 // negotiation tick proceeds incrementally on the degraded topology.
 func TestFailoverBetweenNegotiationTicks(t *testing.T) {
 	const k, n = 4, 2
 	tp := FatTree(k, Gbps)
-	pol := podPolicy(t, tp, k, n)
+	// Tenant 0 renegotiates its first guarantee: an MMFS guarantee session
+	// alone in its shard is granted exactly the demand it declares, up to
+	// the 10 Mbps it was delegated.
+	hub, err := NewHub(podPolicy(t, tp, k, n), HubOptions{MMFS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.AddShard("pod0", Gbps); err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := hub.Register("tenant0", "pod0", []string{"t0g0"}, AIMDState{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant.Guarantee()
 	opts := Options{NoDefault: true}
 	c := NewCompiler(tp, nil, opts)
-	res, err := c.Compile(pol)
+	res, err := c.Compile(hub.Policy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,15 +460,15 @@ func TestFailoverBetweenNegotiationTicks(t *testing.T) {
 		}
 	}
 
-	// The negotiator drives renegotiation ticks through Watch.
-	root := NewNegotiator("root", pol)
+	// The hub drives renegotiation ticks through WatchHub.
 	var tickDiffs []*Diff
-	c.Watch(root, func(d *Diff) { tickDiffs = append(tickDiffs, d) })
+	c.WatchHub(hub, func(d *Diff) { tickDiffs = append(tickDiffs, d) })
 
 	// Tick 1: tenant 0 renegotiates its first guarantee 10 -> 8 Mbps
 	// (negotiation refines: guarantees only shrink against the parent).
-	if _, err := root.Reallocate(minFormula(k, n, 8*Mbps)); err != nil {
-		t.Fatalf("tick 1: %v", err)
+	tenant.OfferDemand(8 * Mbps)
+	if rep, err := hub.Tick(); err != nil || !rep.Committed {
+		t.Fatalf("tick 1: %+v, %v", rep, err)
 	}
 	syncFlows()
 	net.Step(1)
@@ -493,8 +507,9 @@ func TestFailoverBetweenNegotiationTicks(t *testing.T) {
 	// Tick 2 lands after the failure: renegotiation proceeds incrementally
 	// on the degraded topology.
 	base := c.Stats()
-	if _, err := root.Reallocate(minFormula(k, n, 6*Mbps)); err != nil {
-		t.Fatalf("tick 2: %v", err)
+	tenant.OfferDemand(6 * Mbps)
+	if rep, err := hub.Tick(); err != nil || !rep.Committed {
+		t.Fatalf("tick 2: %+v, %v", rep, err)
 	}
 	st := c.Stats()
 	if st.StatementBuilds != base.StatementBuilds || st.AnchoredBuilds != base.AnchoredBuilds {
@@ -521,6 +536,6 @@ func TestFailoverBetweenNegotiationTicks(t *testing.T) {
 	if _, err := failedTopo.SetLinkState(failedTopo.MustLookup(a), failedTopo.MustLookup(b), false); err != nil {
 		t.Fatal(err)
 	}
-	finalPol := &Policy{Statements: pol.Statements, Formula: minFormula(k, n, 6*Mbps)}
+	finalPol := &Policy{Statements: hub.Policy().Statements, Formula: minFormula(k, n, 6*Mbps)}
 	sameCompiled(t, "e2e-final", c.Result(), finalPol, failedTopo, nil, opts)
 }

@@ -111,12 +111,10 @@ type Compiler struct {
 	// set, so a retry cannot take the codegen patch path against a
 	// last-good output the current artifacts no longer describe.
 	tainted bool
-	// hub is the bound tenant-scale negotiation hub (WatchHub), read by
-	// Stats to mirror its counters; neg is the bound negotiator (Watch).
-	// Both bindings are exclusive — rebinding detaches the previous
-	// hub's/negotiator's commit callback.
+	// hub is the bound negotiation hub (WatchHub), read by Stats to mirror
+	// its counters. The binding is exclusive — rebinding detaches the
+	// previous hub's commit callback.
 	hub *negotiate.Hub
-	neg *negotiate.Negotiator
 
 	stats CompilerStats
 }
@@ -615,53 +613,6 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 // backing array (and length) — identity, not deep equality.
 func sameStatementSlice(a, b []policy.Statement) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// Watch binds the compiler to a negotiator: every accepted Propose or
-// Reallocate recompiles the refined policy through the caches — a
-// Reallocate tick that only moves caps takes the patched-codegen fast
-// path and never rebuilds a graph — and hands the device-level diff to
-// onDiff (which may be nil). A compilation error rejects the negotiation,
-// leaving both the negotiator's policy and the compiled state unchanged.
-//
-// The binding is exclusive on both sides, like WatchHub: a compiler
-// follows at most one negotiator, and a negotiator commits into at most
-// one compiler. Rebinding to a different negotiator detaches the old
-// one — its commits stop reaching this compiler. Unwatch drops the
-// binding entirely.
-func (c *Compiler) Watch(n *Negotiator, onDiff func(*Diff)) {
-	c.mu.Lock()
-	old := c.neg
-	c.neg = n
-	c.mu.Unlock()
-	// Callback swaps happen outside c.mu: OnCommit takes the negotiator
-	// lock, which a committing tick holds while it recompiles through
-	// c.mu — the compiler lock must never wait on a negotiator lock.
-	if old != nil && old != n {
-		old.OnCommit(nil)
-	}
-	n.OnCommit(func(pol *policy.Policy, pathsChanged bool) error {
-		diff, err := c.compileDiff(pol)
-		if err != nil {
-			return err
-		}
-		if onDiff != nil {
-			onDiff(diff)
-		}
-		return nil
-	})
-}
-
-// Unwatch detaches the bound negotiator, if any: its commits no longer
-// reach this compiler.
-func (c *Compiler) Unwatch() {
-	c.mu.Lock()
-	old := c.neg
-	c.neg = nil
-	c.mu.Unlock()
-	if old != nil {
-		old.OnCommit(nil)
-	}
 }
 
 // compileDiff is Compile plus a diff against the previous result, under

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"merlin/internal/negotiate"
 	"merlin/internal/policy"
-	"merlin/internal/pred"
 )
 
 // sameCompiled asserts that an incremental result equals what a fresh
@@ -314,79 +312,6 @@ func TestCompilerPlacementChange(t *testing.T) {
 	sameCompiled(t, "placement-rollback", c.Result(),
 		&Policy{Statements: pol.Statements, Formula: capFormula(45*MBps, 10*MBps)},
 		tp, newPlace, Options{})
-}
-
-// TestCompilerWatchNegotiator runs the §4 adaptation loop end-to-end: a
-// tenant delegated from the root renegotiates its caps each tick with an
-// AIMD controller through Negotiator.Reallocate, which drives the
-// compiler via Watch. Every tick must take the patched-codegen fast path
-// — no graph rebuilds, no solver runs, no rule churn — while staying
-// consistent with a fresh compile.
-func TestCompilerWatchNegotiator(t *testing.T) {
-	tp := Example(Gbps)
-	pol := paperPolicy(t, tp)
-	place := Placement{"dpi": {"h1", "h2", "m1"}, "nat": {"m1"}}
-
-	root := NewNegotiator("root", pol)
-	tenant, err := root.Delegate("tenant", pred.True)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tenPol := tenant.Policy()
-
-	c := NewCompiler(tp, place, Options{})
-	if _, err := c.Compile(tenPol); err != nil {
-		t.Fatal(err)
-	}
-	base := c.Stats()
-
-	var diffs []*Diff
-	c.Watch(tenant, func(d *Diff) { diffs = append(diffs, d) })
-
-	// AIMD over the x+y aggregate cap: additive increase while under the
-	// root's 50MB/s budget (Reallocate verifies each tick against the
-	// parent policy), multiplicative decrease when the probe would burst
-	// it — the Fig. 10(a) sawtooth driven through the real verifier.
-	aimd := &negotiate.AIMDState{Alloc: 30 * MBps, Increase: 5 * MBps, Decrease: 0.5}
-	ticks := 0
-	for i := 0; i < 8; i++ {
-		congested := aimd.Alloc+aimd.Increase > 50*MBps
-		aimd.Update(aimd.Alloc, congested)
-		if _, err := tenant.Reallocate(capFormula(aimd.Alloc, 10*MBps)); err != nil {
-			t.Fatalf("tick %d (cap %v): %v", i, aimd.Alloc, err)
-		}
-		ticks++
-	}
-	st := c.Stats()
-	if got := st.PatchedCodegens - base.PatchedCodegens; got != ticks {
-		t.Fatalf("%d of %d ticks took the patch path", got, ticks)
-	}
-	if st.GraphBuilds != base.GraphBuilds || st.TreeBuilds != base.TreeBuilds ||
-		st.StatementBuilds != base.StatementBuilds ||
-		st.Solves != base.Solves || st.WarmSolves != base.WarmSolves {
-		t.Fatalf("negotiation ticks were not incremental: %+v -> %+v", base, st)
-	}
-	if len(diffs) != ticks {
-		t.Fatalf("got %d diffs for %d ticks", len(diffs), ticks)
-	}
-	for i, d := range diffs {
-		if len(d.InstallRules) != 0 || len(d.RemoveRules) != 0 {
-			t.Fatalf("tick %d diff churned rules", i)
-		}
-	}
-	sameCompiled(t, "watch", c.Result(),
-		&Policy{Statements: tenPol.Statements, Formula: capFormula(aimd.Alloc, 10*MBps)},
-		tp, place, Options{})
-
-	// An over-budget reallocation must veto cleanly: tenant policy and
-	// compiled state unchanged.
-	before := c.Result()
-	if _, err := tenant.Reallocate(capFormula(80*MBps, 10*MBps)); err == nil {
-		t.Fatal("over-budget reallocation accepted")
-	}
-	if c.Result() != before {
-		t.Fatal("rejected reallocation recompiled")
-	}
 }
 
 // tenantRingPolicy builds a two-tenant policy on an 8-switch ring: each

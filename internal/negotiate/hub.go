@@ -13,9 +13,10 @@ import (
 	"merlin/internal/verify"
 )
 
-// Hub is the tenant-scale negotiator: one coordinator replacing a tree of
-// per-tenant Negotiators when session counts reach 10⁴–10⁵. Three ideas
-// make it scale where the per-tenant tree cannot:
+// Hub is the negotiator (§4): one coordinator holding the global policy
+// and every tenant's delegation, from two sessions on one link (Fig. 10)
+// to 10⁴–10⁵ live sessions. Three ideas let it scale where a negotiator
+// object per tenant cannot:
 //
 //   - Sharding. Sessions are grouped into shards keyed by the same
 //     link-disjoint partition provisioning uses (Compiler.
@@ -212,8 +213,9 @@ func (h *Hub) Allocations() map[string]policy.Alloc {
 }
 
 // OnCommit registers fn to observe (and possibly veto) every committed
-// tick or accepted proposal, exactly like Negotiator.OnCommit — this is
-// how Compiler.WatchHub makes negotiation atomic with recompilation.
+// tick or accepted proposal — this is how Compiler.WatchHub makes
+// negotiation atomic with recompilation. fn is called with the hub lock
+// held and must not call back into the hub.
 func (h *Hub) OnCommit(fn CommitFunc) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -296,7 +298,6 @@ func (h *Hub) Register(tenant, shard string, stmtIDs []string, ctrl AIMDState) (
 	s.stmtIDs = make([]string, len(idxs))
 	s.budgetMax, s.budgetMin = math.Inf(1), math.Inf(1)
 	sub := &policy.Policy{}
-	var terms []policy.Formula
 	agg := 0.0
 	for i, idx := range idxs {
 		st := h.pol.Statements[idx]
@@ -309,18 +310,12 @@ func (h *Hub) Register(tenant, shard string, stmtIDs []string, ctrl AIMDState) (
 		if a.Min < s.budgetMin {
 			s.budgetMin = a.Min
 		}
-		if !math.IsInf(a.Max, 1) {
-			terms = append(terms, policy.Max{Expr: policy.BandExpr{IDs: []string{st.ID}}, Rate: a.Max})
-		}
-		if a.Min > 0 {
-			terms = append(terms, policy.Min{Expr: policy.BandExpr{IDs: []string{st.ID}}, Rate: a.Min})
-		}
 		agg += a.Max
 	}
 	n := float64(len(idxs))
 	s.budgetMax *= n
 	s.budgetMin *= n
-	sub.Formula = policy.ConjFormula(terms...)
+	sub.Formula = h.renderFormula(sub.Statements)
 	s.baseline = sub
 	// The session starts at its current committed allocation, so nothing
 	// changes until its first tick.
@@ -644,13 +639,16 @@ func (h *Hub) admitBudgets(refined *policy.Policy) error {
 
 // Propose submits a refined sub-policy for the tenant's delegation: the
 // session's statements are replaced on acceptance. Verification runs
-// against the session's registration-time baseline through the hub's
-// verification cache — an unchanged proposal is a fingerprint hit, and a
+// against the session's registration-time delegation — a fixed module
+// interface, not the tenant's last accepted policy — so a tenant that
+// narrowed its paths or shrank its caps may later widen back, as long as
+// it stays inside what it was delegated. The check goes through the hub's
+// verification cache: an unchanged proposal is a fingerprint hit, and a
 // delta proposal re-verifies only the changed statement pairs. A failed
 // containment check is admission control: the proposal is rejected, no
 // recompile happens, and the committed policy is untouched. The first
-// return mirrors Negotiator.Propose: whether the accepted change needs
-// global recompilation (a path-expression change).
+// return reports whether the accepted change needs global recompilation
+// (a path-expression change, §4.3).
 func (h *Hub) Propose(tenant string, refined *policy.Policy) (recompile bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -12,6 +12,8 @@ import (
 
 	"merlin/internal/codegen"
 	"merlin/internal/policy"
+	"merlin/internal/pred"
+	"merlin/internal/verify"
 )
 
 // hubPolicy builds an n-statement policy with one 100 MB/s cap each.
@@ -261,6 +263,52 @@ max(p, 50MB/s) and max(q, 50MB/s)
 	st := h.Stats()
 	if st.VerifyCacheHits == 0 || st.VerifyCacheMisses != miss {
 		t.Fatalf("repeat proposal not served from cache: %+v", st)
+	}
+
+	// Proposals verify against the registration-time delegation, not the
+	// last accepted policy: the tenant may widen back to its full budget,
+	// and a narrowed path expression reports the §4.3 recompilation.
+	back := mustPolicy(t, `[ x : tcp.dst = 80 -> .* dpi .* ], max(x, 100MB/s)`)
+	recompile, err = h.Propose("a", back)
+	if err != nil {
+		t.Fatalf("widening back inside the delegation rejected: %v", err)
+	}
+	if !recompile {
+		t.Fatal("path change should require recompilation")
+	}
+	if _, err := h.Propose("a", over); err == nil {
+		t.Fatal("over-allocation accepted after widening back")
+	}
+}
+
+// A delegation must hand the tenant something: a scope that matches no
+// traffic of the global policy projects to zero statements, and
+// registering a session over them is an error, as is a duplicate tenant.
+func TestHubRegisterRejectsEmptyDelegation(t *testing.T) {
+	pol := hubPolicy(t, 2)
+	h, err := NewHub(pol, HubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AddShard("core", 1e12); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := verify.Delegate(pol, pred.Test{Field: "tcp.dst", Value: "22"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, st := range sub.Statements {
+		ids = append(ids, st.ID)
+	}
+	if _, err := h.Register("t", "core", ids, AIMDState{}); err == nil {
+		t.Fatal("empty-scope delegation accepted")
+	}
+	if _, err := h.Register("t", "core", []string{"s000"}, AIMDState{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Register("t", "core", []string{"s001"}, AIMDState{}); err == nil {
+		t.Fatal("duplicate tenant accepted")
 	}
 }
 

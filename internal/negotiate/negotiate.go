@@ -1,126 +1,28 @@
-// Package negotiate implements Merlin's run-time negotiators (§4):
-// components arranged in a tree over the network that delegate policies to
-// tenants, verify tenant modifications against the parent policy, and
-// dynamically re-allocate bandwidth. Bandwidth re-allocation needs no
-// recompilation and is fast; path-constraint changes require global
-// recompilation (§4.3) and are surfaced to the caller.
+// Package negotiate implements Merlin's run-time negotiation (§4): a Hub
+// holds the administrator's global policy, delegates statements to tenant
+// sessions, verifies tenant refinements against their delegations, and
+// re-allocates bandwidth in batched ticks. Bandwidth re-allocation needs
+// no recompilation of paths and is fast; path-constraint changes require
+// global recompilation (§4.3) and are surfaced to the caller.
 //
-// Two allocation schemes from the paper's evaluation are provided:
+// Two allocation schemes from the paper's evaluation drive the ticks:
 // additive-increase/multiplicative-decrease and max-min fair sharing
 // (Fig. 10).
 package negotiate
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"merlin/internal/policy"
-	"merlin/internal/pred"
-	"merlin/internal/verify"
 )
 
-// Negotiator is one node of the negotiator tree. The root holds the
-// administrator's global policy; children hold delegations.
-type Negotiator struct {
-	Name string
-
-	mu       sync.Mutex
-	pol      *policy.Policy
-	parent   *Negotiator
-	children map[string]*Negotiator
-	opts     verify.Options
-	onCommit CommitFunc
-}
-
 // CommitFunc observes accepted policy changes. It runs after verification
-// succeeds but before the negotiator's policy is replaced; returning an
-// error vetoes the change, leaving the old policy in place — this is how
-// a driving compiler makes negotiation ticks atomic with recompilation.
+// succeeds but before the hub's policy is replaced; returning an error
+// vetoes the change, leaving the old policy in place — this is how a
+// driving compiler makes negotiation ticks atomic with recompilation.
 // pathsChanged reports whether any path expression changed (the §4.3
 // global-recompilation trigger); pure bandwidth re-allocations pass false.
 type CommitFunc func(pol *policy.Policy, pathsChanged bool) error
-
-// OnCommit registers fn to observe (and possibly veto) every accepted
-// Propose or Reallocate on this negotiator. fn is called with the
-// negotiator's lock held and must not call back into it.
-func (n *Negotiator) OnCommit(fn CommitFunc) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.onCommit = fn
-}
-
-// NewRoot creates the tree root holding the global policy.
-func NewRoot(name string, pol *policy.Policy) *Negotiator {
-	return &Negotiator{Name: name, pol: pol, children: map[string]*Negotiator{}}
-}
-
-// Policy returns the negotiator's current policy.
-func (n *Negotiator) Policy() *policy.Policy {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pol
-}
-
-// Delegate carves out a child negotiator scoped to the given predicate:
-// the child receives the parent policy projected onto the scope (§5).
-func (n *Negotiator) Delegate(name string, scope pred.Pred) (*Negotiator, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.children[name]; dup {
-		return nil, fmt.Errorf("negotiate: child %q already exists", name)
-	}
-	sub, err := verify.Delegate(n.pol, scope)
-	if err != nil {
-		return nil, err
-	}
-	if len(sub.Statements) == 0 {
-		return nil, fmt.Errorf("negotiate: scope matches no traffic of %s's policy", n.Name)
-	}
-	child := &Negotiator{Name: name, pol: sub, parent: n, children: map[string]*Negotiator{}}
-	n.children[name] = child
-	return child, nil
-}
-
-// Children lists child negotiators in name order.
-func (n *Negotiator) Children() []*Negotiator {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*Negotiator, len(names))
-	for i, name := range names {
-		out[i] = n.children[name]
-	}
-	return out
-}
-
-// Propose submits a refined policy. The negotiator verifies it against its
-// current policy (§4.2); a valid refinement replaces the policy and the
-// second return reports whether the change needs global recompilation
-// (any path-expression change, §4.3).
-func (n *Negotiator) Propose(refined *policy.Policy) (recompile bool, err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rep, err := verify.CheckRefinement(n.pol, refined, n.opts)
-	if err != nil {
-		return false, err
-	}
-	if !rep.OK() {
-		return false, rep.Err()
-	}
-	recompile = pathsChanged(n.pol, refined)
-	if n.onCommit != nil {
-		if err := n.onCommit(refined, recompile); err != nil {
-			return false, err
-		}
-	}
-	n.pol = refined
-	return recompile, nil
-}
 
 // pathsChanged reports whether any refined statement narrows a path
 // expression (syntactic comparison; equal strings cannot change routing).
@@ -135,35 +37,6 @@ func pathsChanged(orig, refined *policy.Policy) bool {
 		}
 	}
 	return false
-}
-
-// Reallocate adjusts only the bandwidth formula of the negotiator's
-// policy, keeping statements fixed. It verifies the new formula still
-// implies the parent's constraints and returns the localized allocations.
-// This is the fast path negotiators use for dynamic adaptation (§4.3).
-func (n *Negotiator) Reallocate(formula policy.Formula) (map[string]policy.Alloc, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	candidate := &policy.Policy{Statements: n.pol.Statements, Formula: formula}
-	baseline := n.pol
-	if n.parent != nil {
-		baseline = n.parent.Policy()
-	}
-	rep, err := verify.CheckRefinement(baseline, candidate, n.opts)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.OK() {
-		return nil, rep.Err()
-	}
-	if n.onCommit != nil {
-		// Statements are untouched: a re-allocation never changes paths.
-		if err := n.onCommit(candidate, false); err != nil {
-			return nil, err
-		}
-	}
-	n.pol = candidate
-	return policy.Localize(formula, nil)
 }
 
 // MaxMinFairShare allocates capacity among declared demands max-min

@@ -2,11 +2,9 @@ package negotiate
 
 import (
 	"math"
-	"net"
 	"testing"
 
 	"merlin/internal/policy"
-	"merlin/internal/pred"
 	"merlin/internal/topo"
 )
 
@@ -17,87 +15,6 @@ func mustPolicy(t testing.TB, src string) *policy.Policy {
 		t.Fatal(err)
 	}
 	return p
-}
-
-func TestDelegateAndPropose(t *testing.T) {
-	root := NewRoot("admin", mustPolicy(t, `
-[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],
-max(x, 100MB/s)
-`))
-	tenant, err := root.Delegate("tenant-a", pred.True)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root.Children()) != 1 || root.Children()[0].Name != "tenant-a" {
-		t.Fatal("child bookkeeping wrong")
-	}
-	// The §4.1 refinement is accepted...
-	refined := mustPolicy(t, `
-[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2 and tcp.dst = 80) -> .* log .*
-  y : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2 and tcp.dst = 22) -> .*
-  z : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2 and
-       !(tcp.dst = 22 or tcp.dst = 80)) -> .* dpi .* ],
-max(x, 50MB/s) and max(y, 25MB/s) and max(z, 25MB/s)
-`)
-	recompile, err := tenant.Propose(refined)
-	if err != nil {
-		t.Fatalf("valid refinement rejected: %v", err)
-	}
-	// New waypoints (log, dpi) require recompilation (§4.3).
-	if !recompile {
-		t.Error("path changes should require recompilation")
-	}
-	if len(tenant.Policy().Statements) != 3 {
-		t.Error("policy not swapped")
-	}
-	// ...and an over-allocation is rejected.
-	over := mustPolicy(t, `
-[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],
-max(x, 200MB/s)
-`)
-	if _, err := tenant.Propose(over); err == nil {
-		t.Fatal("over-allocation accepted")
-	}
-}
-
-func TestDelegateRejectsEmptyScope(t *testing.T) {
-	root := NewRoot("admin", mustPolicy(t, `[ x : tcp.dst = 80 -> .* ]`))
-	if _, err := root.Delegate("t", pred.Test{Field: "tcp.dst", Value: "22"}); err == nil {
-		t.Fatal("empty-scope delegation accepted")
-	}
-	if _, err := root.Delegate("t", pred.True); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := root.Delegate("t", pred.True); err == nil {
-		t.Fatal("duplicate child accepted")
-	}
-}
-
-func TestReallocateFastPath(t *testing.T) {
-	root := NewRoot("admin", mustPolicy(t, `
-[ a : tcp.dst = 80 -> .* ; b : tcp.dst = 22 -> .* ],
-max(a, 60MB/s) and max(b, 40MB/s)
-`))
-	// Shift bandwidth between the statements without touching paths.
-	newFormula := policy.ConjFormula(
-		policy.Max{Expr: policy.BandExpr{IDs: []string{"a"}}, Rate: 30 * 8e6},
-		policy.Max{Expr: policy.BandExpr{IDs: []string{"b"}}, Rate: 40 * 8e6},
-	)
-	allocs, err := root.Reallocate(newFormula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs["a"].Max != 30*8e6 {
-		t.Fatalf("alloc a = %v", allocs["a"])
-	}
-	// Exceeding the original budget fails.
-	bad := policy.ConjFormula(
-		policy.Max{Expr: policy.BandExpr{IDs: []string{"a"}}, Rate: 100 * 8e6},
-		policy.Max{Expr: policy.BandExpr{IDs: []string{"b"}}, Rate: 40 * 8e6},
-	)
-	if _, err := root.Reallocate(bad); err == nil {
-		t.Fatal("budget-exceeding reallocation accepted")
-	}
 }
 
 func TestMaxMinFairShare(t *testing.T) {
@@ -180,66 +97,6 @@ func TestMMFSStaircase(t *testing.T) {
 	if math.Abs(f1.Samples[25].Rate-250*topo.Mbps) > 1e6 ||
 		math.Abs(f2.Samples[25].Rate-250*topo.Mbps) > 1e6 {
 		t.Fatalf("late rates = %v, %v", f1.Samples[25].Rate, f2.Samples[25].Rate)
-	}
-}
-
-func TestTCPProtocol(t *testing.T) {
-	srv := NewServer(100 * topo.Mbps)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	a, err := Dial(ln.Addr().String(), "tenant-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Dial(ln.Addr().String(), "tenant-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	// Alone, tenant A gets its full demand.
-	alloc, err := a.Demand(80 * topo.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc != 80*topo.Mbps {
-		t.Fatalf("alloc = %v, want full demand", alloc)
-	}
-	// B's demand forces a fair split.
-	allocB, err := b.Demand(80 * topo.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocB != 50*topo.Mbps {
-		t.Fatalf("allocB = %v, want 50M", allocB)
-	}
-	// A re-demands and sees the squeeze too.
-	allocA, err := a.Demand(80 * topo.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocA != 50*topo.Mbps {
-		t.Fatalf("allocA = %v, want 50M", allocA)
-	}
-	// Release restores A.
-	if err := b.Release(); err != nil {
-		t.Fatal(err)
-	}
-	allocA, err = a.Demand(80 * topo.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocA != 80*topo.Mbps {
-		t.Fatalf("after release alloc = %v", allocA)
-	}
-	if got := srv.Allocations(); len(got) != 1 {
-		t.Fatalf("allocations = %v", got)
 	}
 }
 

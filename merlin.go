@@ -85,17 +85,18 @@
 //		}
 //	}
 //
-// Dynamic adaptation (§4 of the paper) is exposed through NewNegotiator,
-// Delegate, Propose, and Reallocate; Compiler.Watch binds a compiler to a
-// negotiator so every accepted negotiation tick drives an incremental
-// recompile. At tenant scale (10⁴–10⁵ live sessions) the negotiator tree
-// gives way to NewHub / Compiler.WatchHub: sessions shard by the
-// link-disjoint provisioning partition (Compiler.NegotiationShards),
-// demand updates coalesce into batched AIMD ticks — one recompile per
-// window, riding the caps-only patch path — and tenant proposals are
-// verified incrementally against their delegations through a fingerprint
-// cache, with admission control rejecting violations instead of
-// recompiling.
+// Dynamic adaptation (§4 of the paper) goes through one negotiator, the
+// Hub: NewHub holds the global policy, Hub.Register delegates statements
+// to a tenant session, Hub.Propose verifies a tenant's refinement against
+// that delegation (admission control rejects a violation instead of
+// recompiling), and Hub.Tick re-allocates bandwidth from offered demands
+// by per-session AIMD or max-min fair sharing. Compiler.WatchHub makes
+// every commit an incremental recompile. At 10⁴–10⁵ live sessions,
+// sessions shard by the link-disjoint provisioning partition
+// (Compiler.NegotiationShards), demand updates coalesce into one batched
+// tick per window riding the caps-only patch path, and proposals verify
+// through a fingerprint cache. Delegate and CheckRefinement are the
+// library form of the §5 projection and the §4.2 check.
 //
 // The topology is dynamic too: link/switch failures, recoveries, and
 // capacity changes flow through the same incremental pipeline as
@@ -173,8 +174,6 @@ type (
 	Alloc = policy.Alloc
 	// Pred is a packet-classification predicate.
 	Pred = pred.Pred
-	// Negotiator is a node of the run-time negotiator tree.
-	Negotiator = negotiate.Negotiator
 	// Program is the target-neutral codegen IR every backend emits from.
 	Program = codegen.Program
 	// Backend is one pluggable dataplane target (Name / Emit / Diff).
@@ -259,11 +258,6 @@ func ParsePolicy(src string, t *Topology) (*Policy, error) {
 	return policy.Parse(src, env)
 }
 
-// NewNegotiator creates a negotiator-tree root holding the global policy.
-func NewNegotiator(name string, pol *Policy) *Negotiator {
-	return negotiate.NewRoot(name, pol)
-}
-
 // CheckRefinement verifies that refined only restricts original (§4.2).
 func CheckRefinement(original, refined *Policy) error {
 	rep, err := verify.CheckRefinement(original, refined, verify.Options{})
@@ -278,5 +272,5 @@ func Delegate(pol *Policy, scope Pred) (*Policy, error) {
 	return verify.Delegate(pol, scope)
 }
 
-// MaxMinFairShare is the negotiators' fair-share allocation primitive.
+// MaxMinFairShare is the hub's fair-share allocation primitive (MMFS ticks).
 var MaxMinFairShare = negotiate.MaxMinFairShare

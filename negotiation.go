@@ -5,11 +5,12 @@ import (
 	"merlin/internal/policy"
 )
 
-// Tenant-scale negotiation, re-exported from the negotiate substrate. A
-// Hub replaces a tree of per-tenant Negotiators when session counts reach
-// 10⁴–10⁵: sessions shard by the same link-disjoint partition
-// provisioning uses (NegotiationShards), demand updates coalesce into one
-// batched AIMD tick per window, and proposals verify incrementally
+// Run-time negotiation (§4), re-exported from the negotiate substrate. A
+// Hub is the one negotiator: it holds the global policy, delegates
+// statements to tenant sessions, and scales to 10⁴–10⁵ of them — sessions
+// shard by the same link-disjoint partition provisioning uses
+// (NegotiationShards), demand updates coalesce into one batched AIMD or
+// max-min fair-share tick per window, and proposals verify incrementally
 // against a fingerprint cache with admission control on failure.
 type (
 	// Hub is the sharded, batching negotiator.
@@ -27,8 +28,8 @@ type (
 	TickReport = negotiate.TickReport
 )
 
-// NewHub creates a tenant-scale negotiation hub over the administrator's
-// global policy. Compile hub.Policy() — the canonicalized form — when
+// NewHub creates a negotiation hub over the administrator's global
+// policy. Compile hub.Policy() — the canonicalized form — when
 // binding a compiler, or just call Compiler.WatchHub which checks in on
 // every commit.
 func NewHub(pol *Policy, opts HubOptions) (*Hub, error) {

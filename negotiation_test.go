@@ -94,7 +94,8 @@ func TestCompilerWatchHubCapTicksPatch(t *testing.T) {
 		t.Fatalf("%d of %d committed ticks took the patch path", got, committed)
 	}
 	if st.GraphBuilds != base.GraphBuilds || st.TreeBuilds != base.TreeBuilds ||
-		st.StatementBuilds != base.StatementBuilds {
+		st.StatementBuilds != base.StatementBuilds ||
+		st.Solves != base.Solves || st.WarmSolves != base.WarmSolves {
 		t.Fatalf("hub ticks were not incremental: %+v -> %+v", base, st)
 	}
 	if st.TenantsActive != 2 || st.TicksBatched != 8 {
@@ -102,6 +103,11 @@ func TestCompilerWatchHubCapTicksPatch(t *testing.T) {
 	}
 	if len(diffs) != committed {
 		t.Fatalf("got %d diffs for %d committed ticks", len(diffs), committed)
+	}
+	for i, d := range diffs {
+		if len(d.InstallRules) != 0 || len(d.RemoveRules) != 0 {
+			t.Fatalf("tick %d diff churned rules", i)
+		}
 	}
 	sameCompiled(t, "hub-cap-ticks", c.Result(), hub.Policy(), tp, nil, Options{NoDefault: true})
 }
@@ -197,11 +203,12 @@ func TestCompilerWatchHubProposalAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := c.Result()
 	if _, err := hub.Propose("tenant-a", overPol); err == nil {
 		t.Fatal("over-allocation accepted")
 	}
 	st := c.Stats()
-	if st.Compiles != base.Compiles {
+	if st.Compiles != base.Compiles || c.Result() != before {
 		t.Fatalf("rejected proposal recompiled: %+v -> %+v", base, st)
 	}
 	if st.ProposalsRejected != 1 {

@@ -124,54 +124,6 @@ func TestWatchHubRebindDetachesOldHub(t *testing.T) {
 	}
 }
 
-// TestWatchRebindDetachesOldNegotiator is the same lifecycle regression
-// for the negotiator-tree binding (Compiler.Watch).
-func TestWatchRebindDetachesOldNegotiator(t *testing.T) {
-	tp := Example(Gbps)
-	pol := paperPolicy(t, tp)
-	place := Placement{"dpi": {"h1", "h2", "m1"}, "nat": {"m1"}}
-	c := NewCompiler(tp, place, Options{})
-	if _, err := c.Compile(pol); err != nil {
-		t.Fatal(err)
-	}
-
-	rootA := NewNegotiator("a", pol)
-	rootB := NewNegotiator("b", pol)
-	var diffsA, diffsB []*Diff
-	c.Watch(rootA, func(d *Diff) { diffsA = append(diffsA, d) })
-	c.Watch(rootB, func(d *Diff) { diffsB = append(diffsB, d) })
-
-	// The detached negotiator's reallocation must not recompile.
-	before := c.Result()
-	if _, err := rootA.Reallocate(capFormula(40*MBps, 10*MBps)); err != nil {
-		t.Fatal(err)
-	}
-	if len(diffsA) != 0 || c.Result() != before {
-		t.Fatal("detached negotiator A's commit still reached the compiler")
-	}
-
-	// The live binding commits through.
-	if _, err := rootB.Reallocate(capFormula(30*MBps, 10*MBps)); err != nil {
-		t.Fatal(err)
-	}
-	if len(diffsB) != 1 {
-		t.Fatalf("live negotiator B produced %d diffs, want 1", len(diffsB))
-	}
-	sameCompiled(t, "neg-rebind", c.Result(),
-		&Policy{Statements: pol.Statements, Formula: capFormula(30*MBps, 10*MBps)},
-		tp, place, Options{})
-
-	// Unwatch drops the binding.
-	c.Unwatch()
-	before = c.Result()
-	if _, err := rootB.Reallocate(capFormula(20*MBps, 10*MBps)); err != nil {
-		t.Fatal(err)
-	}
-	if len(diffsB) != 1 || c.Result() != before {
-		t.Fatal("Unwatch did not detach negotiator B")
-	}
-}
-
 // TestSnapshotRestoreByteIdentical drives a compiler through policy and
 // topology churn, snapshots it, restores onto a pristine topology, and
 // asserts the restored compiler's output — and its own snapshot — are
