@@ -89,14 +89,6 @@ func main() {
 		len(res.Policy.Statements), len(t.Switches()), len(t.Hosts()))
 	fmt.Printf("  openflow rules: %d\n  queue configs:  %d\n  tc commands:    %d\n  iptables:       %d\n  click configs:  %d\n",
 		c.OpenFlow, c.Queues, c.TC, c.IPTables, c.Click)
-	// Non-builtin targets (e.g. -targets ...,p4) report their native
-	// entry counts from their artifacts.
-	for _, name := range sortedKeys(res.Outputs) {
-		if merlin.IsBuiltinTarget(name) {
-			continue
-		}
-		fmt.Printf("  %s entries: %8d\n", name, len(res.Outputs[name].Entries()))
-	}
 	if *timing {
 		tm := res.Timing
 		fmt.Printf("  timing (total %v):\n", tm.Total())
@@ -117,25 +109,11 @@ func main() {
 		}
 	}
 	if *verbose {
-		fmt.Println("rules:")
-		for _, r := range res.Output.Rules {
-			fmt.Println("  ", r)
-		}
-		for _, q := range res.Output.Queues {
-			fmt.Printf("  queue sw=%d port=%d q=%d min=%.0fMbps\n", q.Switch, q.Port, q.Queue, q.MinBps/1e6)
-		}
-		for _, hc := range append(res.Output.TC, res.Output.IPTables...) {
-			fmt.Printf("  host %d: %s\n", hc.Host, hc.Command)
-		}
-		for _, cc := range res.Output.Click {
-			fmt.Printf("  click node=%d %s\n", cc.Node, cc.Config)
-		}
+		// Every target (e.g. -targets ...,p4) prints its native entries.
 		for _, name := range sortedKeys(res.Outputs) {
-			if merlin.IsBuiltinTarget(name) {
-				continue
-			}
-			fmt.Printf("%s entries:\n", name)
-			for _, e := range res.Outputs[name].Entries() {
+			entries := res.Outputs[name].Entries()
+			fmt.Printf("%s entries (%d):\n", name, len(entries))
+			for _, e := range entries {
 				fmt.Printf("  dev=%d %s\n", e.Device, e.Text)
 			}
 		}

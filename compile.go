@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"merlin/internal/codegen"
-	"merlin/internal/interp"
 	"merlin/internal/logical"
 	"merlin/internal/mip"
 	"merlin/internal/policy"
@@ -57,8 +56,8 @@ type Options struct {
 	// default set — OpenFlow rules + queues, tc/iptables commands, Click
 	// configurations, and end-host interpreter programs — which is
 	// byte-identical to the pre-registry compiler. Result.Outputs holds
-	// one artifact per target; Result.Output aggregates whichever
-	// built-ins were requested.
+	// one artifact per target, and an incremental Diff one ArtifactDiff
+	// per target.
 	Targets []string
 	// TableBudgets overrides per-device ternary table budgets by node
 	// name, on top of whatever the targeted backends' table models
@@ -152,16 +151,11 @@ type Result struct {
 	// reservations, rate caps, middlebox hops, and host functions.
 	IR *codegen.Program
 	// Outputs holds each requested backend's emitted artifact, keyed by
-	// target name (Options.Targets).
+	// target name (Options.Targets) — the only dataplane output. The
+	// built-ins' are *codegen.OpenFlowArtifact, *codegen.TCArtifact,
+	// *codegen.ClickArtifact and *codegen.HostArtifact (per-host end-host
+	// interpreter programs, the §3.4 kernel-module backend).
 	Outputs map[string]codegen.Artifact
-	// Output aggregates the built-in backends' artifacts into the legacy
-	// device-configuration struct. Sections whose backend was not
-	// targeted stay empty.
-	Output *codegen.Output
-	// Programs holds per-host end-host interpreter programs enforcing
-	// caps and payload filters (the §3.4 kernel-module backend) — the
-	// "host" target's artifact.
-	Programs map[NodeID]*interp.Program
 	// Timing breaks down compile phases.
 	Timing Timing
 }
@@ -172,8 +166,22 @@ type PlacementChoice struct {
 	Location string
 }
 
-// Counts reports the Fig. 4 instruction totals.
-func (r *Result) Counts() codegen.Counts { return r.Output.Counts() }
+// Counts reports the Fig. 4 instruction totals of the built-in openflow,
+// tc and click artifacts; host programs and other targets are uncounted.
+func (r *Result) Counts() codegen.Counts {
+	var c codegen.Counts
+	for _, art := range r.Outputs {
+		switch a := art.(type) {
+		case *codegen.OpenFlowArtifact:
+			c.OpenFlow, c.Queues = len(a.Rules), len(a.Queues)
+		case *codegen.TCArtifact:
+			c.TC, c.IPTables = len(a.TC), len(a.IPTables)
+		case *codegen.ClickArtifact:
+			c.Click = len(a.Click)
+		}
+	}
+	return c
+}
 
 // Compile runs the full §3 pipeline: preprocess, localize, build logical
 // topologies, provision guaranteed traffic via the MIP, provision
@@ -954,16 +962,11 @@ func (c *Compiler) checkTargets() error {
 	return nil
 }
 
-// installArtifacts wires a pass's emitted artifacts into the result:
-// per-backend map, legacy aggregate Output, and the host backend's
-// interpreter programs.
+// installArtifacts wires a pass's lowered IR and emitted artifacts into
+// the result.
 func (c *Compiler) installArtifacts(run *runState, prog *codegen.Program, arts map[string]codegen.Artifact) {
 	run.res.IR = prog
 	run.res.Outputs = arts
-	run.res.Output = codegen.AssembleOutput(arts)
-	if ha, ok := arts[codegen.TargetHost].(*codegen.HostArtifact); ok {
-		run.res.Programs = ha.Programs
-	}
 }
 
 // codegenPatch is the caps-only fast path (§4's bandwidth re-allocation
@@ -992,14 +995,6 @@ func (c *Compiler) codegenPatch(run *runState) {
 				arts[name] = c.last.Outputs[name]
 				continue
 			}
-			if tcArt, ok := art.(*codegen.TCArtifact); ok {
-				if lastTC, ok := c.last.Outputs[codegen.TargetTC].(*codegen.TCArtifact); ok {
-					// The filter section cannot change on a caps-only
-					// pass: share the slice so the diff's aliasing fast
-					// path sees it.
-					tcArt.IPTables = lastTC.IPTables
-				}
-			}
 			arts[name] = art
 		default:
 			arts[name] = c.last.Outputs[name]
@@ -1020,7 +1015,7 @@ func (c *Compiler) codegenPatch(run *runState) {
 // no Min rate changed — so only caps (tc commands, end-host programs)
 // can differ.
 func (c *Compiler) patchableCodegen(run *runState) bool {
-	if c.last == nil || c.last.Output == nil || c.tainted || run.rebuilt {
+	if c.last == nil || c.last.Outputs == nil || c.tainted || run.rebuilt {
 		return false
 	}
 	if len(c.lastOrder) != len(run.work.Statements) {

@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("provisioned %d guaranteed shuffle classes; %d queue configs\n",
-		len(res.Paths), len(res.Output.Queues))
+		len(res.Paths), res.Counts().Queues)
 
 	// Simulate the sort job in the three paper configurations.
 	for _, cfg := range []struct {

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	merlin "merlin"
+	"merlin/internal/codegen"
 )
 
 func main() {
@@ -47,7 +48,7 @@ max(x + y, 50MB/s) and min(z, 10MB/s)
 	c := res.Counts()
 	fmt.Printf("emitted: %d OpenFlow rules, %d queues, %d tc, %d click\n",
 		c.OpenFlow, c.Queues, c.TC, c.Click)
-	for _, r := range res.Output.Rules {
+	for _, r := range res.Outputs[codegen.TargetOpenFlow].(*codegen.OpenFlowArtifact).Rules {
 		fmt.Println("  rule:", r)
 	}
 }

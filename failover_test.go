@@ -130,7 +130,7 @@ func TestCompilerLinkDownRoundTrip(t *testing.T) {
 	}
 	// Recovery restores the original configuration exactly, so its diff is
 	// the failure diff reversed.
-	if !reflect.DeepEqual(c.Result().Output, first.Output) {
+	if !reflect.DeepEqual(c.Result().Outputs, first.Outputs) {
 		t.Fatal("recovery did not restore the original configuration")
 	}
 	upIn, upRm := upDiff.Counts()
@@ -174,7 +174,7 @@ func TestCompilerSwitchDownRecovery(t *testing.T) {
 	if _, err := c.ApplyTopo(SwitchRecovery("agg0_0")); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c.Result().Output, first.Output) {
+	if !reflect.DeepEqual(c.Result().Outputs, first.Outputs) {
 		t.Fatal("switch recovery did not restore the original configuration")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/pred"
 	"merlin/internal/topo"
 )
@@ -118,50 +119,80 @@ max(x, 50MB/s) and max(y, 25MB/s) and max(z, 25MB/s)
 	}
 }
 
+// builtin returns a result's artifact for a built-in target, or an empty
+// one when the target was not compiled.
+func builtin[A any, P interface {
+	*A
+	codegen.Artifact
+}](res *Result, target string) P {
+	if a, ok := res.Outputs[target].(P); ok {
+		return a
+	}
+	return new(A)
+}
+
+// sectionCounts reads the Fig. 4 section lengths renderResult prints.
+func sectionCounts(t *testing.T, rendered string) codegen.Counts {
+	t.Helper()
+	var c codegen.Counts
+	sections := map[string]*int{"rules": &c.OpenFlow, "queues": &c.Queues, "tc": &c.TC, "iptables": &c.IPTables, "click": &c.Click}
+	for _, line := range strings.Split(rendered, "\n") {
+		var name string
+		var n int
+		if _, err := fmt.Sscanf(line, "== %s (%d)", &name, &n); err == nil && sections[name] != nil {
+			*sections[name] = n
+		}
+	}
+	return c
+}
+
 // renderResult dumps every dataplane-facing section of a compile result in
 // a deterministic text form: OpenFlow rules, queue reservations, tc and
 // iptables commands, Click configurations, VLAN tag allocations, end-host
 // interpreter programs, and the chosen guaranteed paths.
 func renderResult(res *Result) string {
 	var sb strings.Builder
-	out := res.Output
-	fmt.Fprintf(&sb, "== rules (%d)\n", len(out.Rules))
-	for _, r := range out.Rules {
+	of := builtin[codegen.OpenFlowArtifact](res, codegen.TargetOpenFlow)
+	tc := builtin[codegen.TCArtifact](res, codegen.TargetTC)
+	click := builtin[codegen.ClickArtifact](res, codegen.TargetClick)
+	programs := builtin[codegen.HostArtifact](res, codegen.TargetHost).Programs
+	fmt.Fprintf(&sb, "== rules (%d)\n", len(of.Rules))
+	for _, r := range of.Rules {
 		fmt.Fprintf(&sb, "%s\n", r.String())
 	}
-	fmt.Fprintf(&sb, "== queues (%d)\n", len(out.Queues))
-	for _, q := range out.Queues {
+	fmt.Fprintf(&sb, "== queues (%d)\n", len(of.Queues))
+	for _, q := range of.Queues {
 		fmt.Fprintf(&sb, "sw=%d port=%d queue=%d min=%g\n", q.Switch, q.Port, q.Queue, q.MinBps)
 	}
-	fmt.Fprintf(&sb, "== tc (%d)\n", len(out.TC))
-	for _, hc := range out.TC {
+	fmt.Fprintf(&sb, "== tc (%d)\n", len(tc.TC))
+	for _, hc := range tc.TC {
 		fmt.Fprintf(&sb, "host=%d kind=%s %s\n", hc.Host, hc.Kind, hc.Command)
 	}
-	fmt.Fprintf(&sb, "== iptables (%d)\n", len(out.IPTables))
-	for _, hc := range out.IPTables {
+	fmt.Fprintf(&sb, "== iptables (%d)\n", len(tc.IPTables))
+	for _, hc := range tc.IPTables {
 		fmt.Fprintf(&sb, "host=%d kind=%s %s\n", hc.Host, hc.Kind, hc.Command)
 	}
-	fmt.Fprintf(&sb, "== click (%d)\n", len(out.Click))
-	for _, cc := range out.Click {
+	fmt.Fprintf(&sb, "== click (%d)\n", len(click.Click))
+	for _, cc := range click.Click {
 		fmt.Fprintf(&sb, "node=%d fn=%s %s\n", cc.Node, cc.Fn, cc.Config)
 	}
-	fmt.Fprintf(&sb, "== tags (%d)\n", len(out.Tags))
-	tagIDs := make([]string, 0, len(out.Tags))
-	for id := range out.Tags {
+	fmt.Fprintf(&sb, "== tags (%d)\n", len(of.Tags))
+	tagIDs := make([]string, 0, len(of.Tags))
+	for id := range of.Tags {
 		tagIDs = append(tagIDs, id)
 	}
 	sort.Strings(tagIDs)
 	for _, id := range tagIDs {
-		fmt.Fprintf(&sb, "%s: %v\n", id, out.Tags[id])
+		fmt.Fprintf(&sb, "%s: %v\n", id, of.Tags[id])
 	}
-	fmt.Fprintf(&sb, "== programs (%d)\n", len(res.Programs))
-	progHosts := make([]NodeID, 0, len(res.Programs))
-	for h := range res.Programs {
+	fmt.Fprintf(&sb, "== programs (%d)\n", len(programs))
+	progHosts := make([]NodeID, 0, len(programs))
+	for h := range programs {
 		progHosts = append(progHosts, h)
 	}
 	sort.Slice(progHosts, func(i, j int) bool { return progHosts[i] < progHosts[j] })
 	for _, h := range progHosts {
-		p := res.Programs[h]
+		p := programs[h]
 		fmt.Fprintf(&sb, "host=%d name=%s default=%s\n", h, p.Name, p.Default)
 		for _, cl := range p.Clauses {
 			fmt.Fprintf(&sb, "  op=%d rate=%g burst=%g pred=%s\n", cl.Op, cl.RateBps, cl.BurstBytes, pred.Format(cl.Pred))
@@ -181,10 +212,10 @@ func renderResult(res *Result) string {
 
 // TestGoldenBackendParity locks the default-target backend output of the
 // four example workloads byte-for-byte against the committed golden files,
-// which were generated by the pre-redesign monolithic codegen.Generate.
-// Any change to lowering, a built-in backend, or target routing that
-// perturbs a single byte of OpenFlow/Click/tc/iptables/host output fails
-// here.
+// which were generated by the original monolithic code generator. Any
+// change to lowering, a built-in backend, or target routing that perturbs
+// a single byte of OpenFlow/Click/tc/iptables/host output fails here, as
+// does a Result.Counts that disagrees with the rendered section lengths.
 func TestGoldenBackendParity(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -195,6 +226,9 @@ func TestGoldenBackendParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := renderResult(res)
+			if c, want := res.Counts(), sectionCounts(t, got); c != want {
+				t.Fatalf("Result.Counts %+v, rendered sections %+v", c, want)
+			}
 			path := filepath.Join("testdata", "golden", sc.name+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"merlin/internal/codegen"
-	"merlin/internal/interp"
 	"merlin/internal/logical"
 	"merlin/internal/negotiate"
 	"merlin/internal/policy"
@@ -393,8 +392,8 @@ type Delta struct {
 
 // Update applies a delta to the current policy, recompiles only the
 // dirtied artifacts, and returns the device-level diff — the rules and
-// configurations to install and remove — instead of a full Output. The
-// full result remains available via Result.
+// configurations to install and remove — instead of the full Outputs.
+// The full result remains available via Result.
 func (c *Compiler) Update(d Delta) (*Diff, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -436,23 +435,11 @@ func (c *Compiler) Update(d Delta) (*Diff, error) {
 }
 
 // diffResults builds the device-level delta between two compiled
-// results: the typed sections for the built-in backends (plus the
-// end-host interpreter programs, which live on the Result rather than
-// the Output), and one native-form ArtifactDiff per non-builtin backend
-// (Diff.Backends) computed by that backend's own Diff method.
+// results: one native-form ArtifactDiff per target, computed by that
+// backend's own Diff method.
 func diffResults(old, new *Result) *Diff {
-	var oldOut *codegen.Output
-	oldPrograms := map[NodeID]*interp.Program{}
-	if old != nil {
-		oldOut = old.Output
-		oldPrograms = old.Programs
-	}
-	d := codegen.DiffOutputs(oldOut, new.Output)
-	d.DiffPrograms(oldPrograms, new.Programs)
+	d := &Diff{Backends: make(map[string]codegen.ArtifactDiff, len(new.Outputs))}
 	for name, art := range new.Outputs {
-		if codegen.IsBuiltinTarget(name) {
-			continue
-		}
 		b, ok := codegen.Lookup(name)
 		if !ok {
 			continue
@@ -460,9 +447,6 @@ func diffResults(old, new *Result) *Diff {
 		var oldArt codegen.Artifact
 		if old != nil {
 			oldArt = old.Outputs[name]
-		}
-		if d.Backends == nil {
-			d.Backends = map[string]codegen.ArtifactDiff{}
 		}
 		d.Backends[name] = b.Diff(oldArt, art)
 	}
@@ -518,7 +502,6 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	res := &Result{
 		Paths:      map[string][]string{},
 		Placements: map[string][]PlacementChoice{},
-		Programs:   map[NodeID]*interp.Program{},
 	}
 	run := &runState{res: res}
 	run.aliased = c.artSource != nil && sameStatementSlice(pol.Statements, c.artSource)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/policy"
 )
 
@@ -17,7 +18,7 @@ func sameCompiled(t *testing.T, label string, got *Result, pol *Policy, tp *Topo
 	if err != nil {
 		t.Fatalf("%s: fresh compile: %v", label, err)
 	}
-	if !reflect.DeepEqual(got.Output, want.Output) {
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
 		t.Fatalf("%s: incremental output differs from fresh compile", label)
 	}
 	if !reflect.DeepEqual(got.Paths, want.Paths) {
@@ -28,9 +29,6 @@ func sameCompiled(t *testing.T, label string, got *Result, pol *Policy, tp *Topo
 	}
 	if !reflect.DeepEqual(got.Allocations, want.Allocations) {
 		t.Fatalf("%s: allocations differ", label)
-	}
-	if !reflect.DeepEqual(got.Programs, want.Programs) {
-		t.Fatalf("%s: end-host programs differ", label)
 	}
 }
 
@@ -82,20 +80,20 @@ func TestCompilerCapChangePatches(t *testing.T) {
 	if st.PatchedCodegens != base.PatchedCodegens+1 {
 		t.Fatalf("cap change did not take the codegen patch path: %+v", st)
 	}
-	// The diff touches only tc commands (and both install and remove,
-	// since the caps moved rather than appeared).
-	if len(diff.InstallRules) != 0 || len(diff.RemoveRules) != 0 ||
-		len(diff.InstallQueues) != 0 || len(diff.RemoveQueues) != 0 ||
-		len(diff.InstallClick) != 0 || len(diff.RemoveClick) != 0 {
-		t.Fatalf("cap change diffed non-tc sections: %+v", diff)
-	}
-	if len(diff.InstallTC) == 0 || len(diff.RemoveTC) == 0 {
-		t.Fatalf("cap change produced no tc delta: %+v", diff)
-	}
-	// The end-host interpreter rate limits moved with the cap, so the
-	// diff must carry replacement programs for the affected hosts.
-	if len(diff.InstallPrograms) == 0 || len(diff.RemovePrograms) == 0 {
-		t.Fatalf("cap change produced no program delta: %+v", diff)
+	// The diff touches only tc commands and, since the end-host
+	// interpreter rate limits moved with the cap, host programs — both
+	// installed and removed, since the caps moved rather than appeared.
+	for name, bd := range diff.Backends {
+		switch name {
+		case codegen.TargetTC, codegen.TargetHost:
+			if len(bd.Install) == 0 || len(bd.Remove) == 0 {
+				t.Fatalf("cap change produced no %s delta: %+v", name, bd)
+			}
+		default:
+			if !bd.Empty() {
+				t.Fatalf("cap change diffed the %s backend: %+v", name, bd)
+			}
+		}
 	}
 
 	// The incremental result matches a fresh compile of the same policy.
@@ -152,7 +150,7 @@ func TestCompilerAddRemoveStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstOut := first.Output
+	firstOut := first.Outputs
 
 	extraSrc := `[ w : (eth.src = ` + h2.MAC + ` and eth.dst = ` + h1.MAC + ` and tcp.dst = 22) -> .* ]`
 	extraPol, err := ParsePolicy(extraSrc, tp)
@@ -168,7 +166,7 @@ func TestCompilerAddRemoveStatement(t *testing.T) {
 	if st.StatementBuilds != base.StatementBuilds+1 {
 		t.Fatalf("add rebuilt %d statements, want 1", st.StatementBuilds-base.StatementBuilds)
 	}
-	if len(diff.InstallRules) == 0 {
+	if in, _ := diff.Counts(); in.OpenFlow == 0 {
 		t.Fatal("adding a statement installed no rules")
 	}
 	newPol := &Policy{Statements: append(append([]Statement(nil), pol.Statements...), extraPol.Statements...), Formula: pol.Formula}
@@ -181,10 +179,10 @@ func TestCompilerAddRemoveStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.RemoveRules) == 0 {
+	if _, rm := diff.Counts(); rm.OpenFlow == 0 {
 		t.Fatalf("removing the statement removed no rules: %+v", diff)
 	}
-	if !reflect.DeepEqual(c.Result().Output, firstOut) {
+	if !reflect.DeepEqual(c.Result().Outputs, firstOut) {
 		t.Fatal("remove did not restore the original configuration")
 	}
 

@@ -70,16 +70,13 @@ func DiffArtifacts(backend string, old, new Artifact) ArtifactDiff {
 	if new != nil {
 		newE = new.Entries()
 	}
-	d.Install, d.Remove = diffEntries(newE, oldE, func(e Entry) string {
-		return fmt.Sprintf("%d|%s", e.Device, e.Text)
-	})
+	d.Install, d.Remove = diffEntries(newE, oldE)
 	return d
 }
 
 // Built-in backend names. The four defaults together reproduce the
-// original monolithic Generate output: OpenFlow rules + queues, host tc
-// and iptables commands, Click middlebox configurations, and end-host
-// interpreter programs.
+// paper's output: OpenFlow rules + queues, host tc and iptables commands,
+// Click middlebox configurations, and end-host interpreter programs.
 const (
 	TargetOpenFlow = "openflow"
 	TargetTC       = "tc"
@@ -197,18 +194,6 @@ func DefaultTargets() []string {
 	return []string{TargetOpenFlow, TargetTC, TargetClick, TargetHost}
 }
 
-// IsBuiltinTarget reports whether the named backend is one of the four
-// built-ins whose artifacts assemble into the legacy Output struct (and
-// whose deltas appear in Diff's typed sections rather than
-// Diff.Backends).
-func IsBuiltinTarget(name string) bool {
-	switch name {
-	case TargetOpenFlow, TargetTC, TargetClick, TargetHost:
-		return true
-	}
-	return false
-}
-
 func init() {
 	Register(openflowBackend{})
 	Register(tcBackend{})
@@ -229,6 +214,14 @@ type OpenFlowArtifact struct {
 // Backend implements Artifact.
 func (a *OpenFlowArtifact) Backend() string { return TargetOpenFlow }
 
+// Section prefixes the built-in Entries methods write, so Diff.Counts can
+// split a delta's entries back into queues vs rules and tc vs iptables.
+const (
+	queuePrefix    = "queue "
+	tcPrefix       = "tc "
+	iptablesPrefix = "iptables "
+)
+
 // Entries implements Artifact.
 func (a *OpenFlowArtifact) Entries() []Entry {
 	out := make([]Entry, 0, len(a.Rules)+len(a.Queues))
@@ -236,7 +229,7 @@ func (a *OpenFlowArtifact) Entries() []Entry {
 		out = append(out, Entry{Device: r.Switch, Text: r.String()})
 	}
 	for _, q := range a.Queues {
-		out = append(out, Entry{Device: q.Switch, Text: fmt.Sprintf("queue port=%d q=%d min=%g", q.Port, q.Queue, q.MinBps)})
+		out = append(out, Entry{Device: q.Switch, Text: fmt.Sprintf(queuePrefix+"port=%d q=%d min=%g", q.Port, q.Queue, q.MinBps)})
 	}
 	return out
 }
@@ -316,10 +309,10 @@ func (a *TCArtifact) Backend() string { return TargetTC }
 func (a *TCArtifact) Entries() []Entry {
 	out := make([]Entry, 0, len(a.TC)+len(a.IPTables))
 	for _, hc := range a.TC {
-		out = append(out, Entry{Device: hc.Host, Text: hc.Kind + " " + hc.Command})
+		out = append(out, Entry{Device: hc.Host, Text: tcPrefix + hc.Command})
 	}
 	for _, hc := range a.IPTables {
-		out = append(out, Entry{Device: hc.Host, Text: hc.Kind + " " + hc.Command})
+		out = append(out, Entry{Device: hc.Host, Text: iptablesPrefix + hc.Command})
 	}
 	return out
 }
@@ -443,23 +436,4 @@ func (hostBackend) Emit(t *topo.Topology, prog *Program) (Artifact, error) {
 
 func (b hostBackend) Diff(old, new Artifact) ArtifactDiff {
 	return DiffArtifacts(b.Name(), old, new)
-}
-
-// --- assembly ---------------------------------------------------------
-
-// AssembleOutput builds the legacy Output struct from whichever built-in
-// artifacts were emitted; sections without a corresponding backend stay
-// empty. Slices are shared with the artifacts, not copied.
-func AssembleOutput(arts map[string]Artifact) *Output {
-	out := &Output{Tags: map[string][]int{}}
-	if a, ok := arts[TargetOpenFlow].(*OpenFlowArtifact); ok {
-		out.Rules, out.Queues, out.Tags = a.Rules, a.Queues, a.Tags
-	}
-	if a, ok := arts[TargetTC].(*TCArtifact); ok {
-		out.TC, out.IPTables = a.TC, a.IPTables
-	}
-	if a, ok := arts[TargetClick].(*ClickArtifact); ok {
-		out.Click = a.Click
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"testing"
 
 	"merlin/internal/topo"
@@ -24,12 +25,9 @@ func TestDefaultTargetsRegistered(t *testing.T) {
 		if b.Name() != name {
 			t.Fatalf("backend %q reports name %q", name, b.Name())
 		}
-		if !IsBuiltinTarget(name) {
-			t.Fatalf("default target %q not recognized as builtin", name)
-		}
 	}
-	if IsBuiltinTarget("p4") {
-		t.Fatal("p4 must not be a builtin: its diffs route through Diff.Backends")
+	if slices.Contains(DefaultTargets(), "p4") {
+		t.Fatal("p4 must not be a default target: it is opt-in via Options.Targets")
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"merlin/internal/logical"
-	"merlin/internal/openflow"
 	"merlin/internal/policy"
 	"merlin/internal/pred"
 	"merlin/internal/sinktree"
@@ -85,62 +84,13 @@ type ClickConfig struct {
 	Config string
 }
 
-// Output is everything the default built-in backends emit for the
-// dataplane — the legacy aggregate form, assembled from the per-backend
-// artifacts by AssembleOutput.
-type Output struct {
-	Rules    []openflow.Rule
-	Queues   []QueueConfig
-	TC       []HostCommand
-	IPTables []HostCommand
-	Click    []ClickConfig
-	// Tags maps statement IDs to the tags allocated for them.
-	Tags map[string][]int
-}
-
 // Counts summarizes instruction totals per backend — the Fig. 4 metric.
 type Counts struct {
 	OpenFlow, Queues, TC, IPTables, Click int
 }
 
-// Counts tallies the output.
-func (o *Output) Counts() Counts {
-	return Counts{
-		OpenFlow: len(o.Rules),
-		Queues:   len(o.Queues),
-		TC:       len(o.TC),
-		IPTables: len(o.IPTables),
-		Click:    len(o.Click),
-	}
-}
-
 // Total is the grand instruction total.
 func (c Counts) Total() int { return c.OpenFlow + c.Queues + c.TC + c.IPTables + c.Click }
-
-// Generate lowers plans to the IR and emits the default dataplane
-// backends (OpenFlow, tc/iptables, Click), assembled into the legacy
-// Output. It is byte-identical to the pre-registry monolithic generator;
-// callers wanting per-backend artifacts (or non-default targets such as
-// P4) should call Lower and the backends directly.
-func Generate(t *topo.Topology, plans []Plan) (*Output, error) {
-	prog, err := Lower(t, plans)
-	if err != nil {
-		return nil, err
-	}
-	arts := make(map[string]Artifact, 3)
-	for _, name := range []string{TargetOpenFlow, TargetTC, TargetClick} {
-		b, ok := Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("codegen: built-in backend %q not registered", name)
-		}
-		art, err := b.Emit(t, prog)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: backend %s: %w", name, err)
-		}
-		arts[name] = art
-	}
-	return AssembleOutput(arts), nil
-}
 
 // CapApplies reports whether a statement cap emits a host-side tc
 // command (finite and nonzero).

@@ -1,56 +1,22 @@
 package codegen
 
 import (
-	"fmt"
 	"sort"
+	"strings"
 
-	"merlin/internal/interp"
-	"merlin/internal/openflow"
-	"merlin/internal/pred"
 	"merlin/internal/topo"
 )
 
-// Diff is the device-level delta between two compiled outputs: the rules
-// and configurations a controller must install and remove to move the
-// dataplane from one compiled state to the next. It is what the
-// incremental compiler returns for a policy update, so a negotiation tick
-// touches only the devices it actually changed instead of reinstalling
-// the full configuration (§4's dynamic-adaptation story).
+// Diff is the device-level delta between two compiled results: the
+// entries a controller must install and remove to move the dataplane from
+// one compiled state to the next. It is what the incremental compiler
+// returns for a policy update, so a negotiation tick touches only the
+// devices it actually changed instead of reinstalling the full
+// configuration (§4's dynamic-adaptation story).
 type Diff struct {
-	InstallRules []openflow.Rule
-	RemoveRules  []openflow.Rule
-
-	InstallQueues []QueueConfig
-	RemoveQueues  []QueueConfig
-
-	InstallTC []HostCommand
-	RemoveTC  []HostCommand
-
-	InstallIPTables []HostCommand
-	RemoveIPTables  []HostCommand
-
-	InstallClick []ClickConfig
-	RemoveClick  []ClickConfig
-
-	// Program deltas (the §3.4 end-host interpreter backend) use replace
-	// semantics: a host whose program changed appears in both lists.
-	// They are populated by DiffPrograms — programs live on the compile
-	// Result, not the Output, so DiffOutputs cannot see them.
-	InstallPrograms []ProgramChange
-	RemovePrograms  []ProgramChange
-
-	// Backends holds the native-form deltas of non-builtin targets
-	// (e.g. "p4" table entries), keyed by backend name — each computed
-	// by that backend's Diff from its own artifacts. Built-in backends
-	// use the typed sections above instead.
+	// Backends holds one native-form delta per target, keyed by backend
+	// name — each computed by that backend's Diff from its own artifacts.
 	Backends map[string]ArtifactDiff
-}
-
-// ProgramChange is one host's end-host interpreter program to install or
-// remove.
-type ProgramChange struct {
-	Host    topo.NodeID
-	Program *interp.Program
 }
 
 // Empty reports whether the diff changes nothing on any backend.
@@ -60,79 +26,52 @@ func (d *Diff) Empty() bool {
 			return false
 		}
 	}
-	return len(d.InstallRules) == 0 && len(d.RemoveRules) == 0 &&
-		len(d.InstallQueues) == 0 && len(d.RemoveQueues) == 0 &&
-		len(d.InstallTC) == 0 && len(d.RemoveTC) == 0 &&
-		len(d.InstallIPTables) == 0 && len(d.RemoveIPTables) == 0 &&
-		len(d.InstallClick) == 0 && len(d.RemoveClick) == 0 &&
-		len(d.InstallPrograms) == 0 && len(d.RemovePrograms) == 0
+	return true
 }
 
-// Counts summarizes the diff as install/remove instruction totals.
+// Counts summarizes the diff as install/remove instruction totals in the
+// Fig. 4 categories. Only the openflow, tc and click deltas are counted;
+// end-host programs and non-builtin targets are not.
 func (d *Diff) Counts() (install, remove Counts) {
-	install = Counts{
-		OpenFlow: len(d.InstallRules),
-		Queues:   len(d.InstallQueues),
-		TC:       len(d.InstallTC),
-		IPTables: len(d.InstallIPTables),
-		Click:    len(d.InstallClick),
-	}
-	remove = Counts{
-		OpenFlow: len(d.RemoveRules),
-		Queues:   len(d.RemoveQueues),
-		TC:       len(d.RemoveTC),
-		IPTables: len(d.RemoveIPTables),
-		Click:    len(d.RemoveClick),
+	for name, bd := range d.Backends {
+		install.add(name, bd.Install)
+		remove.add(name, bd.Remove)
 	}
 	return install, remove
+}
+
+// add tallies one built-in backend's rendered entries, splitting the
+// openflow and tc sections by the prefixes their Entries methods write.
+func (c *Counts) add(backend string, es []Entry) {
+	for _, e := range es {
+		switch backend {
+		case TargetOpenFlow:
+			if strings.HasPrefix(e.Text, queuePrefix) {
+				c.Queues++
+			} else {
+				c.OpenFlow++
+			}
+		case TargetTC:
+			if strings.HasPrefix(e.Text, iptablesPrefix) {
+				c.IPTables++
+			} else {
+				c.TC++
+			}
+		case TargetClick:
+			c.Click++
+		}
+	}
 }
 
 // Devices lists the distinct nodes the diff touches, in ascending order.
 func (d *Diff) Devices() []topo.NodeID {
 	seen := map[topo.NodeID]bool{}
-	add := func(n topo.NodeID) { seen[n] = true }
-	for _, r := range d.InstallRules {
-		add(r.Switch)
-	}
-	for _, r := range d.RemoveRules {
-		add(r.Switch)
-	}
-	for _, q := range d.InstallQueues {
-		add(q.Switch)
-	}
-	for _, q := range d.RemoveQueues {
-		add(q.Switch)
-	}
-	for _, hc := range d.InstallTC {
-		add(hc.Host)
-	}
-	for _, hc := range d.RemoveTC {
-		add(hc.Host)
-	}
-	for _, hc := range d.InstallIPTables {
-		add(hc.Host)
-	}
-	for _, hc := range d.RemoveIPTables {
-		add(hc.Host)
-	}
-	for _, c := range d.InstallClick {
-		add(c.Node)
-	}
-	for _, c := range d.RemoveClick {
-		add(c.Node)
-	}
-	for _, p := range d.InstallPrograms {
-		add(p.Host)
-	}
-	for _, p := range d.RemovePrograms {
-		add(p.Host)
-	}
 	for _, bd := range d.Backends {
 		for _, e := range bd.Install {
-			add(e.Device)
+			seen[e.Device] = true
 		}
 		for _, e := range bd.Remove {
-			add(e.Device)
+			seen[e.Device] = true
 		}
 	}
 	out := make([]topo.NodeID, 0, len(seen))
@@ -143,91 +82,16 @@ func (d *Diff) Devices() []topo.NodeID {
 	return out
 }
 
-// DiffOutputs computes the delta from old to new. Entries are compared as
-// multisets keyed by their rendered form, so reordered-but-identical
-// configuration diffs as empty. Either argument may be nil (treated as an
-// empty output), making the first compile's diff "install everything".
-func DiffOutputs(old, new *Output) *Diff {
-	var empty Output
-	if old == nil {
-		old = &empty
-	}
-	if new == nil {
-		new = &empty
-	}
-	d := &Diff{}
-	d.InstallRules, d.RemoveRules = diffEntries(new.Rules, old.Rules,
-		func(r openflow.Rule) string { return r.String() })
-	d.InstallQueues, d.RemoveQueues = diffEntries(new.Queues, old.Queues,
-		func(q QueueConfig) string {
-			return fmt.Sprintf("%d|%d|%d|%g", q.Switch, q.Port, q.Queue, q.MinBps)
-		})
-	hostKey := func(hc HostCommand) string {
-		return fmt.Sprintf("%d|%s|%s", hc.Host, hc.Kind, hc.Command)
-	}
-	d.InstallTC, d.RemoveTC = diffEntries(new.TC, old.TC, hostKey)
-	d.InstallIPTables, d.RemoveIPTables = diffEntries(new.IPTables, old.IPTables, hostKey)
-	d.InstallClick, d.RemoveClick = diffEntries(new.Click, old.Click,
-		func(c ClickConfig) string { return fmt.Sprintf("%d|%s|%s", c.Node, c.Fn, c.Config) })
-	return d
-}
-
-// DiffPrograms adds end-host interpreter program deltas: a host whose
-// program content changed gets its old program removed and its new one
-// installed; hosts gaining or losing a program get one-sided entries.
-// Results are in ascending host order.
-func (d *Diff) DiffPrograms(old, new map[topo.NodeID]*interp.Program) {
-	hosts := map[topo.NodeID]bool{}
-	for h := range old {
-		hosts[h] = true
-	}
-	for h := range new {
-		hosts[h] = true
-	}
-	ordered := make([]topo.NodeID, 0, len(hosts))
-	for h := range hosts {
-		ordered = append(ordered, h)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	for _, h := range ordered {
-		op, np := old[h], new[h]
-		if op != nil && np != nil && programKey(op) == programKey(np) {
-			continue
-		}
-		if op != nil {
-			d.RemovePrograms = append(d.RemovePrograms, ProgramChange{Host: h, Program: op})
-		}
-		if np != nil {
-			d.InstallPrograms = append(d.InstallPrograms, ProgramChange{Host: h, Program: np})
-		}
-	}
-}
-
-// programKey renders a program's semantically relevant content.
-func programKey(p *interp.Program) string {
-	out := p.Name
-	for _, cl := range p.Clauses {
-		out += fmt.Sprintf("|%d:%g:%s", cl.Op, cl.RateBps, pred.Format(cl.Pred))
-	}
-	return out
-}
-
 // diffEntries returns the multiset differences new−old (to install) and
 // old−new (to remove), each in its slice's original order.
-func diffEntries[T any](new, old []T, key func(T) string) (install, remove []T) {
-	// The incremental compiler's patched outputs share untouched slices
-	// with their predecessor; aliased sections diff as empty for free.
-	if len(new) == len(old) && (len(new) == 0 || &new[0] == &old[0]) {
-		return nil, nil
-	}
-	oldCount := make(map[string]int, len(old))
+func diffEntries(new, old []Entry) (install, remove []Entry) {
+	oldCount := make(map[Entry]int, len(old))
 	for _, e := range old {
-		oldCount[key(e)]++
+		oldCount[e]++
 	}
 	for _, e := range new {
-		k := key(e)
-		if oldCount[k] > 0 {
-			oldCount[k]--
+		if oldCount[e] > 0 {
+			oldCount[e]--
 			continue
 		}
 		install = append(install, e)
@@ -235,9 +99,8 @@ func diffEntries[T any](new, old []T, key func(T) string) (install, remove []T) 
 	// The residual counts are exactly the old−new multiset, so the
 	// removals fall out of one more pass over old.
 	for _, e := range old {
-		k := key(e)
-		if oldCount[k] > 0 {
-			oldCount[k]--
+		if oldCount[e] > 0 {
+			oldCount[e]--
 			remove = append(remove, e)
 		}
 	}

@@ -17,70 +17,84 @@ func rule(in int, prio int, vlan int) openflow.Rule {
 	}
 }
 
-func TestDiffOutputs(t *testing.T) {
-	old := &Output{
-		Rules:  []openflow.Rule{rule(1, 500, 2), rule(2, 500, 2)},
-		Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}},
-		TC:     []HostCommand{{Host: 7, Kind: "tc", Command: "tc old"}},
+// diffBuiltins diffs each built-in backend's old and new artifact.
+func diffBuiltins(old, new map[string]Artifact) *Diff {
+	d := &Diff{Backends: map[string]ArtifactDiff{}}
+	for name, art := range new {
+		d.Backends[name] = DiffArtifacts(name, old[name], art)
 	}
-	new := &Output{
-		Rules:  []openflow.Rule{rule(2, 500, 2), rule(4, 500, 3)}, // rule(1) gone, rule(4) added
-		Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}},
-		TC:     []HostCommand{{Host: 7, Kind: "tc", Command: "tc new"}},
+	return d
+}
+
+func TestDiffBuiltinArtifacts(t *testing.T) {
+	old := map[string]Artifact{
+		TargetOpenFlow: &OpenFlowArtifact{
+			Rules:  []openflow.Rule{rule(1, 500, 2), rule(2, 500, 2)},
+			Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}, {Switch: 3, Port: 2, Queue: 1, MinBps: 5e6}},
+		},
+		TargetTC:    &TCArtifact{TC: []HostCommand{{Host: 7, Kind: "tc", Command: "tc old"}}},
+		TargetClick: &ClickArtifact{},
 	}
-	d := DiffOutputs(old, new)
-	if len(d.InstallRules) != 1 || len(d.RemoveRules) != 1 {
-		t.Fatalf("rule diff wrong: %+v", d)
+	new := map[string]Artifact{
+		TargetOpenFlow: &OpenFlowArtifact{
+			Rules:  []openflow.Rule{rule(2, 500, 2), rule(4, 500, 3)}, // rule(1) gone, rule(4) added
+			Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}, {Switch: 3, Port: 2, Queue: 1, MinBps: 6e6}},
+		},
+		TargetTC: &TCArtifact{
+			TC:       []HostCommand{{Host: 7, Kind: "tc", Command: "tc new"}},
+			IPTables: []HostCommand{{Host: 8, Kind: "iptables", Command: "iptables -A OUTPUT"}},
+		},
+		TargetClick: &ClickArtifact{Click: []ClickConfig{{Node: 5, Fn: "dpi", Config: "dpi"}}},
 	}
-	if !reflect.DeepEqual(d.InstallRules[0], rule(4, 500, 3)) || !reflect.DeepEqual(d.RemoveRules[0], rule(1, 500, 2)) {
-		t.Fatalf("rule diff picked wrong rules: %+v", d)
+	d := diffBuiltins(old, new)
+	of := d.Backends[TargetOpenFlow]
+	if len(of.Install) != 2 || len(of.Remove) != 2 {
+		t.Fatalf("openflow diff wrong: %+v", of)
 	}
-	if len(d.InstallQueues) != 0 || len(d.RemoveQueues) != 0 {
-		t.Fatalf("identical queues diffed: %+v", d)
+	if want := (Entry{Device: 3, Text: rule(4, 500, 3).String()}); of.Install[0] != want {
+		t.Fatalf("installed %+v, want %+v", of.Install[0], want)
 	}
-	if len(d.InstallTC) != 1 || len(d.RemoveTC) != 1 {
-		t.Fatalf("tc diff wrong: %+v", d)
+	if want := (Entry{Device: 3, Text: rule(1, 500, 2).String()}); of.Remove[0] != want {
+		t.Fatalf("removed %+v, want %+v", of.Remove[0], want)
 	}
+	// Counts splits each backend's entries back into its Fig. 4 sections.
 	install, remove := d.Counts()
-	if install.Total() != 2 || remove.Total() != 2 {
-		t.Fatalf("counts wrong: %+v %+v", install, remove)
+	if want := (Counts{OpenFlow: 1, Queues: 1, TC: 1, IPTables: 1, Click: 1}); install != want {
+		t.Fatalf("install counts %+v, want %+v", install, want)
+	}
+	if want := (Counts{OpenFlow: 1, Queues: 1, TC: 1}); remove != want {
+		t.Fatalf("remove counts %+v, want %+v", remove, want)
 	}
 	if d.Empty() {
 		t.Fatal("non-empty diff reported empty")
 	}
-	devs := d.Devices()
-	if len(devs) != 2 { // switch 3 and host 7
+	if devs := d.Devices(); !reflect.DeepEqual(devs, []topo.NodeID{3, 5, 7, 8}) {
 		t.Fatalf("devices wrong: %v", devs)
 	}
 }
 
-func TestDiffOutputsIdentityAndNil(t *testing.T) {
-	out := &Output{
-		Rules: []openflow.Rule{rule(1, 500, 2)},
-		TC:    []HostCommand{{Host: 7, Kind: "tc", Command: "x"}},
-	}
-	// Aliased sections (the patched-output case) diff as empty.
-	shallow := *out
-	if d := DiffOutputs(out, &shallow); !d.Empty() {
-		t.Fatalf("aliased outputs diffed: %+v", d)
-	}
-	// Equal-by-value but distinct slices also diff as empty.
-	clone := &Output{
-		Rules: append([]openflow.Rule(nil), out.Rules...),
-		TC:    append([]HostCommand(nil), out.TC...),
-	}
-	if d := DiffOutputs(out, clone); !d.Empty() {
-		t.Fatalf("equal outputs diffed: %+v", d)
+func TestDiffArtifactsIdentityAndNil(t *testing.T) {
+	art := &OpenFlowArtifact{Rules: []openflow.Rule{rule(1, 500, 2)}}
+	// Equal-by-value but distinct artifacts diff as empty.
+	clone := &OpenFlowArtifact{Rules: append([]openflow.Rule(nil), art.Rules...)}
+	if d := DiffArtifacts(TargetOpenFlow, art, clone); !d.Empty() {
+		t.Fatalf("equal artifacts diffed: %+v", d)
 	}
 	// Reordered rules diff as empty (multiset semantics).
-	two := &Output{Rules: []openflow.Rule{rule(1, 500, 2), rule(2, 400, 3)}}
-	swapped := &Output{Rules: []openflow.Rule{rule(2, 400, 3), rule(1, 500, 2)}}
-	if d := DiffOutputs(two, swapped); !d.Empty() {
-		t.Fatalf("reordered outputs diffed: %+v", d)
+	two := &OpenFlowArtifact{Rules: []openflow.Rule{rule(1, 500, 2), rule(2, 400, 3)}}
+	swapped := &OpenFlowArtifact{Rules: []openflow.Rule{rule(2, 400, 3), rule(1, 500, 2)}}
+	if d := DiffArtifacts(TargetOpenFlow, two, swapped); !d.Empty() {
+		t.Fatalf("reordered artifacts diffed: %+v", d)
 	}
-	// nil acts as empty: everything installs.
-	d := DiffOutputs(nil, out)
-	if len(d.InstallRules) != 1 || len(d.InstallTC) != 1 || len(d.RemoveRules) != 0 {
+	// nil acts as empty on either side.
+	if d := DiffArtifacts(TargetOpenFlow, nil, art); len(d.Install) != 1 || len(d.Remove) != 0 {
 		t.Fatalf("nil-old diff wrong: %+v", d)
+	}
+	if d := DiffArtifacts(TargetOpenFlow, art, nil); len(d.Install) != 0 || len(d.Remove) != 1 {
+		t.Fatalf("nil-new diff wrong: %+v", d)
+	}
+	var empty Diff
+	if in, rm := empty.Counts(); !empty.Empty() || in.Total()+rm.Total() != 0 || len(empty.Devices()) != 0 {
+		t.Fatal("zero Diff is not empty")
 	}
 }

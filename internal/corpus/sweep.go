@@ -214,7 +214,7 @@ func RunCell(spec Spec, diff, budget bool) CellResult {
 	}
 	cell.CompileMS = float64(time.Since(compileStart).Microseconds()) / 1000
 	res := comp.Result()
-	if res.IR == nil || len(res.IR.Rules) == 0 || res.Output == nil {
+	if res.IR == nil || len(res.IR.Rules) == 0 || res.Outputs == nil {
 		return fail("codegen", fmt.Errorf("compile emitted no device rules"))
 	}
 	cell.Rules = len(res.IR.Rules)
@@ -324,8 +324,7 @@ func recompile(spec Spec, opts merlin.Options) (*merlin.Result, error) {
 
 // sameOutputs compares the backend-visible outputs of two results.
 func sameOutputs(a, b *merlin.Result) bool {
-	return reflect.DeepEqual(a.Output, b.Output) &&
-		reflect.DeepEqual(a.Programs, b.Programs) &&
+	return reflect.DeepEqual(a.Outputs, b.Outputs) &&
 		len(a.IR.Rules) == len(b.IR.Rules)
 }
 

@@ -3,6 +3,7 @@ package tcam_test
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,8 +72,8 @@ func TestTableModel(t *testing.T) {
 			t.Fatalf("class %v must be unconstrained", class)
 		}
 	}
-	if codegen.IsBuiltinTarget(tcam.Name) {
-		t.Fatal("tcam must not be a builtin: its diffs route through Diff.Backends")
+	if slices.Contains(codegen.DefaultTargets(), tcam.Name) {
+		t.Fatal("tcam must not be a default target: it is opt-in via Options.Targets")
 	}
 }
 

@@ -32,13 +32,15 @@
 // provisioning solutions and their simplex bases) across calls, so a
 // small policy change recompiles only what it dirtied — re-solving only
 // the provisioning shards the change touched — and yields a device-level
-// diff rather than a full configuration:
+// diff, one ArtifactDiff per target, rather than a full configuration:
 //
 //	c := merlin.NewCompiler(t, place, merlin.Options{})
 //	res, _ := c.Compile(pol)                                  // cold: full pipeline
 //	diff, _ := c.Update(merlin.Delta{Formula: newFormula})    // warm: caps patch / warm-started re-solve
-//	install, remove := diff.Counts()
-//	fmt.Println(install.Total(), remove.Total())
+//	for name, d := range diff.Backends {
+//		fmt.Println(name, len(d.Install), len(d.Remove)) // native entries per target
+//	}
+//	install, remove := diff.Counts() // Fig. 4 totals of the openflow/tc/click deltas
 //
 // Code generation is pluggable: the compiler lowers every policy into a
 // target-neutral IR (Program) and registered dataplane backends render
@@ -208,9 +210,6 @@ var (
 	LookupBackend       = codegen.Lookup
 	BackendNames        = codegen.Names
 	DefaultTargets      = codegen.DefaultTargets
-	// IsBuiltinTarget reports whether a target's output lands in the
-	// legacy Output/typed-Diff sections (vs Outputs/Diff.Backends).
-	IsBuiltinTarget = codegen.IsBuiltinTarget
 )
 
 // Capacity units (bits per second).

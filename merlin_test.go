@@ -3,6 +3,7 @@ package merlin
 import (
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/openflow"
 	"merlin/internal/packet"
 	"merlin/internal/topo"
@@ -64,21 +65,21 @@ func TestCompilePaperExample(t *testing.T) {
 		t.Fatalf("localization wrong: %+v", res.Allocations)
 	}
 	// Caps produce tc commands and interpreter programs.
-	if len(res.Output.TC) == 0 {
+	c := res.Counts()
+	if c.TC == 0 {
 		t.Error("no tc commands for the caps")
 	}
-	if len(res.Programs) == 0 {
+	if len(builtin[codegen.HostArtifact](res, codegen.TargetHost).Programs) == 0 {
 		t.Error("no end-host programs for the caps")
 	}
 	// Guarantees produce queues.
-	if len(res.Output.Queues) == 0 {
+	if c.Queues == 0 {
 		t.Error("no queues for the guarantee")
 	}
 	// The default statement was added for totality.
 	if _, ok := res.Policy.Statement("default"); !ok {
 		t.Error("no default statement")
 	}
-	c := res.Counts()
 	if c.OpenFlow == 0 {
 		t.Error("no OpenFlow rules")
 	}
@@ -95,7 +96,7 @@ func TestCompileEndToEndDataplane(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := openflow.NewNetwork(tp)
-	net.Install(res.Output.Rules)
+	net.Install(builtin[codegen.OpenFlowArtifact](res, codegen.TargetOpenFlow).Rules)
 	net.AddMiddleboxFunction(tp.MustLookup("m1"), openflow.Identity)
 	ids := tp.Identities()
 	h1 := tp.MustLookup("h1")
@@ -141,7 +142,7 @@ func TestCompileAllPairs(t *testing.T) {
 	}
 	// Spot-check the dataplane.
 	net := openflow.NewNetwork(tp)
-	net.Install(res.Output.Rules)
+	net.Install(builtin[codegen.OpenFlowArtifact](res, codegen.TargetOpenFlow).Rules)
 	ids := tp.Identities()
 	hosts := tp.Hosts()
 	for i := 0; i < 6; i++ {

@@ -105,7 +105,7 @@ func TestCompilerWatchHubCapTicksPatch(t *testing.T) {
 		t.Fatalf("got %d diffs for %d committed ticks", len(diffs), committed)
 	}
 	for i, d := range diffs {
-		if len(d.InstallRules) != 0 || len(d.RemoveRules) != 0 {
+		if in, rm := d.Counts(); in.OpenFlow != 0 || rm.OpenFlow != 0 {
 			t.Fatalf("tick %d diff churned rules", i)
 		}
 	}

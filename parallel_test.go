@@ -22,7 +22,7 @@ func compileBothPoolSizes(t *testing.T, tp *Topology, pol *Policy, place Placeme
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Output, par.Output) {
+	if !reflect.DeepEqual(seq.Outputs, par.Outputs) {
 		t.Fatal("generated configuration differs between worker pool sizes 1 and NumCPU")
 	}
 	if !reflect.DeepEqual(seq.Paths, par.Paths) {

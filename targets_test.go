@@ -1,6 +1,7 @@
 package merlin
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,17 +91,11 @@ func TestCompileTargetSubset(t *testing.T) {
 	if len(res.Outputs) != 1 {
 		t.Fatalf("subset compile emitted %d artifacts, want 1", len(res.Outputs))
 	}
-	if len(res.Output.TC) != 0 || len(res.Output.IPTables) != 0 || len(res.Output.Click) != 0 || len(res.Programs) != 0 {
-		t.Fatalf("untargeted sections populated: %+v", res.Counts())
+	if c := res.Counts(); c.TC != 0 || c.IPTables != 0 || c.Click != 0 {
+		t.Fatalf("untargeted sections populated: %+v", c)
 	}
-	if len(res.Output.Rules) != len(def.Output.Rules) {
-		t.Fatalf("openflow section differs from default compile: %d vs %d rules",
-			len(res.Output.Rules), len(def.Output.Rules))
-	}
-	for i := range res.Output.Rules {
-		if res.Output.Rules[i].String() != def.Output.Rules[i].String() {
-			t.Fatalf("rule %d differs: %s vs %s", i, res.Output.Rules[i], def.Output.Rules[i])
-		}
+	if !reflect.DeepEqual(res.Outputs[codegen.TargetOpenFlow], def.Outputs[codegen.TargetOpenFlow]) {
+		t.Fatal("openflow artifact differs from default compile")
 	}
 }
 
@@ -126,7 +121,7 @@ func TestCapsOnlyPatchSharesP4Artifact(t *testing.T) {
 	if st := c.Stats(); st.PatchedCodegens != base.PatchedCodegens+1 {
 		t.Fatalf("cap change did not take the patch path: %+v", st)
 	}
-	if len(diff.InstallTC) == 0 || len(diff.RemoveTC) == 0 {
+	if in, rm := diff.Counts(); in.TC == 0 || rm.TC == 0 {
 		t.Fatalf("cap change produced no tc delta: %+v", diff)
 	}
 	pd, ok := diff.Backends[p4.Name]
@@ -159,8 +154,7 @@ func TestApplyTopoRoutesP4Diff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.InstallRules) == 0 || len(diff.RemoveRules) == 0 {
-		in, rm := diff.Counts()
+	if in, rm := diff.Counts(); in.OpenFlow == 0 || rm.OpenFlow == 0 {
 		t.Fatalf("reroute produced no OpenFlow delta: install %+v remove %+v", in, rm)
 	}
 	pd, ok := diff.Backends[p4.Name]

@@ -107,7 +107,7 @@ func TestApplyTopoRoutesTcamDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.InstallRules) == 0 || len(diff.RemoveRules) == 0 {
+	if in, rm := diff.Counts(); in.OpenFlow == 0 || rm.OpenFlow == 0 {
 		t.Fatal("reroute produced no OpenFlow delta")
 	}
 	td, ok := diff.Backends[tcam.Name]
