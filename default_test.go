@@ -1,0 +1,49 @@
+package merlin_test
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"merlin"
+	"merlin/internal/corpus"
+)
+
+// TestDefaultStatementCompileScale compiles 24 tenant guarantees on a
+// k=4 fat tree with Options{}, so the pre-processor's totality default
+// (§2.1) — a best-effort statement over the negation of every other
+// predicate — is lowered for all 240 host pairs. Lowering must expand
+// that predicate once, not once per pair: the compile has to finish in
+// seconds and stay deterministic.
+func TestDefaultStatementCompileScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 24-guarantee fat tree with the totality default; skipped in -short")
+	}
+	sc, err := corpus.Generate(corpus.Spec{Topo: "fattree-k4", Suite: "tenants", Seed: 1, Tenants: 4, Guarantees: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sc.Guarantee); n != 24 {
+		t.Fatalf("scenario has %d guarantees, want 24", n)
+	}
+	pol, err := merlin.ParsePolicy(sc.PolicyText, sc.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() *merlin.Result {
+		t.Helper()
+		start := time.Now()
+		res, err := merlin.Compile(pol, sc.Topology, sc.Placement, merlin.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Fatalf("compile took %v, want under 10s", d)
+		}
+		return res
+	}
+	a, b := compile(), compile()
+	if !reflect.DeepEqual(a.Outputs, b.Outputs) {
+		t.Fatal("two compiles of the same policy produced different outputs")
+	}
+}

@@ -30,7 +30,8 @@ type Classify int
 // Classification modes.
 const (
 	// ByPredicate expands the statement predicate into positive-cube
-	// match rules (one per cube) at first-match priority.
+	// match rules (one per distinct cube) at first-match priority. Lower
+	// expands each predicate once and shares the cubes across its plans.
 	ByPredicate Classify = iota
 	// ByDestination matches only the destination MAC — the compact form
 	// for plain connectivity statements sharing a destination sink tree.

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"merlin/internal/logical"
@@ -221,17 +222,128 @@ func TestClassificationPriorities(t *testing.T) {
 func TestDropPlan(t *testing.T) {
 	tp := topo.Linear(2, topo.Gbps)
 	h1, h2 := tp.MustLookup("h1"), tp.MustLookup("h2")
-	plans := []Plan{{
-		ID: "blocked", Predicate: pairPred(t, tp, h1, h2), Priority: 30,
-		Alloc: policy.Unconstrained, SrcHost: h1, DstHost: h2, Drop: true,
-	}}
-	out := emitBuiltins(t, tp, plans)
-	if len(out.IPTables) != 1 {
-		t.Fatalf("iptables = %d, want 1", len(out.IPTables))
+	pair := pairPred(t, tp, h1, h2)
+	port := func(p string) pred.Pred { return pred.Test{Field: "tcp.dst", Value: p} }
+	for _, tc := range []struct {
+		name    string
+		pred    pred.Pred
+		dropped []uint16 // tcp.dst ports the drop rule must catch
+		passed  []uint16 // ports it must not
+	}{
+		{"one cube", pair, []uint16{80, 443}, nil},
+		{"two cubes", pred.Conj(pair, pred.Or{L: port("80"), R: port("443")}), []uint16{80, 443}, []uint16{22}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plans := []Plan{{
+				ID: "blocked", Predicate: tc.pred, Priority: 30,
+				Alloc: policy.Unconstrained, SrcHost: h1, DstHost: h2, Drop: true,
+			}}
+			prog, err := Lower(tp, plans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drops := 0
+			for _, r := range prog.Rules {
+				if len(r.Ops) == 1 && r.Ops[0].Kind == OpDrop {
+					drops++
+				}
+			}
+			if drops != 1 {
+				t.Fatalf("drop rules = %d, want 1", drops)
+			}
+			out := emitBuiltins(t, tp, plans)
+			if len(out.IPTables) != 1 {
+				t.Fatalf("iptables = %d, want 1", len(out.IPTables))
+			}
+			for _, p := range tc.dropped {
+				if tr := inject(t, tp, out, h1, h2, p); tr.Dropped != "dropped by rule" {
+					t.Errorf("tcp.dst %d: delivered=%v dropped=%q, want dropped by rule", p, tr.Delivered, tr.Dropped)
+				}
+			}
+			for _, p := range tc.passed {
+				if tr := inject(t, tp, out, h1, h2, p); tr.Dropped == "dropped by rule" {
+					t.Errorf("tcp.dst %d: dropped by the drop rule", p)
+				}
+			}
+		})
 	}
-	tr := inject(t, tp, out, h1, h2, 80)
-	if tr.Delivered {
-		t.Fatal("dropped traffic was delivered")
+}
+
+// TestClassifierExpansionSharedAcrossPlans pins the per-Lower selector
+// memo: plans sharing one predicate over several sink trees get one
+// classification rule per distinct positive cube per (ingress switch,
+// tag), in first-occurrence cube order, and a plan with a different
+// predicate gets its own expansion.
+func TestClassifierExpansionSharedAcrossPlans(t *testing.T) {
+	tp := topo.Star(3, 2, topo.Gbps)
+	port := func(p string) pred.Pred { return pred.Test{Field: "tcp.dst", Value: p} }
+	// Three cubes, two distinct: 80, 443, 80.
+	web := pred.Or{L: pred.Or{L: port("80"), R: port("443")}, R: port("80")}
+	alt := pred.Or{L: port("22"), R: port("443")}
+	if cubes, err := pred.PositiveCubes(web); err != nil || len(cubes) != 3 {
+		t.Fatalf("web cubes = %v (%v), want 3", cubes, err)
+	}
+	g := graphFor(t, tp, ".*", nil)
+	treeFor := func(dst string) *sinktree.Tree {
+		tree, err := sinktree.TreeTo(g, tp.MustLookup(dst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	var plans []Plan
+	add := func(id string, p pred.Pred, prio int, dst string, srcs ...string) {
+		tree := treeFor(dst)
+		for _, src := range srcs {
+			plans = append(plans, Plan{
+				ID: id, Predicate: p, Priority: prio, Alloc: policy.Unconstrained,
+				SrcHost: tp.MustLookup(src), DstHost: tp.MustLookup(dst), Tree: tree,
+			})
+		}
+	}
+	// Every source sits on another spoke than its destination, so each
+	// classification rule sets its tree's tag. Two sources share each
+	// spoke switch.
+	add("web", web, 20, "h0_0", "h1_0", "h1_1", "h2_0", "h2_1")
+	add("web", web, 20, "h2_0", "h0_0", "h0_1", "h1_0", "h1_1")
+	add("alt", alt, 10, "h1_0", "h0_0", "h2_0")
+	prog, err := Lower(tp, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type group struct {
+		sw   topo.NodeID
+		tag  int
+		stmt string
+	}
+	got := map[group][]string{}
+	for _, r := range prog.Rules {
+		if r.Match.Tag != TagNone || r.Match.Pred == nil {
+			continue
+		}
+		if r.Ops[0].Kind != OpSetTag {
+			t.Fatalf("classification rule %+v does not set a tag", r)
+		}
+		k := group{r.Device, r.Ops[0].Tag, r.Stmt}
+		got[k] = append(got[k], pred.Format(r.Match.Pred))
+	}
+	want := map[string][]string{
+		"web": {pred.Format(port("80")), pred.Format(port("443"))},
+		"alt": {pred.Format(port("22")), pred.Format(port("443"))},
+	}
+	// web: tree h0_0 enters at s1 and s2, tree h2_0 at s0 and s1; alt:
+	// tree h1_0 enters at s0 and s2.
+	groups := map[string]int{}
+	for k, sels := range got {
+		groups[k.stmt]++
+		if !slices.Equal(sels, want[k.stmt]) {
+			t.Errorf("%s at %s tag %d: selectors %q, want %q",
+				k.stmt, tp.Node(k.sw).Name, k.tag, sels, want[k.stmt])
+		}
+	}
+	if groups["web"] != 4 || groups["alt"] != 2 {
+		t.Errorf("(switch, tag) groups = %v, want web:4 alt:2", groups)
 	}
 }
 

@@ -140,8 +140,13 @@ type lowerer struct {
 	bound map[ruleKey]int
 	// classBound dedups classification rules.
 	classBound map[classKey]bool
-	// queueBound dedups queue configs and allocates queue ids per port.
-	queueBound map[queueKey]bool
+	// sels memoizes selectors: every plan of a statement carries the same
+	// predicate value, so each predicate is expanded once per Lower. The
+	// key is sound because every pred type is a comparable struct.
+	sels map[pred.Pred][]classSel
+	// queueBound maps a queue reservation to its allocated queue id;
+	// queueNext allocates ids per port.
+	queueBound map[queueKey]int
 	queueNext  map[topo.LinkID]int
 	nextTag    int
 	// scratch buffers reused across plans
@@ -170,6 +175,13 @@ type classKey struct {
 	sel  string
 }
 
+// classSel is one classification selector of a predicate: the cube its
+// rule matches and the cube's rendered classKey selector.
+type classSel struct {
+	pred pred.Pred
+	sel  string
+}
+
 type queueKey struct {
 	sw     topo.NodeID
 	port   topo.LinkID
@@ -187,7 +199,8 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
 		bound:      map[ruleKey]int{},
 		classBound: map[classKey]bool{},
-		queueBound: map[queueKey]bool{},
+		sels:       map[pred.Pred][]classSel{},
+		queueBound: map[queueKey]int{},
 		queueNext:  map[topo.LinkID]int{},
 		nextTag:    2, // tags 0/1 are reserved on real switches (VLAN semantics)
 	}
@@ -242,26 +255,20 @@ func (g *lowerer) allocTag(id string) int {
 	return tag
 }
 
-// lowerDrop installs an edge filter at the source host's ingress device
-// plus a host-side filter.
+// lowerDrop installs an edge filter at the source host's ingress device —
+// one rule matching the full predicate — plus a host-side filter.
 func (g *lowerer) lowerDrop(p Plan) {
 	att, ok := g.t.Attachment(p.SrcHost)
 	if !ok {
 		return
 	}
-	cubes, err := pred.PositiveCubes(p.Predicate)
-	if err != nil || len(cubes) == 0 {
-		cubes = [][]pred.Test{nil}
-	}
-	for range cubes {
-		g.prog.Rules = append(g.prog.Rules, Rule{
-			Device:   att,
-			Priority: 1000 + p.Priority,
-			Match:    Match{InPort: AnyPort, Tag: TagNone, Pred: p.Predicate},
-			Ops:      []Op{{Kind: OpDrop}},
-			Stmt:     p.ID,
-		})
-	}
+	g.prog.Rules = append(g.prog.Rules, Rule{
+		Device:   att,
+		Priority: 1000 + p.Priority,
+		Match:    Match{InPort: AnyPort, Tag: TagNone, Pred: p.Predicate},
+		Ops:      []Op{{Kind: OpDrop}},
+		Stmt:     p.ID,
+	})
 	g.prog.Filters = append(g.prog.Filters, FilterSpec{
 		Host: p.SrcHost,
 		Stmt: p.ID,
@@ -401,17 +408,8 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 			Stmt:     p.ID,
 		})
 	default:
-		cubes, err := pred.PositiveCubes(p.Predicate)
-		exact := err != nil // expansion too large: match the full predicate in one rule
-		if len(cubes) == 0 {
-			cubes = [][]pred.Test{nil}
-		}
-		for _, cube := range cubes {
-			cubePred := cubeToPred(cube)
-			if exact {
-				cubePred = p.Predicate
-			}
-			key := classKey{sw: sw, vlan: tag, sel: "p/" + pred.Format(cubePred)}
+		for _, s := range g.selectors(p.Predicate) {
+			key := classKey{sw: sw, vlan: tag, sel: s.sel}
 			if g.classBound[key] {
 				continue
 			}
@@ -419,12 +417,42 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 			g.prog.Rules = append(g.prog.Rules, Rule{
 				Device:   sw,
 				Priority: 100 + p.Priority,
-				Match:    Match{InPort: in, Tag: TagNone, Pred: cubePred},
+				Match:    Match{InPort: in, Tag: TagNone, Pred: s.pred},
 				Ops:      ops,
 				Stmt:     p.ID,
 			})
 		}
 	}
+}
+
+// selectors returns p's distinct classification selectors in
+// first-occurrence cube order, expanding p at most once per Lower. When
+// the expansion is too large, the full predicate is the one selector.
+func (g *lowerer) selectors(p pred.Pred) []classSel {
+	if sels, ok := g.sels[p]; ok {
+		return sels
+	}
+	cubes, err := pred.PositiveCubes(p)
+	exact := err != nil
+	if len(cubes) == 0 {
+		cubes = [][]pred.Test{nil}
+	}
+	var sels []classSel
+	seen := make(map[string]bool, len(cubes))
+	for _, cube := range cubes {
+		cubePred := p
+		if !exact {
+			cubePred = cubeToPred(cube)
+		}
+		sel := "p/" + pred.Format(cubePred)
+		if seen[sel] {
+			continue
+		}
+		seen[sel] = true
+		sels = append(sels, classSel{pred: cubePred, sel: sel})
+	}
+	g.sels[p] = sels
+	return sels
 }
 
 func cubeToPred(cube []pred.Test) pred.Pred {
@@ -439,17 +467,12 @@ func cubeToPred(cube []pred.Test) pred.Pred {
 // statement's guaranteed rate.
 func (g *lowerer) queueFor(sw topo.NodeID, port topo.LinkID, minBps float64) int {
 	key := queueKey{sw: sw, port: port, minBps: minBps}
-	if g.queueBound[key] {
-		// Reuse: find the existing config.
-		for _, q := range g.prog.Queues {
-			if q.Switch == sw && q.Port == port && q.MinBps == minBps {
-				return q.Queue
-			}
-		}
+	if q, ok := g.queueBound[key]; ok {
+		return q
 	}
-	g.queueBound[key] = true
 	q := g.queueNext[port] + 1
 	g.queueNext[port] = q
+	g.queueBound[key] = q
 	g.prog.Queues = append(g.prog.Queues, QueueConfig{Switch: sw, Port: port, Queue: q, MinBps: minBps})
 	return q
 }
