@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -63,9 +64,9 @@ type Config struct {
 	// SnapshotEvery snapshots after that many journal records (0 = only
 	// on shutdown or explicit POST /v1/snapshot).
 	SnapshotEvery int
-	// Debounce holds a topology batch open after its first event, like
-	// Options.TopoDebounce, so storms arriving as separate requests
-	// still coalesce into one recompile.
+	// Debounce holds a topology batch open after its first request, so
+	// storms arriving as separate requests still coalesce into one
+	// recompile and one journal record.
 	Debounce time.Duration
 	// Journal tunes the store (tests use NoSync).
 	Journal journal.Params
@@ -267,8 +268,8 @@ func (d *Daemon) loop() {
 	}
 }
 
-// collectTopo coalesces queued topology ops behind the first one —
-// the daemon-side twin of WatchTopo's batching. A non-topology op ends
+// collectTopo coalesces queued topology ops behind the first one, for
+// up to Config.Debounce after it arrives. A non-topology op ends
 // the batch and is returned for ordinary processing; open reports
 // whether the op channel is still open.
 func (d *Daemon) collectTopo(first *op) (batch []*op, next *op, open bool) {
@@ -354,15 +355,16 @@ func (d *Daemon) applyTopoOps(batch []*op) {
 		events = append(events, o.topo...)
 	}
 	install, remove := 0, 0
-	var errs []string
+	var outcomes []error // one per onDiff/onErr call; nil for a diff
 	applied := d.c.ApplyTopoBatch(events,
 		func(diff *merlin.Diff) {
 			in, rm := diff.Counts()
 			install += in.Total()
 			remove += rm.Total()
+			outcomes = append(outcomes, nil)
 		},
-		func(err error) { errs = append(errs, err.Error()) })
-	d.applyBroke = len(errs) > 0 && len(applied) > 0
+		func(err error) { outcomes = append(outcomes, err) })
+	d.applyBroke = len(applied) > 0 && slices.ContainsFunc(outcomes, func(err error) bool { return err != nil })
 	var seq uint64
 	if len(applied) > 0 {
 		payload, err := json.Marshal(merlin.WireTopoEvents(applied))
@@ -377,16 +379,36 @@ func (d *Daemon) applyTopoOps(batch []*op) {
 			return
 		}
 	}
-	status := http.StatusOK
-	if len(applied) == 0 && len(errs) > 0 {
-		status = http.StatusUnprocessableEntity
-	}
-	res := opResult{status, map[string]any{
-		"seq": seq, "applied": len(applied), "coalesced": len(events),
-		"install": install, "remove": remove, "errors": errs,
-	}}
+	// Each request is answered as if sent alone. Validation depends only
+	// on an event's value, so an order-preserving walk of applied
+	// attributes every event exactly. A batch retried event by event has
+	// one outcome per event; any other batch has one, for every request.
+	perEvent := len(outcomes) == len(events)
+	i, j := 0, 0 // next event, next applied event
 	for _, o := range batch {
-		o.reply <- res
+		n := 0
+		var errs []string
+		for _, ev := range o.topo {
+			if j < len(applied) && applied[j] == ev {
+				n++
+				j++
+			}
+			if perEvent && outcomes[i] != nil {
+				errs = append(errs, outcomes[i].Error())
+			}
+			i++
+		}
+		if !perEvent && outcomes[0] != nil {
+			errs = append(errs, outcomes[0].Error())
+		}
+		status, journaled := http.StatusOK, seq
+		if n == 0 {
+			status, journaled = http.StatusUnprocessableEntity, 0
+		}
+		o.reply <- opResult{status, map[string]any{
+			"seq": journaled, "applied": n, "coalesced": len(events),
+			"install": install, "remove": remove, "errors": errs,
+		}}
 	}
 }
 

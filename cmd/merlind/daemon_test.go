@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -453,10 +454,10 @@ func TestDaemonOversizeBodyRejected(t *testing.T) {
 	}
 }
 
-// TestDaemonTopoStormCoalesces is the daemon twin of the library's
-// debounce tests: a switch failure and its link alarms arrive as separate
-// concurrent requests inside the debounce window, and collectTopo folds
-// them into one recompile and one journal record, acking every request.
+// TestDaemonTopoStormCoalesces: a switch failure and its link alarms
+// arrive as separate concurrent requests inside the debounce window, and
+// collectTopo folds them into one recompile and one journal record,
+// acking every request.
 func TestDaemonTopoStormCoalesces(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fatTreeConfig(dir)
@@ -500,23 +501,130 @@ func TestDaemonTopoStormCoalesces(t *testing.T) {
 	}
 	srv.Close()
 
-	// Read the journal back before Close snapshots past it.
+	if topo, n := journalTopo(t, dir); len(topo) != 1 || n != int(seq)+1 {
+		t.Fatalf("journal holds %d topo records of %d, want 1 of %d", len(topo), n, seq+1)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// journalTopo reads the journal back and decodes its RecTopo records,
+// one batch each, along with the number of records it holds. Call it
+// before Close snapshots past the records.
+func journalTopo(t *testing.T, dir string) (batches [][]merlin.WireTopoEvent, records int) {
+	t.Helper()
 	peek, rec, err := journal.Open(dir, journal.Params{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	peek.Close()
-	topoRecs := 0
 	for _, r := range rec.Records {
-		if r.Kind == merlin.RecTopo {
-			topoRecs++
+		if r.Kind != merlin.RecTopo {
+			continue
+		}
+		var batch []merlin.WireTopoEvent
+		if err := json.Unmarshal(r.Data, &batch); err != nil {
+			t.Fatalf("topo record %d: %v", r.Seq, err)
+		}
+		batches = append(batches, batch)
+	}
+	return batches, len(rec.Records)
+}
+
+// TestDaemonTopoCoalescedRepliesPerRequest: a malformed request coalesced
+// with a valid one is answered as if each had been sent alone. The valid
+// request gets 200 with its own applied count and no error, the
+// malformed one gets 422 with its own error, and the journal holds one
+// record with only the valid event.
+func TestDaemonTopoCoalescedRepliesPerRequest(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fatTreeConfig(dir)
+	cfg.Debounce = time.Second
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	valid := merlin.LinkFailure("agg0_0", "edge0_0")
+	bad := merlin.LinkFailure("no-such", "agg0_0")
+	type reply struct {
+		status int
+		body   map[string]any
+		err    error
+	}
+	replies := make([]reply, 2)
+	var wg sync.WaitGroup
+	for i, ev := range []merlin.TopoEvent{valid, bad} {
+		wg.Add(1)
+		go func(i int, ev merlin.TopoEvent) {
+			defer wg.Done()
+			r := &replies[i]
+			r.status, r.body, r.err = post(srv.URL+"/v1/topo", merlin.WireTopoEvents([]merlin.TopoEvent{ev}))
+		}(i, ev)
+	}
+	wg.Wait()
+	for _, r := range replies {
+		if r.err != nil || r.body["coalesced"] != 2.0 {
+			t.Fatalf("requests not coalesced into one batch: %v (%v)", r.body, r.err)
 		}
 	}
-	if topoRecs != 1 || len(rec.Records) != int(seq)+1 {
-		t.Fatalf("journal holds %d topo records of %d, want 1 of %d", topoRecs, len(rec.Records), seq+1)
+	if r := replies[0]; r.status != http.StatusOK || r.body["applied"] != 1.0 || r.body["errors"] != nil {
+		t.Fatalf("valid request = %d %v, want 200, applied 1, no errors", r.status, r.body)
 	}
-	if err := d.Close(); err != nil {
+	r := replies[1]
+	errs, _ := r.body["errors"].([]any)
+	if r.status != http.StatusUnprocessableEntity || r.body["applied"] != 0.0 || r.body["seq"] != 0.0 ||
+		len(errs) != 1 || !strings.Contains(errs[0].(string), "no-such") {
+		t.Fatalf("malformed request = %d %v, want 422, applied 0, seq 0, its own unknown-node error", r.status, r.body)
+	}
+	topo, _ := journalTopo(t, dir)
+	if want := merlin.WireTopoEvents([]merlin.TopoEvent{valid}); len(topo) != 1 || !reflect.DeepEqual(topo[0], want) {
+		t.Fatalf("journal topo records = %v, want one holding only %v", topo, want)
+	}
+}
+
+// TestDaemonDebounceSeparatesTopoBursts: debouncing does not merge bursts
+// separated by more than the window. Two requests a full window apart
+// are two batches: two seqs, two journal records, two recompiles.
+func TestDaemonDebounceSeparatesTopoBursts(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fatTreeConfig(dir)
+	cfg.Debounce = 20 * time.Millisecond
+	d, err := NewDaemon(cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	base := d.c.Stats()
+	var seqs []float64
+	for i, ev := range []merlin.TopoEvent{
+		merlin.LinkFailure("agg0_0", "edge0_0"),
+		merlin.LinkFailure("agg1_0", "edge1_0"),
+	} {
+		if i > 0 {
+			time.Sleep(300 * time.Millisecond) // well past the window
+		}
+		status, body := postJSON(t, srv.URL+"/v1/topo", merlin.WireTopoEvents([]merlin.TopoEvent{ev}))
+		if status != http.StatusOK || body["coalesced"] != 1.0 {
+			t.Fatalf("burst %d = %d %v, want 200 with coalesced 1", i, status, body)
+		}
+		seqs = append(seqs, body["seq"].(float64))
+	}
+	if seqs[0] == seqs[1] {
+		t.Fatalf("separate bursts shared seq %v", seqs[0])
+	}
+	if got := d.c.Stats().Updates - base.Updates; got != 2 {
+		t.Fatalf("separate bursts cost %d updates, want 2", got)
+	}
+	if topo, _ := journalTopo(t, dir); len(topo) != 2 {
+		t.Fatalf("journal holds %d topo records, want 2", len(topo))
 	}
 }
 

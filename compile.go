@@ -11,7 +11,6 @@ import (
 
 	"merlin/internal/codegen"
 	"merlin/internal/logical"
-	"merlin/internal/mip"
 	"merlin/internal/policy"
 	"merlin/internal/pred"
 	"merlin/internal/provision"
@@ -26,15 +25,7 @@ type Options struct {
 	// Heuristic selects the path-selection objective for guaranteed
 	// traffic (default WeightedShortestPath).
 	Heuristic Heuristic
-	// Split overrides the §3.1 localization scheme (default equal split).
-	Split policy.SplitFunc
-	// MIP passes solver limits through to branch and bound.
-	MIP mip.Params
-	// SkipPreprocess compiles the policy as-is; by default the §2.1
-	// pre-processor rewrites overlapping predicates to first-match
-	// semantics and appends a best-effort default statement for totality.
-	SkipPreprocess bool
-	// NoDefault suppresses only the totality default.
+	// NoDefault suppresses the totality default.
 	NoDefault bool
 	// Greedy provisions guarantees with the sequential shortest-path
 	// allocator instead of the exact MIP — the scalable approximation
@@ -71,14 +62,6 @@ type Options struct {
 	// MIP with the budgets as placement constraints, and if that is
 	// impossible (or still overflows) rejects with *TableOverflowError.
 	TableBudgets map[string]int
-	// TopoDebounce is WatchTopo's coalescing window: after the first
-	// event of a burst arrives, the watcher keeps collecting events for
-	// this long before applying them as one batch — so a failure storm
-	// (a switch plus every link it carried, a maintenance drain) costs
-	// one invalidation sweep and one recompile instead of one per event.
-	// Zero keeps the eager behavior: apply immediately, coalescing only
-	// events already queued.
-	TopoDebounce time.Duration
 }
 
 // parallelDo runs f(0..n-1) over a bounded worker pool. Each index is
@@ -250,19 +233,15 @@ func (c *Compiler) preprocessStage(pol *Policy, run *runState) error {
 	// makes classifier expansion exponential on large policies, while
 	// priorities encode the same semantics for free.
 	start := time.Now()
-	work := pol
-	if !c.opts.SkipPreprocess {
-		var err error
-		work, err = policy.Preprocess(pol, policy.PreprocessOptions{
-			AddDefault: !c.opts.NoDefault,
-		})
-		if err != nil {
-			return err
-		}
+	work, err := policy.Preprocess(pol, policy.PreprocessOptions{
+		AddDefault: !c.opts.NoDefault,
+	})
+	if err != nil {
+		return err
 	}
 	run.work = work
 	run.res.Policy = work
-	allocs, err := policy.Localize(work.Formula, c.opts.Split)
+	allocs, err := policy.Localize(work.Formula, nil)
 	if err != nil {
 		return err
 	}
@@ -509,7 +488,7 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 		c.stats.Solves++
 	default:
 		params := provision.Params{
-			MIP: c.opts.MIP, Workers: c.opts.Workers, NoShard: c.opts.NoShard,
+			Workers: c.opts.Workers, NoShard: c.opts.NoShard,
 		}
 		if cached != nil && !cached.greedy && cached.heuristic == c.opts.Heuristic && cached.res != nil {
 			// Shard-level reuse: unchanged shards are served outright and
@@ -924,7 +903,7 @@ func (c *Compiler) replaceForBudgets(run *runState) error {
 		cost[r.ID] = float64(w)
 	}
 	sol, err := provision.Solve(c.t, run.requests, c.opts.Heuristic, provision.Params{
-		MIP: c.opts.MIP, Workers: c.opts.Workers, Budgets: budgets, EntryCost: cost,
+		Workers: c.opts.Workers, Budgets: budgets, EntryCost: cost,
 	})
 	if err != nil {
 		return err

@@ -3,7 +3,6 @@ package merlin
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"merlin/internal/logical"
 	"merlin/internal/topo"
@@ -84,81 +83,16 @@ func (c *Compiler) ApplyTopo(events ...TopoEvent) (*Diff, error) {
 	return c.Update(Delta{Topo: events})
 }
 
-// WatchTopo consumes topology events — a controller's failure-detector
-// stream — until the channel closes, applying each batch through Update
-// and handing the reroute diff to onDiff (which may be nil). Events
-// already queued when one arrives are coalesced into a single recompile;
-// with Options.TopoDebounce set, the watcher additionally holds the
-// batch open for that window after the first event arrives, so a
-// correlated failure storm whose events trickle in (a switch going down
-// followed by loss-of-light on each link it carried) still collapses
-// into one invalidation sweep and one recompile.
-// Errors (a malformed event, a failure that makes a guarantee
-// unsatisfiable) are reported to onErr (which may be nil) and the loop
-// continues; an applied topology mutation is never rolled back. Because
-// Update validates a batch all-or-nothing, a rejected multi-event batch
-// is retried one event at a time, so one malformed event cannot discard
-// the valid failures coalesced alongside it — those remain facts and are
-// applied, each yielding its own diff. Updates serialize with concurrent
-// negotiation ticks (WatchHub) on the compiler's lock. The returned channel
-// closes when the event channel does.
-func (c *Compiler) WatchTopo(events <-chan TopoEvent, onDiff func(*Diff), onErr func(error)) <-chan struct{} {
-	done := make(chan struct{})
-	debounce := c.opts.TopoDebounce
-	go func() {
-		defer close(done)
-		for ev := range events {
-			c.ApplyTopoBatch(collectTopoBatch(ev, events, debounce), onDiff, onErr)
-		}
-	}()
-	return done
-}
-
-// collectTopoBatch coalesces the events already queued behind the first
-// one into a single batch. With a debounce window it additionally holds
-// the batch open for that window (anchored at the first event) so a
-// failure storm whose events trickle in still collapses into one batch;
-// without one it drains whatever is immediately available.
-func collectTopoBatch(first TopoEvent, events <-chan TopoEvent, debounce time.Duration) []TopoEvent {
-	batch := []TopoEvent{first}
-	if debounce > 0 {
-		timer := time.NewTimer(debounce)
-		for {
-			select {
-			case next, ok := <-events:
-				if !ok {
-					timer.Stop()
-					return batch
-				}
-				batch = append(batch, next)
-			case <-timer.C:
-				return batch
-			}
-		}
-	}
-	for {
-		select {
-		case next, ok := <-events:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, next)
-		default:
-			return batch
-		}
-	}
-}
-
-// ApplyTopoBatch applies one coalesced batch of topology events with
-// WatchTopo's semantics — per-event retry when up-front validation
-// rejects a multi-event batch, error reporting without rollback when a
-// recompile fails after the events stuck — and returns the events that
-// were actually applied to the topology. That return value is the
-// durability hook merlind journals: on full success the whole batch; on
-// a validation rejection, the individually-accepted subset (a rejected
-// event never mutated anything); on a post-apply recompile failure, the
-// whole batch still — topology events are facts and are never rolled
-// back. onDiff and onErr may be nil.
+// ApplyTopoBatch applies one coalesced batch of topology events as a
+// single Update: one invalidation sweep and one recompile. A batch that
+// up-front validation rejects is retried one event at a time, so one
+// malformed event cannot discard the valid failures alongside it; each
+// retried event gets exactly one onDiff or onErr call, in order, where an
+// unretried batch gets one call. It returns the events actually applied
+// to the topology — the durability hook merlind journals: the whole batch
+// on success or on a post-apply recompile failure (events are facts and
+// are never rolled back), and on a validation rejection the
+// individually-accepted subset. onDiff and onErr may be nil.
 func (c *Compiler) ApplyTopoBatch(batch []TopoEvent, onDiff func(*Diff), onErr func(error)) []TopoEvent {
 	diff, err := c.Update(Delta{Topo: batch})
 	if err == nil {
@@ -201,7 +135,7 @@ func (c *Compiler) ApplyTopoBatch(batch []TopoEvent, onDiff func(*Diff), onErr f
 }
 
 // topoEventError marks a batch rejected during up-front validation —
-// before any mutation — so WatchTopo can distinguish "nothing was
+// before any mutation — so ApplyTopoBatch can distinguish "nothing was
 // applied, retry the valid events individually" from "the events stuck
 // but the recompile failed".
 type topoEventError struct{ err error }

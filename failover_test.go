@@ -277,11 +277,11 @@ func TestCompilerTopoEventSticksOnFailedUpdate(t *testing.T) {
 	}
 }
 
-// TestWatchTopoMixedBatch: a malformed event coalesced into the same
+// TestApplyTopoBatchMixedBatch: a malformed event coalesced into the same
 // batch as a real failure must not discard the failure — events are
 // facts. The rejected batch is retried event by event: the bad one is
 // reported, the good one applies and yields its reroute diff.
-func TestWatchTopoMixedBatch(t *testing.T) {
+func TestApplyTopoBatchMixedBatch(t *testing.T) {
 	const k = 4
 	tp := FatTree(k, Gbps)
 	pol := podPolicy(t, tp, k, 2)
@@ -292,16 +292,13 @@ func TestWatchTopoMixedBatch(t *testing.T) {
 	}
 	a, b := switchHop(t, tp, first.Paths["t0g0"])
 
-	// Queue both events before the watcher starts so they coalesce into
-	// one batch deterministically.
-	events := make(chan TopoEvent, 2)
-	events <- LinkFailure("no-such-node", a)
-	events <- LinkFailure(a, b)
-	close(events)
 	var diffs []*Diff
 	var errs []error
-	done := c.WatchTopo(events, func(d *Diff) { diffs = append(diffs, d) }, func(err error) { errs = append(errs, err) })
-	<-done
+	applied := c.ApplyTopoBatch([]TopoEvent{LinkFailure("no-such-node", a), LinkFailure(a, b)},
+		func(d *Diff) { diffs = append(diffs, d) }, func(err error) { errs = append(errs, err) })
+	if len(applied) != 1 || applied[0] != LinkFailure(a, b) {
+		t.Fatalf("applied = %v, want only the valid failure", applied)
+	}
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "no-such-node") {
 		t.Fatalf("want 1 unknown-node error, got %v", errs)
 	}
@@ -396,7 +393,7 @@ func minFormula(k, n int, newRate float64) policy.Formula {
 
 // TestFailoverBetweenNegotiationTicks is the end-to-end dynamic story: a
 // hub drives rate renegotiation ticks through Compiler.WatchHub while a
-// link failure arrives between ticks through Compiler.WatchTopo, and a
+// link failure arrives between ticks through Compiler.ApplyTopo, and a
 // flow-level simulation follows the compiled paths throughout — traffic
 // blackholes at the failure, the reroute diff restores it, and the next
 // negotiation tick proceeds incrementally on the degraded topology.
@@ -473,16 +470,10 @@ func TestFailoverBetweenNegotiationTicks(t *testing.T) {
 	syncFlows()
 	net.Step(1)
 
-	// Failure between ticks, delivered over the event stream.
+	// Failure between ticks.
 	a, b := switchHop(t, tp, res.Paths["t0g0"])
-	events := make(chan TopoEvent)
-	var failDiff *Diff
-	done := c.WatchTopo(events, func(d *Diff) { failDiff = d }, func(err error) { t.Errorf("watch: %v", err) })
-	events <- LinkFailure(a, b)
-	close(events)
-	<-done
-	if failDiff == nil {
-		t.Fatal("failure event produced no diff")
+	if failDiff, err := c.ApplyTopo(LinkFailure(a, b)); err != nil || failDiff == nil {
+		t.Fatalf("failure event produced no diff: %v", err)
 	}
 	// The dataplane still runs the stale paths: traffic into the failure
 	// blackholes until the reroute is applied.

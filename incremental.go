@@ -266,7 +266,7 @@ type CompilerStats struct {
 // function placement table, and options. After construction the topology
 // must only change through the compiler: placements via Delta.Place,
 // link/switch failures, recoveries, and capacity changes via Delta.Topo
-// (or ApplyTopo/WatchTopo), which invalidate exactly the caches each
+// (or ApplyTopo/ApplyTopoBatch), which invalidate exactly the caches each
 // event stales. Mutating the topology behind the compiler's back leaves
 // the caches describing a network that no longer exists.
 func NewCompiler(t *Topology, place Placement, opts Options) *Compiler {
@@ -341,7 +341,7 @@ func (c *Compiler) Result() *Result {
 
 // Topology returns the topology the compiler is bound to — immutable
 // after construction except through the compiler itself (Delta.Topo,
-// ApplyTopo, WatchTopo). Callers use it to resolve node names and parse
+// ApplyTopo, ApplyTopoBatch). Callers use it to resolve node names and parse
 // policies against the bound network; mutating it directly leaves the
 // compiler's caches describing a network that no longer exists.
 func (c *Compiler) Topology() *Topology { return c.t }

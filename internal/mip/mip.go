@@ -59,8 +59,6 @@ type Params struct {
 	MaxNodes int
 	// LP passes through to the relaxation solver.
 	LP lp.Params
-	// IntTol is the integrality tolerance. Zero means 1e-6.
-	IntTol float64
 	// Workers bounds how many node relaxations of one wave solve
 	// concurrently; zero or one is serial. The search explores waves of a
 	// fixed size in a fixed order regardless of Workers, so the returned
@@ -168,6 +166,10 @@ func (h *nodeHeap) Pop() any {
 // exactly as lean as serial best-first search.
 const waveSize = 8
 
+// intTol is the integrality tolerance: a relaxation value within it of an
+// integer counts as integral.
+const intTol = 1e-6
+
 // Solve runs best-bound branch and bound over waves of node relaxations.
 // Node LPs solve on private clones of the model, so the model itself is
 // never mutated — and never shared mutable state between workers.
@@ -175,10 +177,6 @@ func (m *Model) Solve(p Params) Solution {
 	maxNodes := p.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 100000
-	}
-	intTol := p.IntTol
-	if intTol == 0 {
-		intTol = 1e-6
 	}
 	var ints []int
 	for v := 0; v < m.NumVars(); v++ {

@@ -9,7 +9,6 @@ import (
 	"merlin/internal/codegen"
 	"merlin/internal/policy"
 	"merlin/internal/ternary"
-	"merlin/internal/topo"
 	"merlin/internal/verify"
 )
 
@@ -76,10 +75,6 @@ type HubOptions struct {
 	// Workers bounds the shard-tick worker pool (0 = one per shard, the
 	// pool the compiler's provisioning stage also uses).
 	Workers int
-	// Verify tunes proposal verification.
-	Verify verify.Options
-	// Cache is the shared verification cache; nil creates a private one.
-	Cache *verify.Cache
 	// MMFS ticks divide each shard's capacity max-min fairly across the
 	// declared demands instead of running per-session AIMD controllers.
 	MMFS bool
@@ -92,13 +87,6 @@ type HubOptions struct {
 	// budgeted device — which keeps admission O(proposal) instead of
 	// O(compile). Keys are topology node names.
 	TableBudgets map[string]int
-	// Ternary tunes the expansion model the budget estimate runs under
-	// (range support, prefix-only tables), mirroring Options.Ternary on
-	// the compiler.
-	Ternary ternary.Options
-	// Identities resolves host names in proposal predicates to addresses
-	// for the budget estimate; nil leaves values unresolved.
-	Identities *topo.IdentityTable
 }
 
 // HubStats is a snapshot of the hub counters.
@@ -178,10 +166,7 @@ func NewHub(pol *policy.Policy, opts HubOptions) (*Hub, error) {
 		shardIdx: map[string]int{},
 		sessions: map[string]*Session{},
 		opts:     opts,
-		cache:    opts.Cache,
-	}
-	if h.cache == nil {
-		h.cache = verify.NewCache()
+		cache:    verify.NewCache(),
 	}
 	for i, s := range pol.Statements {
 		if _, dup := h.stmtIdx[s.ID]; dup {
@@ -614,7 +599,7 @@ func (h *Hub) admitBudgets(refined *policy.Policy) error {
 	for _, st := range refined.Statements {
 		n, err := codegen.EstimateRuleEntries(
 			codegen.Rule{Match: codegen.Match{Pred: st.Predicate}},
-			h.opts.Ternary, h.opts.Identities)
+			ternary.Options{}, nil)
 		if err != nil {
 			return fmt.Errorf("negotiate: estimating table entries for statement %q: %w", st.ID, err)
 		}
@@ -656,7 +641,7 @@ func (h *Hub) Propose(tenant string, refined *policy.Policy) (recompile bool, er
 	if !ok {
 		return false, fmt.Errorf("negotiate: unknown session %q", tenant)
 	}
-	rep, err := h.cache.CheckRefinement(s.baseline, refined, h.opts.Verify)
+	rep, err := h.cache.CheckRefinement(s.baseline, refined, verify.Options{})
 	if err != nil {
 		return false, err
 	}

@@ -63,7 +63,7 @@ func netflowEligible(t *topo.Topology, reqs []Request, h Heuristic) bool {
 // out numerically (pivot limit) — the caller falls back to the general
 // path — and a real error only for genuine infeasibility, which the
 // general path would report identically.
-func solveNetflow(t *topo.Topology, reqs []Request, h Heuristic, eps float64, construct, solve *time.Duration) (*ShardSolution, error) {
+func solveNetflow(t *topo.Topology, reqs []Request, h Heuristic, construct, solve *time.Duration) (*ShardSolution, error) {
 	out := &ShardSolution{
 		Paths:    make(map[string][]logical.Step, len(reqs)),
 		Reserved: map[topo.LinkID]float64{},
@@ -81,7 +81,7 @@ func solveNetflow(t *topo.Topology, reqs []Request, h Heuristic, eps float64, co
 		for e, ed := range g.Edges {
 			cost := 0.0
 			if ed.Link >= 0 {
-				cost = eps * (1 + tieBreak(jitter, e))
+				cost = hopEpsilon * (1 + tieBreak(jitter, e))
 				if h == WeightedShortestPath {
 					cost += r.MinRate / rateUnit
 				}

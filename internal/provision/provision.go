@@ -74,14 +74,6 @@ type Result struct {
 	// Nodes is the number of branch-and-bound nodes this call explored
 	// (shard solutions served from Params.Reuse contribute nothing).
 	Nodes int
-	// Basis is the optimal simplex basis of the chosen solution, when the
-	// exact solver produced one and the problem solved as a single shard.
-	// Feeding it back through Params.Warm warm-starts the next solve after
-	// a rate change: the request set and graphs fix the model's shape, so
-	// the old basis installs directly and the composite phase 1 repairs
-	// any rate-induced infeasibility in a few pivots instead of re-solving
-	// from the all-artificial basis.
-	Basis *lp.Basis
 	// Shards holds the per-shard solutions this solve produced (a single
 	// entry for a monolithic solve). Feed them back through Params.Reuse
 	// so a later Solve re-solves only the shards whose requests changed.
@@ -98,16 +90,6 @@ type Result struct {
 
 // Params tune the solve.
 type Params struct {
-	MIP mip.Params
-	// HopEpsilon is the tie-breaking cost per physical hop added to every
-	// objective so solutions avoid gratuitous cycles. Zero means default.
-	HopEpsilon float64
-	// Warm, if non-nil, warm-starts the root relaxation from a basis a
-	// previous Solve returned (Result.Basis). It is ignored unless the
-	// model shape matches — same requests over the same product graphs —
-	// and applies only to single-shard (monolithic) solves; use Reuse for
-	// per-shard warm starts.
-	Warm *lp.Basis
 	// NoShard forces the monolithic solve even when the statement↔link
 	// incidence decomposes into independent shards.
 	NoShard bool
@@ -146,7 +128,7 @@ type Params struct {
 	// choice). Budget rows couple otherwise link-disjoint requests through
 	// shared switches and change every cached model's shape, so a budgeted
 	// Solve forces the monolithic general-MIP path: NoShard and NoNetflow
-	// are implied, and Reuse/Warm are ignored.
+	// are implied, and Reuse is ignored.
 	Budgets map[topo.NodeID]float64
 	// EntryCost weighs each request in Budgets rows, by request ID; absent
 	// IDs cost 1 per budgeted switch entered.
@@ -165,6 +147,10 @@ type Params struct {
 // rateUnit scales bits/s into MIP-friendly magnitudes (Mbps).
 const rateUnit = 1e6
 
+// hopEpsilon is the tie-breaking cost per physical hop added to every
+// objective so solutions avoid gratuitous cycles.
+const hopEpsilon = 1e-4
+
 // Solve provisions all requests on the topology using the given
 // heuristic. Every request's graph must be built against t. The problem
 // is first partitioned into link-disjoint shards (see Partition); each
@@ -172,10 +158,6 @@ const rateUnit = 1e6
 // optima merge into one Result. A fully-coupled problem — one shard — or
 // Params.NoShard takes the monolithic path unchanged.
 func Solve(t *topo.Topology, reqs []Request, h Heuristic, p Params) (*Result, error) {
-	eps := p.HopEpsilon
-	if eps == 0 {
-		eps = 1e-4
-	}
 	if len(p.Budgets) > 0 {
 		// Budget rows couple requests through shared switches and change
 		// the model shape: cached bases and shard solutions were built
@@ -183,7 +165,6 @@ func Solve(t *topo.Topology, reqs []Request, h Heuristic, p Params) (*Result, er
 		p.NoShard = true
 		p.NoNetflow = true
 		p.Reuse = nil
-		p.Warm = nil
 	}
 	var comps [][]int
 	if p.NoShard {
@@ -201,7 +182,7 @@ func Solve(t *topo.Topology, reqs []Request, h Heuristic, p Params) (*Result, er
 			Reserved: map[topo.LinkID]float64{},
 		}, nil
 	}
-	return solveComponents(t, reqs, comps, h, p, eps)
+	return solveComponents(t, reqs, comps, h, p)
 }
 
 // builtModel is one constructed provisioning MIP plus the per-request
@@ -217,7 +198,7 @@ type builtModel struct {
 // couples to capacity through the simplex engine's implicit variable
 // bounds instead of materialized reservation variables and rows; legacy
 // selects the paper-literal encoding (see Params.LegacyModel).
-func buildModel(t *topo.Topology, reqs []Request, h Heuristic, eps float64, p Params) *builtModel {
+func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtModel {
 	legacy := p.LegacyModel
 	model := mip.NewModel()
 
@@ -375,7 +356,7 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, eps float64, p Pa
 	// link by link. (The min-max objectives retain a documented freedom:
 	// a non-bottleneck shard minimizes its own local maximum, which the
 	// monolithic objective ignores, so below-bottleneck routing may
-	// legitimately differ.) The perturbation is bounded by eps/100 per
+	// legitimately differ.) The perturbation is bounded by hopEpsilon/100 per
 	// edge, so it can never outweigh a hop: path choice is unchanged
 	// except among paths the unperturbed objective cannot tell apart.
 	for i, r := range reqs {
@@ -384,7 +365,7 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, eps float64, p Pa
 			if ed.Link < 0 {
 				continue
 			}
-			cost := eps * (1 + tieBreak(jitter, e))
+			cost := hopEpsilon * (1 + tieBreak(jitter, e))
 			if h == WeightedShortestPath {
 				cost += r.MinRate / rateUnit
 			}

@@ -129,7 +129,7 @@ func Partition(t *topo.Topology, reqs []Request) [][]int {
 // holds one token, and branch-and-bound waves inside a shard borrow the
 // spare tokens for extra node relaxations (mip.Params.Sem), so shard-level
 // and node-level parallelism together never exceed Workers.
-func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristic, p Params, eps float64) (*Result, error) {
+func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristic, p Params) (*Result, error) {
 	reuse := make(map[string]*ShardSolution, len(p.Reuse))
 	for _, s := range p.Reuse {
 		reuse[s.Key] = s
@@ -139,9 +139,7 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 		workers = runtime.NumCPU()
 	}
 	sem := make(chan struct{}, workers)
-	sp := p
-	sp.MIP.Workers = workers
-	sp.MIP.Sem = sem
+	mp := mip.Params{Workers: workers, Sem: sem}
 	shards := make([]*ShardSolution, len(comps))
 	errs := make([]error, len(comps))
 	kind := make([]int8, len(comps)) // 0 cold, 1 warm, 2 reused
@@ -175,11 +173,8 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 				// simplex (prev.Basis nil) in a few tree pivots.
 				warm = prev.Basis
 				kind[ci] = 1
-			} else if len(comps) == 1 && p.Warm != nil {
-				warm = p.Warm
-				kind[ci] = 1
 			}
-			out, err := solveOne(t, sub, h, sp, eps, warm, &construct[ci], &solve[ci])
+			out, err := solveOne(t, sub, h, p, mp, warm, &construct[ci], &solve[ci])
 			if err != nil {
 				errs[ci] = err
 				return
@@ -234,9 +229,6 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 		if s.Netflow {
 			res.NetflowShards++
 		}
-	}
-	if len(shards) == 1 {
-		res.Basis = shards[0].Basis
 	}
 	res.RMax, res.RMaxBits = reservedStats(t, res.Reserved)
 	return res, nil
@@ -298,9 +290,9 @@ func shardTouchesDirty(t *topo.Topology, sub []Request, dirty map[topo.LinkID]bo
 // shape-compatible, starts the general path's root relaxation from a
 // previous optimum of the same model. Construction and solve durations
 // accumulate through construct and solve.
-func solveOne(t *topo.Topology, reqs []Request, h Heuristic, p Params, eps float64, warm *lp.Basis, construct, solve *time.Duration) (*ShardSolution, error) {
+func solveOne(t *topo.Topology, reqs []Request, h Heuristic, p Params, mp mip.Params, warm *lp.Basis, construct, solve *time.Duration) (*ShardSolution, error) {
 	if !p.NoNetflow && netflowEligible(t, reqs, h) {
-		out, err := solveNetflow(t, reqs, h, eps, construct, solve)
+		out, err := solveNetflow(t, reqs, h, construct, solve)
 		if err != nil {
 			return nil, err
 		}
@@ -311,15 +303,12 @@ func solveOne(t *topo.Topology, reqs []Request, h Heuristic, p Params, eps float
 		// path, which shares no state with the aborted attempt.
 	}
 	start := time.Now()
-	bm := buildModel(t, reqs, h, eps, p)
+	bm := buildModel(t, reqs, h, p)
 	*construct += time.Since(start)
 
 	solveStart := time.Now()
-	params := p.MIP
-	if warm != nil {
-		params.LP.Warm = warm
-	}
-	sol := bm.model.Solve(params)
+	mp.LP.Warm = warm
+	sol := bm.model.Solve(mp)
 	*solve += time.Since(solveStart)
 	switch sol.Status {
 	case mip.Optimal:

@@ -108,9 +108,11 @@ func TestPartitionCoupledFallsBackToOneShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Shards) != 1 || res.ShardsSolved != 1 || res.Basis == nil {
-		t.Fatalf("monolithic fallback: shards=%d solved=%d basis=%v",
-			len(res.Shards), res.ShardsSolved, res.Basis)
+	if len(res.Shards) != 1 || res.ShardsSolved != 1 {
+		t.Fatalf("monolithic fallback: shards=%d solved=%d", len(res.Shards), res.ShardsSolved)
+	}
+	if res.Shards[0].Basis == nil {
+		t.Fatal("monolithic fallback kept no basis")
 	}
 }
 

@@ -32,10 +32,7 @@ import (
 // Reports returned from the cache are shared: callers must treat them
 // (and the alloc maps inside Localize results) as immutable. Entries
 // are dropped wholesale when a level exceeds its bound — correctness
-// never depends on an entry being present. A Cache must not be shared
-// across callers using different Options.Split functions: a SplitFunc
-// has no fingerprint, so localizations are memoized only for the
-// default split and verdicts only embed the Minimize flag.
+// never depends on an entry being present.
 type Cache struct {
 	mu sync.Mutex
 	// policies: (parentFP, childFP, minimize) → verdict.
@@ -44,7 +41,7 @@ type Cache struct {
 	overlaps map[string]bool
 	// includes: (refined path FP, orig path FP, minimize) → inclusion.
 	includes map[string]incEntry
-	// localized: formula fingerprint → default-split localization.
+	// localized: formula fingerprint → localization.
 	localized map[string]map[string]policy.Alloc
 
 	maxPolicies, maxPairs int
@@ -110,12 +107,6 @@ func (c *Cache) Reset() {
 // policy-level memo, and a miss runs the check with every pairwise
 // decision procedure memoized. Errors are never cached.
 func (c *Cache) CheckRefinement(original, refined *policy.Policy, opts Options) (*Report, error) {
-	if opts.Split != nil {
-		// A custom SplitFunc cannot be fingerprinted; fall through to the
-		// uncached path rather than risk serving a verdict computed under
-		// a different localization.
-		return CheckRefinement(original, refined, opts)
-	}
 	key := policyPairKey(original, refined, opts.Minimize)
 	c.mu.Lock()
 	if rep, ok := c.policies[key]; ok {
@@ -266,11 +257,10 @@ func (m *cacheMemo) includes(i, j int, refined, original regex.Expr, minimize bo
 	return ok, witness, false, nil
 }
 
-// localize is policy.Localize memoized by formula fingerprint (default
-// split only — checkRefinement bypasses the memo for custom splits).
-func (m *cacheMemo) localize(f policy.Formula, split policy.SplitFunc) (map[string]policy.Alloc, error) {
-	if m == nil || split != nil {
-		return policy.Localize(f, split)
+// localize is policy.Localize memoized by formula fingerprint.
+func (m *cacheMemo) localize(f policy.Formula) (map[string]policy.Alloc, error) {
+	if m == nil {
+		return policy.Localize(f, nil)
 	}
 	key := formulaFingerprint(f)
 	c := m.cache

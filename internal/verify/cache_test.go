@@ -114,25 +114,6 @@ func TestCacheParentRedelegationInvalidates(t *testing.T) {
 	}
 }
 
-func TestCacheCustomSplitBypasses(t *testing.T) {
-	c := NewCache()
-	orig := mustPolicy(t, originalSrc)
-	ref := mustPolicy(t, refinedSrc)
-	opts := Options{Split: policy.WeightedSplit(map[string]float64{"x": 1})}
-	for i := 0; i < 2; i++ {
-		rep, err := c.CheckRefinement(orig, ref, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.PredicateChecks == 0 {
-			t.Fatal("custom-split check served from cache")
-		}
-	}
-	if st := c.Stats(); st.Hits != 0 && st.Misses != 0 {
-		t.Fatalf("custom split touched the cache: %+v", st)
-	}
-}
-
 // chainLevel refines every statement of the previous level by splitting
 // it on a fresh header field value, halving each cap.
 func chainLevel(parent *policy.Policy, level int) *policy.Policy {

@@ -19,8 +19,6 @@ type Options struct {
 	// Minimize enables Hopcroft minimization inside the language-inclusion
 	// checks (the ablation knob for the Fig. 9 middle panel).
 	Minimize bool
-	// Split overrides the localization used for the bandwidth comparison.
-	Split policy.SplitFunc
 }
 
 // Violation describes one failed check.
@@ -113,11 +111,11 @@ func checkRefinement(original, refined *policy.Policy, opts Options, m *cacheMem
 		}
 	}
 	// Localized bandwidth views for the implication check.
-	origAlloc, err := m.localize(original.Formula, opts.Split)
+	origAlloc, err := m.localize(original.Formula)
 	if err != nil {
 		return nil, err
 	}
-	refAlloc, err := m.localize(refined.Formula, opts.Split)
+	refAlloc, err := m.localize(refined.Formula)
 	if err != nil {
 		return nil, err
 	}

@@ -102,8 +102,8 @@
 //
 // The topology is dynamic too: link/switch failures, recoveries, and
 // capacity changes flow through the same incremental pipeline as
-// TopoEvents — Delta.Topo, Compiler.ApplyTopo, or a WatchTopo event
-// stream — invalidating only the artifacts each event stales (a link
+// TopoEvents — Delta.Topo, Compiler.ApplyTopo, or a coalesced
+// Compiler.ApplyTopoBatch — invalidating only the artifacts each event stales (a link
 // failure patches the product graphs crossing the failed cable in place,
 // keeps the sink trees whose used paths avoided it, and re-solves just
 // the provisioning shards it touches) and yielding the

@@ -454,10 +454,10 @@ func TestApplyTopoBatchReportsApplied(t *testing.T) {
 }
 
 // TestStatsDuringTopoStormRace hammers the daemon's read endpoints —
-// Stats, Result, NegotiationShards, Snapshot — while a WatchTopo storm
-// of capacity events recompiles underneath, with a hub bound so the
-// Stats mirror path is exercised too. Run under -race, this pins the
-// absence of unlocked reads on the /stats and /result paths.
+// Stats, Result, NegotiationShards, Snapshot — while a goroutine applies
+// a storm of capacity events through ApplyTopoBatch underneath, with a
+// hub bound so the Stats mirror path is exercised too. Run under -race,
+// this pins the absence of unlocked reads on the /stats and /result paths.
 func TestStatsDuringTopoStormRace(t *testing.T) {
 	const k = 4
 	tp := FatTree(k, Gbps)
@@ -475,7 +475,13 @@ func TestStatsDuringTopoStormRace(t *testing.T) {
 	a, b := switchHop(t, tp, first.Paths["t0g0"])
 
 	events := make(chan TopoEvent)
-	done := c.WatchTopo(events, nil, func(err error) { t.Errorf("storm: %v", err) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range events {
+			c.ApplyTopoBatch([]TopoEvent{ev}, nil, func(err error) { t.Errorf("storm: %v", err) })
+		}
+	}()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

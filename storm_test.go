@@ -1,55 +1,40 @@
 package merlin
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestWatchTopoDebounceCoalescesStorm covers the correlated-failure
-// story: a switch dies and its loss-of-light link alarms trickle in
-// moments later. With Options.TopoDebounce set, WatchTopo holds the batch
-// open across the trickle, so the storm costs one invalidation sweep and
-// one recompile — three events, one Update, one diff.
-func TestWatchTopoDebounceCoalescesStorm(t *testing.T) {
+// TestApplyTopoBatchCoalescesStorm covers the correlated-failure story:
+// a switch dies and its loss-of-light link alarms arrive moments later,
+// collected into one batch (merlind's debounce window). ApplyTopoBatch
+// applies the storm as one invalidation sweep and one recompile — three
+// events, one Update, one diff.
+func TestApplyTopoBatchCoalescesStorm(t *testing.T) {
 	tp := FatTree(4, Gbps)
 	pol, err := ParsePolicy(`foreach (s,d) in cross(hosts,hosts): .*`, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompiler(tp, nil, Options{NoDefault: true, TopoDebounce: 2 * time.Second})
+	c := NewCompiler(tp, nil, Options{NoDefault: true})
 	if _, err := c.Compile(pol); err != nil {
 		t.Fatal(err)
 	}
 	base := c.Stats()
 
-	var (
-		mu    sync.Mutex
-		diffs int
-		errs  []error
-	)
-	events := make(chan TopoEvent)
-	done := c.WatchTopo(events,
-		func(*Diff) { mu.Lock(); diffs++; mu.Unlock() },
-		func(err error) { mu.Lock(); errs = append(errs, err); mu.Unlock() })
+	var diffs int
+	var errs []error
+	storm := []TopoEvent{
+		SwitchFailure("agg0_0"),
+		LinkFailure("agg0_0", "edge0_0"),
+		LinkFailure("agg0_0", "edge0_1"),
+	}
+	applied := c.ApplyTopoBatch(storm,
+		func(*Diff) { diffs++ },
+		func(err error) { errs = append(errs, err) })
 
-	// The storm: the switch failure, then the (already-down) link alarms
-	// arriving shortly after — inside the debounce window.
-	events <- SwitchFailure("agg0_0")
-	time.Sleep(10 * time.Millisecond)
-	events <- LinkFailure("agg0_0", "edge0_0")
-	time.Sleep(10 * time.Millisecond)
-	events <- LinkFailure("agg0_0", "edge0_1")
-	close(events) // closing ends the collection window immediately
-	<-done
-
-	mu.Lock()
-	defer mu.Unlock()
 	if len(errs) != 0 {
 		t.Fatalf("storm produced errors: %v", errs)
 	}
-	if diffs != 1 {
-		t.Fatalf("storm produced %d diffs, want 1 coalesced batch", diffs)
+	if diffs != 1 || len(applied) != len(storm) {
+		t.Fatalf("storm produced %d diffs and applied %d events, want 1 diff for all %d", diffs, len(applied), len(storm))
 	}
 	st := c.Stats()
 	if st.Updates != base.Updates+1 {
@@ -65,37 +50,6 @@ func TestWatchTopoDebounceCoalescesStorm(t *testing.T) {
 	}
 	if st.GraphsInvalidated != base.GraphsInvalidated || st.GraphBuilds != base.GraphBuilds {
 		t.Fatalf("storm evicted or rebuilt graphs the patch path should repair: %+v -> %+v", base, st)
-	}
-}
-
-// TestWatchTopoDebounceSeparateBursts asserts debouncing does not merge
-// bursts separated by more than the window: two failures a full window
-// apart recompile twice.
-func TestWatchTopoDebounceSeparateBursts(t *testing.T) {
-	tp := FatTree(4, Gbps)
-	pol, err := ParsePolicy(`foreach (s,d) in cross(hosts,hosts): .*`, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCompiler(tp, nil, Options{NoDefault: true, TopoDebounce: 20 * time.Millisecond})
-	if _, err := c.Compile(pol); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu    sync.Mutex
-		diffs int
-	)
-	events := make(chan TopoEvent)
-	done := c.WatchTopo(events, func(*Diff) { mu.Lock(); diffs++; mu.Unlock() }, nil)
-	events <- LinkFailure("agg0_0", "edge0_0")
-	time.Sleep(300 * time.Millisecond) // well past the window: first batch applies
-	events <- LinkFailure("agg1_0", "edge1_0")
-	close(events)
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if diffs != 2 {
-		t.Fatalf("separated bursts produced %d diffs, want 2", diffs)
 	}
 }
 
