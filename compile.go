@@ -64,6 +64,46 @@ type Options struct {
 	TableBudgets map[string]int
 }
 
+// buildMissing serves n items from a cache, item i needing the artifact
+// keyed keyOf(i). Each missing key is built once, by the first item naming
+// it, over the worker pool. Either every build succeeds and is committed,
+// or the first failure in item order is returned and nothing is; built
+// counts the keys built. Callers list items in statement order, so output
+// and errors are identical for every pool size.
+func buildMissing[K comparable, V any](cache map[K]V, n, workers int, keyOf func(int) K, build func(int) (V, error)) (vals []V, built int, err error) {
+	vals = make([]V, n)
+	var missing, dups []int
+	seen := map[K]bool{}
+	for i := 0; i < n; i++ {
+		k := keyOf(i)
+		if v, ok := cache[k]; ok {
+			vals[i] = v
+		} else if seen[k] {
+			dups = append(dups, i)
+		} else {
+			seen[k] = true
+			missing = append(missing, i)
+		}
+	}
+	errs := make([]error, len(missing))
+	parallelDo(len(missing), workers, func(mi int) {
+		i := missing[mi]
+		vals[i], errs[mi] = build(i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	for _, i := range missing {
+		cache[keyOf(i)] = vals[i]
+	}
+	for _, i := range dups {
+		vals[i] = cache[keyOf(i)]
+	}
+	return vals, len(missing), nil
+}
+
 // parallelDo runs f(0..n-1) over a bounded worker pool. Each index is
 // processed exactly once; f must only write to per-index state.
 func parallelDo(n, workers int, f func(i int)) {
@@ -182,18 +222,16 @@ func Compile(pol *Policy, t *Topology, place Placement, opts Options) (*Result, 
 type runState struct {
 	work   *Policy
 	allocs map[string]Alloc
-	// arts holds the per-statement artifacts, by statement index.
-	arts []*stmtArtifact
-	res  *Result
+	// arts holds the per-statement artifacts, and anchored the guaranteed
+	// statements' product graphs (nil for best-effort), by statement index.
+	arts     []*stmtArtifact
+	anchored []*logical.Graph
+	res      *Result
 	// aliased reports that the incoming policy's statement slice is the
 	// same backing array as the previous pass's — the formula-only delta
 	// every negotiation tick produces — so per-statement fingerprints
 	// need not be recomputed. Policies are treated as immutable.
 	aliased bool
-	// rebuilt reports that some per-statement artifact was (re)built this
-	// pass — the policy's statements are not identical to the previous
-	// pass's, so the codegen patch fast-path must not be taken.
-	rebuilt bool
 	// provReused reports that the provisioning solution was served from
 	// cache without a solve.
 	provReused bool
@@ -228,10 +266,10 @@ func (run *runState) alloc(id string) Alloc {
 // preprocessStage runs phase 0: preprocess and localize.
 func (c *Compiler) preprocessStage(pol *Policy, run *runState) error {
 	// First-match semantics for overlapping predicates is realized through
-	// rule priorities rather than the MakeDisjoint rewrite: the rewrite
-	// conjoins each statement with the negation of all earlier ones, which
-	// makes classifier expansion exponential on large policies, while
-	// priorities encode the same semantics for free.
+	// rule priorities rather than a disjointness rewrite: conjoining each
+	// statement with the negation of all earlier ones makes classifier
+	// expansion exponential on large policies, while priorities encode the
+	// same semantics for free.
 	start := time.Now()
 	work, err := policy.Preprocess(pol, policy.PreprocessOptions{
 		AddDefault: !c.opts.NoDefault,
@@ -251,19 +289,18 @@ func (c *Compiler) preprocessStage(pol *Policy, run *runState) error {
 	return nil
 }
 
-// statementStage runs phase 1 against the artifact cache: path-expression
+// statementStage runs phase 1 against the artifact caches: path-expression
 // resolution, endpoint derivation, and anchored product-graph builds for
 // guaranteed statements. Only statements whose fingerprint misses the
-// cache are rebuilt; builds fan out over the worker pool and results merge
-// in statement order, so output is identical for every pool size.
+// cache are re-resolved, and only anchored graphs missing from c.anchored
+// are built; both fan out over the worker pool and merge in statement
+// order, so output and errors are identical for every pool size.
 func (c *Compiler) statementStage(run *runState) error {
 	gs := time.Now()
 	work := run.work
 	n := len(work.Statements)
 	arts := make([]*stmtArtifact, n)
-	errs := make([]error, n)
-	fresh := make([]bool, n)      // artifact (re)built: needs endpoints
-	builtGraph := make([]bool, n) // anchored graph built, for stats
+	var fresh []int // statements whose artifact was (re)built: need endpoints
 
 	// Sequential pass: match artifacts against the cache; resolve dirty
 	// path expressions and intern their symbols in statement order
@@ -294,85 +331,71 @@ func (c *Compiler) statementStage(run *runState) error {
 			key:  regex.Key(expr),
 			pure: pureConnectivity(s.Predicate),
 		}
-		fresh[idx] = true
-		run.rebuilt = true
+		fresh = append(fresh, idx)
 		c.tainted = true
 	}
 	if c.alpha.Size() != alphaSize {
 		// The alphabet grew: automata determinized/minimized against the
 		// old alphabet can differ from ones built now, so every cached
-		// product graph and sink tree is stale. Drop them outright — the
-		// generation check would bypass them anyway, and a long-running
-		// controller must not accumulate dead artifacts.
-		c.alphaGen++
+		// product graph and sink tree is stale.
+		c.anchored = map[anchorKey]*graphArtifact{}
 		c.graphs = map[string]*graphArtifact{}
-		c.trees = map[treeKey]*treeArtifact{}
+		c.trees = map[treeKey]*sinktree.Tree{}
 	}
 
-	// Parallel pass over the statements with outstanding work: endpoints
-	// for fresh artifacts, anchored product graphs for guaranteed
-	// statements missing a current one. A cached guaranteed statement
-	// with a current graph already passed the uniqueness check when the
-	// graph was built (same predicate → same endpoints), so only fresh
-	// or graph-stale statements need visiting.
-	var worklist []int
-	for idx, s := range work.Statements {
-		if fresh[idx] {
-			worklist = append(worklist, idx)
-			continue
-		}
-		art := arts[idx]
-		if run.alloc(s.ID).Min > 0 && (art.anchored == nil || art.anchoredGen != c.alphaGen) {
-			worklist = append(worklist, idx)
-		}
-	}
-	parallelDo(len(worklist), c.opts.Workers, func(wi int) {
-		idx := worklist[wi]
+	errs := make([]error, n)
+	parallelDo(len(fresh), c.opts.Workers, func(fi int) {
+		idx := fresh[fi]
 		s := work.Statements[idx]
-		art := arts[idx]
-		if fresh[idx] {
-			srcs, dsts, err := endpoints(s.Predicate, c.t, c.ids, c.hosts)
-			if err != nil {
-				errs[idx] = fmt.Errorf("merlin: statement %s: %w", s.ID, err)
-				return
-			}
-			art.srcs, art.dsts = srcs, dsts
+		srcs, dsts, err := endpoints(s.Predicate, c.t, c.ids, c.hosts)
+		if err != nil {
+			errs[idx] = fmt.Errorf("merlin: statement %s: %w", s.ID, err)
+			return
+		}
+		arts[idx].srcs, arts[idx].dsts = srcs, dsts
+	})
+	// Guaranteed statements before the first failing one get their
+	// anchored graphs, so a failed build there still wins in statement
+	// order over the later statement's error.
+	var guar []int
+	var stmtErr error
+	for idx, s := range work.Statements {
+		if stmtErr = errs[idx]; stmtErr != nil {
+			break
 		}
 		if run.alloc(s.ID).Min <= 0 {
-			return
+			continue
 		}
-		if len(art.srcs) != 1 || len(art.dsts) != 1 {
-			errs[idx] = fmt.Errorf("merlin: statement %s: bandwidth guarantees need a unique source and destination", s.ID)
-			return
+		if art := arts[idx]; len(art.srcs) != 1 || len(art.dsts) != 1 {
+			stmtErr = fmt.Errorf("merlin: statement %s: bandwidth guarantees need a unique source and destination", s.ID)
+			break
 		}
-		if art.anchored != nil && art.anchoredGen == c.alphaGen {
-			return
-		}
-		g, err := logical.BuildAnchored(c.t, art.expr, c.alpha,
-			c.t.Node(art.srcs[0]).Name, c.t.Node(art.dsts[0]).Name)
-		if err != nil {
-			errs[idx] = err
-			return
-		}
-		art.anchored, art.anchoredGen, art.outage = g, c.alphaGen, c.downCables
-		builtGraph[idx] = true
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+		guar = append(guar, idx)
+	}
+	graphs, built, err := buildMissing(c.anchored, len(guar), c.opts.Workers,
+		func(i int) anchorKey { return anchorOf(arts[guar[i]]) },
+		func(i int) (*graphArtifact, error) {
+			art := arts[guar[i]]
+			g, err := logical.BuildAnchored(c.t, art.expr, c.alpha,
+				c.t.Node(art.srcs[0]).Name, c.t.Node(art.dsts[0]).Name)
+			if err != nil {
+				return nil, err
+			}
+			return &graphArtifact{g: g, outage: c.downCables}, nil
+		})
+	if err != nil {
+		return err
+	}
+	c.stats.AnchoredBuilds += built
+	if stmtErr != nil {
+		return stmtErr
 	}
 
 	// Commit: install artifacts, drop ones for vanished statements.
 	for idx, s := range work.Statements {
 		c.stmts[s.ID] = arts[idx]
-		if fresh[idx] {
-			c.stats.StatementBuilds++
-		}
-		if builtGraph[idx] {
-			c.stats.AnchoredBuilds++
-		}
 	}
+	c.stats.StatementBuilds += len(fresh)
 	if len(c.stmts) != n {
 		current := make(map[string]bool, n)
 		for _, s := range work.Statements {
@@ -386,8 +409,18 @@ func (c *Compiler) statementStage(run *runState) error {
 		}
 	}
 	run.arts = arts
+	run.anchored = make([]*logical.Graph, n)
+	for i, idx := range guar {
+		run.anchored[idx] = graphs[i].g
+	}
 	run.res.Timing.GraphBuild = time.Since(gs)
 	return nil
+}
+
+// anchorOf keys a guaranteed statement's anchored graph; the statement's
+// endpoints must be unique.
+func anchorOf(art *stmtArtifact) anchorKey {
+	return anchorKey{key: art.key, src: art.srcs[0], dst: art.dsts[0]}
 }
 
 // provisionStage runs phase 2: guaranteed traffic through the MIP (§3.2),
@@ -404,7 +437,7 @@ func (c *Compiler) provisionStage(run *runState) error {
 			continue
 		}
 		run.requests = append(run.requests, provision.Request{
-			ID: s.ID, Graph: run.arts[idx].anchored, MinRate: run.alloc(s.ID).Min,
+			ID: s.ID, Graph: run.anchored[idx], MinRate: run.alloc(s.ID).Min,
 		})
 		run.reqArts = append(run.reqArts, run.arts[idx])
 		run.reqStmt[s.ID] = n - idx
@@ -520,6 +553,13 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 	if err != nil {
 		return nil, false, err
 	}
+	c.commitProv(requests, sol)
+	return sol, reused, nil
+}
+
+// commitProv records a provisioning solution and the inputs it answers
+// as the cached provisioning artifact.
+func (c *Compiler) commitProv(requests []provision.Request, sol *provision.Result) {
 	art := &provArtifact{
 		ids:       make([]string, len(requests)),
 		graphs:    make([]*logical.Graph, len(requests)),
@@ -532,7 +572,6 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 		art.ids[i], art.graphs[i], art.rates[i] = r.ID, r.Graph, r.MinRate
 	}
 	c.prov = art
-	return sol, reused, nil
 }
 
 // bestEffortStage runs phase 3: best-effort sink trees (§3.3). Product
@@ -565,107 +604,55 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 		bestEff = append(bestEff, beWork{art: art, stmt: s, classify: classify, priority: n - idx})
 	}
 
-	// Product graphs, first-seen key order (statement order).
-	var (
-		keyOrder []string
-		keyExpr  []regex.Expr
-		keyIdx   = map[string]int{}
-	)
-	for _, w := range bestEff {
-		if _, ok := keyIdx[w.art.key]; !ok {
-			keyIdx[w.art.key] = len(keyOrder)
-			keyOrder = append(keyOrder, w.art.key)
-			keyExpr = append(keyExpr, w.art.expr)
-		}
-	}
-	graphs := make([]*graphArtifact, len(keyOrder))
-	var missing []int
-	for i, key := range keyOrder {
-		if g, ok := c.graphs[key]; ok && g.gen == c.alphaGen {
-			graphs[i] = g
-			continue
-		}
-		missing = append(missing, i)
-	}
-	graphErrs := make([]error, len(missing))
-	parallelDo(len(missing), c.opts.Workers, func(mi int) {
-		i := missing[mi]
-		g, err := logical.BuildMinimized(c.t, keyExpr[i], c.alpha)
-		if err != nil {
-			graphErrs[mi] = err
-			return
-		}
-		graphs[i] = &graphArtifact{g: g, hasTags: regex.HasTags(keyExpr[i]), gen: c.alphaGen, outage: c.downCables}
-	})
-	// Missing keys are visited in first-seen (statement) order, so the
-	// first failed key matches the sequential compiler's error.
-	for _, err := range graphErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, i := range missing {
-		c.graphs[keyOrder[i]] = graphs[i]
-		c.stats.GraphBuilds++
-	}
-
-	// Sink trees per (expression, destination), first-seen order.
-	type treeJob struct {
-		graph  int // index into graphs
-		dst    NodeID
-		stmtID string // first statement needing the tree, for errors
-	}
-	var (
-		jobs    []treeJob
-		jobIdx  = map[treeKey]int{}
-		treeArt = []*treeArtifact{}
-	)
-	for _, w := range bestEff {
-		ki := keyIdx[w.art.key]
-		for _, dst := range w.art.dsts {
-			tkey := treeKey{key: w.art.key, dst: dst}
-			if _, ok := jobIdx[tkey]; !ok {
-				jobIdx[tkey] = len(jobs)
-				jobs = append(jobs, treeJob{graph: ki, dst: dst, stmtID: w.stmt.ID})
-				treeArt = append(treeArt, nil)
+	// Product graphs per expression key and sink trees per (key,
+	// destination), each built once on its first statement's behalf.
+	graphs, built, err := buildMissing(c.graphs, len(bestEff), c.opts.Workers,
+		func(i int) string { return bestEff[i].art.key },
+		func(i int) (*graphArtifact, error) {
+			g, err := logical.BuildMinimized(c.t, bestEff[i].art.expr, c.alpha)
+			if err != nil {
+				return nil, err
 			}
+			return &graphArtifact{g: g, outage: c.downCables}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	c.stats.GraphBuilds += built
+	type treeJob struct {
+		g      *logical.Graph
+		key    treeKey
+		stmtID string
+	}
+	var jobs []treeJob
+	for i, w := range bestEff {
+		for _, dst := range w.art.dsts {
+			jobs = append(jobs, treeJob{g: graphs[i].g, key: treeKey{key: w.art.key, dst: dst}, stmtID: w.stmt.ID})
 		}
 	}
-	var missingTrees []int
-	for ji, job := range jobs {
-		tkey := treeKey{key: keyOrder[job.graph], dst: job.dst}
-		if ta, ok := c.trees[tkey]; ok && ta.gen == c.alphaGen {
-			treeArt[ji] = ta
-			continue
-		}
-		missingTrees = append(missingTrees, ji)
+	trees, built, err := buildMissing(c.trees, len(jobs), c.opts.Workers,
+		func(j int) treeKey { return jobs[j].key },
+		func(j int) (*sinktree.Tree, error) {
+			tr, err := sinktree.TreeTo(jobs[j].g, jobs[j].key.dst)
+			if err != nil {
+				return nil, fmt.Errorf("merlin: statement %s: %w", jobs[j].stmtID, err)
+			}
+			return tr, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	treeErrs := make([]error, len(missingTrees))
-	parallelDo(len(missingTrees), c.opts.Workers, func(mi int) {
-		ji := missingTrees[mi]
-		tr, err := sinktree.TreeTo(graphs[jobs[ji].graph].g, jobs[ji].dst)
-		if err != nil {
-			treeErrs[mi] = err
-			return
-		}
-		treeArt[ji] = &treeArtifact{tr: tr, gen: c.alphaGen}
-	})
-	for mi, err := range treeErrs {
-		if err != nil {
-			return nil, fmt.Errorf("merlin: statement %s: %w", jobs[missingTrees[mi]].stmtID, err)
-		}
-	}
-	for _, ji := range missingTrees {
-		c.trees[treeKey{key: keyOrder[jobs[ji].graph], dst: jobs[ji].dst}] = treeArt[ji]
-		c.stats.TreeBuilds++
-	}
+	c.stats.TreeBuilds += built
 
 	// Plan assembly, sequential in statement order.
-	for _, w := range bestEff {
-		ki := keyIdx[w.art.key]
-		hasTags := graphs[ki].hasTags
+	j := 0
+	for i, w := range bestEff {
+		// Tag-free expressions cannot yield placements; skip the per-pair
+		// path decode entirely.
+		hasTags := graphs[i].g.TagSource != nil
 		for _, dst := range w.art.dsts {
-			tree := treeArt[jobIdx[treeKey{key: w.art.key, dst: dst}]].tr
+			tree := trees[j]
+			j++
 			for _, src := range w.art.srcs {
 				if src == dst {
 					continue
@@ -675,8 +662,6 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 					Alloc: run.alloc(w.stmt.ID), Classify: w.classify,
 					SrcHost: src, DstHost: dst, Tree: tree,
 				})
-				// Tag-free expressions cannot yield placements; skip the
-				// per-pair path decode entirely.
 				if !hasTags {
 					continue
 				}
@@ -728,7 +713,6 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 	}
 	c.installArtifacts(run, prog, arts)
 	c.lastPlans, c.plansSorted = plans, false
-	c.lastProg = prog
 	c.stats.FullCodegens++
 	run.res.Timing.Codegen = time.Since(cs)
 	return nil
@@ -745,10 +729,9 @@ func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program) (map[strin
 	run.budgets = c.tableBudgets()
 	var v2 []string
 	for _, name := range c.targets {
-		if b, _ := codegen.Lookup(name); b != nil {
-			if _, ok := b.(codegen.TernaryEmitter); ok {
-				v2 = append(v2, name)
-			}
+		b, _ := codegen.Lookup(name)
+		if _, ok := b.(codegen.TernaryEmitter); ok {
+			v2 = append(v2, name)
 		}
 	}
 	if len(v2) == 0 && len(run.budgets) == 0 {
@@ -842,16 +825,13 @@ func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program) (map[strin
 
 // tableBudgets resolves the per-device ternary budget set for this
 // compiler's target list: each ternary-consuming backend's table model
-// (per device class, with registration-time per-device overrides)
-// contributes its MaxEntries, the lowest applicable limit winning; then
-// Options.TableBudgets overrides per device name unconditionally.
+// (per device class) contributes its MaxEntries, the lowest applicable
+// limit winning; then Options.TableBudgets overrides per device name
+// unconditionally.
 func (c *Compiler) tableBudgets() map[topo.NodeID]deviceBudget {
 	out := map[topo.NodeID]deviceBudget{}
 	for _, name := range c.targets {
 		b, _ := codegen.Lookup(name)
-		if b == nil {
-			continue
-		}
 		if _, ok := b.(codegen.TernaryEmitter); !ok {
 			continue
 		}
@@ -860,12 +840,8 @@ func (c *Compiler) tableBudgets() map[topo.NodeID]deviceBudget {
 			if !ok || m.MaxEntries <= 0 {
 				continue
 			}
-			limit := m.MaxEntries
-			if o, ok := codegen.DeviceBudget(name, node.Name); ok {
-				limit = o
-			}
-			if cur, exists := out[node.ID]; !exists || limit < cur.limit {
-				out[node.ID] = deviceBudget{limit: limit, target: name}
+			if cur, exists := out[node.ID]; !exists || m.MaxEntries < cur.limit {
+				out[node.ID] = deviceBudget{limit: m.MaxEntries, target: name}
 			}
 		}
 	}
@@ -908,18 +884,7 @@ func (c *Compiler) replaceForBudgets(run *runState) error {
 	if err != nil {
 		return err
 	}
-	art := &provArtifact{
-		ids:       make([]string, len(run.requests)),
-		graphs:    make([]*logical.Graph, len(run.requests)),
-		rates:     make([]float64, len(run.requests)),
-		heuristic: c.opts.Heuristic,
-		greedy:    c.opts.Greedy,
-		res:       sol,
-	}
-	for i, r := range run.requests {
-		art.ids[i], art.graphs[i], art.rates[i] = r.ID, r.Graph, r.MinRate
-	}
-	c.prov = art
+	c.commitProv(run.requests, sol)
 	run.sol = sol
 	run.provReused = false
 	c.stats.Solves++
@@ -958,7 +923,7 @@ func (c *Compiler) installArtifacts(run *runState, prog *codegen.Program, arts m
 func (c *Compiler) codegenPatch(run *runState) {
 	cs := time.Now()
 	res := run.res
-	prog := *c.lastProg // shallow: rules/queues/filters/fns/tags shared
+	prog := *c.last.IR // shallow: rules/queues/filters/fns/tags shared
 	prog.Caps = c.regenerateCaps(run)
 	prog.HostFns = c.hostFunctions(run)
 	arts := make(map[string]codegen.Artifact, len(c.targets))
@@ -988,13 +953,13 @@ func (c *Compiler) codegenPatch(run *runState) {
 
 // patchableCodegen reports whether this pass may reuse the previous
 // output's rules: the statement cache is untouched since the last
-// successful pass (c.tainted covers both this pass's rebuilds and a
-// previous failed pass's), the statement set and order are unchanged, no
+// successful pass (c.tainted covers this pass's rebuilds, a previous
+// failed pass's, and connectivity changes), the statement set and order are unchanged, no
 // guarantee moved (the provisioning solution was served from cache), and
 // no Min rate changed — so only caps (tc commands, end-host programs)
 // can differ.
 func (c *Compiler) patchableCodegen(run *runState) bool {
-	if c.last == nil || c.last.Outputs == nil || c.tainted || run.rebuilt {
+	if c.last == nil || c.last.Outputs == nil || c.tainted {
 		return false
 	}
 	if len(c.lastOrder) != len(run.work.Statements) {

@@ -163,27 +163,20 @@ func isTopoValidationError(err error) bool {
 //     the cable lands in the dirty set and provisioning re-solves exactly
 //     the shards whose product graphs can ride it, warm-started from
 //     their cached bases (the model shape is unchanged).
-//   - LinkDown/SwitchDown: automaton-derived artifacts are invalidated
-//     selectively, by cable incidence. Anchored per-statement product
-//     graphs are evicted only when an edge rides an affected cable;
-//     minimized best-effort graphs get the same scoping, and a sink tree
-//     falls with its graph (tree edges are a subset of graph edges, so a
-//     surviving graph's trees still describe the degraded topology
-//     exactly). Shard-local re-provisioning follows from the graph
-//     identity checks: rebuilt graphs force a cold shard solve, untouched
-//     shards are served from the previous solution.
-//   - LinkUp/SwitchUp: invalidation is selective here too, by outage
-//     stamp. Every product graph records the cables that were down when
-//     it was built; a recovery evicts exactly the graphs whose stamp
-//     contains a restored cable. The others cannot gain edges from the
-//     restoration: a graph built while the cable was live either already
-//     rides it — in which case the failure evicted it and its rebuild
-//     carries the outage stamp — or provably never could. The
+//   - LinkDown/SwitchDown: anchored and minimized product graphs with an
+//     edge on an affected cable are patched in place (applyOutage); the
+//     rest are untouched. A patched graph's sink trees survive unless a
+//     used path crossed an affected cable. Shard-local re-provisioning
+//     follows from the graph identity checks: patched graphs force a cold
+//     shard solve, untouched shards are served from the previous solution.
+//   - LinkUp/SwitchUp: every product graph records the cables that were
+//     down when it was built or last patched, and a recovery evicts
+//     exactly the graphs whose stamp contains a restored cable, with their
+//     sink trees. The others cannot gain edges from the restoration. The
 //     provisioning artifact is kept: surviving graphs have no edges on
 //     restored cables, so their shards reuse outright, and rebuilt graphs
-//     force cold shard solves through the graph identity checks. A
-//     recovery tick thus costs what the matching failure tick cost,
-//     not a near-full recompile.
+//     force cold shard solves. A recovery tick thus costs what the
+//     matching failure tick cost, not a near-full recompile.
 func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 	type resolved struct {
 		ev   TopoEvent
@@ -268,88 +261,66 @@ func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 			next = nil
 		}
 		c.downCables = next
+		// One rule for both product-graph caches (applyOutage). A sink
+		// tree falls with its graph on recovery; after a patch it is kept
+		// unless one of its used paths crossed an affected cable — only such
+		// a path could change the reverse BFS's distances or tie-breaks
+		// (sinktree.Tree.RidesLinks).
+		ride := func(l topo.LinkID) bool { return cables[c.t.Cable(l)] }
+		c.stats.AnchoredInvalidated += len(applyOutage(c.anchored, up, cables, ride, c.downCables))
+		touched := applyOutage(c.graphs, up, cables, ride, c.downCables)
 		if up {
-			// Selective recovery: evict exactly the artifacts built while a
-			// restored cable was down — only they can gain edges from the
-			// restoration. Anything else saw the cable live when it was
-			// built and already proved it cannot ride it (or was evicted by
-			// the failure and rebuilt with an outage stamp).
-			for _, art := range c.stmts {
-				if art.anchored != nil && outageIntersects(art.outage, cables) {
-					art.anchored = nil
-					c.stats.AnchoredInvalidated++
-				}
-			}
-			var evicted map[string]bool
-			for key, ga := range c.graphs {
-				if !outageIntersects(ga.outage, cables) {
-					continue
-				}
-				delete(c.graphs, key)
-				c.stats.GraphsInvalidated++
-				if evicted == nil {
-					evicted = map[string]bool{}
-				}
-				evicted[key] = true
-			}
-			if evicted != nil {
-				for tk := range c.trees {
-					if evicted[tk.key] {
-						delete(c.trees, tk)
-						c.stats.TreesInvalidated++
-					}
-				}
-			}
+			c.stats.GraphsInvalidated += len(touched)
 		} else {
-			for _, art := range c.stmts {
-				if art.anchored != nil && graphCrossesCables(c.t, art.anchored, cables) {
-					art.anchored = nil
-					c.stats.AnchoredInvalidated++
-				}
-			}
-			// Best-effort artifacts get the same cable-incidence scoping: a
-			// minimized graph with no edge on an affected cable (and every
-			// sink tree hanging off it — tree edges are a subset) still
-			// describes the degraded topology exactly. Graphs that do cross
-			// are repaired in place rather than rebuilt: dropping the edges
-			// on affected cables and re-pruning equals a cold build on the
-			// degraded topology byte for byte (logical.Graph.WithoutLinks).
-			// Each surviving graph's sink trees are then kept when none of
-			// their used paths crossed an affected cable — only such a path
-			// could change the reverse BFS's distances or tie-breaks
-			// (sinktree.Tree.RidesLinks) — and rebuilt otherwise. Patched
-			// keys are collected so the tree cache is swept once, not once
-			// per patched graph.
-			ride := func(l topo.LinkID) bool { return cables[c.t.Cable(l)] }
-			var patched map[string]bool
-			for key, ga := range c.graphs {
-				if !graphCrossesCables(c.t, ga.g, cables) {
-					continue
-				}
-				ga.g = ga.g.WithoutLinks(ride)
-				ga.outage = c.downCables
-				c.stats.GraphsPatched++
-				if patched == nil {
-					patched = map[string]bool{}
-				}
-				patched[key] = true
-			}
-			if patched != nil {
-				for tk, ta := range c.trees {
-					if !patched[tk.key] {
-						continue
-					}
-					if ta.tr.RidesLinks(ride) {
-						delete(c.trees, tk)
-						c.stats.TreesInvalidated++
-					} else {
-						c.stats.TreesKept++
-					}
-				}
+			c.stats.GraphsPatched += len(touched)
+		}
+		if touched == nil {
+			continue
+		}
+		for tk, tr := range c.trees {
+			switch {
+			case !touched[tk.key]:
+			case up || tr.RidesLinks(ride):
+				delete(c.trees, tk)
+				c.stats.TreesInvalidated++
+			default:
+				c.stats.TreesKept++
 			}
 		}
 	}
 	return nil
+}
+
+// applyOutage applies one connectivity event to a product-graph cache
+// and returns the keys it touched. A failure patches every graph with an
+// edge on an affected cable (ride) in place — dropping those edges and
+// re-pruning equals a cold build on the degraded topology byte for byte
+// (logical.Graph.WithoutLinks) — and re-stamps it with the current outage.
+// A recovery evicts every graph whose outage stamp holds a restored cable:
+// only those can gain edges from the restoration. Any other graph saw the
+// cable live when it was built and either never rides it or was patched
+// (and stamped) by the failure.
+func applyOutage[K comparable](m map[K]*graphArtifact, up bool, cables map[topo.LinkID]bool, ride func(topo.LinkID) bool, outage map[topo.LinkID]bool) map[K]bool {
+	var touched map[K]bool
+	for k, ga := range m {
+		if up {
+			if !outageIntersects(ga.outage, cables) {
+				continue
+			}
+			delete(m, k)
+		} else {
+			if !graphRides(ga.g, ride) {
+				continue
+			}
+			ga.g = ga.g.WithoutLinks(ride)
+			ga.outage = outage
+		}
+		if touched == nil {
+			touched = map[K]bool{}
+		}
+		touched[k] = true
+	}
+	return touched
 }
 
 // outageIntersects reports whether an artifact's outage stamp contains any
@@ -364,11 +335,11 @@ func outageIntersects(outage, restored map[topo.LinkID]bool) bool {
 	return false
 }
 
-// graphCrossesCables reports whether any edge of the product graph rides
-// one of the given physical cables.
-func graphCrossesCables(t *Topology, g *logical.Graph, cables map[topo.LinkID]bool) bool {
+// graphRides reports whether any edge of the product graph rides a link
+// satisfying ride.
+func graphRides(g *logical.Graph, ride func(topo.LinkID) bool) bool {
 	for i := range g.Edges {
-		if l := g.Edges[i].Link; l >= 0 && cables[t.Cable(l)] {
+		if l := g.Edges[i].Link; l >= 0 && ride(l) {
 			return true
 		}
 	}

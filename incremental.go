@@ -3,6 +3,7 @@ package merlin
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"merlin/internal/codegen"
@@ -38,13 +39,11 @@ type Diff = codegen.Diff
 // Compile/Update calls produce output identical to what a fresh Compile
 // of the same policy would, up to solver-equivalent provisioning choices.
 //
-// One cost asymmetry to know about: a delta that interns a new symbol
-// into the shared alphabet (a path expression naming a new function or
-// location) invalidates every cached automaton-derived artifact, because
-// DFA minimization is alphabet-sensitive — and the alphabet cannot
-// shrink, so this holds even if that delta is subsequently rejected. The
-// tick after such a delta pays near-full-compile cost once, then returns
-// to incremental speed.
+// A delta that interns a new symbol into the shared alphabet (a path
+// expression naming a new function or location) drops every cached
+// automaton-derived artifact, because DFA minimization is alphabet-
+// sensitive; the alphabet cannot shrink, so this holds even if that delta
+// is rejected.
 type Compiler struct {
 	mu    sync.Mutex
 	t     *Topology
@@ -56,11 +55,9 @@ type Compiler struct {
 	// and deduplicated); every pass emits exactly these artifacts.
 	targets []string
 
-	// alpha is the shared symbol alphabet. It only grows; alphaGen is
-	// bumped whenever it does, invalidating every cached automaton-derived
-	// artifact (minimization is alphabet-sensitive).
-	alpha    *regex.Alphabet
-	alphaGen int
+	// alpha is the shared symbol alphabet. It only grows, and whenever it
+	// does every cached automaton-derived artifact is dropped.
+	alpha *regex.Alphabet
 
 	// source is the last policy as handed in (pre-preprocessing); Update
 	// deltas apply to it. work/allocs/last mirror the last successful run.
@@ -77,17 +74,21 @@ type Compiler struct {
 	artSource []policy.Statement
 	// lastPlans retains the last full pass's assembled plans so a
 	// caps-only patch can regenerate the IR's cap section without
-	// reassembling; they are sorted lazily on first patch. lastProg is
-	// the last full pass's lowered program — the patch path shallow-
-	// copies it and re-emits only the cap-reachable backends.
+	// reassembling; they are sorted lazily on first patch.
 	lastPlans   []codegen.Plan
 	plansSorted bool
-	lastProg    *codegen.Program
 
-	stmts  map[string]*stmtArtifact
-	graphs map[string]*graphArtifact
-	trees  map[treeKey]*treeArtifact
-	prov   *provArtifact
+	// The artifact caches. Each entry is keyed by the inputs that produced
+	// it and is valid iff present: alphabet growth clears the three
+	// automaton-derived maps, and topology events patch or evict their
+	// product graphs (applyOutage). anchored holds guaranteed statements'
+	// product graphs, graphs the minimized best-effort ones, and trees the
+	// sink trees built on those.
+	stmts    map[string]*stmtArtifact
+	anchored map[anchorKey]*graphArtifact
+	graphs   map[string]*graphArtifact
+	trees    map[treeKey]*sinktree.Tree
+	prov     *provArtifact
 	// dirtyCables accumulates the canonical cable IDs touched by topology
 	// events (failures, recoveries, capacity changes) since the last
 	// successful provisioning pass. While non-empty, the provisioning
@@ -99,16 +100,17 @@ type Compiler struct {
 	dirtyCables map[topo.LinkID]bool
 	// downCables is the set of cables currently out of service (failed
 	// links, plus live cables taken down by a failed endpoint switch).
-	// Product-graph artifacts built while it is non-empty are stamped with
-	// it, so a recovery can evict exactly the artifacts built against the
+	// Product graphs built or patched while it is non-empty are stamped
+	// with it, so a recovery can evict exactly the graphs that describe the
 	// degraded topology. The map is copy-on-write: mutation events install
 	// a fresh map, never edit one a stamped artifact may share. Nil while
 	// the full fabric is live — the common case, making stamps free.
 	downCables map[topo.LinkID]bool
 	// tainted records that the statement cache changed (artifact rebuilt
-	// or pruned) since the last successful pass. A failed pass leaves it
-	// set, so a retry cannot take the codegen patch path against a
-	// last-good output the current artifacts no longer describe.
+	// or pruned) or connectivity changed since the last successful pass. A
+	// failed pass leaves it set, so a retry cannot take the codegen patch
+	// path against a last-good output the current artifacts no longer
+	// describe.
 	tainted bool
 	// hub is the bound negotiation hub (WatchHub), read by Stats to mirror
 	// its counters. The binding is exclusive — rebinding detaches the
@@ -120,8 +122,7 @@ type Compiler struct {
 
 // stmtArtifact caches one statement's phase-1 products. It is valid while
 // the statement's fingerprint (predicate + raw path expression) and the
-// placement table are unchanged; the anchored graph additionally requires
-// the alphabet generation it was built under.
+// placement table are unchanged.
 type stmtArtifact struct {
 	fp   string
 	expr regex.Expr // resolved: placements substituted, identities rewritten
@@ -129,24 +130,24 @@ type stmtArtifact struct {
 	pure bool       // predicate only pins endpoints (ByDestination eligible)
 
 	srcs, dsts []NodeID
-
-	anchored    *logical.Graph // guaranteed statements' product graph
-	anchoredGen int
-	// outage is the compiler's down-cable set when anchored was built (a
-	// shared immutable map; nil means full connectivity). A recovery evicts
-	// the graph only when it restores a cable in this set — any other graph
-	// already saw the restored cable live and cannot gain edges from it.
-	outage map[topo.LinkID]bool
 }
 
-// graphArtifact caches a minimized best-effort product graph per resolved
-// path-expression key.
+// anchorKey identifies a guaranteed statement's anchored product graph:
+// resolved expression key × source × destination. Statements sharing all
+// three share one graph.
+type anchorKey struct {
+	key      string
+	src, dst NodeID
+}
+
+// graphArtifact caches one product graph, anchored or minimized.
 type graphArtifact struct {
-	g       *logical.Graph
-	hasTags bool
-	gen     int
-	// outage mirrors stmtArtifact.outage for the minimized graph; its sink
-	// trees need no stamp of their own because a tree falls with its graph.
+	g *logical.Graph
+	// outage is the compiler's down-cable set when g was built or last
+	// patched (a shared immutable map; nil means full connectivity). A
+	// recovery evicts the graph only when it restores a cable in this set —
+	// any other graph already saw the restored cable live and cannot gain
+	// edges from it. Sink trees need no stamp: a tree falls with its graph.
 	outage map[topo.LinkID]bool
 }
 
@@ -154,11 +155,6 @@ type graphArtifact struct {
 type treeKey struct {
 	key string
 	dst NodeID
-}
-
-type treeArtifact struct {
-	tr  *sinktree.Tree
-	gen int
 }
 
 // provArtifact caches the provisioning inputs and solution. Same inputs →
@@ -183,8 +179,10 @@ type CompilerStats struct {
 	// delta applications.
 	Compiles int
 	Updates  int
-	// StatementBuilds counts per-statement artifact (re)builds;
-	// AnchoredBuilds the anchored product graphs among them.
+	// StatementBuilds counts per-statement artifact (re)builds.
+	// AnchoredBuilds counts the distinct anchored product graphs built
+	// (cache misses, one per expression × source × destination) — a link
+	// failure patches them in place and adds nothing here.
 	StatementBuilds int
 	AnchoredBuilds  int
 	// GraphBuilds and TreeBuilds count minimized product graphs and sink
@@ -210,29 +208,25 @@ type CompilerStats struct {
 	// generation and the caps-only tc patch fast path.
 	FullCodegens    int
 	PatchedCodegens int
-	// TopoEvents counts applied topology events (Delta.Topo / ApplyTopo);
-	// AnchoredInvalidated counts the per-statement anchored product graphs
-	// those events evicted — for a link failure, only the statements whose
-	// graphs crossed the failed cable.
+	// TopoEvents counts applied topology events (Delta.Topo / ApplyTopo).
+	// AnchoredInvalidated counts the anchored product graphs those events
+	// touched: patched in place by a failure (only graphs with an edge on
+	// an affected cable) or evicted by a recovery (only graphs whose
+	// outage stamp holds a restored cable).
 	TopoEvents          int
 	AnchoredInvalidated int
 	// GraphsInvalidated and TreesInvalidated count the minimized
 	// best-effort product graphs and sink trees topology events evicted.
-	// Failures evict selectively — only artifacts whose cable incidence
-	// touches an affected cable — and recoveries are selective too: each
-	// artifact records the cables that were down when it was built, so a
-	// restored link evicts only the artifacts built while it was out (a
-	// graph built under full connectivity cannot gain edges from a
-	// recovery it never saw fail).
+	// Recoveries evict by outage stamp, as for anchored graphs; a sink tree
+	// falls with its graph.
 	GraphsInvalidated int
 	TreesInvalidated  int
 	// GraphsPatched counts minimized best-effort product graphs a failure
 	// repaired in place (edges on affected cables dropped, graph
-	// re-pruned) instead of evicting — the repaired graph is byte-
-	// identical to a cold build on the degraded topology. TreesKept counts
-	// sink trees that survived such a patch because no used path crossed
-	// an affected cable; only trees whose used paths did cross are
-	// invalidated and rebuilt.
+	// re-pruned) — byte-identical to a cold build on the degraded
+	// topology. TreesKept counts sink trees that survived such a patch
+	// because no used path crossed an affected cable; only trees whose
+	// used paths did cross are invalidated and rebuilt.
 	GraphsPatched int
 	TreesKept     int
 	// TernaryEntries totals the ternary table entries expanded for v2
@@ -271,16 +265,17 @@ type CompilerStats struct {
 // the caches describing a network that no longer exists.
 func NewCompiler(t *Topology, place Placement, opts Options) *Compiler {
 	c := &Compiler{
-		t:       t,
-		place:   clonePlacement(place),
-		opts:    opts,
-		ids:     t.Identities(),
-		hosts:   t.Hosts(),
-		targets: resolveTargets(opts.Targets),
-		alpha:   logical.Alphabet(t),
-		stmts:   map[string]*stmtArtifact{},
-		graphs:  map[string]*graphArtifact{},
-		trees:   map[treeKey]*treeArtifact{},
+		t:        t,
+		place:    clonePlacement(place),
+		opts:     opts,
+		ids:      t.Identities(),
+		hosts:    t.Hosts(),
+		targets:  resolveTargets(opts.Targets),
+		alpha:    logical.Alphabet(t),
+		stmts:    map[string]*stmtArtifact{},
+		anchored: map[anchorKey]*graphArtifact{},
+		graphs:   map[string]*graphArtifact{},
+		trees:    map[treeKey]*sinktree.Tree{},
 	}
 	// A topology handed over mid-outage seeds the down-cable set, so
 	// artifacts built before the first recovery still carry honest stamps.
@@ -563,25 +558,22 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 		c.prov = nil
 	}
 	if c.tainted {
-		// The statement set changed this (or a failed earlier) pass:
-		// evict product graphs and sink trees no current statement
-		// references, so policy churn over distinct path expressions
-		// cannot grow the caches without bound. Steady-state ticks skip
-		// the sweep.
+		// The statement set or connectivity changed this (or a failed
+		// earlier) pass: evict product graphs and sink trees no current
+		// statement references, so policy churn over distinct path
+		// expressions cannot grow the caches without bound. Steady-state
+		// ticks skip the sweep.
 		used := make(map[string]bool, len(run.arts))
+		anchors := make(map[anchorKey]bool, len(run.requests))
 		for _, art := range run.arts {
 			used[art.key] = true
-		}
-		for key := range c.graphs {
-			if !used[key] {
-				delete(c.graphs, key)
+			if len(art.srcs) == 1 && len(art.dsts) == 1 {
+				anchors[anchorOf(art)] = true
 			}
 		}
-		for tk := range c.trees {
-			if !used[tk.key] {
-				delete(c.trees, tk)
-			}
-		}
+		maps.DeleteFunc(c.anchored, func(k anchorKey, _ *graphArtifact) bool { return !anchors[k] })
+		maps.DeleteFunc(c.graphs, func(k string, _ *graphArtifact) bool { return !used[k] })
+		maps.DeleteFunc(c.trees, func(k treeKey, _ *sinktree.Tree) bool { return !used[k.key] })
 		c.tainted = false
 	}
 	order := make([]string, len(run.work.Statements))

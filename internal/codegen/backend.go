@@ -84,44 +84,15 @@ const (
 	TargetHost     = "host"
 )
 
-// BackendOptions are per-registration settings for the v2 capability
-// surface: table models and budgets a deployment pins at registration
-// time rather than in the backend's code. Every field is optional — the
-// zero value registers a plain v1 backend.
-type BackendOptions struct {
-	// Models overrides (or, for backends not implementing TableModeler,
-	// supplies) the backend's table model per device class. A model
-	// registered here wins over the backend's own TableModel method.
-	Models map[topo.Kind]TableModel
-	// DeviceBudgets overrides MaxEntries for individual devices by node
-	// name — the escape hatch for a heterogeneous deployment where one
-	// switch model differs from its class. A zero budget means the device
-	// accepts no ternary entries.
-	DeviceBudgets map[string]int
-}
-
-// registration pairs a backend with its registration-time options.
-type registration struct {
-	backend Backend
-	opts    BackendOptions
-}
-
 var (
 	regMu    sync.RWMutex
-	registry = map[string]registration{}
+	registry = map[string]Backend{}
 )
 
 // Register adds a backend to the registry. It panics on an empty name or
 // a duplicate registration — backends are compile-time plumbing, and a
 // collision is a programming error, not a runtime condition.
 func Register(b Backend) {
-	RegisterWith(b, BackendOptions{})
-}
-
-// RegisterWith adds a backend together with per-backend options — table
-// models and device budget overrides the deployment chooses at
-// registration time. Register is the zero-options shorthand.
-func RegisterWith(b Backend, opts BackendOptions) {
 	name := b.Name()
 	if name == "" {
 		panic("codegen: Register with empty backend name")
@@ -131,49 +102,27 @@ func RegisterWith(b Backend, opts BackendOptions) {
 	if _, dup := registry[name]; dup {
 		panic("codegen: duplicate backend " + name)
 	}
-	registry[name] = registration{backend: b, opts: opts}
+	registry[name] = b
 }
 
 // Lookup returns the named backend.
 func Lookup(name string) (Backend, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	r, ok := registry[name]
-	return r.backend, ok
+	b, ok := registry[name]
+	return b, ok
 }
 
 // BackendModel resolves the named backend's table model for a device
-// class: registration options first (RegisterWith), then the backend's
-// own TableModeler declaration. ok is false when the backend is
-// unregistered or declares no model for the class — an unconstrained,
+// class from its TableModeler declaration. ok is false when the backend
+// is unregistered or declares no model for the class — an unconstrained,
 // symbolic-only target.
 func BackendModel(name string, class topo.Kind) (TableModel, bool) {
-	regMu.RLock()
-	r, registered := registry[name]
-	regMu.RUnlock()
-	if !registered {
-		return TableModel{}, false
-	}
-	if m, ok := r.opts.Models[class]; ok {
-		return m, true
-	}
-	if tm, ok := r.backend.(TableModeler); ok {
+	b, _ := Lookup(name)
+	if tm, ok := b.(TableModeler); ok {
 		return tm.TableModel(class)
 	}
 	return TableModel{}, false
-}
-
-// DeviceBudget resolves a registration-time per-device budget override
-// for the named backend, by device name.
-func DeviceBudget(name, device string) (int, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	r, ok := registry[name]
-	if !ok {
-		return 0, false
-	}
-	budget, ok := r.opts.DeviceBudgets[device]
-	return budget, ok
 }
 
 // Names lists the registered backends, sorted.

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"merlin/internal/pred"
@@ -19,26 +18,19 @@ import (
 // changes.
 
 // TableModel describes one device class's match table as a backend sees
-// it: how many ternary entries fit, how wide the key is, and whether the
-// hardware matches port ranges natively (no → each range costs its
-// prefix cover in entries).
+// it: how many ternary entries fit, and whether the hardware matches port
+// ranges natively (no → each range costs its prefix cover in entries).
 type TableModel struct {
 	// MaxEntries is the table capacity in ternary entries; 0 means
 	// unconstrained (no budget is derived from this model).
 	MaxEntries int
-	// Width is the match key width in bits the table can hold. A model
-	// narrower than ternary.Width() cannot carry full-fidelity
-	// classification; the compiler does not slice keys, so Width is
-	// advisory (backends may reject programs needing more).
-	Width int
 	// SupportsRange keeps port ranges as single native range matches
 	// instead of expanding them to prefixes.
 	SupportsRange bool
 }
 
 // TableModeler is the optional v2 interface through which a backend
-// declares its table model per device class. Registration options
-// (RegisterWith / BackendOptions.Models) override it.
+// declares its table model per device class.
 type TableModeler interface {
 	// TableModel reports the model for a device class; ok false means
 	// the class is unconstrained for this backend.
@@ -300,21 +292,4 @@ func resolveValue(ids *topo.IdentityTable, f pred.Field, v string) (string, bool
 		return "", false
 	}
 	return want, true
-}
-
-// CheckBudgets compares an expansion's per-device counts against a
-// budget map (absent device = unlimited), returning a typed overflow
-// error naming every violating device, or nil.
-func CheckBudgets(t *topo.Topology, tables *TernaryTables, budgets map[topo.NodeID]int, target string) error {
-	var over []TableOverflow
-	for dev, budget := range budgets {
-		if n := tables.PerDevice[dev]; n > budget {
-			over = append(over, TableOverflow{Device: dev, Name: t.Node(dev).Name, Entries: n, Budget: budget})
-		}
-	}
-	if len(over) == 0 {
-		return nil
-	}
-	sort.Slice(over, func(i, j int) bool { return over[i].Device < over[j].Device })
-	return &TableOverflowError{Target: target, Overflows: over}
 }

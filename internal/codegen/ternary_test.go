@@ -1,8 +1,6 @@
 package codegen
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"merlin/internal/pred"
@@ -22,11 +20,11 @@ func (f fakeV2) TableModel(class topo.Kind) (TableModel, bool) {
 	if class != topo.Switch {
 		return TableModel{}, false
 	}
-	return TableModel{MaxEntries: 100, Width: 296, SupportsRange: false}, true
+	return TableModel{MaxEntries: 100, SupportsRange: false}, true
 }
 
 func TestBackendModelPrecedence(t *testing.T) {
-	// A plain registration exposes the backend's own TableModeler.
+	// A registered backend exposes its own TableModeler declaration.
 	Register(fakeV2{name: "fake-v2-own"})
 	m, ok := BackendModel("fake-v2-own", topo.Switch)
 	if !ok || m.MaxEntries != 100 {
@@ -34,29 +32,6 @@ func TestBackendModelPrecedence(t *testing.T) {
 	}
 	if _, ok := BackendModel("fake-v2-own", topo.Host); ok {
 		t.Fatal("host class must be unconstrained")
-	}
-
-	// Registration options win over the backend's own declaration, and
-	// supply models for classes the backend declares none for.
-	RegisterWith(fakeV2{name: "fake-v2-opts"}, BackendOptions{
-		Models: map[topo.Kind]TableModel{
-			topo.Switch: {MaxEntries: 7, Width: 296, SupportsRange: true},
-			topo.Host:   {MaxEntries: 3},
-		},
-		DeviceBudgets: map[string]int{"core0": 2},
-	})
-	m, ok = BackendModel("fake-v2-opts", topo.Switch)
-	if !ok || m.MaxEntries != 7 || !m.SupportsRange {
-		t.Fatalf("registration model did not win: %+v, %v", m, ok)
-	}
-	if m, ok = BackendModel("fake-v2-opts", topo.Host); !ok || m.MaxEntries != 3 {
-		t.Fatalf("options-supplied host model = %+v, %v", m, ok)
-	}
-	if b, ok := DeviceBudget("fake-v2-opts", "core0"); !ok || b != 2 {
-		t.Fatalf("device budget = %d, %v", b, ok)
-	}
-	if _, ok := DeviceBudget("fake-v2-opts", "core1"); ok {
-		t.Fatal("unlisted device must have no budget override")
 	}
 
 	// Unregistered and model-free backends are unconstrained.
@@ -189,34 +164,5 @@ func TestExpandProgramResolvesIdentities(t *testing.T) {
 	// A value no host owns still fails with the encoder's error.
 	if _, err := ExpandProgram(tp, rule(pred.Test{Field: "eth.src", Value: "nobody"}), ternary.Options{}); err == nil {
 		t.Error("unknown identity expanded without error")
-	}
-}
-
-func TestCheckBudgets(t *testing.T) {
-	tp := topo.Linear(3, topo.Gbps)
-	s1, s2 := tp.MustLookup("s1"), tp.MustLookup("s2")
-	tables := &TernaryTables{PerDevice: map[topo.NodeID]int{s1: 5, s2: 3}}
-	if err := CheckBudgets(tp, tables, map[topo.NodeID]int{s1: 5, s2: 3}, "tcam"); err != nil {
-		t.Fatalf("at-budget tables rejected: %v", err)
-	}
-	err := CheckBudgets(tp, tables, map[topo.NodeID]int{s1: 4, s2: 2}, "tcam")
-	var of *TableOverflowError
-	if !errors.As(err, &of) {
-		t.Fatalf("expected *TableOverflowError, got %v", err)
-	}
-	if of.Target != "tcam" || len(of.Overflows) != 2 {
-		t.Fatalf("overflow = %+v", of)
-	}
-	// Sorted by device, names resolved.
-	if of.Overflows[0].Device > of.Overflows[1].Device {
-		t.Error("overflows not sorted by device")
-	}
-	for _, o := range of.Overflows {
-		if o.Name == "" || o.Entries <= o.Budget {
-			t.Errorf("bad overflow record: %+v", o)
-		}
-	}
-	if msg := of.Error(); !strings.Contains(msg, "tcam") || !strings.Contains(msg, "s1 needs 5 entries (budget 4)") {
-		t.Errorf("error text = %q", msg)
 	}
 }

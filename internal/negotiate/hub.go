@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"merlin/internal/codegen"
 	"merlin/internal/policy"
-	"merlin/internal/ternary"
 	"merlin/internal/verify"
 )
 
@@ -29,9 +27,9 @@ import (
 //     per window instead of one per tenant.
 //   - Incremental verification with admission control. A Propose is
 //     verified against the session's delegated baseline through a
-//     verify.Cache — an unchanged child is a fingerprint hit, a delta
-//     proposal re-runs only the changed pairs — and a failed containment
-//     check rejects the proposal outright instead of recompiling.
+//     verify.Cache — an unchanged child is a fingerprint hit — and a
+//     failed containment check rejects the proposal outright instead of
+//     recompiling.
 //     Reallocation ticks skip verification entirely: every emitted
 //     allocation is clamped to the session's delegated budget, so the
 //     refinement holds by construction.
@@ -62,12 +60,11 @@ type Hub struct {
 	cache    *verify.Cache
 	onCommit CommitFunc
 
-	ticksBatched        int
-	demandsBatched      int
-	allocsChanged       int
-	proposalsAccepted   int
-	proposalsRejected   int
-	proposalsOverBudget int
+	ticksBatched      int
+	demandsBatched    int
+	allocsChanged     int
+	proposalsAccepted int
+	proposalsRejected int
 }
 
 // HubOptions tune a Hub.
@@ -78,15 +75,6 @@ type HubOptions struct {
 	// MMFS ticks divide each shard's capacity max-min fairly across the
 	// declared demands instead of running per-session AIMD controllers.
 	MMFS bool
-	// TableBudgets, when non-empty, enables dataplane admission control:
-	// Propose estimates the ternary-expanded entry count of the refined
-	// statements' classifiers and rejects the proposal with a
-	// *codegen.TableOverflowError if that estimate exceeds any listed
-	// device's budget. The check is conservative — placement is not known
-	// until recompile, so every proposal entry is assumed to land on each
-	// budgeted device — which keeps admission O(proposal) instead of
-	// O(compile). Keys are topology node names.
-	TableBudgets map[string]int
 }
 
 // HubStats is a snapshot of the hub counters.
@@ -104,10 +92,6 @@ type HubStats struct {
 	// rejections are admission control — no recompile happens.
 	ProposalsAccepted int
 	ProposalsRejected int
-	// ProposalsOverBudget counts the rejections (included in
-	// ProposalsRejected) where the refinement verified but the estimated
-	// table expansion exceeded a configured device budget.
-	ProposalsOverBudget int
 	// VerifyCacheHits/Misses mirror the verification cache's policy-level
 	// counters.
 	VerifyCacheHits   int
@@ -211,13 +195,12 @@ func (h *Hub) OnCommit(fn CommitFunc) {
 func (h *Hub) Stats() HubStats {
 	h.mu.Lock()
 	st := HubStats{
-		TenantsActive:       len(h.sessions),
-		TicksBatched:        h.ticksBatched,
-		DemandsBatched:      h.demandsBatched,
-		AllocsChanged:       h.allocsChanged,
-		ProposalsAccepted:   h.proposalsAccepted,
-		ProposalsRejected:   h.proposalsRejected,
-		ProposalsOverBudget: h.proposalsOverBudget,
+		TenantsActive:     len(h.sessions),
+		TicksBatched:      h.ticksBatched,
+		DemandsBatched:    h.demandsBatched,
+		AllocsChanged:     h.allocsChanged,
+		ProposalsAccepted: h.proposalsAccepted,
+		ProposalsRejected: h.proposalsRejected,
 	}
 	h.mu.Unlock()
 	cs := h.cache.Stats()
@@ -585,51 +568,13 @@ func (s *Session) budget() float64 {
 	return s.budgetMax
 }
 
-// admitBudgets is the dataplane admission pre-check: with TableBudgets
-// configured, the ternary-expanded entry estimate of the refined
-// statements' classifiers must fit every budgeted device. Placement is
-// unknown until the accepted proposal recompiles, so the estimate is the
-// conservative worst case — the whole proposal landing on one device.
-// Called with the hub lock held.
-func (h *Hub) admitBudgets(refined *policy.Policy) error {
-	if len(h.opts.TableBudgets) == 0 {
-		return nil
-	}
-	entries := 0
-	for _, st := range refined.Statements {
-		n, err := codegen.EstimateRuleEntries(
-			codegen.Rule{Match: codegen.Match{Pred: st.Predicate}},
-			ternary.Options{}, nil)
-		if err != nil {
-			return fmt.Errorf("negotiate: estimating table entries for statement %q: %w", st.ID, err)
-		}
-		entries += n
-	}
-	names := make([]string, 0, len(h.opts.TableBudgets))
-	for name := range h.opts.TableBudgets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var over []codegen.TableOverflow
-	for _, name := range names {
-		if budget := h.opts.TableBudgets[name]; entries > budget {
-			over = append(over, codegen.TableOverflow{Device: -1, Name: name, Entries: entries, Budget: budget})
-		}
-	}
-	if len(over) > 0 {
-		return &codegen.TableOverflowError{Overflows: over}
-	}
-	return nil
-}
-
 // Propose submits a refined sub-policy for the tenant's delegation: the
 // session's statements are replaced on acceptance. Verification runs
 // against the session's registration-time delegation — a fixed module
 // interface, not the tenant's last accepted policy — so a tenant that
 // narrowed its paths or shrank its caps may later widen back, as long as
 // it stays inside what it was delegated. The check goes through the hub's
-// verification cache: an unchanged proposal is a fingerprint hit, and a
-// delta proposal re-verifies only the changed statement pairs. A failed
+// verification cache: an unchanged proposal is a fingerprint hit. A failed
 // containment check is admission control: the proposal is rejected, no
 // recompile happens, and the committed policy is untouched. The first
 // return reports whether the accepted change needs global recompilation
@@ -648,11 +593,6 @@ func (h *Hub) Propose(tenant string, refined *policy.Policy) (recompile bool, er
 	if !rep.OK() {
 		h.proposalsRejected++
 		return false, rep.Err()
-	}
-	if err := h.admitBudgets(refined); err != nil {
-		h.proposalsRejected++
-		h.proposalsOverBudget++
-		return false, err
 	}
 	refAllocs, err := policy.Localize(refined.Formula, nil)
 	if err != nil {

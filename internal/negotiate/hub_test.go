@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"merlin/internal/codegen"
 	"merlin/internal/policy"
 	"merlin/internal/pred"
 	"merlin/internal/verify"
@@ -495,66 +494,5 @@ func TestMaxMinFairShareProperties(t *testing.T) {
 				t.Fatalf("not permutation-equivariant: %v vs %v", gotShuffled[i], got[p])
 			}
 		}
-	}
-}
-
-// TestHubProposeBudgetAdmission covers the dataplane admission pre-check:
-// with TableBudgets configured, a proposal whose estimated ternary
-// expansion exceeds a device budget is rejected with the codegen typed
-// error before any splice, while the same proposal passes under a
-// generous budget.
-func TestHubProposeBudgetAdmission(t *testing.T) {
-	base := `[ x : tcp.dst = 80 -> .* ], max(x, 100MB/s)`
-	refined := mustPolicy(t, `
-[ p : (tcp.dst = 80 and ip.src = 10.0.0.1) -> .* ;
-  q : (tcp.dst = 80 and !(ip.src = 10.0.0.1)) -> .* ],
-max(p, 50MB/s) and max(q, 50MB/s)
-`)
-	newBudgetHub := func(budget int) *Hub {
-		t.Helper()
-		h, err := NewHub(mustPolicy(t, base), HubOptions{
-			TableBudgets: map[string]int{"tor3": budget},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AddShard("core", 1e12); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Register("a", "core", []string{"x"}, AIMDState{}); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	// Generous budget: the verified refinement is admitted unchanged.
-	h := newBudgetHub(1 << 20)
-	if _, err := h.Propose("a", refined); err != nil {
-		t.Fatalf("refinement rejected under generous budget: %v", err)
-	}
-	if st := h.Stats(); st.ProposalsAccepted != 1 || st.ProposalsOverBudget != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// One-entry budget: two statements estimate to at least two entries,
-	// so admission rejects with the typed overflow naming the device.
-	h = newBudgetHub(1)
-	_, err := h.Propose("a", refined)
-	var toe *codegen.TableOverflowError
-	if !errors.As(err, &toe) {
-		t.Fatalf("want *codegen.TableOverflowError, got %v", err)
-	}
-	if len(toe.Overflows) != 1 || toe.Overflows[0].Name != "tor3" || toe.Overflows[0].Budget != 1 {
-		t.Fatalf("overflows = %+v", toe.Overflows)
-	}
-	if toe.Overflows[0].Entries <= 1 {
-		t.Fatalf("estimate %d should exceed the budget", toe.Overflows[0].Entries)
-	}
-	st := h.Stats()
-	if st.ProposalsRejected != 1 || st.ProposalsOverBudget != 1 || st.ProposalsAccepted != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if pol := h.Policy(); len(pol.Statements) != 1 || pol.Statements[0].ID != "x" {
-		t.Fatalf("rejected proposal mutated the policy: %v", pol.Statements)
 	}
 }

@@ -327,38 +327,6 @@ func TestLocalizeUnmentioned(t *testing.T) {
 	}
 }
 
-func TestPreprocessRequireDisjoint(t *testing.T) {
-	pol := MustParse(`[ a : tcp.dst = 80 -> .* ; b : ip.proto = 6 -> .* ]`, Env{})
-	if _, err := Preprocess(pol, PreprocessOptions{RequireDisjoint: true}); err == nil {
-		t.Fatal("overlapping statements should be rejected")
-	}
-	disjoint := MustParse(`[ a : tcp.dst = 80 -> .* ; b : tcp.dst = 22 -> .* ]`, Env{})
-	if _, err := Preprocess(disjoint, PreprocessOptions{RequireDisjoint: true}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPreprocessMakeDisjoint(t *testing.T) {
-	pol := MustParse(`[ a : tcp.dst = 80 -> .* ; b : ip.proto = 6 -> .* ]`, Env{})
-	out, err := Preprocess(pol, PreprocessOptions{MakeDisjoint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// b must now exclude a's packets.
-	pkt := map[pred.Field]string{"tcp.dst": "80", "ip.proto": "6"}
-	if pred.Matches(out.Statements[1].Predicate, pkt) {
-		t.Error("first-match rewrite failed: b still matches a's packets")
-	}
-	pkt2 := map[pred.Field]string{"tcp.dst": "22", "ip.proto": "6"}
-	if !pred.Matches(out.Statements[1].Predicate, pkt2) {
-		t.Error("b should still match its own packets")
-	}
-	// The original policy is unchanged.
-	if !pred.Matches(pol.Statements[1].Predicate, pkt) {
-		t.Error("Preprocess mutated its input")
-	}
-}
-
 func TestPreprocessAddDefault(t *testing.T) {
 	pol := MustParse(`[ a : tcp.dst = 80 -> .* ]`, Env{})
 	out, err := Preprocess(pol, PreprocessOptions{AddDefault: true})
@@ -367,6 +335,9 @@ func TestPreprocessAddDefault(t *testing.T) {
 	}
 	if len(out.Statements) != 2 {
 		t.Fatalf("statements = %d, want 2", len(out.Statements))
+	}
+	if len(pol.Statements) != 1 {
+		t.Error("Preprocess mutated its input")
 	}
 	def := out.Statements[1]
 	if def.ID != DefaultStatementID {

@@ -13,50 +13,20 @@ const DefaultStatementID = "default"
 
 // PreprocessOptions configure the §2.1 pre-processor.
 type PreprocessOptions struct {
-	// MakeDisjoint rewrites overlapping predicates into first-match
-	// semantics (statement i keeps only packets matched by no earlier
-	// statement) instead of rejecting the policy.
-	MakeDisjoint bool
-	// RequireDisjoint, when MakeDisjoint is false, errors on overlap.
-	// When both are false overlaps are silently allowed (useful for
-	// delegated sub-policies that deliberately share parents' scopes).
-	RequireDisjoint bool
 	// AddDefault appends a best-effort ".*" statement matching all
 	// packets no other statement classifies, making the policy total.
 	AddDefault bool
 }
 
-// Preprocess enforces the language's well-formedness requirements: the
-// statements of a policy must have pairwise-disjoint predicates and
-// together match all packets (§2.1). The input policy is not modified; a
-// rewritten copy is returned.
+// Preprocess enforces the language's totality requirement (§2.1): with
+// AddDefault, the statements together match all packets. Overlapping
+// predicates are allowed; the compiler gives them first-match semantics
+// through rule priorities. The input policy is not modified; a rewritten
+// copy is returned.
 func Preprocess(p *Policy, opts PreprocessOptions) (*Policy, error) {
 	out := &Policy{
 		Statements: append([]Statement(nil), p.Statements...),
 		Formula:    p.Formula,
-	}
-	if opts.MakeDisjoint {
-		var earlier []pred.Pred
-		for i, s := range out.Statements {
-			if len(earlier) > 0 {
-				refined := pred.Conj(s.Predicate, pred.Negate(pred.Disj(earlier...)))
-				out.Statements[i].Predicate = refined
-			}
-			earlier = append(earlier, s.Predicate)
-		}
-	} else if opts.RequireDisjoint {
-		preds := make([]pred.Pred, len(out.Statements))
-		for i, s := range out.Statements {
-			preds[i] = s.Predicate
-		}
-		ok, i, j, err := pred.PairwiseDisjoint(preds)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("policy: statements %q and %q have overlapping predicates",
-				out.Statements[i].ID, out.Statements[j].ID)
-		}
 	}
 	if opts.AddDefault {
 		preds := make([]pred.Pred, len(out.Statements))

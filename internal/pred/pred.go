@@ -393,24 +393,6 @@ func Covers(whole Pred, ps []Pred) (bool, error) {
 	return Implies(whole, Disj(ps...))
 }
 
-// PairwiseDisjoint reports whether all predicates are mutually disjoint, as
-// the language requires of top-level statements (§2.1). On failure it
-// returns the indices of the first overlapping pair.
-func PairwiseDisjoint(ps []Pred) (bool, int, int, error) {
-	for i := 0; i < len(ps); i++ {
-		for j := i + 1; j < len(ps); j++ {
-			d, err := Disjoint(ps[i], ps[j])
-			if err != nil {
-				return false, 0, 0, err
-			}
-			if !d {
-				return false, i, j, nil
-			}
-		}
-	}
-	return true, 0, 0, nil
-}
-
 // OnlyFields reports whether every atom of p tests a field accepted by
 // ok. It is the allocation-free form of Fields for yes/no queries on the
 // compiler's hot path.

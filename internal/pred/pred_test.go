@@ -141,9 +141,9 @@ func TestSection41Partition(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("partition should cover tcp: %v %v", ok, err)
 	}
-	d, _, _, err := PairwiseDisjoint([]Pred{web, rest})
-	if err != nil || !d {
-		t.Fatalf("partition should be disjoint: %v %v", d, err)
+	ov, err := Overlaps(web, rest)
+	if err != nil || ov {
+		t.Fatalf("partition should be disjoint: overlaps=%v %v", ov, err)
 	}
 	// A lossy partition must be detected.
 	ok, err = Covers(tcp, []Pred{web})
@@ -160,22 +160,6 @@ func TestEquivalentDeMorgan(t *testing.T) {
 	eq, err := Equivalent(lhs, rhs)
 	if err != nil || !eq {
 		t.Fatalf("De Morgan equivalence failed: %v %v", eq, err)
-	}
-}
-
-func TestPairwiseDisjointReportsPair(t *testing.T) {
-	a := atom("tcp.dst", "80")
-	b := atom("tcp.dst", "22")
-	c := atom("ip.proto", "6")
-	ok, i, j, err := PairwiseDisjoint([]Pred{a, b, c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("a and c overlap; PairwiseDisjoint should fail")
-	}
-	if i != 0 || j != 2 {
-		t.Fatalf("overlap pair = (%d,%d), want (0,2)", i, j)
 	}
 }
 

@@ -30,10 +30,7 @@ const Name = "tcam"
 // Switch table model: a merchant-silicon ingress TCAM slice — a few
 // thousand ternary entries over the full canonical header key, with no
 // native range matching (ranges cost their prefix cover).
-const (
-	SwitchMaxEntries = 4096
-	switchKeySlack   = 64 // structural key bits (port, tag) beside the header row
-)
+const SwitchMaxEntries = 4096
 
 type backend struct{}
 
@@ -48,7 +45,6 @@ func (backend) TableModel(class topo.Kind) (codegen.TableModel, bool) {
 	}
 	return codegen.TableModel{
 		MaxEntries:    SwitchMaxEntries,
-		Width:         ternary.Width() + switchKeySlack,
 		SupportsRange: false,
 	}, true
 }

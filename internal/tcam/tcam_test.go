@@ -10,7 +10,6 @@ import (
 	merlin "merlin"
 	"merlin/internal/codegen"
 	"merlin/internal/tcam"
-	"merlin/internal/ternary"
 	"merlin/internal/topo"
 	"merlin/internal/zoo"
 )
@@ -63,9 +62,6 @@ func TestTableModel(t *testing.T) {
 	}
 	if m.MaxEntries != tcam.SwitchMaxEntries || m.SupportsRange {
 		t.Fatalf("switch model = %+v", m)
-	}
-	if m.Width < ternary.Width() {
-		t.Fatalf("model width %d narrower than the canonical key (%d)", m.Width, ternary.Width())
 	}
 	for _, class := range []topo.Kind{topo.Host, topo.Middlebox} {
 		if _, ok := codegen.BackendModel(tcam.Name, class); ok {

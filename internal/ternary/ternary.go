@@ -134,16 +134,6 @@ func FieldBits(f pred.Field) (int, bool) {
 	return b, ok
 }
 
-// Width is the total canonical key width in bits — what a backend's
-// TableModel.Width must cover for full-fidelity classification.
-func Width() int {
-	w := 0
-	for _, f := range fieldOrder {
-		w += fieldBits[f]
-	}
-	return w
-}
-
 // ParseValue interprets one test value for a field: an exact value
 // (lo == hi) or, on the port fields, an inclusive "lo-hi" range. MAC
 // fields take the colon-hex form, IP fields dotted quads, and numeric

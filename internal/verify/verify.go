@@ -12,6 +12,7 @@ import (
 
 	"merlin/internal/policy"
 	"merlin/internal/pred"
+	"merlin/internal/regex"
 )
 
 // Options tune verification.
@@ -70,29 +71,17 @@ func (r *Report) Err() error {
 // CheckRefinement verifies that refined is a valid refinement of original:
 // only more restrictive, never more permissive (§4.2).
 func CheckRefinement(original, refined *policy.Policy, opts Options) (*Report, error) {
-	return checkRefinement(original, refined, opts, nil)
-}
-
-// checkRefinement is CheckRefinement with an optional pair-level memo (a
-// nil memo runs every decision procedure directly). The Report's counters
-// record actual decision-procedure invocations, so memo hits do not
-// inflate them — that is the observable contract the incremental-
-// verification tests pin down.
-func checkRefinement(original, refined *policy.Policy, opts Options, m *cacheMemo) (*Report, error) {
-	m.begin(original, refined)
 	rep := &Report{}
 	// Map each original statement to the refined statements overlapping it.
 	overlaps := make([][]int, len(original.Statements))
 	claimed := make([]bool, len(refined.Statements))
 	for i, o := range original.Statements {
 		for j, r := range refined.Statements {
-			ov, hit, err := m.overlaps(i, j, o.Predicate, r.Predicate)
+			ov, err := pred.Overlaps(o.Predicate, r.Predicate)
 			if err != nil {
 				return nil, err
 			}
-			if !hit {
-				rep.PredicateChecks++
-			}
+			rep.PredicateChecks++
 			if ov {
 				overlaps[i] = append(overlaps[i], j)
 				claimed[j] = true
@@ -111,11 +100,11 @@ func checkRefinement(original, refined *policy.Policy, opts Options, m *cacheMem
 		}
 	}
 	// Localized bandwidth views for the implication check.
-	origAlloc, err := m.localize(original.Formula)
+	origAlloc, err := policy.Localize(original.Formula, nil)
 	if err != nil {
 		return nil, err
 	}
-	refAlloc, err := m.localize(refined.Formula)
+	refAlloc, err := policy.Localize(refined.Formula, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -165,13 +154,11 @@ func checkRefinement(original, refined *policy.Policy, opts Options, m *cacheMem
 		var sumMax, sumMin float64
 		for _, j := range js {
 			r := refined.Statements[j]
-			ok, witness, hit, err := m.includes(i, j, r.Path, o.Path, opts.Minimize)
+			ok, witness, err := regex.Includes(r.Path, o.Path, regex.Options{Minimize: opts.Minimize})
 			if err != nil {
 				return nil, err
 			}
-			if !hit {
-				rep.PathChecks++
-			}
+			rep.PathChecks++
 			if !ok {
 				rep.Violations = append(rep.Violations, Violation{
 					Kind:     "path",

@@ -61,15 +61,15 @@
 // Hardware-shaped targets use the backend API v2, a capability surface
 // discovered by type assertion on the same Backend value: a backend
 // implementing codegen.TableModeler declares a TableModel (table
-// capacity, key width, native range support) per device class, and one
+// capacity, native range support) per device class, and one
 // implementing codegen.TernaryEmitter receives the compiler's expanded
 // ternary tables — real value/mask TCAM rows, port ranges expanded to
 // prefix covers — instead of rendering symbolic predicates itself. The
 // bundled "tcam" backend is the reference consumer: a vendor-CLI
 // renderer whose per-switch entry counts are checked against each
 // device's table budget before emission. Budgets come from the targeted
-// backends' models, from RegisterBackendWith options, or per device from
-// Options.TableBudgets; when a placement would overflow a device's
+// backends' models, overridden per device by Options.TableBudgets (what
+// merlinc -budget sets). When a placement would overflow a device's
 // table, the compiler re-places the guaranteed traffic through the
 // provisioning MIP with the budgets as placement constraints, and
 // rejects with the typed *TableOverflowError only when that is
@@ -185,12 +185,9 @@ type (
 	// ArtifactDiff is a backend's install/remove delta in native form.
 	ArtifactDiff = codegen.ArtifactDiff
 	// TableModel describes one device class's ternary match table
-	// (capacity, key width, native range support) — what a v2 backend
-	// declares through codegen.TableModeler or registration options.
+	// (capacity, native range support) — what a v2 backend declares
+	// through codegen.TableModeler.
 	TableModel = codegen.TableModel
-	// BackendOptions carries per-registration v2 settings (table models,
-	// per-device budget overrides) for RegisterBackendWith.
-	BackendOptions = codegen.BackendOptions
 	// TableOverflow is one device's table-budget violation.
 	TableOverflow = codegen.TableOverflow
 	// TableOverflowError is the typed error a compile returns when a
@@ -203,13 +200,9 @@ type (
 // families register once and become valid Options.Targets names.
 var (
 	RegisterBackend = codegen.Register
-	// RegisterBackendWith registers a backend together with v2 options —
-	// table models per device class and per-device budget overrides —
-	// without the backend having to implement TableModeler itself.
-	RegisterBackendWith = codegen.RegisterWith
-	LookupBackend       = codegen.Lookup
-	BackendNames        = codegen.Names
-	DefaultTargets      = codegen.DefaultTargets
+	LookupBackend   = codegen.Lookup
+	BackendNames    = codegen.Names
+	DefaultTargets  = codegen.DefaultTargets
 )
 
 // Capacity units (bits per second).
