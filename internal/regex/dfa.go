@@ -313,22 +313,40 @@ func (d *DFA) Minimize() *DFA {
 			}
 		}
 	}
-	// Build the quotient automaton.
+	// Build the quotient automaton, numbering its states breadth-first
+	// from the start block over ascending symbols. Block ids depend on the
+	// order splits happened in; the minimal DFA does not, so this
+	// numbering makes the result a function of the language alone.
+	canon := make([]int, len(blocks))
+	for i := range canon {
+		canon[i] = -1
+	}
+	canon[part[0]] = 0 // state 0 is the renumbered start
+	queue := []int{part[0]}
+	for i := 0; i < len(queue); i++ {
+		q := blocks[queue[i]][0]
+		for sym := 0; sym < size; sym++ {
+			if b := part[trans[q][sym]]; canon[b] < 0 {
+				canon[b] = len(queue)
+				queue = append(queue, b)
+			}
+		}
+	}
 	out := &DFA{
 		Alphabet: d.Alphabet,
 		States:   len(blocks),
-		Start:    part[0], // state 0 is the renumbered start
+		Start:    0,
 		Accept:   make([]bool, len(blocks)),
 		Trans:    make([][]int, len(blocks)),
 	}
-	for b, states := range blocks {
-		q := states[0]
-		out.Accept[b] = accept[q]
+	for id, b := range queue {
+		q := blocks[b][0]
+		out.Accept[id] = accept[q]
 		row := make([]int, size)
 		for sym := 0; sym < size; sym++ {
-			row[sym] = part[trans[q][sym]]
+			row[sym] = canon[part[trans[q][sym]]]
 		}
-		out.Trans[b] = row
+		out.Trans[id] = row
 	}
 	return out
 }

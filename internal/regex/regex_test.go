@@ -3,6 +3,7 @@ package regex
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,6 +242,30 @@ func TestMinimizeReachesCanonicalSize(t *testing.T) {
 	m := n.Determinize().Minimize()
 	if m.States != 1 {
 		t.Errorf("universal language minimized to %d states, want 1", m.States)
+	}
+}
+
+// TestMinimizeIsCanonical minimizes two expressions whose Hopcroft runs
+// split several blocks per splitter over a 10-symbol alphabet. The result
+// must not depend on the order blocks were split in: start is 0 and the
+// states are numbered breadth-first over ascending symbols, every run.
+func TestMinimizeIsCanonical(t *testing.T) {
+	alpha := NewAlphabet([]string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"})
+	for _, src := range []string{".* a . . . .", "(a .*) | (b . .) | (c . . . .)"} {
+		n, err := Compile(MustParse(src), alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := n.Determinize().Minimize()
+		if first.Start != 0 {
+			t.Errorf("%q: minimized start is %d, want 0", src, first.Start)
+		}
+		for run := 1; run < 100; run++ {
+			m := n.Determinize().Minimize()
+			if m.Start != first.Start || !reflect.DeepEqual(m.Accept, first.Accept) || !reflect.DeepEqual(m.Trans, first.Trans) {
+				t.Fatalf("%q: run %d minimized to a different numbering than run 0", src, run)
+			}
+		}
 	}
 }
 
