@@ -47,3 +47,42 @@ func TestDefaultStatementCompileScale(t *testing.T) {
 		t.Fatal("two compiles of the same policy produced different outputs")
 	}
 }
+
+// TestGuaranteedCompileScale compiles 96 region-confined tenant
+// guarantees on a k=16 fat tree (1,024 hosts). Every guarantee's anchored
+// product graph determinizes and minimizes an automaton over the whole
+// 1,344-location alphabet, so each automaton step must cost one move per
+// symbol class, not one per location: the compile has to finish in
+// seconds and stay deterministic.
+func TestGuaranteedCompileScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 96-guarantee k=16 fat tree; skipped in -short")
+	}
+	sc, err := corpus.Generate(corpus.Spec{Topo: "fattree-k16", Suite: "tenants", Seed: 1, Tenants: 16, Guarantees: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sc.Guarantee); n != 96 {
+		t.Fatalf("scenario has %d guarantees, want 96", n)
+	}
+	pol, err := merlin.ParsePolicy(sc.PolicyText, sc.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() *merlin.Result {
+		t.Helper()
+		start := time.Now()
+		res, err := merlin.Compile(pol, sc.Topology, sc.Placement, merlin.Options{NoDefault: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("compile took %v, want under 5s", d)
+		}
+		return res
+	}
+	a, b := compile(), compile()
+	if !reflect.DeepEqual(a.Outputs, b.Outputs) {
+		t.Fatal("two compiles of the same policy produced different outputs")
+	}
+}

@@ -1,10 +1,6 @@
 package regex
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "encoding/binary"
 
 // DFA is a complete deterministic automaton: every state has exactly one
 // successor per alphabet symbol (a dead state absorbs non-matches).
@@ -17,41 +13,56 @@ type DFA struct {
 }
 
 // Determinize performs the subset construction, producing a complete DFA.
+// Each subset is stepped once per symbol class — symbols lying in the same
+// NFA edge sets lead every subset to the same successor — in ascending
+// least-symbol order, which discovers states in the order stepping every
+// symbol would; the row entry is then copied to the class's other symbols.
 func (n *NFA) Determinize() *DFA {
 	size := n.Alphabet.Size()
-	// Index NFA edges by source for the move computation.
-	outByState := make([][]Edge, n.States)
-	for _, e := range n.Edges {
-		outByState[e.From] = append(outByState[e.From], e)
+	sc := n.symbolClasses()
+	// Index NFA edges by source, each with the classes its set contains.
+	type move struct {
+		to      int
+		classes []int32
 	}
-	key := func(set []bool) string {
-		var sb strings.Builder
-		for q, in := range set {
-			if in {
-				fmt.Fprintf(&sb, "%d,", q)
+	out := make([][]move, n.States)
+	for _, e := range n.Edges {
+		var classes []int32
+		for k, rep := range sc.reps {
+			if e.Set.Has(rep) {
+				classes = append(classes, int32(k))
 			}
 		}
-		return sb.String()
+		if len(classes) > 0 {
+			out[e.From] = append(out[e.From], move{e.To, classes})
+		}
 	}
-	start := make([]bool, n.States)
-	start[n.Start] = true
-	n.closure(start)
-
+	// Subsets are state bitsets, keyed in ids by their bytes.
+	accept := NewSymSet(n.States)
+	for q, a := range n.Accept {
+		if a {
+			accept.Add(q)
+		}
+	}
 	d := &DFA{Alphabet: n.Alphabet}
 	ids := map[string]int{}
-	var sets [][]bool
-	newState := func(set []bool) int {
-		k := key(set)
-		if id, ok := ids[k]; ok {
+	var sets []SymSet // sets[i] = DFA state i's subset
+	var key []byte
+	newState := func(set SymSet) int {
+		key = key[:0]
+		for _, w := range set {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		if id, ok := ids[string(key)]; ok {
 			return id
 		}
 		id := d.States
 		d.States++
-		ids[k] = id
-		sets = append(sets, set)
+		ids[string(key)] = id
+		sets = append(sets, set.Clone())
 		acc := false
-		for q, in := range set {
-			if in && n.Accept[q] {
+		for i, w := range set {
+			if w&accept[i] != 0 {
 				acc = true
 				break
 			}
@@ -60,28 +71,32 @@ func (n *NFA) Determinize() *DFA {
 		d.Trans = append(d.Trans, make([]int, size))
 		return id
 	}
+	stack := make([]int, 0, n.States)
+	start := NewSymSet(n.States)
+	start.Add(n.Start)
+	n.closure(start, stack)
 	d.Start = newState(start)
+	next := make([]SymSet, len(sc.reps)) // next[k] = successor subset on class k
+	for k := range next {
+		next[k] = NewSymSet(n.States)
+	}
+	target := make([]int, len(sc.reps))
 	for work := 0; work < d.States; work++ {
-		set := sets[work]
-		for sym := 0; sym < size; sym++ {
-			next := make([]bool, n.States)
-			any := false
-			for q, in := range set {
-				if !in {
-					continue
-				}
-				for _, e := range outByState[q] {
-					if e.Set.Has(sym) {
-						next[e.To] = true
-						any = true
-					}
-				}
-			}
-			if any {
-				n.closure(next)
-			}
-			d.Trans[work][sym] = newState(next)
+		for _, set := range next {
+			clear(set)
 		}
+		sets[work].each(func(q int) {
+			for _, m := range out[q] {
+				for _, k := range m.classes {
+					next[k].Add(m.to)
+				}
+			}
+		})
+		for k, set := range next {
+			n.closure(set, stack)
+			target[k] = newState(set)
+		}
+		sc.fill(d.Trans[work], target)
 	}
 	return d
 }
@@ -102,7 +117,8 @@ func (d *DFA) Complement() *DFA {
 }
 
 // Intersect returns the product DFA accepting the intersection of the two
-// languages. Both automata must share the same alphabet.
+// languages. Both automata must share the same alphabet. Product states are
+// discovered in the order stepping every symbol in ascending order would.
 func (d *DFA) Intersect(o *DFA) *DFA {
 	if d.Alphabet != o.Alphabet {
 		panic("regex: intersecting DFAs over different alphabets")
@@ -125,11 +141,16 @@ func (d *DFA) Intersect(o *DFA) *DFA {
 		return id
 	}
 	out.Start = newState(pair{d.Start, o.Start})
+	// Step once per joint column class: symbols with the same column in
+	// both operands lead every pair to the same pair.
+	sc := columnClasses(size, d.Trans, o.Trans)
+	target := make([]int, len(sc.reps))
 	for work := 0; work < out.States; work++ {
 		p := pairs[work]
-		for sym := 0; sym < size; sym++ {
-			out.Trans[work][sym] = newState(pair{d.Trans[p.a][sym], o.Trans[p.b][sym]})
+		for k, sym := range sc.reps {
+			target[k] = newState(pair{d.Trans[p.a][sym], o.Trans[p.b][sym]})
 		}
+		sc.fill(out.Trans[work], target)
 	}
 	return out
 }
@@ -221,20 +242,22 @@ func (d *DFA) Minimize() *DFA {
 		}
 		trans[newID] = row
 	}
-	// Reverse transition lists for the refinement step.
-	rev := make([][][]int, size)
-	for sym := 0; sym < size; sym++ {
-		rev[sym] = make([][]int, n)
-	}
-	for q := 0; q < n; q++ {
-		for sym := 0; sym < size; sym++ {
+	// Reverse transition lists for the refinement step, one per column
+	// class: a symbol whose column equals an earlier symbol's splits
+	// exactly the blocks that symbol splits, so it never needs a turn.
+	sc := columnClasses(size, trans)
+	rev := make([][][]int, len(sc.reps))
+	for k, sym := range sc.reps {
+		rev[k] = make([][]int, n)
+		for q := 0; q < n; q++ {
 			to := trans[q][sym]
-			rev[sym][to] = append(rev[sym][to], q)
+			rev[k][to] = append(rev[k][to], q)
 		}
 	}
 	// Initial partition: accepting vs non-accepting.
 	part := make([]int, n) // state -> block id
 	var blocks [][]int
+	inWork := make([]bool, n) // there are never more blocks than states
 	var accBlock, rejBlock []int
 	for q := 0; q < n; q++ {
 		if accept[q] {
@@ -242,6 +265,11 @@ func (d *DFA) Minimize() *DFA {
 		} else {
 			rejBlock = append(rejBlock, q)
 		}
+	}
+	var worklist []int
+	push := func(b int) {
+		worklist = append(worklist, b)
+		inWork[b] = true
 	}
 	addBlock := func(states []int) int {
 		id := len(blocks)
@@ -251,65 +279,61 @@ func (d *DFA) Minimize() *DFA {
 		}
 		return id
 	}
-	var worklist []int
 	if len(accBlock) > 0 {
-		worklist = append(worklist, addBlock(accBlock))
+		push(addBlock(accBlock))
 	}
 	if len(rejBlock) > 0 {
-		worklist = append(worklist, addBlock(rejBlock))
+		push(addBlock(rejBlock))
 	}
-	inWork := make(map[int]bool)
-	for _, b := range worklist {
-		inWork[b] = true
-	}
+	inX := make([]bool, n)
+	var xs, affected []int
+	hits := make([]int, n) // hits[b] = states of block b in X
 	for len(worklist) > 0 {
 		a := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
 		inWork[a] = false
 		splitter := append([]int(nil), blocks[a]...)
-		for sym := 0; sym < size; sym++ {
-			// X = states with a sym-transition into block a.
-			inX := make(map[int]bool)
+		for k := range sc.reps {
+			// X = states with a transition on class k into block a.
+			xs, affected = xs[:0], affected[:0]
 			for _, q := range splitter {
-				for _, p := range rev[sym][q] {
-					inX[p] = true
-				}
-			}
-			if len(inX) == 0 {
-				continue
-			}
-			// Split every block crossed by X.
-			affected := make(map[int]bool)
-			for p := range inX {
-				affected[part[p]] = true
-			}
-			for b := range affected {
-				var yes, no []int
-				for _, q := range blocks[b] {
-					if inX[q] {
-						yes = append(yes, q)
-					} else {
-						no = append(no, q)
+				for _, p := range rev[k][q] {
+					if !inX[p] {
+						inX[p] = true
+						xs = append(xs, p)
+						if hits[part[p]] == 0 {
+							affected = append(affected, part[p])
+						}
+						hits[part[p]]++
 					}
 				}
-				if len(yes) == 0 || len(no) == 0 {
-					continue
-				}
-				blocks[b] = yes
-				newID := addBlock(no)
-				if inWork[b] {
-					worklist = append(worklist, newID)
-					inWork[newID] = true
-				} else {
-					// add the smaller half
-					if len(yes) <= len(no) {
-						worklist = append(worklist, b)
-						inWork[b] = true
-					} else {
-						worklist = append(worklist, newID)
-						inWork[newID] = true
+			}
+			// Split every block X crosses.
+			for _, b := range affected {
+				if hits[b] < len(blocks[b]) {
+					var yes, no []int
+					for _, q := range blocks[b] {
+						if inX[q] {
+							yes = append(yes, q)
+						} else {
+							no = append(no, q)
+						}
+					}
+					blocks[b] = yes
+					newID := addBlock(no)
+					switch {
+					case inWork[b]:
+						push(newID)
+					case len(yes) <= len(no): // add the smaller half
+						push(b)
+					default:
+						push(newID)
 					}
 				}
+				hits[b] = 0
+			}
+			for _, p := range xs {
+				inX[p] = false
 			}
 		}
 	}
@@ -325,7 +349,7 @@ func (d *DFA) Minimize() *DFA {
 	queue := []int{part[0]}
 	for i := 0; i < len(queue); i++ {
 		q := blocks[queue[i]][0]
-		for sym := 0; sym < size; sym++ {
+		for _, sym := range sc.reps {
 			if b := part[trans[q][sym]]; canon[b] < 0 {
 				canon[b] = len(queue)
 				queue = append(queue, b)
@@ -339,14 +363,15 @@ func (d *DFA) Minimize() *DFA {
 		Accept:   make([]bool, len(blocks)),
 		Trans:    make([][]int, len(blocks)),
 	}
+	target := make([]int, len(sc.reps))
 	for id, b := range queue {
 		q := blocks[b][0]
 		out.Accept[id] = accept[q]
-		row := make([]int, size)
-		for sym := 0; sym < size; sym++ {
-			row[sym] = canon[part[trans[q][sym]]]
+		for k, sym := range sc.reps {
+			target[k] = canon[part[trans[q][sym]]]
 		}
-		out.Trans[id] = row
+		out.Trans[id] = make([]int, size)
+		sc.fill(out.Trans[id], target)
 	}
 	return out
 }
@@ -358,12 +383,14 @@ func (d *DFA) Minimize() *DFA {
 // against the original NFA with the tag-recovery simulation.
 func (d *DFA) EpsFree() *EpsFree {
 	// Co-reachability: which states reach an accepting state?
-	size := d.Alphabet.Size()
 	rev := make([][]int, d.States)
-	for q := 0; q < d.States; q++ {
-		for sym := 0; sym < size; sym++ {
-			to := d.Trans[q][sym]
-			rev[to] = append(rev[to], q)
+	last := make([]int, d.States) // last[to] = 1 + the state last listed in rev[to]
+	for q, row := range d.Trans {
+		for _, to := range row {
+			if last[to] != q+1 {
+				last[to] = q + 1
+				rev[to] = append(rev[to], q)
+			}
 		}
 	}
 	live := make([]bool, d.States)
@@ -397,6 +424,8 @@ func (d *DFA) EpsFree() *EpsFree {
 			count++
 		}
 	}
+	kept := func(q int) bool { return id[q] >= 0 }
+	scratch := make([]SymSet, d.States)
 	ef := &EpsFree{
 		Alphabet: d.Alphabet,
 		States:   count,
@@ -409,27 +438,8 @@ func (d *DFA) EpsFree() *EpsFree {
 			continue
 		}
 		ef.Accept[id[q]] = d.Accept[q]
-		// Group transitions by live target into symbol sets.
-		byTarget := make(map[int]SymSet)
-		for sym := 0; sym < size; sym++ {
-			to := d.Trans[q][sym]
-			if id[to] < 0 {
-				continue
-			}
-			set, ok := byTarget[to]
-			if !ok {
-				set = NewSymSet(size)
-				byTarget[to] = set
-			}
-			set.Add(sym)
-		}
-		targets := make([]int, 0, len(byTarget))
-		for to := range byTarget {
-			targets = append(targets, to)
-		}
-		sort.Ints(targets)
-		for _, to := range targets {
-			ef.Out[id[q]] = append(ef.Out[id[q]], Edge{From: id[q], Set: byTarget[to], To: id[to]})
+		for _, e := range groupRow(d.Trans[q], scratch, kept) {
+			ef.Out[id[q]] = append(ef.Out[id[q]], Edge{From: id[q], Set: e.Set, To: id[e.To]})
 		}
 	}
 	return ef

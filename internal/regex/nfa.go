@@ -3,7 +3,6 @@ package regex
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Alphabet interns location names as dense integer symbols so that automata
@@ -51,7 +50,8 @@ func (a *Alphabet) Size() int { return len(a.names) }
 // Names returns the interned names in symbol order. Do not modify.
 func (a *Alphabet) Names() []string { return a.names }
 
-// SymSet is a bitset over an alphabet's symbols.
+// SymSet is a bitset over an alphabet's symbols. Automata also use it for
+// sets of states.
 type SymSet []uint64
 
 // NewSymSet returns an empty set sized for n symbols.
@@ -70,6 +70,16 @@ func (ss SymSet) Has(s int) bool {
 func (ss SymSet) Fill(n int) {
 	for s := 0; s < n; s++ {
 		ss.Add(s)
+	}
+}
+
+// each calls f for every symbol in the set, in ascending order.
+func (ss SymSet) each(f func(s int)) {
+	for w, word := range ss {
+		for word != 0 {
+			f(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+		}
 	}
 }
 
@@ -188,6 +198,13 @@ func (n *NFA) build(e Expr) (int, int, error) {
 		n.addEps(le, rs)
 		return ls, re, nil
 	case Alt:
+		// An alternation of single steps is one step over the union of
+		// their symbols, as a Group already is.
+		if set, ok := n.foldSteps(x, nil); ok {
+			s, t := n.newState(), n.newState()
+			n.addEdge(s, set, "", t)
+			return s, t, nil
+		}
 		ls, le, err := n.build(x.L)
 		if err != nil {
 			return 0, 0, err
@@ -226,25 +243,10 @@ func (n *NFA) build(e Expr) (int, int, error) {
 			n.newState()
 		}
 		t := n.newState()
+		scratch := make([]SymSet, dfa.States)
 		for q := 0; q < dfa.States; q++ {
-			// Group q's outgoing transitions by target into symbol sets.
-			byTarget := make(map[int]SymSet)
-			for sym := 0; sym < dfa.Alphabet.Size(); sym++ {
-				to := dfa.Trans[q][sym]
-				set, ok := byTarget[to]
-				if !ok {
-					set = NewSymSet(dfa.Alphabet.Size())
-					byTarget[to] = set
-				}
-				set.Add(sym)
-			}
-			targets := make([]int, 0, len(byTarget))
-			for to := range byTarget {
-				targets = append(targets, to)
-			}
-			sort.Ints(targets)
-			for _, to := range targets {
-				n.addEdge(base+q, byTarget[to], "", base+to)
+			for _, e := range groupRow(dfa.Trans[q], scratch, nil) {
+				n.addEdge(base+q, e.Set, "", base+e.To)
 			}
 			if dfa.Accept[q] {
 				n.addEps(base+q, t)
@@ -256,20 +258,52 @@ func (n *NFA) build(e Expr) (int, int, error) {
 	}
 }
 
-// closure expands set (a bitset of states) to its epsilon closure in place.
-func (n *NFA) closure(set []bool) {
-	stack := make([]int, 0, n.States)
-	for q, in := range set {
-		if in {
+// foldSteps adds the symbols of e to set (allocating it when nil) if e is
+// an alternation of symbols, wildcards and untagged groups, and reports
+// whether it is. Tagged groups never fold: their edges carry the function
+// tag the placement is recovered from.
+func (n *NFA) foldSteps(e Expr, set SymSet) (SymSet, bool) {
+	if set == nil {
+		set = NewSymSet(n.Alphabet.Size())
+	}
+	switch x := e.(type) {
+	case Sym:
+		set.Add(n.Alphabet.Intern(x.Name))
+	case Any:
+		set.Fill(n.Alphabet.Size())
+	case Group:
+		if x.Tag != "" {
+			return nil, false
+		}
+		for _, m := range x.Members {
+			set.Add(n.Alphabet.Intern(m))
+		}
+	case Alt:
+		if _, ok := n.foldSteps(x.L, set); !ok {
+			return nil, false
+		}
+		return n.foldSteps(x.R, set)
+	default:
+		return nil, false
+	}
+	return set, true
+}
+
+// closure expands set (a bitset of states) to its epsilon closure in
+// place. stack is scratch with capacity for every state.
+func (n *NFA) closure(set SymSet, stack []int) {
+	stack = stack[:0]
+	set.each(func(q int) {
+		if len(n.Eps[q]) > 0 {
 			stack = append(stack, q)
 		}
-	}
+	})
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, r := range n.Eps[q] {
-			if !set[r] {
-				set[r] = true
+			if !set.Has(r) {
+				set.Add(r)
 				stack = append(stack, r)
 			}
 		}
@@ -279,28 +313,26 @@ func (n *NFA) closure(set []bool) {
 // Matches reports whether the sequence of location names is in the NFA's
 // language. Unknown names never match.
 func (n *NFA) Matches(path []string) bool {
-	cur := make([]bool, n.States)
-	cur[n.Start] = true
-	n.closure(cur)
+	stack := make([]int, 0, n.States)
+	cur := NewSymSet(n.States)
+	cur.Add(n.Start)
+	n.closure(cur, stack)
 	for _, name := range path {
 		sym := n.Alphabet.Symbol(name)
-		next := make([]bool, n.States)
+		next := NewSymSet(n.States)
 		if sym >= 0 {
 			for _, e := range n.Edges {
-				if cur[e.From] && e.Set.Has(sym) {
-					next[e.To] = true
+				if cur.Has(e.From) && e.Set.Has(sym) {
+					next.Add(e.To)
 				}
 			}
 		}
-		n.closure(next)
+		n.closure(next, stack)
 		cur = next
 	}
-	for q, in := range cur {
-		if in && n.Accept[q] {
-			return true
-		}
-	}
-	return false
+	accepted := false
+	cur.each(func(q int) { accepted = accepted || n.Accept[q] })
+	return accepted
 }
 
 // EpsFree is an epsilon-free view of an NFA: per-state outgoing transitions
@@ -329,21 +361,19 @@ func (n *NFA) EpsFree() *EpsFree {
 	for _, e := range n.Edges {
 		outByState[e.From] = append(outByState[e.From], e)
 	}
+	stack := make([]int, 0, n.States)
 	for q := 0; q < n.States; q++ {
-		set := make([]bool, n.States)
-		set[q] = true
-		n.closure(set)
-		for r, in := range set {
-			if !in {
-				continue
-			}
+		set := NewSymSet(n.States)
+		set.Add(q)
+		n.closure(set, stack)
+		set.each(func(r int) {
 			if n.Accept[r] {
 				ef.Accept[q] = true
 			}
 			for _, e := range outByState[r] {
 				ef.Out[q] = append(ef.Out[q], Edge{From: q, Set: e.Set, Tag: e.Tag, To: e.To})
 			}
-		}
+		})
 	}
 	return ef
 }
