@@ -86,3 +86,40 @@ func TestGuaranteedCompileScale(t *testing.T) {
 		t.Fatal("two compiles of the same policy produced different outputs")
 	}
 }
+
+// TestChainsCompileScale compiles 48 middlebox-chain guarantees on a k=16
+// fat tree. Every shard is netflow-eligible, so each request must be one
+// shortest-path run over its product graph: the compile has to finish in
+// seconds and stay deterministic.
+func TestChainsCompileScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 48-guarantee k=16 fat tree; skipped in -short")
+	}
+	sc, err := corpus.Generate(corpus.Spec{Topo: "fattree-k16", Suite: "chains", Seed: 1, Tenants: 8, Guarantees: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sc.Guarantee); n != 48 {
+		t.Fatalf("scenario has %d guarantees, want 48", n)
+	}
+	pol, err := merlin.ParsePolicy(sc.PolicyText, sc.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() *merlin.Result {
+		t.Helper()
+		start := time.Now()
+		res, err := merlin.Compile(pol, sc.Topology, sc.Placement, merlin.Options{NoDefault: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("compile took %v, want under 2s", d)
+		}
+		return res
+	}
+	a, b := compile(), compile()
+	if !reflect.DeepEqual(a.Outputs, b.Outputs) {
+		t.Fatal("two compiles of the same policy produced different outputs")
+	}
+}

@@ -237,7 +237,7 @@ type CompilerStats struct {
 	// re-placed through the budget-constrained provisioning MIP.
 	TernaryEntries       int
 	OverflowReplacements int
-	// NetflowShards counts shard solves served by the network-simplex fast
+	// NetflowShards counts shard solves served by the shortest-path fast
 	// path (pure node-arc incidence structure, no branch and bound);
 	// BnBNodes totals branch-and-bound nodes explored by the general path.
 	// Together they show where provisioning time actually went.

@@ -115,7 +115,13 @@ func TestGuaranteedPathForwardingAndQueues(t *testing.T) {
 	// Provision the path directly via shortest path (unit under test is
 	// codegen, not the MIP).
 	gg := graphFor(t, tp, "h1 .* h2", nil)
-	steps, err := gg.DecodePath(gg.ShortestPath())
+	hops := make([]float64, len(gg.Edges))
+	for i, e := range gg.Edges {
+		if e.Link >= 0 {
+			hops[i] = 1
+		}
+	}
+	steps, err := gg.DecodePath(gg.CheapestPath(hops))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ package logical
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"merlin/internal/regex"
 	"merlin/internal/topo"
@@ -164,60 +166,93 @@ func Build(t *topo.Topology, nfa *regex.EpsFree) *Graph {
 	return g
 }
 
-// ShortestPath runs a 0/1-weight BFS from Source to Sink, where physical
-// edges cost 1 hop and self/source/sink edges cost 0. It returns the edge
-// IDs of a minimum-hop satisfying path, or nil if the statement's path
-// constraint is unsatisfiable on this topology.
-func (g *Graph) ShortestPath() []int {
-	return g.shortestFrom(g.Source, g.Sink)
-}
-
-func (g *Graph) shortestFrom(src, dst int) []int {
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, g.NumVerts)
-	parent := make([]int32, g.NumVerts)
-	for i := range dist {
-		dist[i] = inf
-		parent[i] = -1
+// CheapestPath returns the edge IDs of a minimum-cost Source→Sink path
+// under the non-negative per-edge costs cost[e], or nil when the sink is
+// unreachable. It is Dijkstra's algorithm over a binary heap ordered by
+// (distance, vertex), relaxing in Out order with strict <, so equal inputs
+// give equal paths.
+func (g *Graph) CheapestPath(cost []float64) []int {
+	dist := make([]float64, g.NumVerts)
+	via := make([]int32, g.NumVerts) // edge that last improved each vertex
+	for v := range dist {
+		dist[v] = math.Inf(1)
+		via[v] = -1
 	}
-	dist[src] = 0
-	// 0/1 BFS with a deque.
-	deque := make([]int, 0, g.NumVerts)
-	deque = append(deque, src)
-	for len(deque) > 0 {
-		v := deque[0]
-		deque = deque[1:]
-		for _, eid := range g.Out[v] {
-			e := g.Edges[eid]
-			w := 0
-			if e.Link >= 0 {
-				w = 1
-			}
-			if dist[v]+w < dist[e.To] {
-				dist[e.To] = dist[v] + w
-				parent[e.To] = eid
-				if w == 0 {
-					deque = append([]int{e.To}, deque...)
-				} else {
-					deque = append(deque, e.To)
-				}
+	dist[g.Source] = 0
+	h := distHeap{{0, int32(g.Source)}}
+	for len(h) > 0 {
+		it := h.pop()
+		if it.d > dist[it.v] {
+			continue // superseded by a cheaper push
+		}
+		if int(it.v) == g.Sink {
+			break
+		}
+		for _, eid := range g.Out[it.v] {
+			to := g.Edges[eid].To
+			if d := it.d + cost[eid]; d < dist[to] {
+				dist[to], via[to] = d, eid
+				h.push(distItem{d, int32(to)})
 			}
 		}
 	}
-	if dist[dst] == inf {
+	if via[g.Sink] < 0 {
 		return nil
 	}
-	var rev []int
-	for v := dst; v != src; {
-		eid := parent[v]
-		rev = append(rev, int(eid))
-		v = g.Edges[eid].From
+	var out []int
+	for v := g.Sink; v != g.Source; v = g.Edges[via[v]].From {
+		out = append(out, int(via[v]))
 	}
-	out := make([]int, len(rev))
-	for i, eid := range rev {
-		out[len(rev)-1-i] = eid
-	}
+	slices.Reverse(out)
 	return out
+}
+
+// distItem is a tentative distance of vertex v in CheapestPath's heap.
+type distItem struct {
+	d float64
+	v int32
+}
+
+func (a distItem) less(b distItem) bool { return a.d < b.d || (a.d == b.d && a.v < b.v) }
+
+// distHeap is a binary min-heap of distItems.
+type distHeap []distItem
+
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].less(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && s[l].less(s[m]) {
+			m = l
+		}
+		if r < last && s[r].less(s[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // DecodePath converts a Source→Sink edge sequence into physical steps: one

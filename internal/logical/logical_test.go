@@ -1,6 +1,10 @@
 package logical
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"merlin/internal/regex"
@@ -23,6 +27,18 @@ func buildGraph(t *testing.T, tp *topo.Topology, expr string, placement map[stri
 	return Build(tp, nfa.EpsFree())
 }
 
+// hopCosts prices every physical edge at one hop and self, source and sink
+// edges at nothing, so CheapestPath finds a minimum-hop path.
+func hopCosts(g *Graph) []float64 {
+	cost := make([]float64, len(g.Edges))
+	for i, e := range g.Edges {
+		if e.Link >= 0 {
+			cost[i] = 1
+		}
+	}
+	return cost
+}
+
 // Figure 2 of the paper: h1 - s1 - s2 - h2 with middlebox m1 on s1;
 // dpi ∈ {h1, h2, m1}, nat ∈ {m1}.
 func fig2(t *testing.T) (*topo.Topology, *Graph) {
@@ -36,7 +52,7 @@ func fig2(t *testing.T) (*topo.Topology, *Graph) {
 
 func TestFig2PathExists(t *testing.T) {
 	tp, g := fig2(t)
-	ids := g.ShortestPath()
+	ids := g.CheapestPath(hopCosts(g))
 	if ids == nil {
 		t.Fatal("no satisfying path found")
 	}
@@ -90,7 +106,7 @@ func TestFig2LemmaOne(t *testing.T) {
 	// so BFS restricted to those locations must fail. We verify the
 	// contrapositive by checking the decoded shortest path always matches
 	// the NFA.
-	ids := g.ShortestPath()
+	ids := g.CheapestPath(hopCosts(g))
 	steps, err := g.DecodePath(ids)
 	if err != nil {
 		t.Fatal(err)
@@ -118,15 +134,125 @@ func TestUnsatisfiableConstraint(t *testing.T) {
 	// nat can only run at m9, which does not exist in the topology.
 	tp := topo.Example(topo.Gbps)
 	g := buildGraph(t, tp, "h1 .* nat .* h2", map[string][]string{"nat": {"m9"}})
-	if ids := g.ShortestPath(); ids != nil {
+	if ids := g.CheapestPath(hopCosts(g)); ids != nil {
 		t.Fatalf("expected no path, got %v", ids)
+	}
+}
+
+// bellmanFord is CheapestPath's independent reference: the minimum
+// Source→Sink path cost under cost, +Inf when the sink is unreachable.
+func bellmanFord(g *Graph, cost []float64) float64 {
+	dist := make([]float64, g.NumVerts)
+	for v := range dist {
+		dist[v] = math.Inf(1)
+	}
+	dist[g.Source] = 0
+	for changed := true; changed; {
+		changed = false
+		for i, e := range g.Edges {
+			if d := dist[e.From] + cost[i]; d < dist[e.To] {
+				dist[e.To], changed = d, true
+			}
+		}
+	}
+	return dist[g.Sink]
+}
+
+// pathCost checks that ids is a Source→Sink walk of g and sums its cost in
+// walk order.
+func pathCost(t *testing.T, g *Graph, ids []int, cost []float64) float64 {
+	t.Helper()
+	sum, at := 0.0, g.Source
+	for _, id := range ids {
+		if g.Edges[id].From != at {
+			t.Fatalf("edge %d leaves %d, path is at %d", id, g.Edges[id].From, at)
+		}
+		sum += cost[id]
+		at = g.Edges[id].To
+	}
+	if at != g.Sink {
+		t.Fatalf("path ends at %d, not the sink %d", at, g.Sink)
+	}
+	return sum
+}
+
+// TestCheapestPathMatchesBellmanFord checks CheapestPath against
+// Bellman–Ford on random product graphs: Waxman topologies crossed with
+// waypoint expressions, random link costs (with ties) and zero-cost self,
+// source and sink edges.
+func TestCheapestPathMatchesBellmanFord(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		n := 4 + rng.Intn(9)
+		tp := topo.Waxman(n, 0.5, 0.3, int64(trial), topo.Gbps)
+		sw := func() string { return fmt.Sprintf("s%d", rng.Intn(n)) }
+		expr := ".*"
+		if trial%3 != 0 {
+			expr = sw() + " .* " + sw() + " .* " + sw()
+		}
+		g := buildGraph(t, tp, expr, nil)
+		cost := make([]float64, len(g.Edges))
+		selfEdges := 0
+		for i, e := range g.Edges {
+			switch {
+			case e.Link < 0:
+				if e.From != g.Source && e.To != g.Sink {
+					selfEdges++
+				}
+			case trial%2 == 0:
+				cost[i] = float64(1 + rng.Intn(3)) // many ties
+			default:
+				cost[i] = rng.Float64()
+			}
+		}
+		if selfEdges == 0 {
+			t.Fatalf("trial %d: %q has no self edges", trial, expr)
+		}
+		want := bellmanFord(g, cost)
+		ids := g.CheapestPath(cost)
+		if math.IsInf(want, 1) {
+			if ids != nil {
+				t.Fatalf("trial %d: %q is unsatisfiable but CheapestPath returned %v", trial, expr, ids)
+			}
+			continue
+		}
+		if got := pathCost(t, g, ids, cost); got != want {
+			t.Fatalf("trial %d: %q path costs %v, minimum is %v", trial, expr, got, want)
+		}
+	}
+}
+
+func TestCheapestPathUnreachable(t *testing.T) {
+	tp := topo.New()
+	tp.AddSwitch("a")
+	tp.AddSwitch("b") // no link joins them
+	g := buildGraph(t, tp, "a .* b", nil)
+	if ids := g.CheapestPath(make([]float64, len(g.Edges))); ids != nil {
+		t.Fatalf("expected no path, got %v", ids)
+	}
+}
+
+// TestCheapestPathDeterministic: equal inputs give equal paths, even when
+// every minimum-hop path of a fat tree ties.
+func TestCheapestPathDeterministic(t *testing.T) {
+	tp := topo.FatTree(4, topo.Gbps)
+	g := buildGraph(t, tp, "h0_0_0 .* h3_1_1", nil)
+	first := g.CheapestPath(hopCosts(g))
+	if first == nil {
+		t.Fatal("no path")
+	}
+	for i := 0; i < 5; i++ {
+		again := buildGraph(t, tp, "h0_0_0 .* h3_1_1", nil)
+		if got := again.CheapestPath(hopCosts(again)); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d chose %v, first run %v", i, got, first)
+		}
 	}
 }
 
 func TestPlainPathIsShortest(t *testing.T) {
 	tp := topo.Linear(3, topo.Gbps) // s0-s1-s2, h1@s0, h2@s2
 	g := buildGraph(t, tp, "h1 .* h2", nil)
-	ids := g.ShortestPath()
+	ids := g.CheapestPath(hopCosts(g))
 	if ids == nil {
 		t.Fatal("no path")
 	}
@@ -148,7 +274,7 @@ func TestWaypointForcesDetour(t *testing.T) {
 	// Two-path topology: force the statement through the wide path's l2.
 	tp := topo.TwoPath(400*topo.MBps, 100*topo.MBps)
 	g := buildGraph(t, tp, "h1 .* l2 .* h2", nil)
-	steps, err := g.DecodePath(g.ShortestPath())
+	steps, err := g.DecodePath(g.CheapestPath(hopCosts(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +297,7 @@ func TestAvoidanceConstraint(t *testing.T) {
 	// r1. Simpler formulation: whole-path complement.
 	g2 := buildGraph(t, tp, "!(.* r1 .*)", nil)
 	for _, graph := range []*Graph{g, g2} {
-		ids := graph.ShortestPath()
+		ids := graph.CheapestPath(hopCosts(graph))
 		if ids == nil {
 			t.Fatal("no path avoiding r1")
 		}
@@ -208,7 +334,7 @@ func TestEdgeLinkAnnotations(t *testing.T) {
 func TestExtractPathFromChosenSet(t *testing.T) {
 	tp := topo.Linear(3, topo.Gbps)
 	g := buildGraph(t, tp, "h1 .* h2", nil)
-	ids := g.ShortestPath()
+	ids := g.CheapestPath(hopCosts(g))
 	chosen := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		chosen[id] = true
@@ -288,7 +414,7 @@ func BenchmarkBuildFatTree4(b *testing.B) {
 	}
 }
 
-func BenchmarkShortestPathFatTree4(b *testing.B) {
+func BenchmarkCheapestPathFatTree4(b *testing.B) {
 	tp := topo.FatTree(4, topo.Gbps)
 	g := func() *Graph {
 		e := regex.MustParse("h0_0_0 .* h1_0_0")
@@ -296,9 +422,10 @@ func BenchmarkShortestPathFatTree4(b *testing.B) {
 		nfa, _ := regex.Compile(e, alpha)
 		return Build(tp, nfa.EpsFree())
 	}()
+	cost := hopCosts(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g.ShortestPath() == nil {
+		if g.CheapestPath(cost) == nil {
 			b.Fatal("no path")
 		}
 	}

@@ -57,7 +57,7 @@ func TestWithoutLinksAnchoredMatchesColdBuild(t *testing.T) {
 				if len(patched.Edges) >= len(g.Edges) {
 					t.Fatalf("failure %d removed no edge (%d -> %d)", i, len(g.Edges), len(patched.Edges))
 				}
-				if patched.ShortestPath() == nil {
+				if patched.CheapestPath(hopCosts(patched)) == nil {
 					t.Fatalf("failure %d disconnected the endpoints", i)
 				}
 				if cold := build(); !reflect.DeepEqual(patched, cold) {

@@ -328,7 +328,7 @@ func sameAllocations(a, b *Result) bool {
 // runDifferential executes n seeded cases starting at seed0 and fails on
 // the first divergence, logging the seed. Besides sharded-vs-monolithic,
 // every case cross-checks the solver engines against each other: the
-// default stack (network-simplex fast path where it fires) against the
+// default stack (shortest-path fast path where it fires) against the
 // general path with detection off, and the compact bounded-variable
 // formulation against the legacy paper-literal one. All four must agree
 // on feasibility and objective; allocations match modulo the same

@@ -1,13 +1,13 @@
-// Network-simplex fast path: a shard whose link-capacity constraints are
+// Shortest-path fast path: a shard whose link-capacity constraints are
 // provably redundant is, after dropping them, a block-diagonal pure
 // node-arc incidence problem — one min-cost unit-flow block per request.
-// Node-arc incidence matrices are totally unimodular, so the relaxation is
-// integral and the spanning-tree network simplex in internal/netflow
-// solves each block exactly with no branch and bound. The costs are the
-// exact per-edge costs buildModel would emit (hop epsilon, deterministic
-// tie-breaking perturbation, and the WSP rate term), so the fast path
-// lands on the same generically unique optimum as the general MIP — the
-// differential fuzz harness cross-checks the two paths case by case.
+// With non-negative costs a unit s→t min-cost flow is a shortest path, so
+// each block is one Dijkstra run over the request's product graph
+// (logical.(*Graph).CheapestPath), exact and with no branch and bound. The
+// costs are the per-edge costs buildModel would emit (hop epsilon,
+// deterministic tie-breaking perturbation, and the WSP rate term; non-link
+// edges cost 0), so the fast path lands on the optimum of the general MIP
+// — the differential fuzz harness cross-checks the two paths case by case.
 
 package provision
 
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"merlin/internal/logical"
-	"merlin/internal/netflow"
 	"merlin/internal/topo"
 )
 
@@ -58,52 +57,30 @@ func netflowEligible(t *topo.Topology, reqs []Request, h Heuristic) bool {
 	return true
 }
 
-// solveNetflow provisions an eligible shard request by request as min-cost
-// unit flows. It returns (nil, nil) when any block's network simplex bails
-// out numerically (pivot limit) — the caller falls back to the general
-// path — and a real error only for genuine infeasibility, which the
-// general path would report identically.
+// solveNetflow provisions an eligible shard request by request, each on
+// the cheapest path of its product graph. A request whose sink is
+// unreachable makes the shard infeasible, as the general path would
+// report.
 func solveNetflow(t *topo.Topology, reqs []Request, h Heuristic, construct, solve *time.Duration) (*ShardSolution, error) {
 	out := &ShardSolution{
 		Paths:    make(map[string][]logical.Step, len(reqs)),
 		Reserved: map[topo.LinkID]float64{},
 		Netflow:  true,
 	}
+	var cost []float64 // reused across the shard's requests
 	for _, r := range reqs {
 		start := time.Now()
 		g := r.Graph
-		p := netflow.Problem{
-			N:      g.NumVerts,
-			Arcs:   make([]netflow.Arc, len(g.Edges)),
-			Supply: make([]float64, g.NumVerts),
-		}
-		jitter := idJitter(r.ID)
-		for e, ed := range g.Edges {
-			cost := 0.0
-			if ed.Link >= 0 {
-				cost = hopEpsilon * (1 + tieBreak(jitter, e))
-				if h == WeightedShortestPath {
-					cost += r.MinRate / rateUnit
-				}
-			}
-			p.Arcs[e] = netflow.Arc{From: ed.From, To: ed.To, Cap: 1, Cost: cost}
-		}
-		p.Supply[g.Source] = 1
-		p.Supply[g.Sink] = -1
+		cost = edgeCosts(cost[:0], r, h)
 		*construct += time.Since(start)
 
 		solveStart := time.Now()
-		sol := netflow.Solve(p)
+		ids := g.CheapestPath(cost)
 		*solve += time.Since(solveStart)
-		switch sol.Status {
-		case netflow.Optimal:
-			// proceed
-		case netflow.Infeasible:
+		if ids == nil {
 			return nil, fmt.Errorf("no assignment satisfies the path and bandwidth constraints")
-		default:
-			return nil, nil // numerical bail-out: take the general path
 		}
-		steps, err := g.ExtractPath(func(e int) bool { return sol.Flow[e] > 0.5 })
+		steps, err := g.DecodePath(ids)
 		if err != nil {
 			return nil, fmt.Errorf("decoding %s: %w", r.ID, err)
 		}
@@ -111,4 +88,18 @@ func solveNetflow(t *topo.Topology, reqs []Request, h Heuristic, construct, solv
 		addReservations(t, out.Reserved, steps, r.MinRate)
 	}
 	return out, nil
+}
+
+// edgeCosts appends the objective coefficient of each of r's product edges
+// to dst: linkCost on physical links, 0 on self, source and sink edges.
+func edgeCosts(dst []float64, r Request, h Heuristic) []float64 {
+	jitter := idJitter(r.ID)
+	for e, ed := range r.Graph.Edges {
+		c := 0.0
+		if ed.Link >= 0 {
+			c = linkCost(h, r.MinRate, jitter, e)
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }

@@ -80,11 +80,12 @@ type Result struct {
 	Shards []*ShardSolution
 	// ShardsSolved, ShardsWarm, and ShardsReused split the shards of this
 	// call into cold solves, cheap re-solves of a previously solved shape
-	// (warm-started from the cached basis, or re-run through the network
-	// simplex), and solutions served from Params.Reuse without a solve.
+	// (warm-started from the cached basis, or re-run through the
+	// shortest-path fast path), and solutions served from Params.Reuse
+	// without a solve.
 	ShardsSolved, ShardsWarm, ShardsReused int
 	// NetflowShards counts the shards this call solved (cold or re-solved)
-	// through the network-simplex fast path instead of the general MIP.
+	// through the shortest-path fast path instead of the general MIP.
 	NetflowShards int
 }
 
@@ -112,9 +113,9 @@ type Params struct {
 	// objectives, so they choose the same (generically unique) optimum;
 	// the flag exists so the solver bench can measure the gap.
 	LegacyModel bool
-	// NoNetflow disables the network-simplex fast path: shards whose
+	// NoNetflow disables the shortest-path fast path: shards whose
 	// capacity rows are provably redundant normally skip the general MIP
-	// and solve each request as a min-cost unit flow (see netflowEligible).
+	// and route each request on its cheapest path (see netflowEligible).
 	// The flag forces the general simplex + branch-and-bound path — the
 	// baseline the solver bench and the differential tests compare against.
 	NoNetflow bool
@@ -365,11 +366,7 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtM
 			if ed.Link < 0 {
 				continue
 			}
-			cost := hopEpsilon * (1 + tieBreak(jitter, e))
-			if h == WeightedShortestPath {
-				cost += r.MinRate / rateUnit
-			}
-			model.SetCost(xvars[i][e], cost)
+			model.SetCost(xvars[i][e], linkCost(h, r.MinRate, jitter, e))
 		}
 	}
 	switch h {
@@ -379,6 +376,18 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtM
 		model.SetCost(rmaxBits, 1)
 	}
 	return &builtModel{model: model, xvars: xvars}
+}
+
+// linkCost is the objective coefficient of a request's product edge e
+// that rides a physical link: the perturbed hop epsilon, plus the
+// guarantee's rate under WeightedShortestPath. Edges off the physical
+// links (self, source and sink edges) cost nothing.
+func linkCost(h Heuristic, rate, jitter float64, e int) float64 {
+	cost := hopEpsilon * (1 + tieBreak(jitter, e))
+	if h == WeightedShortestPath {
+		cost += rate / rateUnit
+	}
+	return cost
 }
 
 // idJitter hashes a request ID into [0, 1) (FNV-1a), seeding that
@@ -394,11 +403,16 @@ func idJitter(id string) float64 {
 }
 
 // tieBreak maps (request jitter, edge index) to [0, 1e-2): a low-
-// discrepancy sequence keyed by the golden ratio, cheap and collision-
-// resistant enough that two distinct paths virtually never tie. The band
-// is sized so per-path sums stay below one hop's cost for paths under a
-// hundred edges (keeping hop counts exact) while path-choice differences
-// stay well above the solver's 1e-9 tolerances.
+// discrepancy sequence keyed by the golden ratio, cheap and distinct per
+// edge. It is linear in the edge index modulo 1, so two paths whose link
+// edges' indices sum alike can still tie exactly (one does on a zoo-54
+// tenants scenario); the solver's own order then decides. The band is
+// sized so per-path sums stay below one hop's cost for paths under a
+// hundred edges (keeping hop counts exact). It does not keep path-choice
+// differences above the simplex engines' 1e-9 tolerances: distinct paths
+// of corpus chains scenarios differ by as little as 1.19e-9 and 4.74e-9,
+// where a tolerance-bound solver may stop at either. The shortest-path
+// fast path compares exact path sums and always takes the cheaper.
 func tieBreak(jitter float64, e int) float64 {
 	const phi = 0.6180339887498949
 	x := jitter + float64(e+1)*phi

@@ -44,14 +44,13 @@ type ShardSolution struct {
 	Reserved map[topo.LinkID]float64
 	// Basis is the shard model's optimal simplex basis, used to warm-start
 	// a re-solve after a rate change. Nil when the shard took the
-	// network-simplex fast path, which needs no warm start: re-solving it
-	// costs a handful of tree pivots either way.
+	// shortest-path fast path, which has nothing to warm-start.
 	Basis *lp.Basis
 	// Nodes is the branch-and-bound node count of the shard's solve (zero
 	// on the fast path — integral relaxations never branch).
 	Nodes int
 	// Netflow records that the shard was recognized as a pure node-arc
-	// incidence problem and solved by the network simplex.
+	// incidence problem and solved by one shortest path per request.
 	Netflow bool
 }
 
@@ -169,8 +168,8 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 				}
 				// A shape-matched predecessor makes this a cheap re-solve
 				// whichever engine runs: the general path warm-starts from
-				// the cached basis, the fast path re-runs the network
-				// simplex (prev.Basis nil) in a few tree pivots.
+				// the cached basis, the fast path (prev.Basis nil) re-runs
+				// one shortest path per request.
 				warm = prev.Basis
 				kind[ci] = 1
 			}
@@ -285,22 +284,15 @@ func shardTouchesDirty(t *topo.Topology, sub []Request, dirty map[topo.LinkID]bo
 
 // solveOne solves one request set (a shard, or the whole problem when
 // sharding is off) and decodes the outcome. Eligible shards take the
-// network-simplex fast path (see netflowEligible); the rest build the MIP
-// and run simplex + branch and bound. The warm basis, when non-nil and
+// shortest-path fast path, one exact Dijkstra run per request (see
+// netflowEligible); the rest build the MIP and run simplex + branch and
+// bound. The warm basis, when non-nil and
 // shape-compatible, starts the general path's root relaxation from a
 // previous optimum of the same model. Construction and solve durations
 // accumulate through construct and solve.
 func solveOne(t *topo.Topology, reqs []Request, h Heuristic, p Params, mp mip.Params, warm *lp.Basis, construct, solve *time.Duration) (*ShardSolution, error) {
 	if !p.NoNetflow && netflowEligible(t, reqs, h) {
-		out, err := solveNetflow(t, reqs, h, construct, solve)
-		if err != nil {
-			return nil, err
-		}
-		if out != nil {
-			return out, nil
-		}
-		// Numerical bail-out (pivot limit): fall through to the general
-		// path, which shares no state with the aborted attempt.
+		return solveNetflow(t, reqs, h, construct, solve)
 	}
 	start := time.Now()
 	bm := buildModel(t, reqs, h, p)

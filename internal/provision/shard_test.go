@@ -136,14 +136,14 @@ func TestShardedMatchesMonolithicOnDisjointRing(t *testing.T) {
 	// flow problems; a min-max objective couples rated requests through
 	// their shared maximum and must keep the general path.
 	if sharded.NetflowShards != 2 {
-		t.Fatalf("network simplex fired on %d/2 WSP shards", sharded.NetflowShards)
+		t.Fatalf("shortest-path fast path fired on %d/2 WSP shards", sharded.NetflowShards)
 	}
 	minmax, err := Solve(tp, reqs, MinMaxRatio, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if minmax.NetflowShards != 0 {
-		t.Fatalf("network simplex fired on %d min-max shards", minmax.NetflowShards)
+		t.Fatalf("shortest-path fast path fired on %d min-max shards", minmax.NetflowShards)
 	}
 	// Arc-confined routes are unique, so the solutions agree exactly.
 	for id := range mono.Paths {

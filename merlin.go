@@ -21,11 +21,11 @@
 // PERFORMANCE.md's "Sharded provisioning"). Each shard's solver is
 // picked by structure: shards recognized as pure node-arc incidence
 // problems (weighted-shortest-path guarantees whose demands fit
-// capacity) solve as per-request min-cost flows on a network simplex
-// with no branch and bound, and the rest build a compact
-// bounded-variable MIP — one row per cable — searched by a wave-
-// parallel branch and bound whose result is bit-for-bit independent of
-// the worker count (PERFORMANCE.md's "Flow-structured solver").
+// capacity) solve as one shortest path per request with no branch and
+// bound, and the rest build a compact bounded-variable MIP — one row per
+// cable — searched by a wave-parallel branch and bound whose result is
+// bit-for-bit independent of the worker count (PERFORMANCE.md's
+// "Flow-structured solver").
 //
 // Long-running controllers hold a Compiler instead: it caches every
 // expensive artifact (product graphs, sink trees, the per-shard
