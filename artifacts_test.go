@@ -48,6 +48,40 @@ func TestLinkDownPatchesAnchoredGraphs(t *testing.T) {
 	sameCompiled(t, "link-down", c.Result(), pol, degraded, nil, opts)
 }
 
+// TestRecoveryOfInheritedOutageBuildsNothing: a compiler handed a fat
+// tree with a link already down builds every product graph as its
+// full-fabric form cut by that link, so the link's recovery re-cuts the
+// graphs that can ride it back to their full forms — no anchored or
+// minimized graph is built — and the output equals a cold compile on the
+// healthy tree.
+func TestRecoveryOfInheritedOutageBuildsNothing(t *testing.T) {
+	const k = 4
+	tp := FatTree(k, Gbps)
+	pol := podPolicy(t, tp, k, 2)
+	if _, err := tp.SetLinkState(tp.MustLookup("agg0_0"), tp.MustLookup("edge0_0"), false); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{} // the totality default adds a minimized best-effort graph
+	c := NewCompiler(tp, nil, opts)
+	if _, err := c.Compile(pol); err != nil {
+		t.Fatal(err)
+	}
+	base := c.Stats()
+	if base.AnchoredBuilds != 2*k || base.GraphBuilds == 0 {
+		t.Fatalf("baseline built %d anchored / %d minimized graphs, want %d / >0",
+			base.AnchoredBuilds, base.GraphBuilds, 2*k)
+	}
+	if _, err := c.ApplyTopo(LinkRecovery("agg0_0", "edge0_0")); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.AnchoredBuilds != base.AnchoredBuilds || st.GraphBuilds != base.GraphBuilds {
+		t.Fatalf("recovery built %d anchored / %d minimized graphs, want 0 / 0",
+			st.AnchoredBuilds-base.AnchoredBuilds, st.GraphBuilds-base.GraphBuilds)
+	}
+	sameCompiled(t, "inherited-outage-recovery", c.Result(), pol, FatTree(k, Gbps), nil, opts)
+}
+
 // TestNewLocationRebuildsAllCaches: a delta whose path expression names a
 // symbol the alphabet lacks grows it, which drops every automaton-derived
 // artifact — anchored graphs, minimized graphs and sink trees are all

@@ -338,8 +338,8 @@ func (c *Compiler) statementStage(run *runState) error {
 		// The alphabet grew: automata determinized/minimized against the
 		// old alphabet can differ from ones built now, so every cached
 		// product graph and sink tree is stale.
-		c.anchored = map[anchorKey]*graphArtifact{}
-		c.graphs = map[string]*graphArtifact{}
+		c.anchored = map[anchorKey]*logical.Graph{}
+		c.graphs = map[string]*logical.Graph{}
 		c.trees = map[treeKey]*sinktree.Tree{}
 	}
 
@@ -374,14 +374,10 @@ func (c *Compiler) statementStage(run *runState) error {
 	}
 	graphs, built, err := buildMissing(c.anchored, len(guar), c.opts.Workers,
 		func(i int) anchorKey { return anchorOf(arts[guar[i]]) },
-		func(i int) (*graphArtifact, error) {
+		func(i int) (*logical.Graph, error) {
 			art := arts[guar[i]]
-			g, err := logical.BuildAnchored(c.t, art.expr, c.alpha,
+			return logical.BuildAnchored(c.t, art.expr, c.alpha,
 				c.t.Node(art.srcs[0]).Name, c.t.Node(art.dsts[0]).Name)
-			if err != nil {
-				return nil, err
-			}
-			return &graphArtifact{g: g, outage: c.downCables}, nil
 		})
 	if err != nil {
 		return err
@@ -411,7 +407,7 @@ func (c *Compiler) statementStage(run *runState) error {
 	run.arts = arts
 	run.anchored = make([]*logical.Graph, n)
 	for i, idx := range guar {
-		run.anchored[idx] = graphs[i].g
+		run.anchored[idx] = graphs[i]
 	}
 	run.res.Timing.GraphBuild = time.Since(gs)
 	return nil
@@ -499,8 +495,6 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 	// different capacities or connectivity, so shard-level reuse below must
 	// re-examine cable incidence even for an unchanged request set.
 	sameInputs := cached != nil && len(c.dirtyCables) == 0 &&
-		cached.greedy == c.opts.Greedy &&
-		cached.heuristic == c.opts.Heuristic &&
 		len(cached.ids) == len(requests)
 	if sameInputs {
 		for i, r := range requests {
@@ -523,7 +517,7 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 		params := provision.Params{
 			Workers: c.opts.Workers, NoShard: c.opts.NoShard,
 		}
-		if cached != nil && !cached.greedy && cached.heuristic == c.opts.Heuristic && cached.res != nil {
+		if cached != nil {
 			// Shard-level reuse: unchanged shards are served outright and
 			// rates-only-changed shards re-solve warm-started from their
 			// cached optimal bases (§4.3's fast re-provisioning path, now
@@ -561,12 +555,10 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 // as the cached provisioning artifact.
 func (c *Compiler) commitProv(requests []provision.Request, sol *provision.Result) {
 	art := &provArtifact{
-		ids:       make([]string, len(requests)),
-		graphs:    make([]*logical.Graph, len(requests)),
-		rates:     make([]float64, len(requests)),
-		heuristic: c.opts.Heuristic,
-		greedy:    c.opts.Greedy,
-		res:       sol,
+		ids:    make([]string, len(requests)),
+		graphs: make([]*logical.Graph, len(requests)),
+		rates:  make([]float64, len(requests)),
+		res:    sol,
 	}
 	for i, r := range requests {
 		art.ids[i], art.graphs[i], art.rates[i] = r.ID, r.Graph, r.MinRate
@@ -608,12 +600,8 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 	// destination), each built once on its first statement's behalf.
 	graphs, built, err := buildMissing(c.graphs, len(bestEff), c.opts.Workers,
 		func(i int) string { return bestEff[i].art.key },
-		func(i int) (*graphArtifact, error) {
-			g, err := logical.BuildMinimized(c.t, bestEff[i].art.expr, c.alpha)
-			if err != nil {
-				return nil, err
-			}
-			return &graphArtifact{g: g, outage: c.downCables}, nil
+		func(i int) (*logical.Graph, error) {
+			return logical.BuildMinimized(c.t, bestEff[i].art.expr, c.alpha)
 		})
 	if err != nil {
 		return nil, err
@@ -627,7 +615,7 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 	var jobs []treeJob
 	for i, w := range bestEff {
 		for _, dst := range w.art.dsts {
-			jobs = append(jobs, treeJob{g: graphs[i].g, key: treeKey{key: w.art.key, dst: dst}, stmtID: w.stmt.ID})
+			jobs = append(jobs, treeJob{g: graphs[i], key: treeKey{key: w.art.key, dst: dst}, stmtID: w.stmt.ID})
 		}
 	}
 	trees, built, err := buildMissing(c.trees, len(jobs), c.opts.Workers,
@@ -649,7 +637,7 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 	for i, w := range bestEff {
 		// Tag-free expressions cannot yield placements; skip the per-pair
 		// path decode entirely.
-		hasTags := graphs[i].g.TagSource != nil
+		hasTags := graphs[i].TagSource != nil
 		for _, dst := range w.art.dsts {
 			tree := trees[j]
 			j++
@@ -962,21 +950,23 @@ func (c *Compiler) patchableCodegen(run *runState) bool {
 	if c.last == nil || c.last.Outputs == nil || c.tainted {
 		return false
 	}
-	if len(c.lastOrder) != len(run.work.Statements) {
+	lastStmts := c.last.Policy.Statements
+	if len(lastStmts) != len(run.work.Statements) {
 		return false
 	}
 	// Always compare against the last successful order — run.aliased only
 	// certifies identity with the slice the statement cache was written
 	// from, which after a failed pass is not the last success.
 	for i, s := range run.work.Statements {
-		if c.lastOrder[i] != s.ID {
+		if lastStmts[i].ID != s.ID {
 			return false
 		}
 	}
 	// Min deltas: the allocation maps only hold formula-mentioned
 	// statements, so comparing them beats walking every statement.
+	lastAllocs := c.last.Allocations
 	for id, a := range run.allocs {
-		old, ok := c.allocs[id]
+		old, ok := lastAllocs[id]
 		if !ok {
 			old = policy.Unconstrained
 		}
@@ -984,7 +974,7 @@ func (c *Compiler) patchableCodegen(run *runState) bool {
 			return false
 		}
 	}
-	for id, old := range c.allocs {
+	for id, old := range lastAllocs {
 		if _, ok := run.allocs[id]; !ok && old.Min != 0 {
 			return false
 		}

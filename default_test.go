@@ -9,42 +9,52 @@ import (
 	"merlin/internal/corpus"
 )
 
-// TestDefaultStatementCompileScale compiles 24 tenant guarantees on a
-// k=4 fat tree with Options{}, so the pre-processor's totality default
-// (§2.1) — a best-effort statement over the negation of every other
-// predicate — is lowered for all 240 host pairs. Lowering must expand
-// that predicate once, not once per pair: the compile has to finish in
-// seconds and stay deterministic.
+// TestDefaultStatementCompileScale compiles tenant guarantees with
+// Options{}, so the pre-processor's totality default (§2.1) — a
+// best-effort statement over the negation of every other predicate — is
+// lowered for every host pair: 240 pairs on a k=4 fat tree, 186,192 on a
+// k=12 one. Lowering must expand that predicate once per statement, not
+// once per pair, and must not hash it per pair either: each compile has
+// to finish in seconds and stay deterministic.
 func TestDefaultStatementCompileScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles a 24-guarantee fat tree with the totality default; skipped in -short")
+		t.Skip("compiles fat trees with the totality default; skipped in -short")
 	}
-	sc, err := corpus.Generate(corpus.Spec{Topo: "fattree-k4", Suite: "tenants", Seed: 1, Tenants: 4, Guarantees: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(sc.Guarantee); n != 24 {
-		t.Fatalf("scenario has %d guarantees, want 24", n)
-	}
-	pol, err := merlin.ParsePolicy(sc.PolicyText, sc.Topology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compile := func() *merlin.Result {
-		t.Helper()
-		start := time.Now()
-		res, err := merlin.Compile(pol, sc.Topology, sc.Placement, merlin.Options{Workers: 2})
+	for _, tc := range []struct {
+		topo                string
+		tenants, guarantees int
+		limit               time.Duration
+	}{
+		{"fattree-k4", 4, 6, 10 * time.Second},
+		{"fattree-k12", 8, 6, 2 * time.Second},
+	} {
+		sc, err := corpus.Generate(corpus.Spec{Topo: tc.topo, Suite: "tenants", Seed: 1, Tenants: tc.tenants, Guarantees: tc.guarantees})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d > 10*time.Second {
-			t.Fatalf("compile took %v, want under 10s", d)
+		if n, want := len(sc.Guarantee), tc.tenants*tc.guarantees; n != want {
+			t.Fatalf("%s: scenario has %d guarantees, want %d", tc.topo, n, want)
 		}
-		return res
-	}
-	a, b := compile(), compile()
-	if !reflect.DeepEqual(a.Outputs, b.Outputs) {
-		t.Fatal("two compiles of the same policy produced different outputs")
+		pol, err := merlin.ParsePolicy(sc.PolicyText, sc.Topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile := func() *merlin.Result {
+			t.Helper()
+			start := time.Now()
+			res, err := merlin.Compile(pol, sc.Topology, sc.Placement, merlin.Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > tc.limit {
+				t.Fatalf("%s: compile took %v, want under %v", tc.topo, d, tc.limit)
+			}
+			return res
+		}
+		a, b := compile(), compile()
+		if !reflect.DeepEqual(a.Outputs, b.Outputs) {
+			t.Fatalf("%s: two compiles of the same policy produced different outputs", tc.topo)
+		}
 	}
 }
 
@@ -121,5 +131,28 @@ func TestChainsCompileScale(t *testing.T) {
 	a, b := compile(), compile()
 	if !reflect.DeepEqual(a.Outputs, b.Outputs) {
 		t.Fatal("two compiles of the same policy produced different outputs")
+	}
+}
+
+// TestChainsRevisitingTreeRetag compiles the zoo-14 middlebox-chain draws
+// whose best-effort waypoint paths revisit a switch right after ingress.
+// Plans sharing one sink tree share its tag, so the first forwarding hop
+// after ingress can collide with a rule another plan bound under that
+// tag; the retag must then move the plan's own ingress classification
+// onto the fresh tag instead of failing with "retag: no prior rule".
+func TestChainsRevisitingTreeRetag(t *testing.T) {
+	for _, seed := range []int64{286, 311, 493, 943, 1349} {
+		sc, err := corpus.Generate(corpus.Spec{Topo: "zoo-14", Suite: "chains", Seed: seed, Tenants: 8, Guarantees: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := merlin.ParsePolicy(sc.PolicyText, sc.Topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := merlin.Options{NoDefault: true, Workers: 2, Targets: merlin.BackendNames()}
+		if _, err := merlin.Compile(pol, sc.Topology, sc.Placement, opts); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -163,20 +163,17 @@ func isTopoValidationError(err error) bool {
 //     the cable lands in the dirty set and provisioning re-solves exactly
 //     the shards whose product graphs can ride it, warm-started from
 //     their cached bases (the model shape is unchanged).
-//   - LinkDown/SwitchDown: anchored and minimized product graphs with an
-//     edge on an affected cable are patched in place (applyOutage); the
-//     rest are untouched. A patched graph's sink trees survive unless a
-//     used path crossed an affected cable. Shard-local re-provisioning
-//     follows from the graph identity checks: patched graphs force a cold
-//     shard solve, untouched shards are served from the previous solution.
-//   - LinkUp/SwitchUp: every product graph records the cables that were
-//     down when it was built or last patched, and a recovery evicts
-//     exactly the graphs whose stamp contains a restored cable, with their
-//     sink trees. The others cannot gain edges from the restoration. The
-//     provisioning artifact is kept: surviving graphs have no edges on
-//     restored cables, so their shards reuse outright, and rebuilt graphs
-//     force cold shard solves. A recovery tick thus costs what the
-//     matching failure tick cost, not a near-full recompile.
+//   - LinkDown/SwitchDown/LinkUp/SwitchUp: every cached product graph is
+//     its full-fabric form cut by the links down now, so a failure and a
+//     recovery are one rule (applyOutage): re-cut the graphs the event can
+//     change — on a failure those with an edge on a failed cable, on a
+//     recovery those whose full form has an edge on a restored one. The
+//     rest are untouched, and nothing is rebuilt: a recovery builds no
+//     automaton. After a failure a re-cut graph's sink trees survive
+//     unless a used path crossed a failed cable; after a recovery they
+//     fall with it. Shard-local re-provisioning follows from the graph
+//     identity checks: re-cut graphs force a cold shard solve, untouched
+//     shards are served from the previous solution.
 func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 	type resolved struct {
 		ev   TopoEvent
@@ -244,31 +241,15 @@ func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 		for _, cb := range im.Cables {
 			cables[cb] = true
 		}
-		// Maintain the down-cable set copy-on-write: artifacts stamped with
-		// the old map must keep seeing the outage as it was at their build.
-		next := make(map[topo.LinkID]bool, len(c.downCables)+len(im.Cables))
-		for cb := range c.downCables {
-			if !up || !cables[cb] {
-				next[cb] = true
-			}
-		}
-		if !up {
-			for _, cb := range im.Cables {
-				next[cb] = true
-			}
-		}
-		if len(next) == 0 {
-			next = nil
-		}
-		c.downCables = next
 		// One rule for both product-graph caches (applyOutage). A sink
-		// tree falls with its graph on recovery; after a patch it is kept
-		// unless one of its used paths crossed an affected cable — only such
-		// a path could change the reverse BFS's distances or tie-breaks
+		// tree falls with its graph on recovery; after a failure it is kept
+		// unless one of its used paths crossed a failed cable — only such a
+		// path could change the reverse BFS's distances or tie-breaks
 		// (sinktree.Tree.RidesLinks).
 		ride := func(l topo.LinkID) bool { return cables[c.t.Cable(l)] }
-		c.stats.AnchoredInvalidated += len(applyOutage(c.anchored, up, cables, ride, c.downCables))
-		touched := applyOutage(c.graphs, up, cables, ride, c.downCables)
+		down := func(l topo.LinkID) bool { return !c.t.LinkIsUp(l) }
+		c.stats.AnchoredInvalidated += len(applyOutage(c.anchored, up, ride, down))
+		touched := applyOutage(c.graphs, up, ride, down)
 		if up {
 			c.stats.GraphsInvalidated += len(touched)
 		} else {
@@ -292,56 +273,28 @@ func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 }
 
 // applyOutage applies one connectivity event to a product-graph cache
-// and returns the keys it touched. A failure patches every graph with an
-// edge on an affected cable (ride) in place — dropping those edges and
-// re-pruning equals a cold build on the degraded topology byte for byte
-// (logical.Graph.WithoutLinks) — and re-stamps it with the current outage.
-// A recovery evicts every graph whose outage stamp holds a restored cable:
-// only those can gain edges from the restoration. Any other graph saw the
-// cable live when it was built and either never rides it or was patched
-// (and stamped) by the failure.
-func applyOutage[K comparable](m map[K]*graphArtifact, up bool, cables map[topo.LinkID]bool, ride func(topo.LinkID) bool, outage map[topo.LinkID]bool) map[K]bool {
+// and returns the keys whose graph it re-cut against the links down now
+// (logical.Graph.Cut), byte-identical to a cold build on the current
+// topology. A failure re-cuts every graph with an edge on a failed cable
+// (ride); a recovery every graph whose full-fabric form has an edge on a
+// restored one. No other graph can change: it rides no failed cable, or
+// its full form none of the restored ones. A graph that is its own full
+// form rides no down link, so no recovery touches it.
+func applyOutage[K comparable](m map[K]*logical.Graph, up bool, ride, down func(topo.LinkID) bool) map[K]bool {
 	var touched map[K]bool
-	for k, ga := range m {
+	for k, g := range m {
+		probe := g
 		if up {
-			if !outageIntersects(ga.outage, cables) {
-				continue
-			}
-			delete(m, k)
-		} else {
-			if !graphRides(ga.g, ride) {
-				continue
-			}
-			ga.g = ga.g.WithoutLinks(ride)
-			ga.outage = outage
+			probe = g.Full
 		}
+		if probe == nil || !probe.Rides(ride) {
+			continue
+		}
+		m[k] = g.Cut(down)
 		if touched == nil {
 			touched = map[K]bool{}
 		}
 		touched[k] = true
 	}
 	return touched
-}
-
-// outageIntersects reports whether an artifact's outage stamp contains any
-// of the restored cables. Iterates the stamp — outages are small — rather
-// than the impact, whose cable list a switch recovery can make long.
-func outageIntersects(outage, restored map[topo.LinkID]bool) bool {
-	for cb := range outage {
-		if restored[cb] {
-			return true
-		}
-	}
-	return false
-}
-
-// graphRides reports whether any edge of the product graph rides a link
-// satisfying ride.
-func graphRides(g *logical.Graph, ride func(topo.LinkID) bool) bool {
-	for i := range g.Edges {
-		if l := g.Edges[i].Link; l >= 0 && ride(l) {
-			return true
-		}
-	}
-	return false
 }

@@ -43,7 +43,9 @@ type Diff = codegen.Diff
 // expression naming a new function or location) drops every cached
 // automaton-derived artifact, because DFA minimization is alphabet-
 // sensitive; the alphabet cannot shrink, so this holds even if that delta
-// is rejected.
+// is rejected. Topology events drop nothing automaton-derived: every
+// cached product graph is its full-fabric form cut by the links down now,
+// and an event re-cuts the graphs it can change.
 type Compiler struct {
 	mu    sync.Mutex
 	t     *Topology
@@ -60,14 +62,10 @@ type Compiler struct {
 	alpha *regex.Alphabet
 
 	// source is the last policy as handed in (pre-preprocessing); Update
-	// deltas apply to it. work/allocs/last mirror the last successful run.
+	// deltas apply to it. last is the last successful run's result: its
+	// preprocessed policy, allocations and outputs.
 	source *Policy
-	work   *Policy
-	allocs map[string]Alloc
 	last   *Result
-	// lastOrder is the last run's statement ID order — priorities depend
-	// on position, so codegen patching requires it unchanged.
-	lastOrder []string
 	// artSource is the statement slice the per-statement cache was last
 	// written from; a policy sharing that backing array skips fingerprint
 	// checks entirely (policies are treated as immutable).
@@ -80,13 +78,14 @@ type Compiler struct {
 
 	// The artifact caches. Each entry is keyed by the inputs that produced
 	// it and is valid iff present: alphabet growth clears the three
-	// automaton-derived maps, and topology events patch or evict their
-	// product graphs (applyOutage). anchored holds guaranteed statements'
+	// automaton-derived maps. anchored holds guaranteed statements'
 	// product graphs, graphs the minimized best-effort ones, and trees the
-	// sink trees built on those.
+	// sink trees built on those. Every cached product graph is its
+	// full-fabric form cut by the links down now (logical.Graph.Cut); a
+	// topology event re-cuts the graphs it can change (applyOutage).
 	stmts    map[string]*stmtArtifact
-	anchored map[anchorKey]*graphArtifact
-	graphs   map[string]*graphArtifact
+	anchored map[anchorKey]*logical.Graph
+	graphs   map[string]*logical.Graph
 	trees    map[treeKey]*sinktree.Tree
 	prov     *provArtifact
 	// dirtyCables accumulates the canonical cable IDs touched by topology
@@ -98,14 +97,6 @@ type Compiler struct {
 	// re-dimensioned cable. A failed pass retains the set — stale shard
 	// solutions must not be served by a retry.
 	dirtyCables map[topo.LinkID]bool
-	// downCables is the set of cables currently out of service (failed
-	// links, plus live cables taken down by a failed endpoint switch).
-	// Product graphs built or patched while it is non-empty are stamped
-	// with it, so a recovery can evict exactly the graphs that describe the
-	// degraded topology. The map is copy-on-write: mutation events install
-	// a fresh map, never edit one a stamped artifact may share. Nil while
-	// the full fabric is live — the common case, making stamps free.
-	downCables map[topo.LinkID]bool
 	// tainted records that the statement cache changed (artifact rebuilt
 	// or pruned) or connectivity changed since the last successful pass. A
 	// failed pass leaves it set, so a retry cannot take the codegen patch
@@ -140,17 +131,6 @@ type anchorKey struct {
 	src, dst NodeID
 }
 
-// graphArtifact caches one product graph, anchored or minimized.
-type graphArtifact struct {
-	g *logical.Graph
-	// outage is the compiler's down-cable set when g was built or last
-	// patched (a shared immutable map; nil means full connectivity). A
-	// recovery evicts the graph only when it restores a cable in this set —
-	// any other graph already saw the restored cable live and cannot gain
-	// edges from it. Sink trees need no stamp: a tree falls with its graph.
-	outage map[topo.LinkID]bool
-}
-
 // treeKey identifies a sink tree: resolved expression key × destination.
 type treeKey struct {
 	key string
@@ -161,14 +141,13 @@ type treeKey struct {
 // the solution is reused without a solve; anything else re-solves at
 // shard granularity, feeding res.Shards back through provision's Reuse so
 // only the shards the change touched are re-solved (rates-only-changed
-// shards warm-start from their cached bases).
+// shards warm-start from their cached bases). The heuristic and allocator
+// are fixed by Options at NewCompiler, so they are not part of the key.
 type provArtifact struct {
-	ids       []string
-	graphs    []*logical.Graph
-	rates     []float64
-	heuristic Heuristic
-	greedy    bool
-	res       *provision.Result
+	ids    []string
+	graphs []*logical.Graph
+	rates  []float64
+	res    *provision.Result
 }
 
 // CompilerStats counts what the incremental compiler actually did — the
@@ -181,12 +160,13 @@ type CompilerStats struct {
 	Updates  int
 	// StatementBuilds counts per-statement artifact (re)builds.
 	// AnchoredBuilds counts the distinct anchored product graphs built
-	// (cache misses, one per expression × source × destination) — a link
-	// failure patches them in place and adds nothing here.
+	// (cache misses, one per expression × source × destination) — a
+	// topology event re-cuts them in place and adds nothing here.
 	StatementBuilds int
 	AnchoredBuilds  int
 	// GraphBuilds and TreeBuilds count minimized product graphs and sink
-	// trees built (cache misses).
+	// trees built (cache misses); like AnchoredBuilds, GraphBuilds never
+	// grows on a failure or a recovery.
 	GraphBuilds int
 	TreeBuilds  int
 	// Solves, WarmSolves, and SolvesReused split provisioning runs into
@@ -210,23 +190,22 @@ type CompilerStats struct {
 	PatchedCodegens int
 	// TopoEvents counts applied topology events (Delta.Topo / ApplyTopo).
 	// AnchoredInvalidated counts the anchored product graphs those events
-	// touched: patched in place by a failure (only graphs with an edge on
-	// an affected cable) or evicted by a recovery (only graphs whose
-	// outage stamp holds a restored cable).
+	// re-cut against the links down now: on a failure the graphs with an
+	// edge on a failed cable, on a recovery the graphs whose full-fabric
+	// form has an edge on a restored cable.
 	TopoEvents          int
 	AnchoredInvalidated int
-	// GraphsInvalidated and TreesInvalidated count the minimized
-	// best-effort product graphs and sink trees topology events evicted.
-	// Recoveries evict by outage stamp, as for anchored graphs; a sink tree
-	// falls with its graph.
+	// GraphsInvalidated counts the minimized best-effort product graphs
+	// recoveries re-cut, and TreesInvalidated the sink trees topology
+	// events evicted; on a recovery a sink tree falls with its graph.
 	GraphsInvalidated int
 	TreesInvalidated  int
-	// GraphsPatched counts minimized best-effort product graphs a failure
-	// repaired in place (edges on affected cables dropped, graph
-	// re-pruned) — byte-identical to a cold build on the degraded
-	// topology. TreesKept counts sink trees that survived such a patch
-	// because no used path crossed an affected cable; only trees whose
-	// used paths did cross are invalidated and rebuilt.
+	// GraphsPatched counts minimized best-effort product graphs failures
+	// re-cut (edges on failed cables dropped, graph re-pruned) — byte-
+	// identical to a cold build on the degraded topology. TreesKept counts
+	// sink trees that survived such a failure because no used path crossed
+	// a failed cable; only trees whose used paths did cross are
+	// invalidated and rebuilt.
 	GraphsPatched int
 	TreesKept     int
 	// TernaryEntries totals the ternary table entries expanded for v2
@@ -264,7 +243,7 @@ type CompilerStats struct {
 // event stales. Mutating the topology behind the compiler's back leaves
 // the caches describing a network that no longer exists.
 func NewCompiler(t *Topology, place Placement, opts Options) *Compiler {
-	c := &Compiler{
+	return &Compiler{
 		t:        t,
 		place:    clonePlacement(place),
 		opts:     opts,
@@ -273,21 +252,10 @@ func NewCompiler(t *Topology, place Placement, opts Options) *Compiler {
 		targets:  resolveTargets(opts.Targets),
 		alpha:    logical.Alphabet(t),
 		stmts:    map[string]*stmtArtifact{},
-		anchored: map[anchorKey]*graphArtifact{},
-		graphs:   map[string]*graphArtifact{},
+		anchored: map[anchorKey]*logical.Graph{},
+		graphs:   map[string]*logical.Graph{},
 		trees:    map[treeKey]*sinktree.Tree{},
 	}
-	// A topology handed over mid-outage seeds the down-cable set, so
-	// artifacts built before the first recovery still carry honest stamps.
-	for _, l := range t.Links() {
-		if t.Cable(l.ID) == l.ID && !t.LinkIsUp(l.ID) {
-			if c.downCables == nil {
-				c.downCables = map[topo.LinkID]bool{}
-			}
-			c.downCables[l.ID] = true
-		}
-	}
-	return c
 }
 
 // resolveTargets defaults and deduplicates the requested backend list.
@@ -551,8 +519,6 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 		}
 	}
 	c.source = pol
-	c.work = run.work
-	c.allocs = run.allocs
 	c.last = res
 	if len(run.requests) == 0 {
 		c.prov = nil
@@ -571,16 +537,11 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 				anchors[anchorOf(art)] = true
 			}
 		}
-		maps.DeleteFunc(c.anchored, func(k anchorKey, _ *graphArtifact) bool { return !anchors[k] })
-		maps.DeleteFunc(c.graphs, func(k string, _ *graphArtifact) bool { return !used[k] })
+		maps.DeleteFunc(c.anchored, func(k anchorKey, _ *logical.Graph) bool { return !anchors[k] })
+		maps.DeleteFunc(c.graphs, func(k string, _ *logical.Graph) bool { return !used[k] })
 		maps.DeleteFunc(c.trees, func(k treeKey, _ *sinktree.Tree) bool { return !used[k.key] })
 		c.tainted = false
 	}
-	order := make([]string, len(run.work.Statements))
-	for i, s := range run.work.Statements {
-		order[i] = s.ID
-	}
-	c.lastOrder = order
 	return res, nil
 }
 

@@ -41,6 +41,9 @@ const (
 // Plan is the compiled artifact of one statement handed to code
 // generation.
 type Plan struct {
+	// ID names the statement the plan was lowered from. Every plan of one
+	// statement carries that statement's predicate, so lowering expands
+	// predicates per ID.
 	ID        string
 	Predicate pred.Pred
 	// Priority orders classification: earlier statements shadow later

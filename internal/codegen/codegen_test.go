@@ -3,6 +3,7 @@ package codegen
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"merlin/internal/logical"
@@ -105,6 +106,61 @@ func TestBestEffortTreeForwarding(t *testing.T) {
 	}
 	if tr.Final.VLAN != packet.VLANNone {
 		t.Error("tag not stripped at egress")
+	}
+}
+
+// TestRetagRevisitingTreeIngress lowers two plans sharing one sink tree
+// whose waypoint paths revisit switches: hb's path ends x → y → h2, and
+// ha's path leaves its ingress x on that same (y, in-port) with a
+// different next hop, then returns through x and y. The collision is at
+// ha's first forwarding hop after ingress, so the retag must move ha's own
+// classification rule onto a fresh tag; both packets must then cross nat
+// and dpi in order and reach h2.
+func TestRetagRevisitingTreeIngress(t *testing.T) {
+	tp := topo.New()
+	x, y := tp.AddSwitch("x"), tp.AddSwitch("y")
+	ha, hb, h2 := tp.AddHost("ha"), tp.AddHost("hb"), tp.AddHost("h2")
+	m1, m0 := tp.AddMiddlebox("m1"), tp.AddMiddlebox("m0")
+	tp.AddLink(ha, x, topo.Gbps)
+	tp.AddLink(x, y, topo.Gbps)
+	tp.AddLink(y, h2, topo.Gbps)
+	tp.AddLink(hb, y, topo.Gbps)
+	tp.AddLink(y, m1, topo.Gbps)
+	tp.AddLink(x, m0, topo.Gbps)
+	g := graphFor(t, tp, ".* nat .* dpi .*", map[string][]string{"nat": {"m1"}, "dpi": {"m0"}})
+	tree, err := sinktree.TreeTo(g, h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[topo.NodeID]string{
+		ha: "ha x y m1 y x m0 x y h2",
+		hb: "hb y m1 y x m0 x y h2",
+	}
+	di, _ := tp.Identities().Of(h2)
+	toH2 := pred.Test{Field: "eth.dst", Value: di.MAC}
+	var plans []Plan
+	for _, src := range []topo.NodeID{hb, ha} {
+		var names []string
+		for _, loc := range logical.Locations(tree.PathFrom(src)) {
+			names = append(names, tp.Node(loc).Name)
+		}
+		if got := strings.Join(names, " "); got != want[src] {
+			t.Fatalf("tree path from %s = %s, want %s", tp.Node(src).Name, got, want[src])
+		}
+		plans = append(plans, Plan{
+			ID: "c", Predicate: toH2, Priority: 10,
+			Alloc: policy.Unconstrained, SrcHost: src, DstHost: h2, Tree: tree,
+		})
+	}
+	out := emitBuiltins(t, tp, plans)
+	for src, path := range want {
+		tr := inject(t, tp, out, src, h2, 80)
+		if !tr.Delivered || tr.DeliveredTo != h2 {
+			t.Fatalf("%s: not delivered: %v (%v)", tp.Node(src).Name, tr.Dropped, tr.HopNames(tp))
+		}
+		if got := strings.Join(tr.HopNames(tp), " "); got != path {
+			t.Errorf("%s: packet took %s, want %s", tp.Node(src).Name, got, path)
+		}
 	}
 }
 

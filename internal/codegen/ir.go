@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -140,15 +141,21 @@ type lowerer struct {
 	bound map[ruleKey]int
 	// classBound dedups classification rules.
 	classBound map[classKey]bool
-	// sels memoizes selectors: every plan of a statement carries the same
-	// predicate value, so each predicate is expanded once per Lower. The
-	// key is sound because every pred type is a comparable struct.
-	sels map[pred.Pred][]classSel
+	// sels memoizes selectors by plan ID: every plan of a statement
+	// carries the statement's predicate (Plan.ID), so each predicate is
+	// expanded once per Lower and never hashed — hashing a large negated
+	// predicate once per plan costs more than expanding it.
+	sels map[string][]classSel
 	// queueBound maps a queue reservation to its allocated queue id;
 	// queueNext allocates ids per port.
 	queueBound map[queueKey]int
 	queueNext  map[topo.LinkID]int
 	nextTag    int
+	// ingressAt is the path position of the plan being lowered's ingress
+	// switch, and ingress the classification rules that plan appended
+	// there (none when every selector reused another plan's rule).
+	ingressAt int
+	ingress   []int
 	// scratch buffers reused across plans
 	locBuf  []topo.NodeID
 	stepBuf []logical.Step
@@ -199,7 +206,7 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
 		bound:      map[ruleKey]int{},
 		classBound: map[classKey]bool{},
-		sels:       map[pred.Pred][]classSel{},
+		sels:       map[string][]classSel{},
 		queueBound: map[queueKey]int{},
 		queueNext:  map[topo.LinkID]int{},
 		nextTag:    2, // tags 0/1 are reserved on real switches (VLAN semantics)
@@ -295,6 +302,7 @@ func (g *lowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed bo
 	}
 	curTag := tag
 	classified := false
+	g.ingress = g.ingress[:0]
 	for i := 1; i < len(locs)-1; i++ {
 		node := locs[i]
 		if g.t.Node(node).Kind != topo.Switch {
@@ -318,6 +326,7 @@ func (g *lowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed bo
 			// Ingress classification: untagged packets matching the
 			// statement's predicate get the path tag.
 			g.lowerClassification(p, node, inLink.ID, curTag, fwd, last)
+			g.ingressAt = i
 			classified = true
 			continue
 		}
@@ -363,12 +372,22 @@ func (g *lowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed bo
 }
 
 // retagPrevious rewrites the rule lowered for the hop before position i so
-// the packet arrives with the fresh tag.
+// the packet arrives with the fresh tag. When that hop is the ingress, the
+// plan's own classification rules move onto the fresh tag; a rule another
+// plan's selector reused is never edited.
 func (g *lowerer) retagPrevious(p Plan, locs []topo.NodeID, i, oldTag, fresh int) error {
 	// Find the previous switch hop.
 	for j := i - 1; j >= 1; j-- {
 		if g.t.Node(locs[j]).Kind != topo.Switch {
 			continue
+		}
+		if j == g.ingressAt && len(g.ingress) > 0 {
+			for _, idx := range g.ingress {
+				ops := slices.Clone(g.prog.Rules[idx].Ops)
+				ops[0].Tag = fresh
+				g.prog.Rules[idx].Ops = ops
+			}
+			return nil
 		}
 		inLink, _ := g.t.FindLink(locs[j-1], locs[j])
 		key := ruleKey{sw: locs[j], vlan: oldTag, in: inLink.ID}
@@ -400,6 +419,7 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 			return
 		}
 		g.classBound[key] = true
+		g.ingress = append(g.ingress, len(g.prog.Rules))
 		g.prog.Rules = append(g.prog.Rules, Rule{
 			Device:   sw,
 			Priority: 100 + p.Priority,
@@ -408,12 +428,13 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 			Stmt:     p.ID,
 		})
 	default:
-		for _, s := range g.selectors(p.Predicate) {
+		for _, s := range g.selectors(p) {
 			key := classKey{sw: sw, vlan: tag, sel: s.sel}
 			if g.classBound[key] {
 				continue
 			}
 			g.classBound[key] = true
+			g.ingress = append(g.ingress, len(g.prog.Rules))
 			g.prog.Rules = append(g.prog.Rules, Rule{
 				Device:   sw,
 				Priority: 100 + p.Priority,
@@ -425,13 +446,15 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 	}
 }
 
-// selectors returns p's distinct classification selectors in
-// first-occurrence cube order, expanding p at most once per Lower. When
-// the expansion is too large, the full predicate is the one selector.
-func (g *lowerer) selectors(p pred.Pred) []classSel {
-	if sels, ok := g.sels[p]; ok {
+// selectors returns the distinct classification selectors of the plan's
+// predicate in first-occurrence cube order, expanding it at most once per
+// statement and Lower. When the expansion is too large, the full
+// predicate is the one selector.
+func (g *lowerer) selectors(plan Plan) []classSel {
+	if sels, ok := g.sels[plan.ID]; ok {
 		return sels
 	}
+	p := plan.Predicate
 	cubes, err := pred.PositiveCubes(p)
 	exact := err != nil
 	if len(cubes) == 0 {
@@ -451,7 +474,7 @@ func (g *lowerer) selectors(p pred.Pred) []classSel {
 		seen[sel] = true
 		sels = append(sels, classSel{pred: cubePred, sel: sel})
 	}
-	g.sels[p] = sels
+	g.sels[plan.ID] = sels
 	return sels
 }
 

@@ -52,6 +52,11 @@ type Graph struct {
 	// from a minimized (tag-free) automaton; DecodePath uses it to recover
 	// function placements.
 	TagSource *regex.EpsFree
+
+	// Full is the full-fabric graph this one was cut from (WithoutLinks,
+	// Cut): the same automaton over every link, live or down. Nil when the
+	// graph is its own full form.
+	Full *Graph
 }
 
 // vertex returns the product vertex index of (location, state).
@@ -82,10 +87,14 @@ func Alphabet(t *topo.Topology) *regex.Alphabet {
 	return regex.NewAlphabet(names)
 }
 
-// Build constructs the product graph of the topology with an epsilon-free
-// NFA whose alphabet was produced by Alphabet(t) (node IDs must equal
-// symbol IDs; extra symbols beyond the topology's nodes — unplaced
-// function names — simply never match).
+// Build constructs the full-fabric product graph of the topology with an
+// epsilon-free NFA whose alphabet was produced by Alphabet(t) (node IDs
+// must equal symbol IDs; extra symbols beyond the topology's nodes —
+// unplaced function names — simply never match). Every link is
+// enumerated, live or down, in link-ID order per node — the order the
+// topology's live adjacency keeps — so on a live topology the graph is
+// exactly the live one, and a degraded topology's live graph is this one
+// cut by its down links (Cut).
 func Build(t *topo.Topology, nfa *regex.EpsFree) *Graph {
 	g := &Graph{
 		Topo:   t,
@@ -98,6 +107,11 @@ func Build(t *topo.Topology, nfa *regex.EpsFree) *Graph {
 	g.Sink = g.Source + 1
 	addEdge := func(from, to int, entering topo.NodeID, link topo.LinkID, tag string) {
 		g.Edges = append(g.Edges, Edge{ID: len(g.Edges), From: from, To: to, Entering: entering, Link: link, Tag: tag})
+	}
+	// Every link by source node, live or down, in link-ID order.
+	adj := make([][]topo.LinkID, n)
+	for _, l := range t.Links() {
+		adj[l.Src] = append(adj[l.Src], l.ID)
 	}
 
 	// Source edges: si -> (v, q') for every transition q0 --v--> q'.
@@ -119,7 +133,7 @@ func Build(t *topo.Topology, nfa *regex.EpsFree) *Graph {
 					addEdge(from, g.vertex(topo.NodeID(u), tr.To), topo.NodeID(u), -1, tr.Tag)
 				}
 				// Physical moves to neighbors in the transition's set.
-				for _, lid := range t.Out(topo.NodeID(u)) {
+				for _, lid := range adj[u] {
 					link := t.Link(lid)
 					v := int(link.Dst)
 					if tr.Set.Has(v) {

@@ -13,7 +13,8 @@ import (
 // automata are typically several times smaller, which shrinks the MIP the
 // provisioner must solve. Because determinization discards function tags,
 // the original tagged NFA is kept on the graph and DecodePath re-derives
-// placements by simulating it over decoded paths.
+// placements by simulating it over decoded paths. The graph is the pruned
+// full-fabric form cut by the topology's down links (Cut).
 func BuildMinimized(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet) (*Graph, error) {
 	nfa, err := regex.Compile(e, alpha)
 	if err != nil {
@@ -24,14 +25,15 @@ func BuildMinimized(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet) (*Gra
 	if regex.HasTags(e) {
 		g.TagSource = nfa.EpsFree()
 	}
-	return g, nil
+	return g.Cut(linkDown(t)), nil
 }
 
 // BuildAnchored constructs the product graph for the intersection of the
 // path expression with "src .* dst" — the anchoring the compiler applies
 // when a statement's predicate (rather than its regex) pins the traffic's
 // endpoints. Tags are recovered against the unanchored expression's NFA,
-// which accepts every anchored path.
+// which accepts every anchored path. Like BuildMinimized, the graph is the
+// pruned full-fabric form cut by the topology's down links.
 func BuildAnchored(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet, src, dst string) (*Graph, error) {
 	nfa, err := regex.Compile(e, alpha)
 	if err != nil {
@@ -47,7 +49,12 @@ func BuildAnchored(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet, src, d
 	if regex.HasTags(e) {
 		g.TagSource = nfa.EpsFree()
 	}
-	return g, nil
+	return g.Cut(linkDown(t)), nil
+}
+
+// linkDown reports the topology's links that are out of service now.
+func linkDown(t *topo.Topology) func(topo.LinkID) bool {
+	return func(l topo.LinkID) bool { return !t.LinkIsUp(l) }
 }
 
 // Prune removes vertices that are unreachable from the source or cannot
@@ -91,6 +98,7 @@ func (g *Graph) Prune() *Graph {
 		Source:    g.Source,
 		Sink:      g.Sink,
 		TagSource: g.TagSource,
+		Full:      g.Full,
 	}
 	out.Out = make([][]int32, g.NumVerts)
 	out.In = make([][]int32, g.NumVerts)
@@ -108,15 +116,20 @@ func (g *Graph) Prune() *Graph {
 }
 
 // WithoutLinks returns the graph with every edge whose physical link
-// satisfies drop removed, re-pruned. Because Prune preserves vertex
-// numbering and renumbers surviving edges compactly in input order, the
-// result of patching a (pruned) graph built on the full topology is
-// byte-identical to building it cold on the degraded topology: a cold
-// build enumerates the same edges minus the dropped links, in the same
-// order, and prunes the same dead vertices. That identity is what lets
-// the incremental compiler repair cached best-effort graphs in place on a
-// link failure instead of rebuilding them.
+// satisfies drop removed, re-pruned, recording the full form it was cut
+// from (g.Full, or g itself). Because Prune preserves vertex numbering
+// and renumbers surviving edges compactly in input order, cutting a
+// pruned full-fabric graph by a topology's down links is byte-identical
+// to building the graph's live form on that degraded topology: the live
+// form has the same edges minus the dropped links, in the same order, and
+// prunes the same dead vertices. That identity is what lets the
+// incremental compiler re-cut cached graphs on every topology event
+// instead of rebuilding them.
 func (g *Graph) WithoutLinks(drop func(topo.LinkID) bool) *Graph {
+	full := g.Full
+	if full == nil {
+		full = g
+	}
 	out := &Graph{
 		Topo:      g.Topo,
 		NFA:       g.NFA,
@@ -125,6 +138,7 @@ func (g *Graph) WithoutLinks(drop func(topo.LinkID) bool) *Graph {
 		Source:    g.Source,
 		Sink:      g.Sink,
 		TagSource: g.TagSource,
+		Full:      full,
 	}
 	out.Out = make([][]int32, g.NumVerts)
 	out.In = make([][]int32, g.NumVerts)
@@ -140,6 +154,33 @@ func (g *Graph) WithoutLinks(drop func(topo.LinkID) bool) *Graph {
 		out.In[e.To] = append(out.In[e.To], int32(id))
 	}
 	return out.Prune()
+}
+
+// Cut returns the graph's full form cut by the links satisfying down: the
+// full form itself when none of its edges rides a down link, and
+// full.WithoutLinks(down) otherwise. Every graph cut from one full form
+// by the same down set is therefore the same graph, whatever it was cut
+// from before — a recovery re-cuts rather than rebuilds.
+func (g *Graph) Cut(down func(topo.LinkID) bool) *Graph {
+	full := g.Full
+	if full == nil {
+		full = g
+	}
+	if !full.Rides(down) {
+		return full
+	}
+	return full.WithoutLinks(down)
+}
+
+// Rides reports whether any edge of the graph rides a link satisfying
+// ride.
+func (g *Graph) Rides(ride func(topo.LinkID) bool) bool {
+	for i := range g.Edges {
+		if l := g.Edges[i].Link; l >= 0 && ride(l) {
+			return true
+		}
+	}
+	return false
 }
 
 // RecoverTags simulates the tagged epsilon-free NFA over the location

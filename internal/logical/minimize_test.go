@@ -69,3 +69,54 @@ func TestWithoutLinksAnchoredMatchesColdBuild(t *testing.T) {
 		})
 	}
 }
+
+// TestCutKeepsFullForm: a graph records the full-fabric form it was cut
+// from. On a degraded topology that form is the healthy build, chained
+// cuts keep pointing at the root form, and re-cutting once every link is
+// back returns the root form itself — a recovery builds nothing.
+func TestCutKeepsFullForm(t *testing.T) {
+	tp := topo.FatTree(4, topo.Gbps)
+	alpha := Alphabet(tp)
+	e := regex.MustParse(".*")
+	build := func() *Graph {
+		g, err := BuildAnchored(tp, e, alpha, "h0_0_0", "h1_0_0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	healthy := build()
+	if healthy.Full != nil {
+		t.Fatal("a healthy build is not its own full form")
+	}
+	if healthy.Cut(linkDown(tp)) != healthy {
+		t.Fatal("Cut with nothing down did not return the full form itself")
+	}
+
+	if _, err := tp.SetLinkState(tp.MustLookup("agg0_0"), tp.MustLookup("edge0_0"), false); err != nil {
+		t.Fatal(err)
+	}
+	degraded := build()
+	if !reflect.DeepEqual(degraded.Full, healthy) {
+		t.Fatal("the degraded build's full form differs from the healthy build")
+	}
+	if !reflect.DeepEqual(healthy.Cut(linkDown(tp)), degraded) {
+		t.Fatal("cutting the healthy build differs from a build on the degraded topology")
+	}
+
+	cable, _ := tp.CableBetween(tp.MustLookup("agg1_1"), tp.MustLookup("edge1_0"))
+	twice := degraded.WithoutLinks(func(l topo.LinkID) bool { return tp.Cable(l) == cable })
+	if len(twice.Edges) >= len(degraded.Edges) {
+		t.Fatal("the second cut removed no edge")
+	}
+	if twice.Full != degraded.Full {
+		t.Fatal("a chained cut lost the root full form")
+	}
+
+	if _, err := tp.SetLinkState(tp.MustLookup("agg0_0"), tp.MustLookup("edge0_0"), true); err != nil {
+		t.Fatal(err)
+	}
+	if twice.Cut(linkDown(tp)) != degraded.Full {
+		t.Fatal("re-cutting with every link up did not return the root full form")
+	}
+}

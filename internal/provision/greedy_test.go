@@ -9,7 +9,7 @@ import (
 )
 
 // TestGreedyHeadroomExhaustion: once every path between the endpoints is
-// saturated, shortestWithHeadroom finds nothing and Greedy reports which
+// saturated, no path has headroom left and Greedy reports which
 // request it could not place.
 func TestGreedyHeadroomExhaustion(t *testing.T) {
 	tp := topo.TwoPath(100*topo.MBps, 100*topo.MBps)

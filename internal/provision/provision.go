@@ -499,7 +499,18 @@ func Greedy(t *topo.Topology, reqs []Request) (*Result, error) {
 	cable := t.Cable
 	for _, i := range order {
 		r := reqs[i]
-		ids := shortestWithHeadroom(r.Graph, t, cableUsed, cable, r.MinRate)
+		// Fewest physical hops over cables with headroom for the request.
+		cost := make([]float64, len(r.Graph.Edges))
+		for eid, e := range r.Graph.Edges {
+			if e.Link < 0 {
+				continue
+			}
+			cost[eid] = 1
+			if c := cable(e.Link); r.MinRate > 0 && cableUsed[c]+r.MinRate > t.Link(c).Capacity+1e-9 {
+				cost[eid] = math.Inf(1)
+			}
+		}
+		ids := r.Graph.CheapestPath(cost)
 		if ids == nil {
 			return nil, fmt.Errorf("provision: greedy failed to place %s", r.ID)
 		}
@@ -519,58 +530,4 @@ func Greedy(t *topo.Topology, reqs []Request) (*Result, error) {
 	res.RMax, res.RMaxBits = reservedStats(t, res.Reserved)
 	res.SolveTime = time.Since(start)
 	return res, nil
-}
-
-// shortestWithHeadroom is a 0/1 BFS over the product graph skipping
-// physical edges whose cable lacks headroom for the request.
-func shortestWithHeadroom(g *logical.Graph, t *topo.Topology, used map[topo.LinkID]float64, cable func(topo.LinkID) topo.LinkID, rate float64) []int {
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, g.NumVerts)
-	parent := make([]int32, g.NumVerts)
-	for i := range dist {
-		dist[i] = inf
-		parent[i] = -1
-	}
-	dist[g.Source] = 0
-	deque := []int{g.Source}
-	for len(deque) > 0 {
-		v := deque[0]
-		deque = deque[1:]
-		for _, eid := range g.Out[v] {
-			e := g.Edges[eid]
-			w := 0
-			if e.Link >= 0 {
-				w = 1
-				if rate > 0 {
-					c := cable(e.Link)
-					if used[c]+rate > t.Link(c).Capacity+1e-9 {
-						continue // insufficient headroom
-					}
-				}
-			}
-			if dist[v]+w < dist[e.To] {
-				dist[e.To] = dist[v] + w
-				parent[e.To] = eid
-				if w == 0 {
-					deque = append([]int{e.To}, deque...)
-				} else {
-					deque = append(deque, e.To)
-				}
-			}
-		}
-	}
-	if dist[g.Sink] == inf {
-		return nil
-	}
-	var rev []int
-	for v := g.Sink; v != g.Source; {
-		eid := parent[v]
-		rev = append(rev, int(eid))
-		v = g.Edges[eid].From
-	}
-	out := make([]int, len(rev))
-	for i, eid := range rev {
-		out[len(rev)-1-i] = eid
-	}
-	return out
 }

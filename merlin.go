@@ -103,11 +103,13 @@
 // The topology is dynamic too: link/switch failures, recoveries, and
 // capacity changes flow through the same incremental pipeline as
 // TopoEvents — Delta.Topo, Compiler.ApplyTopo, or a coalesced
-// Compiler.ApplyTopoBatch — invalidating only the artifacts each event stales (a link
-// failure patches the product graphs crossing the failed cable in place,
-// keeps the sink trees whose used paths avoided it, and re-solves just
-// the provisioning shards it touches) and yielding the
-// reroute as a device-level diff:
+// Compiler.ApplyTopoBatch — invalidating only the artifacts each event
+// stales (every cached product graph is its full-fabric form cut by the
+// links down now, so a failure or a recovery re-cuts just the graphs it
+// can change and builds no automaton; a failure keeps the sink trees
+// whose used paths avoided the failed cable, and re-solves just the
+// provisioning shards it touches) and yielding the reroute as a
+// device-level diff:
 //
 //	diff, _ := c.ApplyTopo(merlin.LinkFailure("agg0_0", "edge0_0"))
 //

@@ -130,10 +130,10 @@ func TestFailurePatchesOnlyIncidentBestEffortGraphs(t *testing.T) {
 	}
 	sameCompiled(t, "trunk-failure-patch", c.Result(), pol, degraded, nil, Options{NoDefault: true})
 
-	// Recovery is selective too: only b's graph was patched while the
-	// trunk was down (the patch stamped it with the outage), so only it —
-	// and its tree — drops. Statement a's island graph, built under full
-	// connectivity and untouched by the failure, survives both events.
+	// Recovery is selective too: only b's graph has a full-fabric form on
+	// the trunk, so only it is re-cut — back to that full form, with no
+	// build — and only its tree drops. Statement a's island graph never
+	// rode the trunk and survives both events.
 	if _, err := c.ApplyTopo(LinkRecovery("s1", "s2")); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestFailurePatchesOnlyIncidentBestEffortGraphs(t *testing.T) {
 		t.Fatalf("recovery evicted %d graphs / %d trees, want only b's 1/1",
 			st2.GraphsInvalidated-st.GraphsInvalidated, st2.TreesInvalidated-st.TreesInvalidated)
 	}
-	if st2.GraphBuilds != st.GraphBuilds+1 || st2.TreeBuilds != st.TreeBuilds+1 {
-		t.Fatalf("recovery recompile rebuilt %d graphs / %d trees, want 1/1",
+	if st2.GraphBuilds != st.GraphBuilds || st2.TreeBuilds != st.TreeBuilds+1 {
+		t.Fatalf("recovery recompile rebuilt %d graphs / %d trees, want 0/1",
 			st2.GraphBuilds-st.GraphBuilds, st2.TreeBuilds-st.TreeBuilds)
 	}
 	sameCompiled(t, "trunk-recovery", c.Result(), pol, islandTopo(), nil, Options{NoDefault: true})
@@ -191,8 +191,8 @@ func TestFailureKeepsTreesOffUsedPaths(t *testing.T) {
 	}
 	sameCompiled(t, "kept-tree-failure", c.Result(), pol, degraded, nil, opts)
 
-	// The patch stamped the graph with the outage, so recovery evicts and
-	// rebuilds it — the kept tree must not outlive its graph.
+	// The graph's full form rides the restored cable, so recovery re-cuts
+	// it back to that form — the kept tree must not outlive its graph.
 	if _, err := c.ApplyTopo(LinkRecovery("s2", "s3")); err != nil {
 		t.Fatal(err)
 	}
