@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -120,6 +119,8 @@ type op struct {
 	topo  []merlin.TopoEvent
 	hub   hubRequest
 	reply chan opResult
+	// topoErrs are the errors of the topology events admitTopo rejected.
+	topoErrs []string
 }
 
 type opResult struct {
@@ -269,45 +270,63 @@ func (d *Daemon) loop() {
 }
 
 // collectTopo coalesces queued topology ops behind the first one, for
-// up to Config.Debounce after it arrives. A non-topology op ends
-// the batch and is returned for ordinary processing; open reports
-// whether the op channel is still open.
+// up to Config.Debounce after it arrives, checking each as it joins
+// (admitTopo). A non-topology op ends the batch and is returned for
+// ordinary processing; open reports whether the op channel is still
+// open.
 func (d *Daemon) collectTopo(first *op) (batch []*op, next *op, open bool) {
-	batch = []*op{first}
+	batch = d.admitTopo(nil, first)
+	var expired <-chan time.Time // nil: take only what is already queued
 	if d.cfg.Debounce > 0 {
 		timer := time.NewTimer(d.cfg.Debounce)
 		defer timer.Stop()
-		for {
+		expired = timer.C
+	}
+	for {
+		var o *op
+		var ok bool
+		if expired != nil {
 			select {
-			case o, ok := <-d.ops:
-				if !ok {
-					return batch, nil, false
-				}
-				if o.kind == opTopo {
-					batch = append(batch, o)
-					continue
-				}
-				return batch, o, true
-			case <-timer.C:
+			case o, ok = <-d.ops:
+			case <-expired:
+				return batch, nil, true
+			}
+		} else {
+			select {
+			case o, ok = <-d.ops:
+			default:
 				return batch, nil, true
 			}
 		}
-	}
-	for {
-		select {
-		case o, ok := <-d.ops:
-			if !ok {
-				return batch, nil, false
-			}
-			if o.kind == opTopo {
-				batch = append(batch, o)
-				continue
-			}
-			return batch, o, true
-		default:
-			return batch, nil, true
+		if !ok {
+			return batch, nil, false
 		}
+		if o.kind != opTopo {
+			return batch, o, true
+		}
+		batch = d.admitTopo(batch, o)
 	}
+}
+
+// admitTopo checks a topology request as it joins the batch
+// (Compiler.CheckTopo). A request with no valid event is answered at
+// once with 422, seq 0 and its own errors, and stays out of the batch;
+// any other joins with only its valid events, keeping its check errors
+// for the reply.
+func (d *Daemon) admitTopo(batch []*op, o *op) []*op {
+	valid, errs := d.c.CheckTopo(o.topo)
+	for _, err := range errs {
+		o.topoErrs = append(o.topoErrs, err.Error())
+	}
+	if len(valid) == 0 {
+		o.reply <- opResult{http.StatusUnprocessableEntity, map[string]any{
+			"seq": 0, "applied": 0, "coalesced": 0,
+			"install": 0, "remove": 0, "errors": o.topoErrs,
+		}}
+		return batch
+	}
+	o.topo = valid
+	return append(batch, o)
 }
 
 func (d *Daemon) apply(o *op) {
@@ -349,64 +368,45 @@ func (d *Daemon) applyDelta(w merlin.WireDelta) opResult {
 	}}
 }
 
+// applyTopoOps applies the valid events of every admitted request as one
+// Update and one journal record. Each request is answered with its own
+// applied count and check errors, plus the batch's shared seq, diff
+// counts and recompile error: the events stick even when the recompile
+// fails, so that error belongs to every request in the batch.
 func (d *Daemon) applyTopoOps(batch []*op) {
 	var events []merlin.TopoEvent
 	for _, o := range batch {
 		events = append(events, o.topo...)
 	}
-	install, remove := 0, 0
-	var outcomes []error // one per onDiff/onErr call; nil for a diff
-	applied := d.c.ApplyTopoBatch(events,
-		func(diff *merlin.Diff) {
-			in, rm := diff.Counts()
-			install += in.Total()
-			remove += rm.Total()
-			outcomes = append(outcomes, nil)
-		},
-		func(err error) { outcomes = append(outcomes, err) })
-	d.applyBroke = len(applied) > 0 && slices.ContainsFunc(outcomes, func(err error) bool { return err != nil })
-	var seq uint64
-	if len(applied) > 0 {
-		payload, err := json.Marshal(merlin.WireTopoEvents(applied))
-		if err == nil {
-			seq, err = d.journal(merlin.RecTopo, payload)
-		}
-		if err != nil {
-			res := opResult{http.StatusInternalServerError, errorBody{err.Error()}}
-			for _, o := range batch {
-				o.reply <- res
-			}
-			return
-		}
+	if len(events) == 0 {
+		return
 	}
-	// Each request is answered as if sent alone. Validation depends only
-	// on an event's value, so an order-preserving walk of applied
-	// attributes every event exactly. A batch retried event by event has
-	// one outcome per event; any other batch has one, for every request.
-	perEvent := len(outcomes) == len(events)
-	i, j := 0, 0 // next event, next applied event
+	diff, err := d.c.Update(merlin.Delta{Topo: events})
+	d.applyBroke = err != nil
+	payload, jerr := json.Marshal(merlin.WireTopoEvents(events))
+	var seq uint64
+	if jerr == nil {
+		seq, jerr = d.journal(merlin.RecTopo, payload)
+	}
+	if jerr != nil {
+		res := opResult{http.StatusInternalServerError, errorBody{jerr.Error()}}
+		for _, o := range batch {
+			o.reply <- res
+		}
+		return
+	}
+	install, remove := 0, 0
+	if diff != nil {
+		in, rm := diff.Counts()
+		install, remove = in.Total(), rm.Total()
+	}
 	for _, o := range batch {
-		n := 0
-		var errs []string
-		for _, ev := range o.topo {
-			if j < len(applied) && applied[j] == ev {
-				n++
-				j++
-			}
-			if perEvent && outcomes[i] != nil {
-				errs = append(errs, outcomes[i].Error())
-			}
-			i++
+		errs := o.topoErrs
+		if err != nil {
+			errs = append(errs, err.Error())
 		}
-		if !perEvent && outcomes[0] != nil {
-			errs = append(errs, outcomes[0].Error())
-		}
-		status, journaled := http.StatusOK, seq
-		if n == 0 {
-			status, journaled = http.StatusUnprocessableEntity, 0
-		}
-		o.reply <- opResult{status, map[string]any{
-			"seq": journaled, "applied": n, "coalesced": len(events),
+		o.reply <- opResult{http.StatusOK, map[string]any{
+			"seq": seq, "applied": len(o.topo), "coalesced": len(events),
 			"install": install, "remove": remove, "errors": errs,
 		}}
 	}

@@ -532,11 +532,11 @@ func journalTopo(t *testing.T, dir string) (batches [][]merlin.WireTopoEvent, re
 	return batches, len(rec.Records)
 }
 
-// TestDaemonTopoCoalescedRepliesPerRequest: a malformed request coalesced
-// with a valid one is answered as if each had been sent alone. The valid
-// request gets 200 with its own applied count and no error, the
-// malformed one gets 422 with its own error, and the journal holds one
-// record with only the valid event.
+// TestDaemonTopoCoalescedRepliesPerRequest: a malformed request sent
+// alongside a valid one is answered as if each had been sent alone. The
+// valid request gets 200 with its own applied count and no error, the
+// malformed one gets 422 with its own error and joins no batch, and the
+// journal holds one record with only the valid event.
 func TestDaemonTopoCoalescedRepliesPerRequest(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fatTreeConfig(dir)
@@ -567,9 +567,9 @@ func TestDaemonTopoCoalescedRepliesPerRequest(t *testing.T) {
 		}(i, ev)
 	}
 	wg.Wait()
-	for _, r := range replies {
-		if r.err != nil || r.body["coalesced"] != 2.0 {
-			t.Fatalf("requests not coalesced into one batch: %v (%v)", r.body, r.err)
+	for i, r := range replies {
+		if want := float64(1 - i); r.err != nil || r.body["coalesced"] != want {
+			t.Fatalf("reply %d: %v (%v), want coalesced %v: only the valid event joins the batch", i, r.body, r.err, want)
 		}
 	}
 	if r := replies[0]; r.status != http.StatusOK || r.body["applied"] != 1.0 || r.body["errors"] != nil {
@@ -584,6 +584,75 @@ func TestDaemonTopoCoalescedRepliesPerRequest(t *testing.T) {
 	topo, _ := journalTopo(t, dir)
 	if want := merlin.WireTopoEvents([]merlin.TopoEvent{valid}); len(topo) != 1 || !reflect.DeepEqual(topo[0], want) {
 		t.Fatalf("journal topo records = %v, want one holding only %v", topo, want)
+	}
+}
+
+// TestDaemonTopoMalformedRequestKeepsStormWhole: one malformed request
+// inside a storm's debounce window neither splits the storm nor costs a
+// recompile. The three valid link failures go through one Update and one
+// journal record and share one seq; the malformed request alone gets 422
+// with seq 0 and its own error.
+func TestDaemonTopoMalformedRequestKeepsStormWhole(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fatTreeConfig(dir)
+	cfg.Debounce = time.Second
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	valid := []merlin.TopoEvent{
+		merlin.LinkFailure("agg1_0", "edge1_0"),
+		merlin.LinkFailure("agg2_0", "edge2_0"),
+		merlin.LinkFailure("agg3_0", "edge3_0"),
+	}
+	bad := merlin.LinkFailure("no-such", "agg0_0")
+	reqs := append(valid[:3:3], bad)
+	type reply struct {
+		status int
+		body   map[string]any
+		err    error
+	}
+	base := d.c.Stats()
+	replies := make([]reply, len(reqs))
+	var wg sync.WaitGroup
+	for i, ev := range reqs {
+		wg.Add(1)
+		go func(i int, ev merlin.TopoEvent) {
+			defer wg.Done()
+			r := &replies[i]
+			r.status, r.body, r.err = post(srv.URL+"/v1/topo", merlin.WireTopoEvents([]merlin.TopoEvent{ev}))
+		}(i, ev)
+	}
+	wg.Wait()
+	if got := d.c.Stats().Updates - base.Updates; got != 1 {
+		t.Fatalf("storm with a malformed neighbour cost %d updates, want 1", got)
+	}
+	seq := replies[0].body["seq"]
+	for i, r := range replies[:len(valid)] {
+		if r.err != nil || r.status != http.StatusOK || r.body["applied"] != 1.0 || r.body["errors"] != nil ||
+			r.body["coalesced"] != float64(len(valid)) || r.body["seq"] != seq || seq == 0.0 {
+			t.Fatalf("valid request %d = %d %v (%v), want 200, applied 1, coalesced %d, shared seq %v",
+				i, r.status, r.body, r.err, len(valid), seq)
+		}
+	}
+	r := replies[len(valid)]
+	errs, _ := r.body["errors"].([]any)
+	if r.err != nil || r.status != http.StatusUnprocessableEntity || r.body["seq"] != 0.0 ||
+		len(errs) != 1 || !strings.Contains(errs[0].(string), "no-such") {
+		t.Fatalf("malformed request = %d %v (%v), want 422, seq 0, its own unknown-node error", r.status, r.body, r.err)
+	}
+	topo, _ := journalTopo(t, dir)
+	if len(topo) != 1 {
+		t.Fatalf("journal holds %d topo records, want 1", len(topo))
+	}
+	got := topo[0] // arrival order; valid is sorted by A
+	sort.Slice(got, func(i, j int) bool { return got[i].A < got[j].A })
+	if want := merlin.WireTopoEvents(valid); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journaled topo record = %v, want exactly the valid events %v", got, want)
 	}
 }
 

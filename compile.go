@@ -144,9 +144,8 @@ type Timing struct {
 	Preprocess time.Duration
 	// GraphBuild is the wall-clock of the whole per-statement phase-1
 	// region: path-expression resolution, endpoint derivation, and the
-	// (parallel) anchored product-graph builds. Earlier versions counted
-	// only the summed graph-build time, so it is nonzero even for
-	// policies with no guarantees.
+	// (parallel) anchored product-graph builds, so it is nonzero even
+	// for policies with no guarantees.
 	GraphBuild  time.Duration
 	LPConstruct time.Duration
 	LPSolve     time.Duration
@@ -699,7 +698,7 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 		}
 		arts[name] = art
 	}
-	c.installArtifacts(run, prog, arts)
+	run.res.IR, run.res.Outputs = prog, arts
 	c.lastPlans, c.plansSorted = plans, false
 	c.stats.FullCodegens++
 	run.res.Timing.Codegen = time.Since(cs)
@@ -894,13 +893,6 @@ func (c *Compiler) checkTargets() error {
 	return nil
 }
 
-// installArtifacts wires a pass's lowered IR and emitted artifacts into
-// the result.
-func (c *Compiler) installArtifacts(run *runState, prog *codegen.Program, arts map[string]codegen.Artifact) {
-	run.res.IR = prog
-	run.res.Outputs = arts
-}
-
 // codegenPatch is the caps-only fast path (§4's bandwidth re-allocation
 // without recompilation), routed per backend: the previous pass's IR is
 // shallow-copied with only its cap-reachable sections (caps, host
@@ -932,7 +924,7 @@ func (c *Compiler) codegenPatch(run *runState) {
 			arts[name] = c.last.Outputs[name]
 		}
 	}
-	c.installArtifacts(run, &prog, arts)
+	res.IR, res.Outputs = &prog, arts
 	res.Paths = c.last.Paths
 	res.Placements = c.last.Placements
 	c.stats.PatchedCodegens++

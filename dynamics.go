@@ -1,7 +1,6 @@
 package merlin
 
 import (
-	"errors"
 	"fmt"
 
 	"merlin/internal/logical"
@@ -83,79 +82,80 @@ func (c *Compiler) ApplyTopo(events ...TopoEvent) (*Diff, error) {
 	return c.Update(Delta{Topo: events})
 }
 
-// ApplyTopoBatch applies one coalesced batch of topology events as a
-// single Update: one invalidation sweep and one recompile. A batch that
-// up-front validation rejects is retried one event at a time, so one
-// malformed event cannot discard the valid failures alongside it; each
-// retried event gets exactly one onDiff or onErr call, in order, where an
-// unretried batch gets one call. It returns the events actually applied
-// to the topology — the durability hook merlind journals: the whole batch
-// on success or on a post-apply recompile failure (events are facts and
-// are never rolled back), and on a validation rejection the
-// individually-accepted subset. onDiff and onErr may be nil.
+// ApplyTopoBatch applies one coalesced batch of topology events: CheckTopo
+// sets the malformed events aside, and the valid rest go through a single
+// Update — one invalidation sweep and one recompile, however many
+// malformed events rode along. onErr gets each check error in order, then
+// the Update's error if it fails; onDiff gets its diff. It returns the
+// valid events, which are what reached the topology — the durability hook
+// merlind journals — even when the recompile fails (events are facts and
+// are never rolled back). onDiff and onErr may be nil.
 func (c *Compiler) ApplyTopoBatch(batch []TopoEvent, onDiff func(*Diff), onErr func(error)) []TopoEvent {
-	diff, err := c.Update(Delta{Topo: batch})
-	if err == nil {
-		if onDiff != nil {
+	valid, errs := c.CheckTopo(batch)
+	if len(valid) > 0 {
+		diff, err := c.Update(Delta{Topo: valid})
+		if err != nil {
+			errs = append(errs, err)
+		} else if onDiff != nil {
 			onDiff(diff)
 		}
-		return batch
-	}
-	if len(batch) > 1 && isTopoValidationError(err) {
-		// The batch was rejected up front by a malformed event, before
-		// anything mutated; the rest are still facts. Re-apply
-		// individually. (A post-apply recompile failure takes the plain
-		// error path instead: the events already stuck, so per-event
-		// retries would only repeat the same failing recompile.)
-		var applied []TopoEvent
-		for _, ev := range batch {
-			if diff, err := c.Update(Delta{Topo: []TopoEvent{ev}}); err != nil {
-				if onErr != nil {
-					onErr(err)
-				}
-				if !isTopoValidationError(err) {
-					applied = append(applied, ev) // stuck; only the recompile failed
-				}
-			} else {
-				applied = append(applied, ev)
-				if onDiff != nil {
-					onDiff(diff)
-				}
-			}
-		}
-		return applied
 	}
 	if onErr != nil {
-		onErr(err)
+		for _, err := range errs {
+			onErr(err)
+		}
 	}
-	if isTopoValidationError(err) {
-		return nil // single malformed event: rejected before any mutation
-	}
-	return batch // events stuck; only the recompile failed
+	return valid
 }
 
-// topoEventError marks a batch rejected during up-front validation —
-// before any mutation — so ApplyTopoBatch can distinguish "nothing was
-// applied, retry the valid events individually" from "the events stuck
-// but the recompile failed".
-type topoEventError struct{ err error }
-
-func (e *topoEventError) Error() string { return e.err.Error() }
-func (e *topoEventError) Unwrap() error { return e.err }
-
-// isTopoValidationError reports whether an Update error was an up-front
-// topology-event validation rejection (nothing mutated) as opposed to a
-// failure after the events were applied.
-func isTopoValidationError(err error) bool {
-	var ve *topoEventError
-	return errors.As(err, &ve)
+// CheckTopo splits topology events into the valid ones, in order, and one
+// error for each of the rest. An event is judged only by its own value and
+// the topology's node and cable set, which no event changes: its nodes
+// and cable must exist, its kind must be known and a capacity it sets
+// must be positive. So a valid event is valid in any batch, alongside any
+// other events. Update runs the same check and rejects a batch holding an
+// invalid event before anything mutates.
+func (c *Compiler) CheckTopo(events []TopoEvent) (valid []TopoEvent, errs []error) {
+	for i, ev := range events {
+		if _, _, err := c.endpoints(ev); err != nil {
+			errs = append(errs, fmt.Errorf("merlin: topology event %d (%s): %w", i, ev.Kind, err))
+			continue
+		}
+		valid = append(valid, ev)
+	}
+	return valid, errs
 }
 
-// applyTopoEvents validates all events, applies them to the bound
-// topology, and invalidates every cached artifact the mutations can have
-// staled. Callers hold c.mu. Validation happens up front so a bad event
-// in a batch rejects the whole batch before anything mutates; once
-// application starts it cannot fail.
+// endpoints resolves the nodes an event names (b only for the cable
+// events), or reports why the event is invalid. It reads only the fixed
+// node and cable set, so it needs no lock.
+func (c *Compiler) endpoints(ev TopoEvent) (a, b topo.NodeID, err error) {
+	a, ok := c.t.Lookup(ev.A)
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown node %q", ev.A)
+	}
+	switch ev.Kind {
+	case SwitchDown, SwitchUp:
+		return a, 0, nil
+	case LinkDown, LinkUp, SetCapacity:
+	default:
+		return 0, 0, fmt.Errorf("unknown kind %d", int(ev.Kind))
+	}
+	if b, ok = c.t.Lookup(ev.B); !ok {
+		return 0, 0, fmt.Errorf("unknown node %q", ev.B)
+	}
+	if _, ok := c.t.CableBetween(a, b); !ok {
+		return 0, 0, fmt.Errorf("no link between %q and %q", ev.A, ev.B)
+	}
+	if ev.Kind == SetCapacity && ev.Capacity <= 0 {
+		return 0, 0, fmt.Errorf("capacity must be positive, got %g", ev.Capacity)
+	}
+	return a, b, nil
+}
+
+// applyTopoEvents applies events that passed CheckTopo to the bound
+// topology and invalidates every cached artifact the mutations can have
+// staled. Callers hold c.mu.
 //
 // Invalidation policy, per event:
 //
@@ -175,53 +175,27 @@ func isTopoValidationError(err error) bool {
 //     identity checks: re-cut graphs force a cold shard solve, untouched
 //     shards are served from the previous solution.
 func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
-	type resolved struct {
-		ev   TopoEvent
-		a, b topo.NodeID
-	}
-	rs := make([]resolved, len(events))
-	for i, ev := range events {
-		a, ok := c.t.Lookup(ev.A)
-		if !ok {
-			return &topoEventError{fmt.Errorf("merlin: topology event %d (%s): unknown node %q", i, ev.Kind, ev.A)}
+	for _, ev := range events {
+		// Defensive: CheckTopo rules out every error endpoints and the
+		// mutators report.
+		a, b, err := c.endpoints(ev)
+		if err != nil {
+			return fmt.Errorf("merlin: topology event (%s): %w", ev.Kind, err)
 		}
-		r := resolved{ev: ev, a: a}
-		switch ev.Kind {
-		case LinkDown, LinkUp, SetCapacity:
-			b, ok := c.t.Lookup(ev.B)
-			if !ok {
-				return &topoEventError{fmt.Errorf("merlin: topology event %d (%s): unknown node %q", i, ev.Kind, ev.B)}
-			}
-			if _, ok := c.t.CableBetween(a, b); !ok {
-				return &topoEventError{fmt.Errorf("merlin: topology event %d (%s): no link between %q and %q", i, ev.Kind, ev.A, ev.B)}
-			}
-			if ev.Kind == SetCapacity && ev.Capacity <= 0 {
-				return &topoEventError{fmt.Errorf("merlin: topology event %d: capacity must be positive, got %g", i, ev.Capacity)}
-			}
-			r.b = b
-		case SwitchDown, SwitchUp:
-		default:
-			return &topoEventError{fmt.Errorf("merlin: topology event %d: unknown kind %d", i, int(ev.Kind))}
-		}
-		rs[i] = r
-	}
-	for _, r := range rs {
 		var im topo.Impact
-		var err error
 		up := false
-		switch r.ev.Kind {
+		switch ev.Kind {
 		case LinkDown, LinkUp:
-			up = r.ev.Kind == LinkUp
-			im, err = c.t.SetLinkState(r.a, r.b, up)
+			up = ev.Kind == LinkUp
+			im, err = c.t.SetLinkState(a, b, up)
 		case SwitchDown, SwitchUp:
-			up = r.ev.Kind == SwitchUp
-			im, err = c.t.SetNodeState(r.a, up)
+			up = ev.Kind == SwitchUp
+			im, err = c.t.SetNodeState(a, up)
 		case SetCapacity:
-			im, err = c.t.SetCableCapacity(r.a, r.b, r.ev.Capacity)
+			im, err = c.t.SetCableCapacity(a, b, ev.Capacity)
 		}
 		if err != nil {
-			// Defensive: validation above should have caught everything.
-			return fmt.Errorf("merlin: topology event (%s): %w", r.ev.Kind, err)
+			return fmt.Errorf("merlin: topology event (%s): %w", ev.Kind, err)
 		}
 		c.stats.TopoEvents++
 		if len(im.Cables) == 0 && !im.ConnectivityChanged {

@@ -278,9 +278,9 @@ func TestCompilerTopoEventSticksOnFailedUpdate(t *testing.T) {
 }
 
 // TestApplyTopoBatchMixedBatch: a malformed event coalesced into the same
-// batch as a real failure must not discard the failure — events are
-// facts. The rejected batch is retried event by event: the bad one is
-// reported, the good one applies and yields its reroute diff.
+// batch as real failures must not discard them — events are facts — nor
+// split the batch. The bad event is reported; the three valid failures
+// apply as one Update with one reroute diff.
 func TestApplyTopoBatchMixedBatch(t *testing.T) {
 	const k = 4
 	tp := FatTree(k, Gbps)
@@ -290,27 +290,37 @@ func TestApplyTopoBatchMixedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := switchHop(t, tp, first.Paths["t0g0"])
+	var valid []TopoEvent
+	for _, id := range []string{"t0g0", "t1g0", "t2g0"} {
+		valid = append(valid, LinkFailure(switchHop(t, tp, first.Paths[id])))
+	}
+	base := c.Stats()
 
 	var diffs []*Diff
 	var errs []error
-	applied := c.ApplyTopoBatch([]TopoEvent{LinkFailure("no-such-node", a), LinkFailure(a, b)},
+	batch := append(valid[:2:2], LinkFailure("no-such-node", "agg0_0"), valid[2])
+	applied := c.ApplyTopoBatch(batch,
 		func(d *Diff) { diffs = append(diffs, d) }, func(err error) { errs = append(errs, err) })
-	if len(applied) != 1 || applied[0] != LinkFailure(a, b) {
-		t.Fatalf("applied = %v, want only the valid failure", applied)
+	if !reflect.DeepEqual(applied, valid) {
+		t.Fatalf("applied = %v, want only the valid failures %v", applied, valid)
 	}
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "no-such-node") {
 		t.Fatalf("want 1 unknown-node error, got %v", errs)
 	}
 	if len(diffs) != 1 {
-		t.Fatalf("valid failure in a mixed batch produced %d diffs, want 1", len(diffs))
+		t.Fatalf("valid failures in a mixed batch produced %d diffs, want 1", len(diffs))
+	}
+	if got := c.Stats().Updates - base.Updates; got != 1 {
+		t.Fatalf("mixed batch cost %d updates, want 1", got)
 	}
 	in, rm := diffs[0].Counts()
 	if in.Total() == 0 || rm.Total() == 0 {
 		t.Fatalf("mixed-batch reroute diff empty: %+v", diffs[0])
 	}
-	if l, ok := tp.FindLink(tp.MustLookup(a), tp.MustLookup(b)); ok {
-		t.Fatalf("valid failure was dropped with the malformed event (link %d live)", l.ID)
+	for _, ev := range valid {
+		if l, ok := tp.FindLink(tp.MustLookup(ev.A), tp.MustLookup(ev.B)); ok {
+			t.Fatalf("valid failure was dropped with the malformed event (link %d live)", l.ID)
+		}
 	}
 }
 
@@ -320,8 +330,7 @@ func TestApplyTopoBatchMixedBatch(t *testing.T) {
 // all-pairs traffic (codegen finds the pair unreachable) and for a
 // guarantee anchored at the host (provisioning finds it infeasible) —
 // keeps the last good result, and recovers cleanly when the link comes
-// back. topo.Impact's DetachedHosts/StaleIdentities give controllers the
-// signal to drop the affected statements instead.
+// back. Dropping the affected statements is the controller's call.
 func TestCompilerHostDetach(t *testing.T) {
 	tp := FatTree(4, Gbps)
 	pol, err := ParsePolicy(`foreach (s,d) in cross(hosts,hosts): .*`, tp)

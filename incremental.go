@@ -344,12 +344,14 @@ type Delta struct {
 	// invalidates every per-statement artifact.
 	Place Placement
 	// Topo lists topology events — link/switch failures and recoveries,
-	// capacity changes — to apply before recompiling. Events are facts,
-	// not proposals: they are applied (and the caches they stale
-	// invalidated) even if the rest of the delta is rejected, so a failed
-	// recompile never leaves the compiler believing in a dead link. The
-	// bound topology must only be mutated through this path (or ApplyTopo);
-	// mutating it directly leaves the caches stale.
+	// capacity changes — to apply before recompiling. Update rejects the
+	// delta before anything mutates if CheckTopo finds an invalid event.
+	// Valid events are facts, not proposals: they are applied (and the
+	// caches they stale invalidated) even if the rest of the delta is
+	// rejected, so a failed recompile never leaves the compiler believing
+	// in a dead link. The bound topology must only be mutated through
+	// this path (or ApplyTopo); mutating it directly leaves the caches
+	// stale.
 	Topo []TopoEvent
 }
 
@@ -363,10 +365,11 @@ func (c *Compiler) Update(d Delta) (*Diff, error) {
 	if c.source == nil {
 		return nil, fmt.Errorf("merlin: Compiler.Update called before the first Compile")
 	}
-	if len(d.Topo) > 0 {
-		if err := c.applyTopoEvents(d.Topo); err != nil {
-			return nil, err
-		}
+	if _, errs := c.CheckTopo(d.Topo); errs != nil {
+		return nil, errors.Join(errs...)
+	}
+	if err := c.applyTopoEvents(d.Topo); err != nil {
+		return nil, err
 	}
 	pol, err := c.applyDelta(d)
 	if err != nil {

@@ -16,16 +16,7 @@ import (
 // placements by simulating it over decoded paths. The graph is the pruned
 // full-fabric form cut by the topology's down links (Cut).
 func BuildMinimized(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet) (*Graph, error) {
-	nfa, err := regex.Compile(e, alpha)
-	if err != nil {
-		return nil, err
-	}
-	min := nfa.Determinize().Minimize().EpsFree()
-	g := Build(t, min).Prune()
-	if regex.HasTags(e) {
-		g.TagSource = nfa.EpsFree()
-	}
-	return g.Cut(linkDown(t)), nil
+	return buildCut(t, e, nil, alpha)
 }
 
 // BuildAnchored constructs the product graph for the intersection of the
@@ -35,17 +26,28 @@ func BuildMinimized(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet) (*Gra
 // which accepts every anchored path. Like BuildMinimized, the graph is the
 // pruned full-fabric form cut by the topology's down links.
 func BuildAnchored(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet, src, dst string) (*Graph, error) {
+	return buildCut(t, e, regex.ConcatAll(regex.Sym{Name: src}, regex.Star{X: regex.Any{}}, regex.Sym{Name: dst}), alpha)
+}
+
+// buildCut is BuildMinimized and BuildAnchored: the minimal DFA of e,
+// intersected with anchor's when anchor is not nil, built over the full
+// fabric, pruned, tagged, and cut by the topology's down links.
+func buildCut(t *topo.Topology, e, anchor regex.Expr, alpha *regex.Alphabet) (*Graph, error) {
 	nfa, err := regex.Compile(e, alpha)
 	if err != nil {
 		return nil, err
 	}
-	anchor := regex.ConcatAll(regex.Sym{Name: src}, regex.Star{X: regex.Any{}}, regex.Sym{Name: dst})
-	anchorNFA, err := regex.Compile(anchor, alpha)
-	if err != nil {
-		return nil, err
+	var anchorNFA *regex.NFA
+	if anchor != nil {
+		if anchorNFA, err = regex.Compile(anchor, alpha); err != nil {
+			return nil, err
+		}
 	}
-	product := nfa.Determinize().Intersect(anchorNFA.Determinize()).Minimize().EpsFree()
-	g := Build(t, product).Prune()
+	dfa := nfa.Determinize()
+	if anchorNFA != nil {
+		dfa = dfa.Intersect(anchorNFA.Determinize())
+	}
+	g := Build(t, dfa.Minimize().EpsFree()).Prune()
 	if regex.HasTags(e) {
 		g.TagSource = nfa.EpsFree()
 	}

@@ -6,12 +6,10 @@
 // configuration) remain addressable while the incremental compiler
 // decides which of them the event actually invalidated.
 //
-// Every mutator returns an Impact describing the affected elements:
-// the physical cables whose state or capacity changed, hosts that lost
-// their last live attachment, and the (now stale) identities those hosts
-// were reachable by. Consumers — the incremental compiler's cache
-// invalidation, a controller's alarm stream — key off the Impact rather
-// than re-deriving it.
+// Every mutator returns an Impact naming the physical cables whose state
+// or capacity changed and whether connectivity moved. The incremental
+// compiler's cache invalidation keys off the Impact rather than
+// re-deriving it.
 package topo
 
 import "fmt"
@@ -21,21 +19,11 @@ type Impact struct {
 	// Cables lists the canonical cable IDs (lower directed link ID of each
 	// pair) whose state or capacity the mutation changed.
 	Cables []LinkID
-	// Links lists every directed link ID affected (both directions of each
-	// cable in Cables).
-	Links []LinkID
 	// ConnectivityChanged reports that links were taken down or restored —
 	// paths may have appeared or vanished. Capacity-only changes leave it
 	// false: the graph structure is intact and only provisioning headroom
 	// moved.
 	ConnectivityChanged bool
-	// DetachedHosts lists hosts that lost their last live link through this
-	// mutation; ReattachedHosts lists hosts that regained one.
-	DetachedHosts   []NodeID
-	ReattachedHosts []NodeID
-	// StaleIdentities lists the policy-level identities (MAC and IP) of the
-	// newly detached hosts — addresses that no longer route anywhere.
-	StaleIdentities []string
 }
 
 // LinkIsUp reports whether a directed link is live: neither administratively
@@ -110,20 +98,13 @@ func (t *Topology) SetLinkState(a, b NodeID, up bool) (Impact, error) {
 	if t.linkDown == nil {
 		t.linkDown = make([]bool, len(t.links))
 	}
-	before := t.attachedSnapshot()
 	t.linkDown[c] = !up
 	t.linkDown[r] = !up
 	t.rebuildAdjacency()
-	var im Impact
-	if !t.nodeState(t.links[c].Src) && !t.nodeState(t.links[c].Dst) {
-		im = Impact{
-			Cables:              []LinkID{c},
-			Links:               []LinkID{c, r},
-			ConnectivityChanged: true,
-		}
+	if t.nodeState(t.links[c].Src) || t.nodeState(t.links[c].Dst) {
+		return Impact{}, nil
 	}
-	t.attachmentDelta(before, &im)
-	return im, nil
+	return Impact{Cables: []LinkID{c}, ConnectivityChanged: true}, nil
 }
 
 // SetNodeState fails or restores a node — typically a switch, taking every
@@ -140,7 +121,6 @@ func (t *Topology) SetNodeState(n NodeID, up bool) (Impact, error) {
 	if t.nodeDown == nil {
 		t.nodeDown = make([]bool, len(t.nodes))
 	}
-	before := t.attachedSnapshot()
 	// The incident cables whose liveness actually flips with this node:
 	// skip those already (or still) dead through their own flag or the
 	// far endpoint. If nothing flips (every incident cable was already
@@ -156,14 +136,11 @@ func (t *Topology) SetNodeState(n NodeID, up bool) (Impact, error) {
 		if t.linkState(l.ID) || t.nodeState(l.Dst) {
 			continue
 		}
-		c := t.Cable(l.ID)
-		im.Cables = append(im.Cables, c)
-		im.Links = append(im.Links, c, t.links[c].Reverse)
+		im.Cables = append(im.Cables, t.Cable(l.ID))
 	}
 	im.ConnectivityChanged = len(im.Cables) > 0
 	t.nodeDown[n] = !up
 	t.rebuildAdjacency()
-	t.attachmentDelta(before, &im)
 	return im, nil
 }
 
@@ -184,7 +161,7 @@ func (t *Topology) SetCableCapacity(a, b NodeID, capacity float64) (Impact, erro
 	}
 	t.links[c].Capacity = capacity
 	t.links[r].Capacity = capacity
-	return Impact{Cables: []LinkID{c}, Links: []LinkID{c, r}}, nil
+	return Impact{Cables: []LinkID{c}}, nil
 }
 
 // rebuildAdjacency recomputes the live adjacency lists from the link table
@@ -205,36 +182,5 @@ func (t *Topology) rebuildAdjacency() {
 		}
 		t.out[l.Src] = append(t.out[l.Src], l.ID)
 		t.in[l.Dst] = append(t.in[l.Dst], l.ID)
-	}
-}
-
-// attachedSnapshot records which hosts currently have at least one live
-// link.
-func (t *Topology) attachedSnapshot() []bool {
-	out := make([]bool, len(t.nodes))
-	for i, n := range t.nodes {
-		if n.Kind == Host {
-			out[i] = len(t.out[i]) > 0 || len(t.in[i]) > 0
-		}
-	}
-	return out
-}
-
-// attachmentDelta compares a pre-mutation snapshot against the current
-// adjacency and records newly detached and reattached hosts, plus the
-// stale identities of the detached ones.
-func (t *Topology) attachmentDelta(before []bool, im *Impact) {
-	for i, n := range t.nodes {
-		if n.Kind != Host {
-			continue
-		}
-		now := len(t.out[i]) > 0 || len(t.in[i]) > 0
-		switch {
-		case before[i] && !now:
-			im.DetachedHosts = append(im.DetachedHosts, n.ID)
-			im.StaleIdentities = append(im.StaleIdentities, MACOf(n.ID), IPOf(n.ID))
-		case !before[i] && now:
-			im.ReattachedHosts = append(im.ReattachedHosts, n.ID)
-		}
 	}
 }

@@ -38,13 +38,10 @@ func TestLinkDownReroutesAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !im.ConnectivityChanged || len(im.Cables) != 1 || len(im.Links) != 2 {
+	if !im.ConnectivityChanged || len(im.Cables) != 1 {
 		t.Fatalf("unexpected impact: %+v", im)
 	}
-	if len(im.DetachedHosts) != 0 {
-		t.Fatalf("no host should detach, got %v", im.DetachedHosts)
-	}
-	for _, l := range im.Links {
+	for _, l := range []LinkID{im.Cables[0], tp.Link(im.Cables[0]).Reverse} {
 		if tp.LinkIsUp(l) {
 			t.Fatalf("link %d still up after failure", l)
 		}
@@ -78,18 +75,17 @@ func TestLinkDownDetachesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(im.DetachedHosts, []NodeID{h0}) {
-		t.Fatalf("expected h0 detached, got %+v", im)
+	if !im.ConnectivityChanged || len(im.Cables) != 1 {
+		t.Fatalf("unexpected impact: %+v", im)
 	}
-	if want := []string{MACOf(h0), IPOf(h0)}; !reflect.DeepEqual(im.StaleIdentities, want) {
-		t.Fatalf("stale identities = %v, want %v", im.StaleIdentities, want)
+	if len(tp.Out(h0)) != 0 || len(tp.In(h0)) != 0 {
+		t.Fatal("detached host still has live adjacency")
 	}
-	im, err = tp.SetLinkState(s0, h0, true)
-	if err != nil {
+	if _, err := tp.SetLinkState(s0, h0, true); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(im.ReattachedHosts, []NodeID{h0}) {
-		t.Fatalf("expected h0 reattached, got %+v", im)
+	if len(tp.Out(h0)) != 1 || len(tp.In(h0)) != 1 {
+		t.Fatal("restored host has no live adjacency")
 	}
 }
 

@@ -103,13 +103,15 @@
 // The topology is dynamic too: link/switch failures, recoveries, and
 // capacity changes flow through the same incremental pipeline as
 // TopoEvents — Delta.Topo, Compiler.ApplyTopo, or a coalesced
-// Compiler.ApplyTopoBatch — invalidating only the artifacts each event
-// stales (every cached product graph is its full-fabric form cut by the
-// links down now, so a failure or a recovery re-cuts just the graphs it
-// can change and builds no automaton; a failure keeps the sink trees
-// whose used paths avoided the failed cable, and re-solves just the
-// provisioning shards it touches) and yielding the reroute as a
-// device-level diff:
+// Compiler.ApplyTopoBatch. Compiler.CheckTopo decides which events are
+// valid once, before they batch, so a batch's valid events go through
+// one Update however many malformed ones rode along. Each event
+// invalidates only the artifacts it stales (every cached product graph
+// is its full-fabric form cut by the links down now, so a failure or a
+// recovery re-cuts just the graphs it can change and builds no
+// automaton; a failure keeps the sink trees whose used paths avoided
+// the failed cable, and re-solves just the provisioning shards it
+// touches), and the Update yields the reroute as a device-level diff:
 //
 //	diff, _ := c.ApplyTopo(merlin.LinkFailure("agg0_0", "edge0_0"))
 //

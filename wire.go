@@ -2,6 +2,7 @@ package merlin
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -189,16 +190,16 @@ func ApplyJournalRecord(c *Compiler, kind byte, data []byte) error {
 			}
 			events[i] = ev
 		}
-		if _, err := c.Update(Delta{Topo: events}); err != nil {
-			if isTopoValidationError(err) {
-				// Journaled events were validated when accepted; a
-				// validation rejection on replay means the journal does
-				// not match the topology it is replayed onto.
-				return fmt.Errorf("merlin: replay topology record: %w", err)
-			}
-			// Post-apply recompile failure: the live compiler hit (and
-			// survived) the same failure when it accepted this record.
+		// Journaled events were checked when accepted; an invalid one
+		// means the journal does not match the topology it is replayed
+		// onto.
+		if _, errs := c.CheckTopo(events); errs != nil {
+			return fmt.Errorf("merlin: replay topology record: %w", errors.Join(errs...))
 		}
+		// A recompile failure is not a replay error: the live compiler
+		// hit (and survived) the same failure when it accepted this
+		// record.
+		_, _ = c.Update(Delta{Topo: events})
 	default:
 		return fmt.Errorf("merlin: unknown journal record kind %d", kind)
 	}
