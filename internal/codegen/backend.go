@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,7 +25,8 @@ type Backend interface {
 	// Emit renders the program for this target.
 	Emit(t *topo.Topology, prog *Program) (Artifact, error)
 	// Diff computes the install/remove delta between two of this
-	// backend's artifacts. Either may be nil (treated as empty).
+	// backend's artifacts. Either may be nil (treated as empty). The
+	// built-in backends delegate to DiffArtifacts.
 	Diff(old, new Artifact) ArtifactDiff
 }
 
@@ -33,7 +35,9 @@ type Artifact interface {
 	// Backend names the backend that emitted the artifact.
 	Backend() string
 	// Entries renders the configuration as deterministic per-device
-	// entries — the diffable (and displayable) native form.
+	// entries — the displayable native form, and the unit a diff
+	// installs and removes. DiffArtifacts need not call it: it compares
+	// two OpenFlow artifacts rule by rule and renders only what changed.
 	Entries() []Entry
 }
 
@@ -55,20 +59,28 @@ type ArtifactDiff struct {
 func (d ArtifactDiff) Empty() bool { return len(d.Install) == 0 && len(d.Remove) == 0 }
 
 // DiffArtifacts computes the multiset delta between two artifacts of the
-// same backend. Pointer-identical artifacts (the incremental compiler
-// shares untouched artifacts across results) diff as empty without
-// rendering.
+// same backend over their rendered entries: Install is new−old and Remove
+// is old−new, each in its artifact's entry order. Pointer-identical
+// artifacts (the incremental compiler shares untouched artifacts across
+// results) diff as empty without rendering. Two OpenFlow artifacts (or
+// one and nil) are compared by rule value, and only the rules of a
+// changed class (see changedOpenFlowEntries) are rendered; the delta is
+// the one their full Entries give.
 func DiffArtifacts(backend string, old, new Artifact) ArtifactDiff {
 	d := ArtifactDiff{Backend: backend}
 	if old == new {
 		return d
 	}
 	var oldE, newE []Entry
-	if old != nil {
-		oldE = old.Entries()
-	}
-	if new != nil {
-		newE = new.Entries()
+	if o, n, ok := openflowPair(old, new); ok {
+		oldE, newE = changedOpenFlowEntries(o, n)
+	} else {
+		if old != nil {
+			oldE = old.Entries()
+		}
+		if new != nil {
+			newE = new.Entries()
+		}
 	}
 	d.Install, d.Remove = diffEntries(newE, oldE)
 	return d
@@ -177,10 +189,123 @@ func (a *OpenFlowArtifact) Entries() []Entry {
 	for _, r := range a.Rules {
 		out = append(out, Entry{Device: r.Switch, Text: r.String()})
 	}
+	return a.appendQueues(out)
+}
+
+// appendQueues appends the queue entries, which follow the rules.
+func (a *OpenFlowArtifact) appendQueues(out []Entry) []Entry {
 	for _, q := range a.Queues {
 		out = append(out, Entry{Device: q.Switch, Text: fmt.Sprintf(queuePrefix+"port=%d q=%d min=%g", q.Port, q.Queue, q.MinBps)})
 	}
 	return out
+}
+
+// keyedActions is how many actions a flowClass holds inline; the class
+// of a rule with more is always treated as changed.
+const keyedActions = 4
+
+// flowClass is the part of a rule its rendered text determines: the
+// switch and priority lead the text, and each value of openflow's five
+// action types renders to its own token. Rules with equal text therefore
+// share a class.
+type flowClass struct {
+	sw      topo.NodeID
+	prio    int
+	actions [keyedActions]openflow.Action
+}
+
+// flowKey is a rule's whole value; rules with equal keys render equal
+// text. Every pred type is a comparable value struct, so the match,
+// predicate included, is part of the key as it stands.
+type flowKey struct {
+	flowClass
+	match openflow.Match
+}
+
+func classOf(r *openflow.Rule) flowClass {
+	c := flowClass{sw: r.Switch, prio: r.Priority}
+	copy(c.actions[:], r.Actions)
+	return c
+}
+
+func keyOf(r *openflow.Rule) flowKey { return flowKey{classOf(r), r.Match} }
+
+func sameRule(a, b *openflow.Rule) bool {
+	return a.Switch == b.Switch && a.Priority == b.Priority && a.Match == b.Match && slices.Equal(a.Actions, b.Actions)
+}
+
+// openflowPair returns the two sides as OpenFlow artifacts when both are
+// (a nil side reads as empty).
+func openflowPair(old, new Artifact) (o, n *OpenFlowArtifact, ok bool) {
+	o, okOld := old.(*OpenFlowArtifact)
+	n, okNew := new.(*OpenFlowArtifact)
+	if !(okOld || old == nil) || !(okNew || new == nil) {
+		return nil, nil, false
+	}
+	if o == nil {
+		o = &OpenFlowArtifact{}
+	}
+	if n == nil {
+		n = &OpenFlowArtifact{}
+	}
+	return o, n, true
+}
+
+// changedOpenFlowEntries renders, in entry order, the rules of every
+// class whose multiset of keys differs between the two artifacts, and
+// all queues. Every occurrence of a text lies in one class, so a text
+// outside those classes occurs equally often on both sides, and the
+// text multiset over what is rendered here installs and removes exactly
+// the entries it would over the full Entries.
+func changedOpenFlowEntries(old, new *OpenFlowArtifact) (oldE, newE []Entry) {
+	// Equal rules at the same offset from either end cancel in the count
+	// below; skipping them keeps a recompile's unchanged runs out of it.
+	o, n := old.Rules, new.Rules
+	for len(o) > 0 && len(n) > 0 && sameRule(&o[0], &n[0]) {
+		o, n = o[1:], n[1:]
+	}
+	for len(o) > 0 && len(n) > 0 && sameRule(&o[len(o)-1], &n[len(n)-1]) {
+		o, n = o[:len(o)-1], n[:len(n)-1]
+	}
+	changed := map[flowClass]bool{}
+	// count[k] is o's number of rules with key k minus n's.
+	count := make(map[flowKey]int, len(o))
+	tally := func(rules []openflow.Rule, d int) {
+		for i := range rules {
+			r := &rules[i]
+			if len(r.Actions) > keyedActions {
+				changed[classOf(r)] = true
+				continue
+			}
+			count[keyOf(r)] += d
+		}
+	}
+	tally(o, 1)
+	tally(n, -1)
+	for k, c := range count {
+		if c != 0 {
+			changed[k.flowClass] = true
+		}
+	}
+	return old.changedEntries(changed), new.changedEntries(changed)
+}
+
+// changedEntries renders the rules whose class is in changed, then the
+// queues. A rule on a switch no changed class names is passed over
+// before its class is built.
+func (a *OpenFlowArtifact) changedEntries(changed map[flowClass]bool) []Entry {
+	switches := make(map[topo.NodeID]bool, len(changed))
+	for c := range changed {
+		switches[c.sw] = true
+	}
+	var out []Entry
+	for i := range a.Rules {
+		r := &a.Rules[i]
+		if switches[r.Switch] && changed[classOf(r)] {
+			out = append(out, Entry{Device: r.Switch, Text: r.String()})
+		}
+	}
+	return a.appendQueues(out)
 }
 
 type openflowBackend struct{}

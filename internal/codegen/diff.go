@@ -1,11 +1,6 @@
 package codegen
 
-import (
-	"sort"
-	"strings"
-
-	"merlin/internal/topo"
-)
+import "strings"
 
 // Diff is the device-level delta between two compiled results: the
 // entries a controller must install and remove to move the dataplane from
@@ -61,25 +56,6 @@ func (c *Counts) add(backend string, es []Entry) {
 			c.Click++
 		}
 	}
-}
-
-// Devices lists the distinct nodes the diff touches, in ascending order.
-func (d *Diff) Devices() []topo.NodeID {
-	seen := map[topo.NodeID]bool{}
-	for _, bd := range d.Backends {
-		for _, e := range bd.Install {
-			seen[e.Device] = true
-		}
-		for _, e := range bd.Remove {
-			seen[e.Device] = true
-		}
-	}
-	out := make([]topo.NodeID, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // diffEntries returns the multiset differences new−old (to install) and

@@ -97,17 +97,45 @@ func (Not) isPred()       {}
 
 func (TruePred) String() string  { return "true" }
 func (FalsePred) String() string { return "false" }
-func (t Test) String() string    { return fmt.Sprintf("%s = %s", t.Field, t.Value) }
+func (t Test) String() string    { return string(t.Field) + " = " + t.Value }
+func (a And) String() string     { return render(a) }
+func (o Or) String() string      { return render(o) }
+func (n Not) String() string     { return render(n) }
 
-func (a And) String() string {
-	return fmt.Sprintf("(%s and %s)", a.L.String(), a.R.String())
+// render writes p into one strings.Builder, so a deep predicate costs time
+// linear in its text rather than a copy of every subterm per level.
+func render(p Pred) string {
+	var b strings.Builder
+	writePred(&b, p)
+	return b.String()
 }
 
-func (o Or) String() string {
-	return fmt.Sprintf("(%s or %s)", o.L.String(), o.R.String())
+func writePred(b *strings.Builder, p Pred) {
+	switch q := p.(type) {
+	case Test:
+		b.WriteString(string(q.Field))
+		b.WriteString(" = ")
+		b.WriteString(q.Value)
+	case And:
+		writeBinary(b, q.L, " and ", q.R)
+	case Or:
+		writeBinary(b, q.L, " or ", q.R)
+	case Not:
+		b.WriteString("!(")
+		writePred(b, q.P)
+		b.WriteByte(')')
+	default:
+		b.WriteString(p.String())
+	}
 }
 
-func (n Not) String() string { return "!(" + n.P.String() + ")" }
+func writeBinary(b *strings.Builder, l Pred, op string, r Pred) {
+	b.WriteByte('(')
+	writePred(b, l)
+	b.WriteString(op)
+	writePred(b, r)
+	b.WriteByte(')')
+}
 
 // True and False are the constant predicates.
 var (

@@ -139,7 +139,7 @@ func TestCapsOnlyPatchSharesP4Artifact(t *testing.T) {
 // TestApplyTopoRoutesP4Diff covers per-backend routing of topology
 // reroutes: a link failure that moves a guaranteed path must surface as
 // both an OpenFlow rule delta and a P4 table-entry delta, and the diff's
-// Empty/Devices accessors must see the P4 section.
+// Empty accessor must see the P4 section.
 func TestApplyTopoRoutesP4Diff(t *testing.T) {
 	const k = 4
 	tp := FatTree(k, Gbps)
@@ -163,8 +163,5 @@ func TestApplyTopoRoutesP4Diff(t *testing.T) {
 	}
 	if diff.Empty() {
 		t.Fatal("non-empty reroute reported Empty")
-	}
-	if len(diff.Devices()) == 0 {
-		t.Fatal("reroute diff names no devices")
 	}
 }
