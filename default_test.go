@@ -98,9 +98,9 @@ func TestGuaranteedCompileScale(t *testing.T) {
 }
 
 // TestChainsCompileScale compiles 48 middlebox-chain guarantees on a k=16
-// fat tree. Every shard is netflow-eligible, so each request must be one
-// shortest-path run over its product graph: the compile has to finish in
-// seconds and stay deterministic.
+// fat tree. Every shard's cheapest routes fit every cable, so each request
+// must be one shortest-path run over its product graph, with no branch and
+// bound: the compile has to finish in seconds and stay deterministic.
 func TestChainsCompileScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a 48-guarantee k=16 fat tree; skipped in -short")

@@ -217,7 +217,8 @@ type CompilerStats struct {
 	TernaryEntries       int
 	OverflowReplacements int
 	// NetflowShards counts shard solves served by the shortest-path fast
-	// path (pure node-arc incidence structure, no branch and bound);
+	// path (routes fit every cable with capacity ignored, no branch and
+	// bound);
 	// BnBNodes totals branch-and-bound nodes explored by the general path.
 	// Together they show where provisioning time actually went.
 	NetflowShards int

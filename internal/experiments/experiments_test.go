@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"merlin"
 )
 
 func TestFig4ShapesMatchPaper(t *testing.T) {
@@ -204,5 +208,63 @@ func TestRowFormat(t *testing.T) {
 	s := r.Format()
 	if !strings.Contains(s, "a=1") || !strings.Contains(s, "b=2") {
 		t.Fatalf("format = %q", s)
+	}
+}
+
+// TestTable7CompileScale compiles Table 7's fattree-k8 row: all 16,256
+// host pairs best-effort, 812 of them guaranteed `.*` paths. Every such
+// path can ride every cable, so a worst-case load test sends the shard to
+// branch and bound, which does not finish; the cheapest routes fit every
+// cable, so relax-then-verify routes it by one shortest path per request.
+// Each compile runs under a deadline, so a stall fails the test instead of
+// hanging it, and two compiles must agree.
+func TestTable7CompileScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles an 812-guarantee k=8 fat tree; skipped in -short")
+	}
+	var c Table7Case
+	for _, tc := range Table7Cases() {
+		if tc.Name == "fattree-k8" {
+			c = tc
+		}
+	}
+	if c.Guaranteed != 812 {
+		t.Fatalf("fattree-k8 row has %d guarantees, want 812", c.Guaranteed)
+	}
+	tp := c.Build()
+	pol, _, err := table7Policy(c, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 2 * time.Second
+	compile := func() *merlin.Result {
+		t.Helper()
+		type outcome struct {
+			res *merlin.Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		start := time.Now()
+		go func() {
+			res, err := merlin.Compile(pol, tp, nil, merlin.Options{NoDefault: true, Workers: 2})
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if d := time.Since(start); d > limit {
+				t.Fatalf("compile took %v, want under %v", d, limit)
+			}
+			return o.res
+		case <-time.After(limit):
+			t.Fatalf("compile still running after %v", limit)
+			return nil
+		}
+	}
+	a, b := compile(), compile()
+	if !reflect.DeepEqual(a.Outputs, b.Outputs) {
+		t.Fatal("two compiles of the same policy produced different outputs")
 	}
 }

@@ -62,7 +62,6 @@ type Model struct {
 	cost     []float64
 	lower    []float64
 	upper    []float64
-	names    []string
 	cons     []Constraint
 	maximize bool
 }
@@ -70,7 +69,7 @@ type Model struct {
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{} }
 
-// Clone returns a model sharing this one's constraints and names but with
+// Clone returns a model sharing this one's constraints but with
 // private cost and bound vectors, so SetCost/SetBounds on the clone leave
 // the original untouched. Branch and bound solves node relaxations on
 // clones — one per worker — which keeps concurrent node solves free of
@@ -96,7 +95,6 @@ func (m *Model) AddVar(lb, ub, cost float64, name string) int {
 	m.cost = append(m.cost, cost)
 	m.lower = append(m.lower, lb)
 	m.upper = append(m.upper, ub)
-	m.names = append(m.names, name)
 	return id
 }
 
@@ -117,12 +115,6 @@ func (m *Model) Bounds(v int) (lb, ub float64) { return m.lower[v], m.upper[v] }
 
 // NumVars reports the number of variables.
 func (m *Model) NumVars() int { return m.nvars }
-
-// NumConstraints reports the number of constraints.
-func (m *Model) NumConstraints() int { return len(m.cons) }
-
-// VarName returns the name given to variable v.
-func (m *Model) VarName(v int) string { return m.names[v] }
 
 // Maximize flips the objective sense to maximization.
 func (m *Model) Maximize() { m.maximize = true }

@@ -96,9 +96,6 @@ func (m *Model) AddBinVar(cost float64, name string) int {
 	return m.AddIntVar(0, 1, cost, name)
 }
 
-// MarkInteger constrains an existing variable to integer values.
-func (m *Model) MarkInteger(v int) { m.markInt(v) }
-
 func (m *Model) markInt(v int) {
 	for len(m.integer) <= v {
 		m.integer = append(m.integer, false)

@@ -5,17 +5,21 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"testing"
 
 	"merlin/internal/logical"
+	"merlin/internal/lp"
+	"merlin/internal/mip"
 	"merlin/internal/regex"
 	"merlin/internal/topo"
 )
 
 // The differential fuzz harness: a seeded, deterministic generator of
 // random topologies (fat trees, rings, grid meshes, stars, Waxman random
-// graphs — the Topology Zoo families) and random request sets, asserting
+// graphs — the Topology Zoo families — plus tight-capacity rings) and
+// random request sets, asserting
 // that the sharded and monolithic provision.Solve agree on feasibility,
 // objective, and per-link allocations. Failures log the case's seed, so
 // any divergence replays exactly with genCase(seed).
@@ -72,7 +76,7 @@ func ringGroup(lo, hi int) []string {
 func genCase(tb testing.TB, seed int64) diffCase {
 	rng := rand.New(rand.NewSource(seed))
 	h := Heuristic(rng.Intn(3))
-	family := rng.Intn(5)
+	family := rng.Intn(6)
 	var (
 		tp   *topo.Topology
 		reqs []Request
@@ -91,6 +95,12 @@ func genCase(tb testing.TB, seed int64) diffCase {
 	case 3:
 		name = "star"
 		tp, reqs = genStar(tb, rng)
+	case 4:
+		// Only a separable objective relaxes to shortest paths, so this
+		// family, built to make them overflow, runs WSP alone.
+		name = "tight"
+		h = WeightedShortestPath
+		tp, reqs = genTight(tb, rng)
 	default:
 		name = "waxman"
 		tp, reqs = genWaxman(tb, rng, seed)
@@ -253,6 +263,35 @@ func genStar(tb testing.TB, rng *rand.Rand) (*topo.Topology, []Request) {
 	return tp, reqs
 }
 
+// genTight builds a ring whose switch links carry 40 MB/s against 20 or
+// 30 MB/s guarantees between random hosts: two requests whose cheapest
+// paths share a ring link often overflow it, so the relaxed routes fail
+// verification and the solve must detour one of them the other way round
+// (or prove that no detour fits).
+func genTight(tb testing.TB, rng *rand.Rand) (*topo.Topology, []Request) {
+	n := 4 + rng.Intn(4)
+	tp := topo.New()
+	sw := make([]topo.NodeID, n)
+	for i := range sw {
+		sw[i] = tp.AddSwitch(switchName(i))
+		tp.AddLink(sw[i], tp.AddHost(hostName(i)), 100*topo.MBps)
+	}
+	for i := range sw {
+		tp.AddLink(sw[i], sw[(i+1)%n], 40*topo.MBps)
+	}
+	alpha := logical.Alphabet(tp)
+	cnt := 2 + rng.Intn(2)
+	var reqs []Request
+	for i := 0; i < cnt; i++ {
+		si, di := rng.Intn(n), rng.Intn(n)
+		for di == si {
+			di = rng.Intn(n)
+		}
+		reqs = append(reqs, restrictedReq(tb, tp, alpha, fmt.Sprintf("r%d", i), nil, hostName(si), hostName(di), float64(20+10*rng.Intn(2))*topo.MBps))
+	}
+	return tp, reqs
+}
+
 // genWaxman builds a random operator-style mesh with hosts on every
 // switch and unconstrained paths.
 func genWaxman(tb testing.TB, rng *rand.Rand, seed int64) (*topo.Topology, []Request) {
@@ -325,17 +364,155 @@ func sameAllocations(a, b *Result) bool {
 	return true
 }
 
+// solveLegacy is the harness's reference engine: each shard of Partition
+// solved, with no fast path, as the paper-literal MIP of §3.2 — one
+// reservation variable r_uv per cable coupled by three rows materializing
+// eqs. 2–4, and eq. 5 as the [0,1] bounds of r_uv and rmax. It shares only
+// the objective coefficients with buildModel's compact encoding, which
+// folds those rows into implicit variable bounds.
+func solveLegacy(t *topo.Topology, reqs []Request, h Heuristic) (*Result, error) {
+	res := &Result{Paths: map[string][]logical.Step{}, Reserved: map[topo.LinkID]float64{}}
+	for _, comp := range Partition(t, reqs) {
+		sub := make([]Request, len(comp))
+		for k, i := range comp {
+			sub[k] = reqs[i]
+		}
+		model, xvars := legacyModel(t, sub, h)
+		sol := model.Solve(mip.Params{})
+		if sol.Status != mip.Optimal {
+			return nil, fmt.Errorf("legacy solve: %v", sol.Status)
+		}
+		for k, r := range sub {
+			steps, err := r.Graph.ExtractPath(func(e int) bool { return sol.X[xvars[k][e]] > 0.5 })
+			if err != nil {
+				return nil, fmt.Errorf("decoding %s: %w", r.ID, err)
+			}
+			res.Paths[r.ID] = steps
+			addReservations(t, res.Reserved, steps, r.MinRate)
+		}
+	}
+	res.RMax, res.RMaxBits = reservedStats(t, res.Reserved)
+	return res, nil
+}
+
+// legacyModel builds the paper-literal MIP over reqs, returning it with
+// the per-request edge-variable indices.
+func legacyModel(t *topo.Topology, reqs []Request, h Heuristic) (*mip.Model, [][]int) {
+	model := mip.NewModel()
+	xvars := make([][]int, len(reqs))
+	for i, r := range reqs {
+		xvars[i] = make([]int, len(r.Graph.Edges))
+		for e := range r.Graph.Edges {
+			xvars[i][e] = model.AddBinVar(0, "x")
+		}
+	}
+	// eq. 1: flow conservation per product vertex with incident edges.
+	for i, r := range reqs {
+		g := r.Graph
+		for v := 0; v < g.NumVerts; v++ {
+			var terms []lp.Term
+			for _, e := range g.Out[v] {
+				terms = append(terms, lp.Term{Var: xvars[i][e], Coeff: 1})
+			}
+			for _, e := range g.In[v] {
+				terms = append(terms, lp.Term{Var: xvars[i][e], Coeff: -1})
+			}
+			if len(terms) == 0 {
+				continue
+			}
+			rhs := 0.0
+			switch v {
+			case g.Source:
+				rhs = 1
+			case g.Sink:
+				rhs = -1
+			}
+			model.AddConstraint(terms, lp.EQ, rhs, "flow")
+		}
+	}
+	loads := map[topo.LinkID][]lp.Term{}
+	for i, r := range reqs {
+		if r.MinRate == 0 {
+			continue
+		}
+		for e, ed := range r.Graph.Edges {
+			if ed.Link >= 0 {
+				c := t.Cable(ed.Link)
+				loads[c] = append(loads[c], lp.Term{Var: xvars[i][e], Coeff: r.MinRate / rateUnit})
+			}
+		}
+	}
+	cables := make([]topo.LinkID, 0, len(loads))
+	for c := range loads {
+		cables = append(cables, c)
+	}
+	sort.Slice(cables, func(i, j int) bool { return cables[i] < cables[j] })
+	rmax := model.Model.AddVar(0, 1, 0, "rmax")
+	rmaxBits := model.Model.AddVar(0, math.Inf(1), 0, "Rmax")
+	for _, c := range cables {
+		capU := t.Link(c).Capacity / rateUnit
+		ruv := model.Model.AddVar(0, 1, 0, "r")
+		// eq. 2: ruv * cuv = Σ rmin_i x_e.
+		model.AddConstraint(append([]lp.Term{{Var: ruv, Coeff: capU}}, negate(loads[c])...), lp.EQ, 0, "reserve")
+		// eq. 3: rmax >= ruv.
+		model.AddConstraint([]lp.Term{{Var: rmax, Coeff: 1}, {Var: ruv, Coeff: -1}}, lp.GE, 0, "rmax")
+		// eq. 4: Rmax >= ruv * cuv.
+		model.AddConstraint([]lp.Term{{Var: rmaxBits, Coeff: 1}, {Var: ruv, Coeff: -capU}}, lp.GE, 0, "Rmax")
+	}
+	for i, r := range reqs {
+		jitter := idJitter(r.ID)
+		for e, ed := range r.Graph.Edges {
+			if ed.Link >= 0 {
+				model.SetCost(xvars[i][e], linkCost(h, r.MinRate, jitter, e))
+			}
+		}
+	}
+	switch h {
+	case MinMaxRatio:
+		model.SetCost(rmax, 1000)
+	case MinMaxReserved:
+		model.SetCost(rmaxBits, 1)
+	}
+	return model, xvars
+}
+
+// worstCaseFits is the test the fast path once required before it ran:
+// every rated request on every product edge that can ride a cable at
+// once, pooled by cable, within capacity.
+func worstCaseFits(t *topo.Topology, s *ShardSolution) bool {
+	load := map[topo.LinkID]float64{}
+	for k, g := range s.Graphs {
+		for _, ed := range g.Edges {
+			if ed.Link >= 0 {
+				load[t.Cable(ed.Link)] += s.Rates[k]
+			}
+		}
+	}
+	for c, l := range load {
+		if l > t.Link(c).Capacity+1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
 // runDifferential executes n seeded cases starting at seed0 and fails on
 // the first divergence, logging the seed. Besides sharded-vs-monolithic,
 // every case cross-checks the solver engines against each other: the
 // default stack (shortest-path fast path where it fires) against the
-// general path with detection off, and the compact bounded-variable
-// formulation against the legacy paper-literal one. All four must agree
-// on feasibility and objective; allocations match modulo the same
-// tie-break collision noise the sharded comparison tolerates.
+// general path with the fast path off, and the compact bounded-variable
+// formulation against the paper-literal one (solveLegacy). All four must
+// agree on feasibility and objective; allocations match modulo the same
+// tie-break collision noise the sharded comparison tolerates. Under WSP
+// the harness also counts the shards whose relaxed routes fit although
+// the worst case of all their product edges would not (the fast path
+// verifies routes, not the worst case), and the shards whose relaxed
+// routes overflowed a cable and went on to the general path; it needs
+// some of each.
 func runDifferential(t *testing.T, seed0 int64, n int) {
 	wspDiffs, minmaxDiffs, engineDiffs := 0, 0, 0
 	shardedCases, netflowCases := 0, 0
+	beyondWorstCase, wspFallbacks := 0, 0
 	for i := 0; i < n; i++ {
 		seed := seed0 + int64(i)
 		c := genCase(t, seed)
@@ -344,7 +521,7 @@ func runDifferential(t *testing.T, seed0 int64, n int) {
 		sharded, errS := Solve(c.t, c.reqs, c.h, Params{Workers: 2})
 		mono, errM := Solve(c.t, c.reqs, c.h, Params{NoShard: true})
 		compact, errC := Solve(c.t, c.reqs, c.h, Params{NoNetflow: true})
-		legacy, errL := Solve(c.t, c.reqs, c.h, Params{NoNetflow: true, LegacyModel: true})
+		legacy, errL := solveLegacy(c.t, c.reqs, c.h)
 
 		// Feasibility must agree across every configuration.
 		if (errS == nil) != (errM == nil) {
@@ -362,6 +539,15 @@ func runDifferential(t *testing.T, seed0 int64, n int) {
 		}
 		if sharded.NetflowShards > 0 {
 			netflowCases++
+		}
+		for _, s := range sharded.Shards {
+			switch {
+			case c.h != WeightedShortestPath:
+			case !s.Netflow:
+				wspFallbacks++
+			case !worstCaseFits(c.t, s):
+				beyondWorstCase++
+			}
 		}
 		// Engine cross-checks: same objective to 1e-6, valid allocations,
 		// and per-link agreement up to tie-break collisions.
@@ -415,6 +601,12 @@ func runDifferential(t *testing.T, seed0 int64, n int) {
 	if netflowCases == 0 {
 		t.Fatal("generator produced no netflow-solved case; the harness is not exercising the fast path")
 	}
+	if beyondWorstCase == 0 {
+		t.Fatal("no WSP shard took the fast path beyond the worst-case load; the harness is not exercising verification")
+	}
+	if wspFallbacks == 0 {
+		t.Fatal("no WSP shard overflowed a cable on its relaxed routes; the harness is not exercising the fallback")
+	}
 	if wspDiffs > n/20 {
 		t.Fatalf("WSP per-link allocations diverged on %d/%d cases — beyond tie-break collision noise", wspDiffs, n)
 	}
@@ -424,8 +616,8 @@ func runDifferential(t *testing.T, seed0 int64, n int) {
 	if engineDiffs > n/10 {
 		t.Fatalf("engine allocations diverged on %d/%d comparisons — beyond tie-break collision noise", engineDiffs, n)
 	}
-	t.Logf("differential: %d cases, %d multi-shard, %d netflow, %d wsp / %d min-max / %d engine allocation diffs",
-		n, shardedCases, netflowCases, wspDiffs, minmaxDiffs, engineDiffs)
+	t.Logf("differential: %d cases, %d multi-shard, %d netflow, %d WSP shards verified beyond the worst case, %d WSP fallbacks, %d wsp / %d min-max / %d engine allocation diffs",
+		n, shardedCases, netflowCases, beyondWorstCase, wspFallbacks, wspDiffs, minmaxDiffs, engineDiffs)
 }
 
 // TestDifferentialShardedVsMonolithic is the acceptance harness: ≥200

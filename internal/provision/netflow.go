@@ -1,9 +1,12 @@
-// Shortest-path fast path: a shard whose link-capacity constraints are
-// provably redundant is, after dropping them, a block-diagonal pure
-// node-arc incidence problem — one min-cost unit-flow block per request.
-// With non-negative costs a unit s→t min-cost flow is a shortest path, so
-// each block is one Dijkstra run over the request's product graph
-// (logical.(*Graph).CheapestPath), exact and with no branch and bound. The
+// Shortest-path fast path, by relax-then-verify. Under a separable
+// objective the provisioning MIP with its cable rows dropped is a
+// block-diagonal pure node-arc incidence problem — one min-cost unit-flow
+// block per request. With non-negative costs a unit s→t min-cost flow is
+// a shortest path, so each block is one Dijkstra run over the request's
+// product graph (logical.(*Graph).CheapestPath), exact and with no branch
+// and bound. Dropping rows relaxes the problem, so when the relaxed routes
+// fit every cable they are optimal for the full MIP too; only a shard
+// whose relaxed routes overflow a cable goes on to the general path. The
 // costs are the per-edge costs buildModel would emit (hop epsilon,
 // deterministic tie-breaking perturbation, and the WSP rate term; non-link
 // edges cost 0), so the fast path lands on the optimum of the general MIP
@@ -19,46 +22,35 @@ import (
 	"merlin/internal/topo"
 )
 
-// netflowEligible reports whether the shard's capacity rows are redundant,
-// i.e. whether the constraint matrix reduces to pure node-arc incidence.
-// Two conditions: the objective must be separable per request (WSP always
-// is; the min-max objectives couple requests through their shared maximum
-// unless no request carries a guarantee), and every cable must fit the
-// worst case of all product edges that can ride it selected at once —
-// then no 0/1 assignment can violate eq. 5 and the rows prove nothing.
-func netflowEligible(t *topo.Topology, reqs []Request, h Heuristic) bool {
-	hasRate := false
+// separable reports whether the shard's objective is a sum over requests,
+// so that without the cable rows each request's optimum is its own
+// cheapest path. WSP always is; the min-max objectives couple requests
+// through their shared maximum unless no request carries a guarantee.
+func separable(reqs []Request, h Heuristic) bool {
+	if h == WeightedShortestPath {
+		return true
+	}
 	for _, r := range reqs {
 		if r.MinRate > 0 {
-			hasRate = true
-			break
-		}
-	}
-	if h != WeightedShortestPath && hasRate {
-		return false
-	}
-	load := map[topo.LinkID]float64{}
-	for _, r := range reqs {
-		if r.MinRate == 0 {
-			continue
-		}
-		for _, ed := range r.Graph.Edges {
-			if ed.Link < 0 {
-				continue
-			}
-			load[t.Cable(ed.Link)] += r.MinRate
-		}
-	}
-	for c, l := range load {
-		if l > t.Link(c).Capacity+1e-9 {
 			return false
 		}
 	}
 	return true
 }
 
-// solveNetflow provisions an eligible shard request by request, each on
-// the cheapest path of its product graph. A request whose sink is
+// fitsCapacity reports whether reserved, pooled by cable, stays within
+// every cable's capacity: the cable rows (eq. 5) the fast path dropped.
+func fitsCapacity(t *topo.Topology, reserved map[topo.LinkID]float64) bool {
+	for c, bits := range cableLoads(t, reserved) {
+		if bits > t.Link(c).Capacity+1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// solveNetflow routes each of the shard's requests on the cheapest path
+// of its product graph, ignoring capacity. A request whose sink is
 // unreachable makes the shard infeasible, as the general path would
 // report.
 func solveNetflow(t *topo.Topology, reqs []Request, h Heuristic, construct, solve *time.Duration) (*ShardSolution, error) {

@@ -104,20 +104,11 @@ type Params struct {
 	// solve; one whose rates alone changed re-solves warm-started from the
 	// shard's cached basis.
 	Reuse []*ShardSolution
-	// LegacyModel selects the paper-literal MIP encoding: an explicit
-	// reservation variable r_uv per cable coupled by three constraint rows
-	// (eqs. 2–4 materialized). The default compact encoding folds those
-	// rows into the simplex engine's implicit variable bounds — one or two
-	// rows per cable and no r_uv column — which shrinks every shard's
-	// basis. Both encodings admit the same x assignments with identical
-	// objectives, so they choose the same (generically unique) optimum;
-	// the flag exists so the solver bench can measure the gap.
-	LegacyModel bool
-	// NoNetflow disables the shortest-path fast path: shards whose
-	// capacity rows are provably redundant normally skip the general MIP
-	// and route each request on its cheapest path (see netflowEligible).
-	// The flag forces the general simplex + branch-and-bound path — the
-	// baseline the solver bench and the differential tests compare against.
+	// NoNetflow disables the shortest-path fast path: a separable shard
+	// normally routes each request on its cheapest path first and keeps
+	// those routes when they fit every cable (see solveOne). The flag
+	// forces the general simplex + branch-and-bound path — the baseline the
+	// solver bench and the differential tests compare against.
 	NoNetflow bool
 	// Budgets caps the weighted number of dataplane entries the chosen
 	// paths may install on each listed switch — the ternary table-capacity
@@ -195,12 +186,13 @@ type builtModel struct {
 
 // buildModel encodes the requests into the MIP of §3.2 (equations 1–5)
 // under the given heuristic, plus, when p.Budgets is set, the v2
-// table-budget rows. The default encoding is compact: per-cable load
-// couples to capacity through the simplex engine's implicit variable
-// bounds instead of materialized reservation variables and rows; legacy
-// selects the paper-literal encoding (see Params.LegacyModel).
+// table-budget rows. The encoding is compact: per-cable load couples to
+// capacity through the simplex engine's implicit variable bounds instead
+// of the paper's materialized reservation variables r_uv and their three
+// rows per cable (eqs. 2–4). Both admit the same x assignments with
+// identical objectives; the compact one shrinks every shard's basis. The
+// paper-literal encoding lives on as the differential harness's reference.
 func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtModel {
-	legacy := p.LegacyModel
 	model := mip.NewModel()
 
 	// Cable canonicalization is topo.Cable everywhere — Partition, the
@@ -240,8 +232,8 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtM
 			model.AddConstraint(terms, lp.EQ, rhs, fmt.Sprintf("flow_%s_%d", r.ID, v))
 		}
 	}
-	// Reservation variables r_uv per cable (eq. 2), plus rmax (eqs. 3, 5)
-	// and Rmax (eq. 4). Cables no guaranteed edge can ride are skipped.
+	// Per-cable load terms (eq. 2). Cables no guaranteed edge can ride are
+	// skipped.
 	cableTerms := map[topo.LinkID][]lp.Term{}
 	for i, r := range reqs {
 		if r.MinRate == 0 {
@@ -263,57 +255,35 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtM
 		cables = append(cables, c)
 	}
 	sort.Slice(cables, func(i, j int) bool { return cables[i] < cables[j] })
+	// Per-cable load L_c = Σ (rmin_i/unit) x_e substitutes r_uv·c_uv
+	// everywhere it appears, so each cable costs one row (two for
+	// MinMaxReserved, which needs capacity and the objective coupling
+	// separately) and no extra column. Only the variable the active
+	// objective minimizes exists; capacity under MinMaxRatio rides on
+	// rmax's upper bound of 1 (eq. 5), handled implicitly by the simplex.
 	rmax, rmaxBits := -1, -1
-	switch {
-	case legacy:
-		// Paper-literal encoding: one reservation variable r_uv per cable
-		// plus three rows materializing eqs. 2–4; eq. 5 is r_uv's and
-		// rmax's [0,1] bounds.
+	if h == MinMaxRatio {
 		rmax = model.Model.AddVar(0, 1, 0, "rmax")
+	}
+	if h == MinMaxReserved {
 		rmaxBits = model.Model.AddVar(0, math.Inf(1), 0, "Rmax")
-		for _, c := range cables {
-			terms := cableTerms[c]
-			capBits := t.Link(c).Capacity
-			ruv := model.Model.AddVar(0, 1, 0, fmt.Sprintf("r_%d", c))
-			// eq. 2: ruv * cuv = Σ rmin_i x_e  ⇔  ruv - Σ (rmin/c) x_e = 0
-			eq := append([]lp.Term{{Var: ruv, Coeff: capBits / rateUnit}}, negate(terms)...)
-			model.AddConstraint(eq, lp.EQ, 0, fmt.Sprintf("reserve_%d", c))
-			// eq. 3: rmax >= ruv
-			model.AddConstraint([]lp.Term{{Var: rmax, Coeff: 1}, {Var: ruv, Coeff: -1}}, lp.GE, 0, "rmax")
-			// eq. 4: Rmax >= ruv * cuv (in rate units)
-			model.AddConstraint([]lp.Term{{Var: rmaxBits, Coeff: 1}, {Var: ruv, Coeff: -(capBits / rateUnit)}}, lp.GE, 0, "Rmax")
-		}
-	default:
-		// Compact bounded-variable encoding: the per-cable load
-		// L_c = Σ (rmin_i/unit) x_e substitutes r_uv·c_uv everywhere it
-		// appears, so each cable costs one row (two for MinMaxReserved,
-		// which needs capacity and the objective coupling separately) and
-		// no extra column. Only the variable the active objective
-		// minimizes exists; capacity under MinMaxRatio rides on rmax's
-		// upper bound of 1 (eq. 5), handled implicitly by the simplex.
-		if h == MinMaxRatio {
-			rmax = model.Model.AddVar(0, 1, 0, "rmax")
-		}
-		if h == MinMaxReserved {
-			rmaxBits = model.Model.AddVar(0, math.Inf(1), 0, "Rmax")
-		}
-		for _, c := range cables {
-			terms := cableTerms[c]
-			capU := t.Link(c).Capacity / rateUnit
-			switch h {
-			case MinMaxRatio:
-				// eqs. 3+5: rmax * cuv >= L_c, rmax <= 1.
-				ge := append([]lp.Term{{Var: rmax, Coeff: capU}}, negate(terms)...)
-				model.AddConstraint(ge, lp.GE, 0, fmt.Sprintf("rmax_%d", c))
-			case MinMaxReserved:
-				// eq. 5: L_c <= cuv, and eq. 4: Rmax >= L_c.
-				model.AddConstraint(terms, lp.LE, capU, fmt.Sprintf("cap_%d", c))
-				ge := append([]lp.Term{{Var: rmaxBits, Coeff: 1}}, negate(terms)...)
-				model.AddConstraint(ge, lp.GE, 0, fmt.Sprintf("Rmax_%d", c))
-			default: // WeightedShortestPath
-				// eq. 5 alone: L_c <= cuv.
-				model.AddConstraint(terms, lp.LE, capU, fmt.Sprintf("cap_%d", c))
-			}
+	}
+	for _, c := range cables {
+		terms := cableTerms[c]
+		capU := t.Link(c).Capacity / rateUnit
+		switch h {
+		case MinMaxRatio:
+			// eqs. 3+5: rmax * cuv >= L_c, rmax <= 1.
+			ge := append([]lp.Term{{Var: rmax, Coeff: capU}}, negate(terms)...)
+			model.AddConstraint(ge, lp.GE, 0, fmt.Sprintf("rmax_%d", c))
+		case MinMaxReserved:
+			// eq. 5: L_c <= cuv, and eq. 4: Rmax >= L_c.
+			model.AddConstraint(terms, lp.LE, capU, fmt.Sprintf("cap_%d", c))
+			ge := append([]lp.Term{{Var: rmaxBits, Coeff: 1}}, negate(terms)...)
+			model.AddConstraint(ge, lp.GE, 0, fmt.Sprintf("Rmax_%d", c))
+		default: // WeightedShortestPath
+			// eq. 5 alone: L_c <= cuv.
+			model.AddConstraint(terms, lp.LE, capU, fmt.Sprintf("cap_%d", c))
 		}
 	}
 	// Table-budget rows: for each budgeted switch v, the weighted entry
@@ -443,18 +413,20 @@ func addReservations(t *topo.Topology, reserved map[topo.LinkID]float64, steps [
 	}
 }
 
-// reservedStats computes the paper's r_max (max cable fraction, both
-// directions pooled as in eq. 2) and R_max (max cable bits/s).
-func reservedStats(t *topo.Topology, reserved map[topo.LinkID]float64) (rmax, rmaxBits float64) {
-	cableTotal := map[topo.LinkID]float64{}
+// cableLoads pools per-link reservations by cable: both directions share
+// one capacity, as in eq. 2.
+func cableLoads(t *topo.Topology, reserved map[topo.LinkID]float64) map[topo.LinkID]float64 {
+	loads := map[topo.LinkID]float64{}
 	for lid, bits := range reserved {
-		c := lid
-		if r := t.Link(lid).Reverse; r < c {
-			c = r
-		}
-		cableTotal[c] += bits
+		loads[t.Cable(lid)] += bits
 	}
-	for c, bits := range cableTotal {
+	return loads
+}
+
+// reservedStats computes the paper's r_max (max cable fraction) and R_max
+// (max cable bits/s).
+func reservedStats(t *topo.Topology, reserved map[topo.LinkID]float64) (rmax, rmaxBits float64) {
+	for c, bits := range cableLoads(t, reserved) {
 		if bits > rmaxBits {
 			rmaxBits = bits
 		}

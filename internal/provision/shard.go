@@ -49,8 +49,8 @@ type ShardSolution struct {
 	// Nodes is the branch-and-bound node count of the shard's solve (zero
 	// on the fast path — integral relaxations never branch).
 	Nodes int
-	// Netflow records that the shard was recognized as a pure node-arc
-	// incidence problem and solved by one shortest path per request.
+	// Netflow records that the shard was solved by one shortest path per
+	// request, capacity dropped, and that those routes fit every cable.
 	Netflow bool
 }
 
@@ -166,10 +166,10 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 					kind[ci] = 2
 					return
 				}
-				// A shape-matched predecessor makes this a cheap re-solve
-				// whichever engine runs: the general path warm-starts from
-				// the cached basis, the fast path (prev.Basis nil) re-runs
-				// one shortest path per request.
+				// A shape-matched predecessor makes this a cheap re-solve:
+				// the fast path re-runs one shortest path per request, the
+				// general path warm-starts from the cached basis (nil when
+				// the predecessor took the fast path).
 				warm = prev.Basis
 				kind[ci] = 1
 			}
@@ -283,16 +283,19 @@ func shardTouchesDirty(t *topo.Topology, sub []Request, dirty map[topo.LinkID]bo
 }
 
 // solveOne solves one request set (a shard, or the whole problem when
-// sharding is off) and decodes the outcome. Eligible shards take the
-// shortest-path fast path, one exact Dijkstra run per request (see
-// netflowEligible); the rest build the MIP and run simplex + branch and
-// bound. The warm basis, when non-nil and
-// shape-compatible, starts the general path's root relaxation from a
-// previous optimum of the same model. Construction and solve durations
-// accumulate through construct and solve.
+// sharding is off) and decodes the outcome. A separable shard first takes
+// the shortest-path fast path, one exact Dijkstra run per request; its
+// routes stand when, pooled by cable, they fit every capacity. Otherwise
+// the shard builds the MIP and runs simplex + branch and bound. The warm
+// basis, when non-nil and shape-compatible, starts the general path's root
+// relaxation from a previous optimum of the same model. Construction and
+// solve durations accumulate through construct and solve.
 func solveOne(t *topo.Topology, reqs []Request, h Heuristic, p Params, mp mip.Params, warm *lp.Basis, construct, solve *time.Duration) (*ShardSolution, error) {
-	if !p.NoNetflow && netflowEligible(t, reqs, h) {
-		return solveNetflow(t, reqs, h, construct, solve)
+	if !p.NoNetflow && separable(reqs, h) {
+		out, err := solveNetflow(t, reqs, h, construct, solve)
+		if err != nil || fitsCapacity(t, out.Reserved) {
+			return out, err
+		}
 	}
 	start := time.Now()
 	bm := buildModel(t, reqs, h, p)

@@ -96,9 +96,12 @@ func TestPartitionCoupledFallsBackToOneShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both cheapest paths take the 100 MB/s narrow side, which 60+60 MB/s
+	// overflows: the relaxed routes fail verification, so the shard
+	// reaches the general MIP (one request detours the wide side).
 	reqs := []Request{
-		{ID: "a", Graph: g1, MinRate: 50 * topo.MBps},
-		{ID: "b", Graph: g1, MinRate: 50 * topo.MBps},
+		{ID: "a", Graph: g1, MinRate: 60 * topo.MBps},
+		{ID: "b", Graph: g1, MinRate: 60 * topo.MBps},
 	}
 	if comps := Partition(tp, reqs); len(comps) != 1 {
 		t.Fatalf("coupled requests split into %d shards", len(comps))

@@ -18,14 +18,14 @@
 // sub-policies — solve as independent MIPs over a worker pool and merge
 // into one equally-optimal result, falling back to the single global MIP
 // when the policy is fully coupled (see internal/provision.Partition and
-// PERFORMANCE.md's "Sharded provisioning"). Each shard's solver is
-// picked by structure: shards recognized as pure node-arc incidence
-// problems (weighted-shortest-path guarantees whose demands fit
-// capacity) solve as one shortest path per request with no branch and
-// bound, and the rest build a compact bounded-variable MIP — one row per
-// cable — searched by a wave-parallel branch and bound whose result is
-// bit-for-bit independent of the worker count (PERFORMANCE.md's
-// "Flow-structured solver").
+// PERFORMANCE.md's "Sharded provisioning"). Each shard relaxes, then
+// verifies: under a separable objective (weighted-shortest-path) every
+// request takes its shortest path with capacity ignored, and when those
+// routes fit every cable they stand, with no branch and bound. The rest
+// build a compact bounded-variable MIP — one row per cable — searched by
+// a wave-parallel branch and bound whose result is bit-for-bit
+// independent of the worker count (PERFORMANCE.md's "Flow-structured
+// solver").
 //
 // Long-running controllers hold a Compiler instead: it caches every
 // expensive artifact (product graphs, sink trees, the per-shard
