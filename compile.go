@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -631,7 +632,14 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 	}
 	c.stats.TreeBuilds += built
 
-	// Plan assembly, sequential in statement order.
+	// Plan assembly, sequential in statement order. Every (destination,
+	// source) pair but a host to itself gets a plan, so Σ |dsts|·|srcs|
+	// bounds the count.
+	total := 0
+	for _, w := range bestEff {
+		total += len(w.art.dsts) * len(w.art.srcs)
+	}
+	plans = slices.Grow(plans, total)
 	j := 0
 	for i, w := range bestEff {
 		// Tag-free expressions cannot yield placements; skip the per-pair

@@ -201,8 +201,11 @@ func (a *OpenFlowArtifact) appendQueues(out []Entry) []Entry {
 }
 
 // keyedActions is how many actions a flowClass holds inline; the class
-// of a rule with more is always treated as changed.
-const keyedActions = 4
+// of a rule with more is always treated as changed. Three covers every
+// op list lowering emits short of a second retag on one rule, and keeps
+// flowKey at 128 bytes, the largest key a Go map stores inline: a larger
+// one costs an allocation per key counted.
+const keyedActions = 3
 
 // flowClass is the part of a rule its rendered text determines: the
 // switch and priority lead the text, and each value of openflow's five

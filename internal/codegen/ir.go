@@ -1,9 +1,9 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"merlin/internal/logical"
@@ -156,17 +156,99 @@ type lowerer struct {
 	// there (none when every selector reused another plan's rule).
 	ingressAt int
 	ingress   []int
-	// scratch buffers reused across plans
+	// scratch state reused across plans
+	hops    hops
 	locBuf  []topo.NodeID
 	stepBuf []logical.Step
 }
 
-// byPriority sorts plans by descending priority, stably.
-type byPriority []Plan
+// treeState is one sink tree's lowering state within a Lower call: the
+// tag its plans share and, while the cut-off holds, the product vertices
+// whose path suffix has been lowered under that tag.
+type treeState struct {
+	tag int
+	// lowered is nil when the cut-off is off: the tree's graph carries
+	// function tags (each source's path emits its own FnSpecs), or a retag
+	// rewrote rules under the tree's tag that an earlier walk lowered.
+	lowered []bool
+}
 
-func (p byPriority) Len() int           { return len(p) }
-func (p byPriority) Less(i, j int) bool { return p[i].Priority > p[j].Priority }
-func (p byPriority) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+// hop is one location of a path; consecutive steps at one location fold
+// into it. vert is the product vertex the path entered last there, -1 on
+// a decoded step list.
+type hop struct {
+	loc  topo.NodeID
+	vert int
+}
+
+// hops streams a path's locations, from a decoded step list or straight
+// off a sink tree's walk, appending the function placements of the steps
+// it consumes to the program. It reads one step ahead, so it knows
+// whether another location follows the one it returned last.
+type hops struct {
+	prog *Program
+	stmt string
+	// dst is the path's final location.
+	dst      topo.NodeID
+	steps    []logical.Step
+	walk     sinktree.Walk
+	fromTree bool
+	// pend is the step read ahead, pendVert the vertex it enters; ok
+	// reports whether there is one.
+	pend     logical.Step
+	pendVert int
+	ok       bool
+}
+
+// fromSteps starts the stream on a decoded path.
+func (h *hops) fromSteps(stmt string, steps []logical.Step) {
+	h.stmt, h.steps, h.fromTree = stmt, steps, false
+	if len(steps) > 0 {
+		h.dst = steps[len(steps)-1].Loc
+	}
+	h.pend, h.pendVert, h.ok = h.step()
+}
+
+// fromWalk starts the stream on the tree path from src.
+func (h *hops) fromWalk(stmt string, tr *sinktree.Tree, src topo.NodeID) {
+	h.stmt, h.walk, h.fromTree, h.dst = stmt, tr.Walk(src), true, tr.Dst
+	h.pend, h.pendVert, h.ok = h.step()
+}
+
+// step reads the stream's next step and the product vertex it enters.
+func (h *hops) step() (logical.Step, int, bool) {
+	if h.fromTree {
+		e, ok := h.walk.Next()
+		if !ok {
+			return logical.Step{}, -1, false
+		}
+		return logical.Step{Loc: e.Entering, Tag: e.Tag}, e.To, true
+	}
+	if len(h.steps) == 0 {
+		return logical.Step{}, -1, false
+	}
+	s := h.steps[0]
+	h.steps = h.steps[1:]
+	return s, -1, true
+}
+
+// next returns the path's next location, or false past its end.
+func (h *hops) next() (hop, bool) {
+	if !h.ok {
+		return hop{}, false
+	}
+	cur := hop{loc: h.pend.Loc}
+	for {
+		if h.pend.Tag != "" {
+			h.prog.Fns = append(h.prog.Fns, FnSpec{Node: h.pend.Loc, Fn: h.pend.Tag, Stmt: h.stmt})
+		}
+		cur.vert = h.pendVert
+		h.pend, h.pendVert, h.ok = h.step()
+		if !h.ok || h.pend.Loc != cur.loc {
+			return cur, true
+		}
+	}
+}
 
 type ruleKey struct {
 	sw   topo.NodeID
@@ -175,10 +257,13 @@ type ruleKey struct {
 }
 
 // classKey identifies a classification rule: what selects the traffic
-// (destination MAC or rendered cube predicate) at a (device, tag).
+// (the destination host, or a rendered cube predicate with dst -1) at a
+// (device, tag). A host's MAC is a function of its ID and distinct per
+// host, so keying by the host is keying by the MAC the rule matches.
 type classKey struct {
 	sw   topo.NodeID
 	vlan int
+	dst  topo.NodeID
 	sel  string
 }
 
@@ -199,6 +284,13 @@ type queueKey struct {
 // allocated, classification and forwarding rules laid out with conflict
 // retagging, queues reserved, caps, filters, and function instances
 // recorded. The output is deterministic in the plan list.
+//
+// Plans sharing a sink tree share its tag, and a tree's forwarding state
+// is laid out once: every source's walk stops after the first product
+// vertex whose path suffix an earlier walk lowered under the tree's tag
+// (lowerPath), so lowering a tree costs its size, not sources × path
+// length. Trees whose graph carries function tags walk full recovered
+// paths, since each source emits its own FnSpecs.
 func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	g := &lowerer{
 		t:          t,
@@ -211,38 +303,52 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		queueNext:  map[topo.LinkID]int{},
 		nextTag:    2, // tags 0/1 are reserved on real switches (VLAN semantics)
 	}
+	g.hops.prog = g.prog
 	// Stable order: guaranteed paths first (their classification has
-	// higher effective priority anyway), then by ID.
-	ordered := append([]Plan(nil), plans...)
-	sort.Stable(byPriority(ordered))
-	// Tree tag sharing: plans pointing at the same sink tree share tags.
-	treeTags := map[*sinktree.Tree]int{}
-	for _, p := range ordered {
+	// higher effective priority anyway), then by ID. The plans stay where
+	// they are; their indices are sorted.
+	order := make([]int32, len(plans))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(plans[b].Priority, plans[a].Priority) })
+	trees := map[*sinktree.Tree]*treeState{}
+	for _, i := range order {
+		p := plans[i]
 		switch {
 		case p.Drop:
 			g.lowerDrop(p)
 		case p.Path != nil:
-			if err := g.lowerPath(p, p.Path, g.allocTag(p.ID), true); err != nil {
+			g.hops.fromSteps(p.ID, p.Path)
+			if err := g.lowerPath(p, g.allocTag(p.ID), true, nil); err != nil {
 				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
 			}
 		case p.Tree != nil:
-			tag, ok := treeTags[p.Tree]
-			if !ok {
-				tag = g.allocTag(p.ID)
-				treeTags[p.Tree] = tag
+			ts := trees[p.Tree]
+			if ts == nil {
+				ts = &treeState{tag: g.allocTag(p.ID)}
+				if tg := p.Tree.Graph(); tg.TagSource == nil {
+					ts.lowered = make([]bool, tg.NumVerts)
+				}
+				trees[p.Tree] = ts
 			} else {
-				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], tag)
+				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], ts.tag)
 			}
-			steps := p.Tree.PathFromBuf(g.stepBuf, p.SrcHost)
-			if steps == nil {
+			if !p.Tree.Reaches(p.SrcHost) {
 				return nil, fmt.Errorf("codegen: statement %s: %s cannot reach %s under the path constraint",
 					p.ID, t.Node(p.SrcHost).Name, t.Node(p.DstHost).Name)
 			}
-			if err := g.lowerPath(p, steps, tag, false); err != nil {
-				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+			if ts.lowered != nil {
+				g.hops.fromWalk(p.ID, p.Tree, p.SrcHost)
+			} else {
+				steps := p.Tree.PathFromBuf(g.stepBuf, p.SrcHost)
+				if cap(steps) > cap(g.stepBuf) {
+					g.stepBuf = steps[:0]
+				}
+				g.hops.fromSteps(p.ID, steps)
 			}
-			if cap(steps) > cap(g.stepBuf) {
-				g.stepBuf = steps[:0]
+			if err := g.lowerPath(p, ts.tag, false, ts); err != nil {
+				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
 			}
 		default:
 			return nil, fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
@@ -283,92 +389,118 @@ func (g *lowerer) lowerDrop(p Plan) {
 	})
 }
 
-// lowerPath walks a physical path and lays out tag-switched forwarding
-// rules, classification at the ingress device, queue reservations for
-// guarantees, and function instances for middlebox placements.
-func (g *lowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed bool) error {
-	locs := logical.AppendLocations(g.locBuf, steps)
-	g.locBuf = locs
-	if len(locs) < 2 {
+// lowerPath walks the path g.hops streams and lays out tag-switched
+// forwarding rules, classification at the ingress device, queue
+// reservations for guarantees, and function instances for middlebox
+// placements.
+//
+// On a sink tree's walk (ts.lowered set) it stops after the first
+// location, from the ingress on, whose product vertex an earlier walk
+// marked: the path from a vertex is a function of the vertex, so every
+// later hop would find its (switch, tag, in-port) key bound with equal
+// ops and change nothing. It marks the vertices it lowers as it goes. A
+// retag rewrites rules under the tree's tag, so it turns the cut-off off
+// for the rest of the Lower call.
+func (g *lowerer) lowerPath(p Plan, tag int, guaranteed bool, ts *treeState) error {
+	h := &g.hops
+	prev, _ := h.next()
+	cur, ok := h.next()
+	if !ok {
 		return fmt.Errorf("degenerate path")
 	}
-	if g.t.Node(locs[0]).Kind != topo.Host || g.t.Node(locs[len(locs)-1]).Kind != topo.Host {
+	if g.t.Node(prev.loc).Kind != topo.Host || g.t.Node(h.dst).Kind != topo.Host {
 		return fmt.Errorf("path endpoints must be hosts")
 	}
-	// Function instances for middlebox placements; host placements run on
-	// the end-host substrate too.
-	for _, pl := range logical.PlacementsOf(steps) {
-		g.prog.Fns = append(g.prog.Fns, FnSpec{Node: pl.Loc, Fn: pl.Fn, Stmt: p.ID})
-	}
+	locs := append(g.locBuf[:0], prev.loc, cur.loc)
 	curTag := tag
 	classified := false
 	g.ingress = g.ingress[:0]
-	for i := 1; i < len(locs)-1; i++ {
-		node := locs[i]
-		if g.t.Node(node).Kind != topo.Switch {
-			continue // middlebox hops bounce; host interiors impossible
-		}
-		inLink, ok := g.t.FindLink(locs[i-1], node)
+	for i := 1; ; i++ {
+		nxt, ok := h.next()
 		if !ok {
-			return fmt.Errorf("no link %s-%s", g.t.Node(locs[i-1]).Name, g.t.Node(node).Name)
+			break // cur is the destination
 		}
-		outLink, ok := g.t.FindLink(node, locs[i+1])
-		if !ok {
-			return fmt.Errorf("no link %s-%s", g.t.Node(node).Name, g.t.Node(locs[i+1]).Name)
-		}
-		last := i == len(locs)-2
-		fwd := Op{Kind: OpForward, Port: outLink.ID}
-		if guaranteed {
-			q := g.queueFor(node, outLink.ID, p.Alloc.Min)
-			fwd = Op{Kind: OpForwardQueue, Port: outLink.ID, Queue: q}
-		}
-		if !classified {
-			// Ingress classification: untagged packets matching the
-			// statement's predicate get the path tag.
-			g.lowerClassification(p, node, inLink.ID, curTag, fwd, last)
-			g.ingressAt = i
-			classified = true
-			continue
-		}
-		key := ruleKey{sw: node, vlan: curTag, in: inLink.ID}
-		ops := []Op{fwd}
-		if last {
-			ops = []Op{{Kind: OpClearTag}, fwd}
-		}
-		if idx, exists := g.bound[key]; exists {
-			if !sameOps(g.prog.Rules[idx].Ops, ops) {
-				// Conflict: this (device, tag, port) already forwards
-				// elsewhere. Retag the previous hop onto a fresh tag.
-				fresh := g.allocTag(p.ID)
-				if err := g.retagPrevious(p, locs, i, curTag, fresh); err != nil {
-					return err
-				}
-				curTag = fresh
-				key.vlan = curTag
-				g.prog.Rules = append(g.prog.Rules, Rule{
-					Device:   node,
-					Priority: 500,
-					Match:    Match{InPort: inLink.ID, Tag: curTag},
-					Ops:      ops,
-					Stmt:     p.ID,
-				})
-				g.bound[key] = len(g.prog.Rules) - 1
+		locs = append(locs, nxt.loc)
+		g.locBuf = locs
+		if g.t.Node(cur.loc).Kind == topo.Switch { // middlebox hops bounce; host interiors impossible
+			retagged, err := g.lowerHop(p, locs, i, &curTag, !classified, guaranteed, !h.ok)
+			if err != nil {
+				return err
 			}
-			continue
+			if retagged && ts != nil {
+				ts.lowered = nil
+			}
+			classified = true
 		}
-		g.prog.Rules = append(g.prog.Rules, Rule{
-			Device:   node,
-			Priority: 500,
-			Match:    Match{InPort: inLink.ID, Tag: curTag},
-			Ops:      ops,
-			Stmt:     p.ID,
-		})
-		g.bound[key] = len(g.prog.Rules) - 1
+		if classified && ts != nil && ts.lowered != nil {
+			if ts.lowered[cur.vert] {
+				return nil
+			}
+			ts.lowered[cur.vert] = true
+		}
+		cur = nxt
 	}
 	if !classified {
 		return fmt.Errorf("path contains no switch")
 	}
 	return nil
+}
+
+// lowerHop lays out the rule of the switch at path position i, entered
+// from locs[i-1] and left toward locs[i+1] (the last hop when that is the
+// destination): the plan's classification at its ingress, a forwarding
+// rule on *tag after it. A forwarding rule whose (switch, tag, in-port)
+// is bound with equal ops is shared; one bound with other ops moves the
+// path onto a fresh tag, which *tag then holds and retagged reports.
+func (g *lowerer) lowerHop(p Plan, locs []topo.NodeID, i int, tag *int, ingress, guaranteed, last bool) (retagged bool, err error) {
+	node := locs[i]
+	inLink, ok := g.t.FindLink(locs[i-1], node)
+	if !ok {
+		return false, fmt.Errorf("no link %s-%s", g.t.Node(locs[i-1]).Name, g.t.Node(node).Name)
+	}
+	outLink, ok := g.t.FindLink(node, locs[i+1])
+	if !ok {
+		return false, fmt.Errorf("no link %s-%s", g.t.Node(node).Name, g.t.Node(locs[i+1]).Name)
+	}
+	fwd := Op{Kind: OpForward, Port: outLink.ID}
+	if guaranteed {
+		q := g.queueFor(node, outLink.ID, p.Alloc.Min)
+		fwd = Op{Kind: OpForwardQueue, Port: outLink.ID, Queue: q}
+	}
+	if ingress {
+		// Ingress classification: untagged packets matching the
+		// statement's predicate get the path tag.
+		g.lowerClassification(p, node, inLink.ID, *tag, fwd, last)
+		g.ingressAt = i
+		return false, nil
+	}
+	var buf [2]Op // ops are allocated only for a rule that is appended
+	ops := append(buf[:0], fwd)
+	if last {
+		ops = append(buf[:0], Op{Kind: OpClearTag}, fwd)
+	}
+	key := ruleKey{sw: node, vlan: *tag, in: inLink.ID}
+	if idx, exists := g.bound[key]; exists {
+		if sameOps(g.prog.Rules[idx].Ops, ops) {
+			return false, nil
+		}
+		// Conflict: this (device, tag, port) already forwards elsewhere.
+		// Retag the previous hop onto a fresh tag.
+		fresh := g.allocTag(p.ID)
+		if err := g.retagPrevious(p, locs, i, *tag, fresh); err != nil {
+			return false, err
+		}
+		*tag, key.vlan, retagged = fresh, fresh, true
+	}
+	g.prog.Rules = append(g.prog.Rules, Rule{
+		Device:   node,
+		Priority: 500,
+		Match:    Match{InPort: inLink.ID, Tag: *tag},
+		Ops:      slices.Clone(ops),
+		Stmt:     p.ID,
+	})
+	g.bound[key] = len(g.prog.Rules) - 1
+	return retagged, nil
 }
 
 // retagPrevious rewrites the rule lowered for the hop before position i so
@@ -405,31 +537,32 @@ func (g *lowerer) retagPrevious(p Plan, locs []topo.NodeID, i, oldTag, fresh int
 // lowerClassification installs the ingress rules mapping untagged packets
 // of the statement onto the path tag.
 func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, tag int, fwd Op, last bool) {
-	ops := []Op{{Kind: OpSetTag, Tag: tag}, fwd}
+	var buf [2]Op
+	ops := append(buf[:0], Op{Kind: OpSetTag, Tag: tag}, fwd)
 	if last {
 		// Single-switch path: tag would be stripped immediately; skip
 		// tagging altogether.
-		ops = []Op{fwd}
+		ops = append(buf[:0], fwd)
 	}
 	switch p.Classify {
 	case ByDestination:
-		ident, _ := g.ids.Of(p.DstHost)
-		key := classKey{sw: sw, vlan: tag, sel: ident.MAC}
+		key := classKey{sw: sw, vlan: tag, dst: p.DstHost}
 		if g.classBound[key] {
 			return
 		}
 		g.classBound[key] = true
+		ident, _ := g.ids.Of(p.DstHost)
 		g.ingress = append(g.ingress, len(g.prog.Rules))
 		g.prog.Rules = append(g.prog.Rules, Rule{
 			Device:   sw,
 			Priority: 100 + p.Priority,
 			Match:    Match{InPort: AnyPort, Tag: TagNone, DstMAC: ident.MAC},
-			Ops:      ops,
+			Ops:      slices.Clone(ops),
 			Stmt:     p.ID,
 		})
 	default:
 		for _, s := range g.selectors(p) {
-			key := classKey{sw: sw, vlan: tag, sel: s.sel}
+			key := classKey{sw: sw, vlan: tag, dst: -1, sel: s.sel}
 			if g.classBound[key] {
 				continue
 			}
@@ -439,7 +572,7 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 				Device:   sw,
 				Priority: 100 + p.Priority,
 				Match:    Match{InPort: in, Tag: TagNone, Pred: s.pred},
-				Ops:      ops,
+				Ops:      slices.Clone(ops),
 				Stmt:     p.ID,
 			})
 		}

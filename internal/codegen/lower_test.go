@@ -1,0 +1,492 @@
+package codegen
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"merlin/internal/logical"
+	"merlin/internal/policy"
+	"merlin/internal/pred"
+	"merlin/internal/sinktree"
+	"merlin/internal/topo"
+	"merlin/internal/zoo"
+)
+
+// refLowerer is the per-source lowering Lower replaced, kept as the
+// reference the tree cut-off is held to: every plan's full path is
+// lowered hop by hop, and ByDestination classification is keyed by the
+// destination's MAC. It shares the lowerer's bookkeeping (tags,
+// selectors, queues, drops, caps, retagging), which the cut-off leaves as
+// it was.
+type refLowerer struct {
+	*lowerer
+	classBound map[refClassKey]bool
+}
+
+type refClassKey struct {
+	sw   topo.NodeID
+	vlan int
+	sel  string
+}
+
+// byPriority sorts plans by descending priority, stably.
+type byPriority []Plan
+
+func (p byPriority) Len() int           { return len(p) }
+func (p byPriority) Less(i, j int) bool { return p[i].Priority > p[j].Priority }
+func (p byPriority) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+
+func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
+	g := refLowerer{
+		lowerer: &lowerer{
+			t:          t,
+			ids:        t.Identities(),
+			prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
+			bound:      map[ruleKey]int{},
+			sels:       map[string][]classSel{},
+			queueBound: map[queueKey]int{},
+			queueNext:  map[topo.LinkID]int{},
+			nextTag:    2,
+		},
+		classBound: map[refClassKey]bool{},
+	}
+	ordered := append([]Plan(nil), plans...)
+	sort.Stable(byPriority(ordered))
+	treeTags := map[*sinktree.Tree]int{}
+	for _, p := range ordered {
+		switch {
+		case p.Drop:
+			g.lowerDrop(p)
+		case p.Path != nil:
+			if err := g.lowerPath(p, p.Path, g.allocTag(p.ID), true); err != nil {
+				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+			}
+		case p.Tree != nil:
+			tag, ok := treeTags[p.Tree]
+			if !ok {
+				tag = g.allocTag(p.ID)
+				treeTags[p.Tree] = tag
+			} else {
+				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], tag)
+			}
+			steps := p.Tree.PathFrom(p.SrcHost)
+			if steps == nil {
+				return nil, fmt.Errorf("codegen: statement %s: %s cannot reach %s under the path constraint",
+					p.ID, t.Node(p.SrcHost).Name, t.Node(p.DstHost).Name)
+			}
+			if err := g.lowerPath(p, steps, tag, false); err != nil {
+				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+			}
+		default:
+			return nil, fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
+		}
+		g.lowerHostConfig(p)
+	}
+	return g.prog, nil
+}
+
+func (g refLowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed bool) error {
+	locs := logical.Locations(steps)
+	if len(locs) < 2 {
+		return fmt.Errorf("degenerate path")
+	}
+	if g.t.Node(locs[0]).Kind != topo.Host || g.t.Node(locs[len(locs)-1]).Kind != topo.Host {
+		return fmt.Errorf("path endpoints must be hosts")
+	}
+	for _, pl := range logical.PlacementsOf(steps) {
+		g.prog.Fns = append(g.prog.Fns, FnSpec{Node: pl.Loc, Fn: pl.Fn, Stmt: p.ID})
+	}
+	curTag := tag
+	classified := false
+	g.ingress = g.ingress[:0]
+	for i := 1; i < len(locs)-1; i++ {
+		node := locs[i]
+		if g.t.Node(node).Kind != topo.Switch {
+			continue
+		}
+		inLink, ok := g.t.FindLink(locs[i-1], node)
+		if !ok {
+			return fmt.Errorf("no link %s-%s", g.t.Node(locs[i-1]).Name, g.t.Node(node).Name)
+		}
+		outLink, ok := g.t.FindLink(node, locs[i+1])
+		if !ok {
+			return fmt.Errorf("no link %s-%s", g.t.Node(node).Name, g.t.Node(locs[i+1]).Name)
+		}
+		last := i == len(locs)-2
+		fwd := Op{Kind: OpForward, Port: outLink.ID}
+		if guaranteed {
+			q := g.queueFor(node, outLink.ID, p.Alloc.Min)
+			fwd = Op{Kind: OpForwardQueue, Port: outLink.ID, Queue: q}
+		}
+		if !classified {
+			g.lowerClassification(p, node, inLink.ID, curTag, fwd, last)
+			g.ingressAt = i
+			classified = true
+			continue
+		}
+		key := ruleKey{sw: node, vlan: curTag, in: inLink.ID}
+		ops := []Op{fwd}
+		if last {
+			ops = []Op{{Kind: OpClearTag}, fwd}
+		}
+		if idx, exists := g.bound[key]; exists {
+			if !sameOps(g.prog.Rules[idx].Ops, ops) {
+				fresh := g.allocTag(p.ID)
+				if err := g.retagPrevious(p, locs, i, curTag, fresh); err != nil {
+					return err
+				}
+				curTag = fresh
+				key.vlan = curTag
+				g.prog.Rules = append(g.prog.Rules, Rule{
+					Device: node, Priority: 500,
+					Match: Match{InPort: inLink.ID, Tag: curTag},
+					Ops:   ops, Stmt: p.ID,
+				})
+				g.bound[key] = len(g.prog.Rules) - 1
+			}
+			continue
+		}
+		g.prog.Rules = append(g.prog.Rules, Rule{
+			Device: node, Priority: 500,
+			Match: Match{InPort: inLink.ID, Tag: curTag},
+			Ops:   ops, Stmt: p.ID,
+		})
+		g.bound[key] = len(g.prog.Rules) - 1
+	}
+	if !classified {
+		return fmt.Errorf("path contains no switch")
+	}
+	return nil
+}
+
+func (g refLowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, tag int, fwd Op, last bool) {
+	ops := []Op{{Kind: OpSetTag, Tag: tag}, fwd}
+	if last {
+		ops = []Op{fwd}
+	}
+	switch p.Classify {
+	case ByDestination:
+		ident, _ := g.ids.Of(p.DstHost)
+		key := refClassKey{sw: sw, vlan: tag, sel: ident.MAC}
+		if g.classBound[key] {
+			return
+		}
+		g.classBound[key] = true
+		g.ingress = append(g.ingress, len(g.prog.Rules))
+		g.prog.Rules = append(g.prog.Rules, Rule{
+			Device: sw, Priority: 100 + p.Priority,
+			Match: Match{InPort: AnyPort, Tag: TagNone, DstMAC: ident.MAC},
+			Ops:   ops, Stmt: p.ID,
+		})
+	default:
+		for _, s := range g.selectors(p) {
+			key := refClassKey{sw: sw, vlan: tag, sel: s.sel}
+			if g.classBound[key] {
+				continue
+			}
+			g.classBound[key] = true
+			g.ingress = append(g.ingress, len(g.prog.Rules))
+			g.prog.Rules = append(g.prog.Rules, Rule{
+				Device: sw, Priority: 100 + p.Priority,
+				Match: Match{InPort: in, Tag: TagNone, Pred: s.pred},
+				Ops:   ops, Stmt: p.ID,
+			})
+		}
+	}
+}
+
+// planGen draws random plan lists over one topology. Statements sharing
+// a path expression share its sink trees, whatever their classification.
+type planGen struct {
+	t     *testing.T
+	rng   *rand.Rand
+	tp    *topo.Topology
+	place map[string][]string
+	trees map[string]map[topo.NodeID]*sinktree.Tree
+}
+
+// tree returns the sink tree of expr toward dst, nil when no source can
+// reach dst under the expression.
+func (pg *planGen) tree(expr string, dst topo.NodeID) *sinktree.Tree {
+	byDst := pg.trees[expr]
+	if byDst == nil {
+		byDst = map[topo.NodeID]*sinktree.Tree{}
+		pg.trees[expr] = byDst
+	}
+	if tr, ok := byDst[dst]; ok {
+		return tr
+	}
+	tr, err := sinktree.TreeTo(graphFor(pg.t, pg.tp, expr, pg.place), dst)
+	if err != nil {
+		tr = nil
+	}
+	byDst[dst] = tr
+	return tr
+}
+
+// exprs lists the path expressions a topology's statements draw from:
+// tag-free ones over one and several automaton states (a switch waypoint
+// makes paths revisit switches), and function waypoints when the topology
+// has middleboxes.
+func (pg *planGen) exprs() []string {
+	sw := pg.tp.Switches()
+	a := pg.tp.Node(sw[pg.rng.Intn(len(sw))]).Name
+	b := pg.tp.Node(sw[pg.rng.Intn(len(sw))]).Name
+	out := []string{".*", ".* " + a + " .*", ".* " + a + " .* " + b + " .*"}
+	if pg.place != nil {
+		out = append(out, ".* dpi .*", ".* nat .* dpi .*")
+	}
+	return out
+}
+
+func (pg *planGen) pick(hosts []topo.NodeID) []topo.NodeID {
+	var out []topo.NodeID
+	for _, h := range hosts {
+		if pg.rng.Intn(3) > 0 {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+func (pg *planGen) predicate() pred.Pred {
+	port := func() pred.Pred { return pred.Test{Field: "tcp.dst", Value: fmt.Sprint(20 + pg.rng.Intn(4))} }
+	switch pg.rng.Intn(3) {
+	case 0:
+		return port()
+	case 1:
+		return pred.Or{L: port(), R: port()}
+	default:
+		return pred.Conj(pred.Test{Field: "ip.proto", Value: "6"}, pred.Or{L: port(), R: port()})
+	}
+}
+
+// guaranteed returns the cheapest path from src to dst, nil when none.
+func (pg *planGen) guaranteed(src, dst topo.NodeID) []logical.Step {
+	gg := graphFor(pg.t, pg.tp, pg.tp.Node(src).Name+" .* "+pg.tp.Node(dst).Name, nil)
+	hops := make([]float64, len(gg.Edges))
+	for i, e := range gg.Edges {
+		if e.Link >= 0 {
+			hops[i] = 1
+		}
+	}
+	chosen := gg.CheapestPath(hops)
+	if chosen == nil {
+		return nil
+	}
+	steps, err := gg.DecodePath(chosen)
+	if err != nil {
+		return nil
+	}
+	return steps
+}
+
+func (pg *planGen) plans() []Plan {
+	hosts := pg.tp.Hosts()
+	exprs := pg.exprs()
+	n := 2 + pg.rng.Intn(4)
+	var plans []Plan
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("s%d", i)
+		alloc := policy.Unconstrained
+		if pg.rng.Intn(3) == 0 {
+			alloc = policy.Alloc{Max: float64(1+pg.rng.Intn(9)) * topo.Mbps}
+		}
+		classify := ByPredicate
+		if pg.rng.Intn(2) == 0 {
+			classify = ByDestination
+		}
+		base := Plan{ID: id, Predicate: pg.predicate(), Priority: pg.rng.Intn(n + 2), Alloc: alloc, Classify: classify}
+		switch k := pg.rng.Intn(8); {
+		case k == 0: // edge drop
+			p := base
+			p.Drop, p.SrcHost, p.DstHost = true, hosts[pg.rng.Intn(len(hosts))], hosts[0]
+			plans = append(plans, p)
+		case k <= 2: // guaranteed paths, interleaved by priority
+			for j := 0; j < 3; j++ {
+				src, dst := hosts[pg.rng.Intn(len(hosts))], hosts[pg.rng.Intn(len(hosts))]
+				if src == dst {
+					continue
+				}
+				steps := pg.guaranteed(src, dst)
+				if steps == nil {
+					continue
+				}
+				p := base
+				p.ID = fmt.Sprintf("%s.%d", id, j)
+				p.Alloc = policy.Alloc{Min: float64(1+pg.rng.Intn(3)) * topo.Mbps, Max: math.Inf(1)}
+				p.SrcHost, p.DstHost, p.Path = src, dst, steps
+				plans = append(plans, p)
+			}
+		default: // best effort over shared sink trees
+			expr := exprs[pg.rng.Intn(len(exprs))]
+			srcs := pg.pick(hosts)
+			for _, dst := range pg.pick(hosts) {
+				tr := pg.tree(expr, dst)
+				if tr == nil {
+					continue
+				}
+				for _, src := range srcs {
+					if src == dst || !tr.Reaches(src) {
+						continue
+					}
+					p := base
+					p.SrcHost, p.DstHost, p.Tree = src, dst, tr
+					plans = append(plans, p)
+				}
+			}
+		}
+	}
+	return plans
+}
+
+// withMiddleboxes attaches two middleboxes to randomly drawn switches
+// and returns the placement of dpi and nat on them.
+func withMiddleboxes(tp *topo.Topology, rng *rand.Rand) map[string][]string {
+	sw := tp.Switches()
+	m0, m1 := tp.AddMiddlebox("m0"), tp.AddMiddlebox("m1")
+	tp.AddLink(m0, sw[rng.Intn(len(sw))], topo.Gbps)
+	tp.AddLink(m1, sw[rng.Intn(len(sw))], topo.Gbps)
+	return map[string][]string{"dpi": {"m0", "m1"}, "nat": {"m1"}}
+}
+
+func checkLowerMatchesReference(t *testing.T, name string, tp *topo.Topology, plans []Plan) {
+	t.Helper()
+	want, werr := referenceLower(tp, plans)
+	got, gerr := Lower(tp, plans)
+	if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+		t.Fatalf("%s: Lower error %v, per-source lowering %v", name, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Lower over %d plans differs from per-source lowering: %d vs %d rules, tags %v vs %v",
+			name, len(plans), len(got.Rules), len(want.Rules), got.Tags, want.Tags)
+	}
+}
+
+// TestLowerMatchesPerSourceLowering holds Lower's tree cut-off to the
+// per-source lowering it replaced: random plan lists over fat trees and
+// zoo topologies — tag-free expressions over one and several automaton
+// states, trees shared by statements classified by predicate and by
+// destination, guaranteed paths interleaved by priority, function
+// waypoints, drops and caps — lower to deeply equal Programs.
+func TestLowerMatchesPerSourceLowering(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 12
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var tp *topo.Topology
+		switch seed % 4 {
+		case 0:
+			tp = topo.FatTree(4, topo.Gbps)
+		case 1:
+			tp = zoo.Generate(rng.Intn(30), 1)
+		case 2:
+			tp = topo.Ring(5+rng.Intn(4), 1, topo.Gbps)
+		default:
+			tp = topo.Waxman(8+rng.Intn(6), 0.6, 0.4, int64(seed), topo.Gbps)
+			for _, sw := range tp.Switches() {
+				tp.AddLink(tp.AddHost("h"+tp.Node(sw).Name), sw, topo.Gbps)
+			}
+		}
+		pg := &planGen{t: t, rng: rng, tp: tp, trees: map[string]map[topo.NodeID]*sinktree.Tree{}}
+		if rng.Intn(2) == 0 {
+			pg.place = withMiddleboxes(tp, rng)
+		}
+		if len(tp.Hosts()) < 2 {
+			continue
+		}
+		checkLowerMatchesReference(t, fmt.Sprintf("seed %d", seed), tp, pg.plans())
+	}
+}
+
+// TestLowerCutOffStopsAfterRetag forces retags on a tag-free tree, as
+// TestRetagRevisitingTreeIngress does on a waypoint one: the location
+// waypoints of ".* m1 .* m0 .*" make the paths from x's hosts leave y on
+// the in-port that ends the paths from y's hosts, toward another next
+// hop. Whatever the source order and classification, Lower must match the
+// per-source lowering, retags and retag failures included.
+func TestLowerCutOffStopsAfterRetag(t *testing.T) {
+	tp := topo.New()
+	x, y := tp.AddSwitch("x"), tp.AddSwitch("y")
+	ha, hb, h2 := tp.AddHost("ha"), tp.AddHost("hb"), tp.AddHost("h2")
+	hc, hd := tp.AddHost("hc"), tp.AddHost("hd")
+	m1, m0 := tp.AddMiddlebox("m1"), tp.AddMiddlebox("m0")
+	tp.AddLink(ha, x, topo.Gbps)
+	tp.AddLink(x, y, topo.Gbps)
+	tp.AddLink(y, h2, topo.Gbps)
+	tp.AddLink(hb, y, topo.Gbps)
+	tp.AddLink(y, m1, topo.Gbps)
+	tp.AddLink(x, m0, topo.Gbps)
+	tp.AddLink(hc, x, topo.Gbps)
+	tp.AddLink(hd, y, topo.Gbps)
+	tree, err := sinktree.TreeTo(graphFor(t, tp, ".* m1 .* m0 .*", nil), h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, _ := tp.Identities().Of(h2)
+	toH2 := pred.Test{Field: "eth.dst", Value: di.MAC}
+	retagged := 0
+	for _, order := range [][]topo.NodeID{
+		{hb, ha, hd}, {hd, hb, ha}, {hb, ha, hd, hc}, {hb, hc, ha, hd}, {hd, ha, hb, hc},
+	} {
+		for _, classify := range []Classify{ByPredicate, ByDestination} {
+			var plans []Plan
+			for _, src := range order {
+				plans = append(plans, Plan{
+					ID: "c", Predicate: toH2, Priority: 10, Classify: classify,
+					Alloc: policy.Unconstrained, SrcHost: src, DstHost: h2, Tree: tree,
+				})
+			}
+			checkLowerMatchesReference(t, fmt.Sprintf("order %v", order), tp, plans)
+			if prog, err := Lower(tp, plans); err == nil && len(prog.Tags["c"]) > len(order) {
+				retagged++
+			}
+		}
+	}
+	if retagged < 4 {
+		t.Fatalf("%d lowerings retagged, want at least 4", retagged)
+	}
+}
+
+// TestLowerAllocatesPerRule lowers all-pairs ".*" on a k=8 fat tree, one
+// statement classified by destination as the compiler plans it: 16,256
+// plans over 128 sink trees. Walking each source's full path allocated
+// for every hop (93,370 allocations); with the tree cut-off and ops
+// allocated only for appended rules, allocations stay under two per rule.
+func TestLowerAllocatesPerRule(t *testing.T) {
+	tp := topo.FatTree(8, topo.Gbps)
+	hosts := tp.Hosts()
+	trees, _, err := sinktree.BuildTrees(graphFor(t, tp, ".*", nil), hosts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([]Plan, 0, len(hosts)*(len(hosts)-1))
+	for _, dst := range hosts {
+		for _, src := range hosts {
+			if src != dst {
+				plans = append(plans, Plan{
+					ID: "all", Predicate: pred.TruePred{}, Priority: 1, Alloc: policy.Unconstrained,
+					Classify: ByDestination, SrcHost: src, DstHost: dst, Tree: trees[dst],
+				})
+			}
+		}
+	}
+	var prog *Program
+	allocs := testing.AllocsPerRun(2, func() {
+		if prog, err = Lower(tp, plans); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(plans) != 16256 || len(prog.Rules) != 9216 {
+		t.Fatalf("%d plans lowered to %d rules, want 16256 and 9216", len(plans), len(prog.Rules))
+	}
+	if limit := 2 * float64(len(prog.Rules)); allocs > limit {
+		t.Fatalf("Lower allocates %.0f times for %d rules, want at most %.0f", allocs, len(prog.Rules), limit)
+	}
+}

@@ -329,13 +329,7 @@ func (g *Graph) ExtractPath(chosen func(edgeID int) bool) ([]Step, error) {
 // Locations projects steps to their locations, collapsing consecutive
 // duplicates (several functions at one location visit it once physically).
 func Locations(steps []Step) []topo.NodeID {
-	return AppendLocations(nil, steps)
-}
-
-// AppendLocations is Locations appending into dst, for callers reusing a
-// scratch buffer across many paths.
-func AppendLocations(dst []topo.NodeID, steps []Step) []topo.NodeID {
-	out := dst[:0]
+	var out []topo.NodeID
 	for _, s := range steps {
 		if len(out) == 0 || out[len(out)-1] != s.Loc {
 			out = append(out, s.Loc)

@@ -7,8 +7,8 @@
 package openflow
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"merlin/internal/packet"
@@ -88,41 +88,77 @@ type Rule struct {
 	Actions  []Action
 }
 
-// String renders a compact human-readable form.
+// String renders a compact human-readable form:
+// "sw=3 prio=500 [in=7,vlan=2] -> strip_vlan,output:4".
 func (r Rule) String() string {
-	var parts []string
+	var b strings.Builder
+	b.Grow(64)
+	b.WriteString("sw=")
+	writeInt(&b, int(r.Switch))
+	b.WriteString(" prio=")
+	writeInt(&b, r.Priority)
+	b.WriteString(" [")
+	n := b.Len()
+	sep := func() {
+		if b.Len() > n {
+			b.WriteByte(',')
+		}
+	}
 	if r.Match.InPort != MatchAny {
-		parts = append(parts, fmt.Sprintf("in=%d", r.Match.InPort))
+		b.WriteString("in=")
+		writeInt(&b, int(r.Match.InPort))
 	}
 	if r.Match.VLAN != MatchAny {
-		parts = append(parts, fmt.Sprintf("vlan=%d", r.Match.VLAN))
+		sep()
+		b.WriteString("vlan=")
+		writeInt(&b, r.Match.VLAN)
 	}
 	if r.Match.EthSrc != "" {
-		parts = append(parts, "src="+r.Match.EthSrc)
+		sep()
+		b.WriteString("src=")
+		b.WriteString(r.Match.EthSrc)
 	}
 	if r.Match.EthDst != "" {
-		parts = append(parts, "dst="+r.Match.EthDst)
+		sep()
+		b.WriteString("dst=")
+		b.WriteString(r.Match.EthDst)
 	}
 	if r.Match.Predicate != nil {
-		parts = append(parts, pred.Format(r.Match.Predicate))
+		sep()
+		b.WriteString(pred.Format(r.Match.Predicate))
 	}
-	var acts []string
+	b.WriteString("] -> ")
+	n = b.Len()
 	for _, a := range r.Actions {
 		switch act := a.(type) {
 		case Output:
-			acts = append(acts, fmt.Sprintf("output:%d", act.Port))
+			sep()
+			b.WriteString("output:")
+			writeInt(&b, int(act.Port))
 		case SetVLAN:
-			acts = append(acts, fmt.Sprintf("set_vlan:%d", act.VLAN))
+			sep()
+			b.WriteString("set_vlan:")
+			writeInt(&b, act.VLAN)
 		case StripVLAN:
-			acts = append(acts, "strip_vlan")
+			sep()
+			b.WriteString("strip_vlan")
 		case Enqueue:
-			acts = append(acts, fmt.Sprintf("enqueue:%d:%d", act.Port, act.Queue))
+			sep()
+			b.WriteString("enqueue:")
+			writeInt(&b, int(act.Port))
+			b.WriteByte(':')
+			writeInt(&b, act.Queue)
 		case Drop:
-			acts = append(acts, "drop")
+			sep()
+			b.WriteString("drop")
 		}
 	}
-	return fmt.Sprintf("sw=%d prio=%d [%s] -> %s",
-		r.Switch, r.Priority, strings.Join(parts, ","), strings.Join(acts, ","))
+	return b.String()
+}
+
+func writeInt(b *strings.Builder, v int) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], int64(v), 10))
 }
 
 // PacketFunction is a middlebox/host packet-processing function: one packet

@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -184,6 +186,108 @@ func TestRuleString(t *testing.T) {
 	for _, want := range []string{"vlan=5", "set_vlan:6", "enqueue:3:1", "strip_vlan", "drop"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
+// fmtString is Rule.String as fmt.Sprintf and strings.Join rendered it,
+// kept as the reference the single-builder renderer is held to.
+func fmtString(r Rule) string {
+	var parts []string
+	if r.Match.InPort != MatchAny {
+		parts = append(parts, fmt.Sprintf("in=%d", r.Match.InPort))
+	}
+	if r.Match.VLAN != MatchAny {
+		parts = append(parts, fmt.Sprintf("vlan=%d", r.Match.VLAN))
+	}
+	if r.Match.EthSrc != "" {
+		parts = append(parts, "src="+r.Match.EthSrc)
+	}
+	if r.Match.EthDst != "" {
+		parts = append(parts, "dst="+r.Match.EthDst)
+	}
+	if r.Match.Predicate != nil {
+		parts = append(parts, pred.Format(r.Match.Predicate))
+	}
+	var acts []string
+	for _, a := range r.Actions {
+		switch act := a.(type) {
+		case Output:
+			acts = append(acts, fmt.Sprintf("output:%d", act.Port))
+		case SetVLAN:
+			acts = append(acts, fmt.Sprintf("set_vlan:%d", act.VLAN))
+		case StripVLAN:
+			acts = append(acts, "strip_vlan")
+		case Enqueue:
+			acts = append(acts, fmt.Sprintf("enqueue:%d:%d", act.Port, act.Queue))
+		case Drop:
+			acts = append(acts, "drop")
+		}
+	}
+	return fmt.Sprintf("sw=%d prio=%d [%s] -> %s",
+		r.Switch, r.Priority, strings.Join(parts, ","), strings.Join(acts, ","))
+}
+
+// TestRuleStringMatchesFmt renders random rules — every match field set
+// or wildcarded (MatchAny, untagged VLANs, negative and large values),
+// predicates, and all five action kinds in any number — and compares
+// them with the fmt rendering.
+func TestRuleStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	num := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return MatchAny
+		case 1:
+			return packet.VLANNone
+		case 2:
+			return rng.Intn(100)
+		default:
+			return rng.Intn(1 << 30)
+		}
+	}
+	str := func(v string) string {
+		if rng.Intn(2) == 0 {
+			return ""
+		}
+		return v
+	}
+	preds := []pred.Pred{
+		nil,
+		pred.Test{Field: "tcp.dst", Value: "80"},
+		pred.Conj(pred.Test{Field: "ip.proto", Value: "6"}, pred.Or{L: pred.Test{Field: "tcp.dst", Value: "22"}, R: pred.Not{P: pred.Test{Field: "tcp.dst", Value: "23"}}}),
+		pred.True,
+	}
+	for i := 0; i < 2000; i++ {
+		r := Rule{
+			Switch:   topo.NodeID(rng.Intn(300)),
+			Priority: num(),
+			Match: Match{
+				InPort:    topo.LinkID(num()),
+				VLAN:      num(),
+				EthSrc:    str("00:00:00:00:00:01"),
+				EthDst:    str("00:00:00:00:01:0a"),
+				Predicate: preds[rng.Intn(len(preds))],
+			},
+		}
+		for n := rng.Intn(5); n > 0; n-- {
+			var a Action
+			switch rng.Intn(5) {
+			case 0:
+				a = Output{Port: topo.LinkID(num())}
+			case 1:
+				a = SetVLAN{VLAN: num()}
+			case 2:
+				a = StripVLAN{}
+			case 3:
+				a = Enqueue{Port: topo.LinkID(num()), Queue: num()}
+			default:
+				a = Drop{}
+			}
+			r.Actions = append(r.Actions, a)
+		}
+		if got, want := r.String(), fmtString(r); got != want {
+			t.Fatalf("rule %d renders %q, want %q", i, got, want)
 		}
 	}
 }

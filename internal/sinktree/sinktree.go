@@ -108,6 +108,42 @@ func (tr *Tree) Reaches(src topo.NodeID) bool {
 	return src != tr.Dst && tr.entry[src] >= 0
 }
 
+// Walk is a cursor over one source's tree path, edge by edge: the entry
+// edge first, then each vertex's next edge toward the destination, up to
+// (not including) the edge into the sink. Every reader of tree paths —
+// PathFromBuf, RidesLinks, codegen's lowering — walks through it, so a
+// caller that only needs a prefix of the path pays only for that prefix.
+type Walk struct {
+	tr  *Tree
+	eid int32
+}
+
+// Walk returns a cursor at the start of the tree path from src; it yields
+// nothing when src cannot reach the destination.
+func (tr *Tree) Walk(src topo.NodeID) Walk {
+	if !tr.Reaches(src) {
+		return Walk{tr: tr, eid: -1}
+	}
+	return Walk{tr: tr, eid: tr.entry[src]}
+}
+
+// Next returns the next edge of the path, or false once the path has
+// reached the destination. The edge's To is the product vertex the path
+// enters; every vertex with a finite distance has a next edge, so a
+// walk that starts ends at the sink.
+func (w *Walk) Next() (*logical.Edge, bool) {
+	if w.eid < 0 {
+		return nil, false
+	}
+	e := &w.tr.g.Edges[w.eid]
+	if e.To == w.tr.g.Sink {
+		w.eid = -1
+		return nil, false
+	}
+	w.eid = w.tr.next[e.To]
+	return e, true
+}
+
 // PathFrom returns the steps of the tree path from src to the destination,
 // or nil if src cannot reach it.
 func (tr *Tree) PathFrom(src topo.NodeID) []logical.Step {
@@ -122,17 +158,9 @@ func (tr *Tree) PathFromBuf(buf []logical.Step, src topo.NodeID) []logical.Step 
 		return nil
 	}
 	steps := buf[:0]
-	eid := tr.entry[src]
-	for {
-		e := tr.g.Edges[eid]
-		if e.To == tr.g.Sink {
-			break
-		}
+	w := tr.Walk(src)
+	for e, ok := w.Next(); ok; e, ok = w.Next() {
 		steps = append(steps, logical.Step{Loc: e.Entering, Tag: e.Tag})
-		eid = tr.next[e.To]
-		if eid < 0 {
-			return nil // should not happen: entry implies connectivity
-		}
 	}
 	if tr.g.TagSource != nil {
 		tagged, err := logical.RecoverTags(tr.g.TagSource, tr.g.Topo, steps)
@@ -143,71 +171,29 @@ func (tr *Tree) PathFromBuf(buf []logical.Step, src topo.NodeID) []logical.Step 
 	return steps
 }
 
-// Edges enumerates the distinct tree edges used by any source, the set
-// codegen turns into forwarding rules. Each edge is keyed by its product
-// vertex so per-state forwarding is distinguishable.
-func (tr *Tree) Edges() []logical.Edge {
-	used := make(map[int32]bool)
-	var out []logical.Edge
-	add := func(eid int32) {
-		if eid >= 0 && !used[eid] {
-			used[eid] = true
-			out = append(out, tr.g.Edges[eid])
-		}
-	}
-	for src := range tr.entry {
-		if !tr.Reaches(topo.NodeID(src)) {
-			continue
-		}
-		eid := tr.entry[src]
-		for {
-			e := tr.g.Edges[eid]
-			add(eid)
-			if e.To == tr.g.Sink {
-				break
-			}
-			eid = tr.next[e.To]
-			if eid < 0 {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// RidesLinks reports whether any tree edge used by a reaching source — the
-// exact set Edges enumerates and codegen consumes — lies on a physical
-// link satisfying ride. When it returns false for the links a failure
-// removed, the tree survives the failure verbatim: removing edges can
-// only lengthen distances, so the used chains (whose lengths are
-// unchanged) stay optimal; the BFS tie-breaks are first-minimal in the
-// preserved edge order, and any competitor whose distance the removal did
-// not grow routes through a removed-link chain — which this test would
-// have caught. The codegen-visible tree is therefore identical to a cold
-// rebuild on the patched graph.
+// RidesLinks reports whether any tree edge on a reaching source's path
+// lies on a physical link satisfying ride. When it returns false for the
+// links a failure removed, the tree survives the failure verbatim:
+// removing edges can only lengthen distances, so the used chains (whose
+// lengths are unchanged) stay optimal; the BFS tie-breaks are
+// first-minimal in the preserved edge order, and any competitor whose
+// distance the removal did not grow routes through a removed-link chain —
+// which this test would have caught. Every path codegen lowers from the
+// tree is therefore identical to a cold rebuild's on the patched graph.
+// Each walk stops after the first vertex an earlier walk entered: the
+// rest of its path has been checked.
 func (tr *Tree) RidesLinks(ride func(topo.LinkID) bool) bool {
-	seen := make(map[int32]bool)
+	seen := make([]bool, tr.g.NumVerts)
 	for src := range tr.entry {
-		if !tr.Reaches(topo.NodeID(src)) {
-			continue
-		}
-		eid := tr.entry[src]
-		for {
-			if seen[eid] {
-				break
-			}
-			seen[eid] = true
-			e := tr.g.Edges[eid]
+		w := tr.Walk(topo.NodeID(src))
+		for e, ok := w.Next(); ok; e, ok = w.Next() {
 			if e.Link >= 0 && ride(e.Link) {
 				return true
 			}
-			if e.To == tr.g.Sink {
+			if seen[e.To] {
 				break
 			}
-			eid = tr.next[e.To]
-			if eid < 0 {
-				break
-			}
+			seen[e.To] = true
 		}
 	}
 	return false

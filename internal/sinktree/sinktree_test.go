@@ -175,6 +175,23 @@ func TestAllPairsFatTreeTreesCoverAllHosts(t *testing.T) {
 	}
 }
 
+// Edges enumerates the distinct tree edges on any reaching source's path,
+// the sink edges aside.
+func (tr *Tree) Edges() []logical.Edge {
+	used := make(map[int]bool)
+	var out []logical.Edge
+	for src := range tr.entry {
+		w := tr.Walk(topo.NodeID(src))
+		for e, ok := w.Next(); ok; e, ok = w.Next() {
+			if !used[e.ID] {
+				used[e.ID] = true
+				out = append(out, *e)
+			}
+		}
+	}
+	return out
+}
+
 func TestTreeEdgesFormATree(t *testing.T) {
 	tp := topo.FatTree(4, topo.Gbps)
 	g := graphFor(t, tp, ".*", nil)
