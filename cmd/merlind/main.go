@@ -60,12 +60,14 @@ func main() {
 	}
 	log.Printf("merlind: recovered (%s boot, seq %d) on %s, serving %s", d.Boot, d.BootSeq, *topoSpec, *addr)
 
+	// Catch SIGINT/SIGTERM before the server can answer /healthz: a
+	// signal sent as soon as it does must reach the shutdown path below,
+	// not the default action, which exits without the final snapshot.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	srv := &http.Server{Addr: *addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		log.Printf("merlind: %v, shutting down", sig)
@@ -74,7 +76,9 @@ func main() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	srv.Shutdown(ctx)
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("merlind: shutdown: %v", err)
+	}
 	if err := d.Close(); err != nil {
 		log.Fatalf("merlind: close: %v", err)
 	}

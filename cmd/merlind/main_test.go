@@ -1,0 +1,106 @@
+package main
+
+import (
+	"bytes"
+	"net"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// TestMain runs merlind's real main instead of the tests when
+// MERLIND_MAIN is set, so a test can start the daemon as a subprocess of
+// this binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("MERLIND_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestSIGTERMRightAfterHealthzShutsDownCleanly boots merlind in a
+// subprocess ten times and sends SIGTERM the moment /healthz first
+// answers 200. Each run must take the shutdown path: exit 0 and log
+// "clean shutdown" after its final snapshot.
+func TestSIGTERMRightAfterHealthzShutsDownCleanly(t *testing.T) {
+	policy := filepath.Join(t.TempDir(), "genesis.m")
+	if err := os.WriteFile(policy, []byte("[ x : (eth.src = h0_0 and eth.dst = h2_0) -> .* at min(10Mbps) ]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 10; run++ {
+		addr := freeAddr(t)
+		var out bytes.Buffer
+		cmd := exec.Command(os.Args[0], "-addr", addr, "-data", t.TempDir(),
+			"-topo", "ring,n=4,hosts=1", "-policy", policy)
+		cmd.Env = append(os.Environ(), "MERLIND_MAIN=1")
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// out is read only after exited closes: Wait returns once the
+		// process's output has been copied into it.
+		var waitErr error
+		exited := make(chan struct{})
+		go func() { waitErr = cmd.Wait(); close(exited) }()
+		if !awaitHealthy(addr, exited) {
+			cmd.Process.Kill()
+			<-exited
+			t.Fatalf("run %d: merlind never answered /healthz:\n%s", run, out.String())
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		select {
+		case <-exited:
+		case <-time.After(30 * time.Second):
+			cmd.Process.Kill()
+			<-exited
+			t.Fatalf("run %d: merlind did not exit after SIGTERM:\n%s", run, out.String())
+		}
+		if waitErr != nil {
+			t.Fatalf("run %d: merlind exited: %v\n%s", run, waitErr, out.String())
+		}
+		if !strings.Contains(out.String(), "clean shutdown") {
+			t.Fatalf("run %d: no clean shutdown logged:\n%s", run, out.String())
+		}
+	}
+}
+
+// freeAddr returns a loopback address with a port nothing listens on now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// awaitHealthy polls addr's /healthz until it answers 200, reporting
+// false if the process exits first or 30 s pass.
+func awaitHealthy(addr string, exited <-chan struct{}) bool {
+	client := &http.Client{Timeout: time.Second}
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		select {
+		case <-exited:
+			return false
+		default:
+		}
+		if resp, err := client.Get("http://" + addr + "/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return true
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
+}

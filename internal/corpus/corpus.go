@@ -32,7 +32,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"merlin/internal/topo"
 	"merlin/internal/zoo"
@@ -268,40 +267,6 @@ func Generate(spec Spec) (*Scenario, error) {
 	}
 	sc.Invariants.Events = len(sc.Schedule)
 	return sc, nil
-}
-
-// GenerateAll materializes a batch of specs over a bounded worker pool.
-// The result slice is indexed like specs, so the output is identical for
-// every Workers value; the first error wins deterministically (lowest
-// spec index).
-func GenerateAll(specs []Spec, workers int) ([]*Scenario, error) {
-	out := make([]*Scenario, len(specs))
-	errs := make([]error, len(specs))
-	if workers <= 0 || workers > len(specs) {
-		workers = len(specs)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = Generate(specs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("spec %d (%s/%s): %w", i, specs[i].Topo, specs[i].Suite, err)
-		}
-	}
-	return out, nil
 }
 
 // tenants returns the spec's tenant count scaled to the topology.

@@ -3,6 +3,7 @@ package corpus_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"merlin/internal/corpus"
@@ -22,18 +23,52 @@ func testSpecs() []corpus.Spec {
 	return specs
 }
 
+// generateAll materializes a batch of specs over a bounded worker pool,
+// so that concurrent Generate calls run under the race detector. The
+// result slice is indexed like specs; the first error wins
+// deterministically (lowest spec index).
+func generateAll(specs []corpus.Spec, workers int) ([]*corpus.Scenario, error) {
+	out := make([]*corpus.Scenario, len(specs))
+	errs := make([]error, len(specs))
+	if workers <= 0 || workers > len(specs) {
+		workers = len(specs)
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out[i], errs[i] = corpus.Generate(specs[i])
+			}
+		}()
+	}
+	for i := range specs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("spec %d (%s/%s): %w", i, specs[i].Topo, specs[i].Suite, err)
+		}
+	}
+	return out, nil
+}
+
 // TestGenerateDeterminism asserts the corpus contract: the same spec
 // yields byte-identical policy text and identical traffic and schedule
-// on every call, and GenerateAll's output is independent of its worker
+// on every call, and generateAll's output is independent of its worker
 // count (run under -race in CI).
 func TestGenerateDeterminism(t *testing.T) {
 	specs := testSpecs()
-	base, err := corpus.GenerateAll(specs, 1)
+	base, err := generateAll(specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		again, err := corpus.GenerateAll(specs, workers)
+		again, err := generateAll(specs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

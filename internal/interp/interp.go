@@ -43,26 +43,6 @@ type SystemClock struct{}
 // Now implements Clock.
 func (SystemClock) Now() time.Time { return time.Now() }
 
-// ManualClock is a test clock advanced explicitly.
-type ManualClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// Now implements Clock.
-func (c *ManualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the clock forward.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // Op is a clause operation.
 type Op int
 

@@ -1,12 +1,31 @@
 package interp
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"merlin/internal/packet"
 	"merlin/internal/pred"
 )
+
+// manualClock is a Clock advanced explicitly.
+type manualClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *manualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
 
 func webPkt(payload int) *packet.Packet {
 	return packet.TCPPacket("00:00:00:00:00:01", "00:00:00:00:00:02",
@@ -69,7 +88,7 @@ func TestPayloadPredicate(t *testing.T) {
 }
 
 func TestTokenBucketRateLimit(t *testing.T) {
-	clock := &ManualClock{}
+	clock := &manualClock{}
 	prog := &Program{
 		Clauses: []Clause{{
 			Pred:       pred.Test{Field: "tcp.dst", Value: "80"},
@@ -103,7 +122,7 @@ func TestTokenBucketRateLimit(t *testing.T) {
 }
 
 func TestRateLimitLongRunThroughput(t *testing.T) {
-	clock := &ManualClock{}
+	clock := &manualClock{}
 	prog := &Program{
 		Clauses: []Clause{{
 			Pred:       pred.True,

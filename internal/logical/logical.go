@@ -64,9 +64,6 @@ func (g *Graph) vertex(loc topo.NodeID, state int) int {
 	return int(loc)*g.States + state
 }
 
-// VertexOf is the exported form of vertex, for tests and diagnostics.
-func (g *Graph) VertexOf(loc topo.NodeID, state int) int { return g.vertex(loc, state) }
-
 // Decompose splits a product vertex back into (location, state). The
 // second return is false for the source/sink vertices.
 func (g *Graph) Decompose(v int) (topo.NodeID, int, bool) {

@@ -363,7 +363,7 @@ func TestExtractPathDeadEnd(t *testing.T) {
 func TestDecompose(t *testing.T) {
 	tp := topo.Linear(2, topo.Gbps)
 	g := buildGraph(t, tp, ".*", nil)
-	v := g.VertexOf(1, 0)
+	v := g.vertex(1, 0)
 	loc, q, ok := g.Decompose(v)
 	if !ok || loc != 1 || q != 0 {
 		t.Fatalf("Decompose(%d) = %v,%v,%v", v, loc, q, ok)

@@ -2,10 +2,10 @@ package lp
 
 import "math"
 
-// This file holds the original dense two-phase tableau simplex. It is kept
-// as the Params{Dense: true} escape hatch and as the reference
-// implementation the sparse revised simplex (sparse.go) is cross-checked
-// against in tests: both must agree on status and objective.
+// This file holds a dense two-phase tableau simplex, the reference the
+// sparse revised simplex (sparse.go) is cross-checked against: both must
+// agree on status and objective. It shares no solve code with the sparse
+// engine, only the model and the tolerances.
 
 // simplex holds the dense working state.
 type simplex struct {
@@ -20,7 +20,6 @@ type simplex struct {
 	nstruct int   // structural variable count
 	nart    int   // artificial count
 	iters   int
-	maxIt   int
 }
 
 // value returns the current value of column j.
@@ -41,11 +40,7 @@ func (s *simplex) value(j int) float64 {
 }
 
 // solveDense solves the model with the dense two-phase tableau simplex.
-func (m *Model) solveDense(p Params) Solution {
-	maxIt := p.MaxIters
-	if maxIt == 0 {
-		maxIt = 200000
-	}
+func (m *Model) solveDense() Solution {
 	nrows := len(m.cons)
 	// Column layout: structural | slacks | artificials.
 	nslack := 0
@@ -65,17 +60,10 @@ func (m *Model) solveDense(p Params) Solution {
 		basis:   make([]int, nrows),
 		beta:    make([]float64, nrows),
 		nstruct: m.nvars,
-		maxIt:   maxIt,
 	}
 	copy(s.lower, m.lower)
 	copy(s.upper, m.upper)
-	sign := 1.0
-	if m.maximize {
-		sign = -1.0
-	}
-	for j := 0; j < m.nvars; j++ {
-		s.cost[j] = sign * m.cost[j]
-	}
+	copy(s.cost, m.cost)
 	s.tab = make([][]float64, nrows)
 	for i := range s.tab {
 		s.tab[i] = make([]float64, n)
@@ -187,7 +175,7 @@ func (s *simplex) run(cost []float64) Status {
 	bland := false
 	for {
 		s.iters++
-		if s.iters > s.maxIt {
+		if s.iters > maxIters {
 			return IterLimit
 		}
 		// y = c_B per row; reduced cost r_j = c_j - Σ_i y_i T[i][j].

@@ -1,12 +1,14 @@
-// Package lp implements a linear-programming solver. The default engine is
-// a sparse revised simplex (sparse.go): the constraint matrix is stored in
+// Package lp implements a linear-programming solver: a sparse revised
+// simplex (sparse.go). The constraint matrix is stored in
 // compressed-sparse-column form, the basis inverse is maintained as a
 // product-form eta file with periodic refactorization, and pricing walks
-// only column nonzeros. A dense two-phase tableau simplex (dense.go) is
-// kept behind Params{Dense: true} as an escape hatch and as the reference
-// the sparse engine is cross-checked against. Together with package mip it
-// stands in for the Gurobi optimizer the paper uses to provision bandwidth
-// (§5).
+// only column nonzeros. A basis that turns numerically singular ends the
+// solve with status NumericalFailure (after one retry from the cold start
+// when the solve began warm); there is no second engine to fall back to.
+// The package's tests keep a dense two-phase tableau simplex as
+// the reference the sparse engine is cross-checked against. Together with
+// package mip it stands in for the Gurobi optimizer the paper uses to
+// provision bandwidth (§5).
 //
 // The solver minimizes c·x subject to linear constraints and per-variable
 // bounds. It is exact enough for the multi-commodity-flow MIPs Merlin
@@ -58,12 +60,11 @@ type Constraint struct {
 
 // Model is a linear program under construction. The zero value is usable.
 type Model struct {
-	nvars    int
-	cost     []float64
-	lower    []float64
-	upper    []float64
-	cons     []Constraint
-	maximize bool
+	nvars int
+	cost  []float64
+	lower []float64
+	upper []float64
+	cons  []Constraint
 }
 
 // NewModel returns an empty model.
@@ -116,12 +117,6 @@ func (m *Model) Bounds(v int) (lb, ub float64) { return m.lower[v], m.upper[v] }
 // NumVars reports the number of variables.
 func (m *Model) NumVars() int { return m.nvars }
 
-// Maximize flips the objective sense to maximization.
-func (m *Model) Maximize() { m.maximize = true }
-
-// Maximized reports whether the objective sense is maximization.
-func (m *Model) Maximized() bool { return m.maximize }
-
 // AddConstraint appends a constraint. Terms with duplicate variables are
 // summed.
 func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name string) {
@@ -142,6 +137,9 @@ const (
 	Infeasible
 	Unbounded
 	IterLimit
+	// NumericalFailure means the basis turned numerically singular, so
+	// the engine could not conclude anything about the model.
+	NumericalFailure
 )
 
 func (s Status) String() string {
@@ -154,6 +152,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterLimit:
 		return "iteration limit"
+	case NumericalFailure:
+		return "numerical failure"
 	default:
 		return "unknown"
 	}
@@ -165,7 +165,7 @@ type Solution struct {
 	Objective float64
 	X         []float64 // values of the model's variables
 	Iters     int
-	// Basis captures the optimal simplex basis when the sparse engine
+	// Basis captures the optimal simplex basis when the engine
 	// proved optimality; pass it back via Params.Warm to warm-start a
 	// re-solve of the same model shape with modified bounds or costs
 	// (branch and bound does exactly this per node).
@@ -174,23 +174,18 @@ type Solution struct {
 
 // Params tune the solver.
 type Params struct {
-	// MaxIters bounds total simplex iterations across both phases.
-	// Zero means the default (200000).
-	MaxIters int
-	// Dense selects the original dense tableau simplex instead of the
-	// sparse revised simplex — the escape hatch for debugging and for
-	// cross-checking objectives.
-	Dense bool
-	// Warm, if non-nil, starts the sparse engine from a previously
-	// returned basis instead of the all-artificial basis. Ignored when
-	// the basis does not match the model's shape or Dense is set.
+	// Warm, if non-nil, starts the engine from a previously returned
+	// basis instead of the all-artificial basis. Ignored when the basis
+	// does not match the model's shape; a warm solve that fails
+	// numerically is retried from the all-artificial basis.
 	Warm *Basis
 }
 
 const (
-	tolPivot = 1e-9 // minimum pivot magnitude
-	tolCost  = 1e-9 // reduced-cost optimality tolerance
-	tolFeas  = 1e-7 // feasibility tolerance
+	maxIters = 200000 // simplex iterations across both phases
+	tolPivot = 1e-9   // minimum pivot magnitude
+	tolCost  = 1e-9   // reduced-cost optimality tolerance
+	tolFeas  = 1e-7   // feasibility tolerance
 )
 
 // variable status in the simplex
@@ -201,11 +196,3 @@ const (
 	atUpper
 	basic
 )
-
-// Solve solves the model with the engine selected by p.
-func (m *Model) Solve(p Params) Solution {
-	if p.Dense {
-		return m.solveDense(p)
-	}
-	return m.solveSparse(p)
-}

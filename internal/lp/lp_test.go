@@ -25,12 +25,11 @@ func TestTrivialMin(t *testing.T) {
 }
 
 func TestTwoVarLP(t *testing.T) {
-	// Classic: max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18.
-	// Optimum at (2, 6) with value 36.
+	// Classic: max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, solved
+	// as min -3x - 5y. Optimum at (2, 6) with value 36.
 	m := NewModel()
-	x := m.AddVar(0, math.Inf(1), 3, "x")
-	y := m.AddVar(0, math.Inf(1), 5, "y")
-	m.Maximize()
+	x := m.AddVar(0, math.Inf(1), -3, "x")
+	y := m.AddVar(0, math.Inf(1), -5, "y")
 	m.AddConstraint([]Term{{x, 1}}, LE, 4, "c1")
 	m.AddConstraint([]Term{{y, 2}}, LE, 12, "c2")
 	m.AddConstraint([]Term{{x, 3}, {y, 2}}, LE, 18, "c3")
@@ -38,8 +37,8 @@ func TestTwoVarLP(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Objective, 36) {
-		t.Fatalf("obj = %v, want 36", sol.Objective)
+	if !approx(sol.Objective, -36) {
+		t.Fatalf("obj = %v, want -36", sol.Objective)
 	}
 	if !approx(sol.X[x], 2) || !approx(sol.X[y], 6) {
 		t.Fatalf("x,y = %v,%v want 2,6", sol.X[x], sol.X[y])
@@ -85,10 +84,9 @@ func TestInfeasibleEquality(t *testing.T) {
 }
 
 func TestUnbounded(t *testing.T) {
-	// max x with no upper bound.
+	// min -x with no upper bound.
 	m := NewModel()
-	x := m.AddVar(0, math.Inf(1), 1, "x")
-	m.Maximize()
+	x := m.AddVar(0, math.Inf(1), -1, "x")
 	m.AddConstraint([]Term{{x, -1}}, LE, 0, "c") // -x <= 0, always true
 	sol := m.Solve(Params{})
 	if sol.Status != Unbounded {
@@ -97,18 +95,17 @@ func TestUnbounded(t *testing.T) {
 }
 
 func TestUpperBoundsRespected(t *testing.T) {
-	// max x + y with x,y in [0,1] and x + y <= 1.5.
+	// min -x - y with x,y in [0,1] and x + y <= 1.5.
 	m := NewModel()
-	x := m.AddVar(0, 1, 1, "x")
-	y := m.AddVar(0, 1, 1, "y")
-	m.Maximize()
+	x := m.AddVar(0, 1, -1, "x")
+	y := m.AddVar(0, 1, -1, "y")
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1.5, "cap")
 	sol := m.Solve(Params{})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Objective, 1.5) {
-		t.Fatalf("obj = %v, want 1.5", sol.Objective)
+	if !approx(sol.Objective, -1.5) {
+		t.Fatalf("obj = %v, want -1.5", sol.Objective)
 	}
 	if sol.X[x] > 1+eps || sol.X[y] > 1+eps {
 		t.Fatalf("bounds violated: %v %v", sol.X[x], sol.X[y])
@@ -154,15 +151,14 @@ func TestDegenerateDoesNotCycle(t *testing.T) {
 
 func TestMaxFlowAsLP(t *testing.T) {
 	// Max flow on a diamond: s->a (3), s->b (2), a->t (2), b->t (2), a->b (1).
-	// Max flow = 4.
+	// Max flow = 4, found by minimizing -f.
 	m := NewModel()
 	sa := m.AddVar(0, 3, 0, "sa")
 	sb := m.AddVar(0, 2, 0, "sb")
 	at := m.AddVar(0, 2, 0, "at")
 	bt := m.AddVar(0, 2, 0, "bt")
 	ab := m.AddVar(0, 1, 0, "ab")
-	f := m.AddVar(0, math.Inf(1), 1, "f")
-	m.Maximize()
+	f := m.AddVar(0, math.Inf(1), -1, "f")
 	// conservation at a: sa = at + ab
 	m.AddConstraint([]Term{{sa, 1}, {at, -1}, {ab, -1}}, EQ, 0, "a")
 	// conservation at b: sb + ab = bt
@@ -173,8 +169,8 @@ func TestMaxFlowAsLP(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if !approx(sol.Objective, 4) {
-		t.Fatalf("max flow = %v, want 4", sol.Objective)
+	if !approx(-sol.Objective, 4) {
+		t.Fatalf("max flow = %v, want 4", -sol.Objective)
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// This file implements the default engine: a bounded-variable revised
-// simplex over a compressed-sparse-column constraint matrix. The basis
-// inverse is never formed; it is represented as a product of eta matrices
+// This file implements the engine: a bounded-variable revised simplex over
+// a compressed-sparse-column constraint matrix. The basis inverse is never
+// formed; it is represented as a product of eta matrices
 // (the classic product-form-of-the-inverse) rebuilt from scratch every
 // refactorEvery pivots. Pricing computes reduced costs column-by-column
 // over nonzeros only, so an iteration costs O(nnz + eta-file) instead of
@@ -123,16 +123,16 @@ func (ef *etaFile) btran(y []float64) {
 	}
 }
 
-// revised holds the sparse working state. Column layout matches the dense
-// engine: structural | slacks (one per LE/GE row) | artificials (one per
-// row). Artificials are fixed at [0,0]; the composite phase 1 relaxes them
-// while they carry an initial residual.
+// revised holds the working state. Column layout: structural | slacks
+// (one per LE/GE row) | artificials (one per row). Artificials are fixed
+// at [0,0]; the composite phase 1 relaxes them while they carry an initial
+// residual.
 type revised struct {
 	m, n           int
 	A              cscMat
 	baseLo, baseUp []float64 // true bounds
 	lo, up         []float64 // working bounds (relaxed for the violated set)
-	cost2          []float64 // phase-2 cost (objective sign applied)
+	cost2          []float64 // phase-2 cost
 	p1cost         []float64 // composite phase-1 cost (±1 on violated columns)
 	status         []vstat
 	basis          []int32 // basic column per row
@@ -144,12 +144,12 @@ type revised struct {
 	broken         bool    // basis went numerically singular mid-run
 	etas           etaFile
 	pivots         int // pivots since last refactorization
-	iters, maxIt   int
+	iters          int
 	nstruct, artAt int
 	d, y           []float64 // dense scratch, length m
 }
 
-func newRevised(m *Model, maxIt int) *revised {
+func newRevised(m *Model) *revised {
 	nrows := len(m.cons)
 	nslack := 0
 	for _, c := range m.cons {
@@ -173,7 +173,6 @@ func newRevised(m *Model, maxIt int) *revised {
 		beta:    make([]float64, nrows),
 		rhs:     make([]float64, nrows),
 		viol:    make([]int8, n),
-		maxIt:   maxIt,
 		nstruct: m.nvars,
 		artAt:   m.nvars + nslack,
 		d:       make([]float64, nrows),
@@ -181,13 +180,7 @@ func newRevised(m *Model, maxIt int) *revised {
 	}
 	copy(s.baseLo, m.lower)
 	copy(s.baseUp, m.upper)
-	sign := 1.0
-	if m.maximize {
-		sign = -1.0
-	}
-	for j := 0; j < m.nvars; j++ {
-		s.cost2[j] = sign * m.cost[j]
-	}
+	copy(s.cost2, m.cost)
 
 	// Count entries per column (duplicates included; merged below).
 	cnt := make([]int32, n)
@@ -273,7 +266,7 @@ func newRevised(m *Model, maxIt int) *revised {
 }
 
 // coldStart installs the all-artificial basis with nonbasic variables at
-// the bound closer to zero (matching the dense engine's start).
+// the bound closer to zero.
 func (s *revised) coldStart() {
 	for j := 0; j < s.artAt; j++ {
 		if !math.IsInf(s.baseUp[j], 1) && math.Abs(s.baseUp[j]) < math.Abs(s.baseLo[j]) {
@@ -499,13 +492,13 @@ func (s *revised) run(cost []float64, composite bool) Status {
 			}
 		}
 		s.iters++
-		if s.iters > s.maxIt {
+		if s.iters > maxIters {
 			return IterLimit
 		}
 		if s.pivots >= refactorEvery {
 			if !s.refactor() {
 				s.broken = true
-				return IterLimit // caller checks broken and falls back to dense
+				return IterLimit // caller checks broken
 			}
 		}
 		// BTRAN: y solves y^T B = c_B.
@@ -646,28 +639,28 @@ func (s *revised) run(cost []float64, composite bool) Status {
 	}
 }
 
-// solveSparse solves the model with the sparse revised simplex.
-func (m *Model) solveSparse(p Params) Solution {
-	maxIt := p.MaxIters
-	if maxIt == 0 {
-		maxIt = 200000
+// Solve solves the model. A basis that turns numerically singular ends the
+// solve with status NumericalFailure; a solve that started from a warm
+// basis is first retried from the cold start.
+func (m *Model) Solve(p Params) Solution {
+	sol := m.solve(p.Warm)
+	if sol.Status == NumericalFailure && p.Warm != nil {
+		cold := m.solve(nil)
+		cold.Iters += sol.Iters
+		return cold
 	}
-	s := newRevised(m, maxIt)
-	warm := s.tryWarm(p.Warm)
-	if !warm {
+	return sol
+}
+
+// solve runs both phases from the warm basis, or from the all-artificial
+// basis when warm is nil or does not match the model's shape.
+func (m *Model) solve(warm *Basis) Solution {
+	s := newRevised(m)
+	if !s.tryWarm(warm) {
 		s.coldStart()
 	}
 	if !s.refactor() {
-		if !warm {
-			// The all-artificial basis is an identity matrix; failing to
-			// factor it means something is deeply wrong — use the dense
-			// reference engine rather than guessing.
-			return m.solveDense(p)
-		}
-		s.coldStart()
-		if !s.refactor() {
-			return m.solveDense(p)
-		}
+		return Solution{Status: NumericalFailure, Iters: s.iters}
 	}
 
 	// Phase 1 (composite): repair any out-of-bound basics. Rechecked
@@ -680,7 +673,7 @@ func (m *Model) solveSparse(p Params) Solution {
 		}
 		st := s.run(s.p1cost, true)
 		if s.broken {
-			return m.solveDense(p)
+			return Solution{Status: NumericalFailure, Iters: s.iters}
 		}
 		if st == IterLimit {
 			return Solution{Status: IterLimit, Iters: s.iters}
@@ -688,14 +681,14 @@ func (m *Model) solveSparse(p Params) Solution {
 		if st == Unbounded {
 			// A composite phase-1 objective is bounded by construction;
 			// reaching here means numerical breakdown.
-			return m.solveDense(p)
+			return Solution{Status: NumericalFailure, Iters: s.iters}
 		}
 		for _, j := range s.vlist {
 			s.restore(j)
 		}
 		s.vlist = s.vlist[:0]
 		if !s.refactor() {
-			return m.solveDense(p)
+			return Solution{Status: NumericalFailure, Iters: s.iters}
 		}
 		feasible := true
 		for i := 0; i < s.m; i++ {
@@ -716,7 +709,7 @@ func (m *Model) solveSparse(p Params) Solution {
 	// Phase 2: the real objective.
 	st := s.run(s.cost2, false)
 	if s.broken {
-		return m.solveDense(p)
+		return Solution{Status: NumericalFailure, Iters: s.iters}
 	}
 	sol := Solution{Status: st, Iters: s.iters}
 	if st == Optimal {

@@ -23,6 +23,10 @@ const (
 	Infeasible
 	Unbounded
 	Limit // node or iteration budget exhausted before proving optimality
+	// NumericalFailure means a relaxation, at the root or at a node,
+	// ended in lp.NumericalFailure. The search stops: pruning that node
+	// could discard the optimum and report a wrong Optimal.
+	NumericalFailure
 )
 
 func (s Status) String() string {
@@ -35,6 +39,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case Limit:
 		return "limit"
+	case NumericalFailure:
+		return "numerical failure"
 	default:
 		return "unknown"
 	}
@@ -113,7 +119,7 @@ func (m *Model) IsInteger(v int) bool {
 // The basis is shared read-only between sibling nodes and across wave
 // workers.
 type node struct {
-	bound   float64 // LP relaxation objective (lower bound when minimizing)
+	bound   float64 // LP relaxation objective, a lower bound
 	depth   int
 	seq     int // creation order: deterministic heap tie-break
 	changes []boundChange
@@ -131,12 +137,11 @@ type boundChange struct {
 // internals and of how many workers solve each wave.
 type nodeHeap struct {
 	items []*node
-	worst float64 // +1 for minimize, -1 for maximize comparisons
 }
 
 func (h *nodeHeap) Len() int { return len(h.items) }
 func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.worst*h.items[i].bound, h.worst*h.items[j].bound
+	a, b := h.items[i].bound, h.items[j].bound
 	if a != b {
 		return a < b
 	}
@@ -167,7 +172,8 @@ const waveSize = 8
 // integer counts as integral.
 const intTol = 1e-6
 
-// Solve runs best-bound branch and bound over waves of node relaxations.
+// Solve minimizes the objective by best-bound branch and bound over waves
+// of node relaxations.
 // Node LPs solve on private clones of the model, so the model itself is
 // never mutated — and never shared mutable state between workers.
 func (m *Model) Solve(p Params) Solution {
@@ -191,14 +197,11 @@ func (m *Model) Solve(p Params) Solution {
 		return Solution{Status: Unbounded}
 	case lp.IterLimit:
 		return Solution{Status: Limit}
-	}
-	sense := 1.0 // minimize by default; for maximization the relaxation
-	// bound is an upper bound and "better" flips. Detected via Maximized().
-	if m.Maximized() {
-		sense = -1.0
+	case lp.NumericalFailure:
+		return Solution{Status: NumericalFailure}
 	}
 
-	h := &nodeHeap{worst: sense}
+	h := &nodeHeap{}
 	heap.Push(h, &node{bound: root.Objective, basis: root.Basis})
 	seq := 1
 
@@ -239,7 +242,7 @@ func (m *Model) Solve(p Params) Solution {
 	var best *Solution
 	nodes := 0
 	prune := func(bound float64) bool {
-		return best != nil && sense*bound >= sense*best.Objective-1e-9
+		return best != nil && bound >= best.Objective-1e-9
 	}
 
 	wave := make([]*node, 0, waveSize)
@@ -313,6 +316,9 @@ func (m *Model) Solve(p Params) Solution {
 		for wi, nd := range wave {
 			nodes++
 			sol := sols[wi]
+			if sol.Status == lp.NumericalFailure {
+				return Solution{Status: NumericalFailure, Nodes: nodes}
+			}
 			if sol.Status != lp.Optimal {
 				continue // infeasible or limit: prune
 			}

@@ -198,15 +198,6 @@ func (n *Network) Install(rules []Rule) {
 	}
 }
 
-// RuleCount reports the number of installed rules.
-func (n *Network) RuleCount() int {
-	c := 0
-	for _, tbl := range n.tables {
-		c += len(tbl)
-	}
-	return c
-}
-
 // AddMiddleboxFunction registers a packet function at a middlebox node.
 func (n *Network) AddMiddleboxFunction(mb topo.NodeID, fn PacketFunction) {
 	n.mboxes[mb] = append(n.mboxes[mb], fn)

@@ -52,12 +52,6 @@ func DomainSize(f Field) float64 {
 	return math.Inf(1)
 }
 
-// KnownField reports whether f is one of the standard header fields.
-func KnownField(f Field) bool {
-	_, ok := domainSizes[f]
-	return ok
-}
-
 // Pred is a packet predicate. Implementations are immutable once built.
 type Pred interface {
 	// String renders the predicate in Merlin concrete syntax.
@@ -385,12 +379,6 @@ func Satisfiable(p Pred) (bool, error) {
 		return false, err
 	}
 	return newAssignment().satisfy([]nnf{n})
-}
-
-// Disjoint reports whether no packet matches both p and q.
-func Disjoint(p, q Pred) (bool, error) {
-	sat, err := Satisfiable(Conj(p, q))
-	return !sat, err
 }
 
 // Overlaps reports whether some packet matches both p and q.

@@ -529,15 +529,3 @@ func Equivalent(a, b Expr) (bool, error) {
 	ba, _, err := Includes(b, a, Options{})
 	return ab && ba, err
 }
-
-// EmptyLanguage reports whether e denotes the empty language over the
-// vocabulary it mentions (plus the implicit "other" symbol).
-func EmptyLanguage(e Expr) (bool, error) {
-	alpha := NewAlphabet(Symbols(e))
-	alpha.Intern("\x00other")
-	n, err := Compile(e, alpha)
-	if err != nil {
-		return false, err
-	}
-	return n.Determinize().Empty(), nil
-}

@@ -377,14 +377,3 @@ func (n *NFA) EpsFree() *EpsFree {
 	}
 	return ef
 }
-
-// Move returns the set of (state, tag) pairs reachable from q on symbol sym.
-func (ef *EpsFree) Move(q, sym int) []Edge {
-	var out []Edge
-	for _, e := range ef.Out[q] {
-		if e.Set.Has(sym) {
-			out = append(out, e)
-		}
-	}
-	return out
-}

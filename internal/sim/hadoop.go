@@ -186,15 +186,6 @@ func RunRingPaxos(cfg RingPaxosConfig) ([]RingPaxosRow, error) {
 	return rows, nil
 }
 
-// RingPaxosIdlePoint measures service 1's throughput when service 2 is
-// idle — the paper's "guarantees do not waste idle bandwidth" claim.
-func RingPaxosIdlePoint(cfg RingPaxosConfig, clients int) (float64, error) {
-	cfg.defaults()
-	demand := float64(clients) / 2 * cfg.PerClientBps
-	r1, _, err := ringPaxosPoint(cfg, demand, 0)
-	return r1, err
-}
-
 func ringPaxosPoint(cfg RingPaxosConfig, demand1, demand2 float64) (float64, float64, error) {
 	// The shared machine's egress link is the bottleneck; model it as a
 	// two-host topology whose single cable both rings' traffic crosses.

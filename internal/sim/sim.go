@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"merlin/internal/topo"
 )
@@ -271,9 +270,4 @@ func (s *Series) Mean() float64 {
 		sum += p.Rate
 	}
 	return sum / float64(len(s.Samples))
-}
-
-// SortFlowsByID orders flows deterministically, for stable output.
-func SortFlowsByID(fs []*Flow) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].ID < fs[j].ID })
 }

@@ -126,14 +126,6 @@ var rangeField = map[pred.Field]bool{
 	"tcp.src": true, "tcp.dst": true, "udp.src": true, "udp.dst": true,
 }
 
-// FieldBits reports a header field's width in the ternary key, and
-// whether the field has a ternary encoding at all (payload and unknown
-// fields do not).
-func FieldBits(f pred.Field) (int, bool) {
-	b, ok := fieldBits[f]
-	return b, ok
-}
-
 // ParseValue interprets one test value for a field: an exact value
 // (lo == hi) or, on the port fields, an inclusive "lo-hi" range. MAC
 // fields take the colon-hex form, IP fields dotted quads, and numeric

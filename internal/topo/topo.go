@@ -287,18 +287,3 @@ func (t *Topology) Connected() bool {
 	}
 	return true
 }
-
-// Diameter returns the longest shortest-path hop count between any pair of
-// nodes, or 0 for empty/disconnected graphs (disconnected pairs ignored).
-func (t *Topology) Diameter() int {
-	max := 0
-	for id := range t.nodes {
-		dist, _ := t.BFS(NodeID(id))
-		for _, d := range dist {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}

@@ -246,9 +246,24 @@ func TestStanfordShape(t *testing.T) {
 	if !tp.Connected() {
 		t.Fatal("stanford disconnected")
 	}
-	if d := tp.Diameter(); d > 6 {
+	if d := diameter(tp); d > 6 {
 		t.Fatalf("stanford diameter = %d, want small", d)
 	}
+}
+
+// diameter returns the longest shortest-path hop count between any pair
+// of nodes (disconnected pairs ignored).
+func diameter(t *Topology) int {
+	max := 0
+	for id := range t.nodes {
+		dist, _ := t.BFS(NodeID(id))
+		for _, d := range dist {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return max
 }
 
 func TestKindString(t *testing.T) {
