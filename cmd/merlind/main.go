@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,6 +48,12 @@ func main() {
 		}
 		policyText = string(b)
 	}
+	// Listen before recovery: a taken address must fail the boot before
+	// anything is written under -data.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("merlind: %v", err)
+	}
 	d, err := NewDaemon(Config{
 		DataDir:       *dataDir,
 		Topo:          tp,
@@ -65,14 +73,20 @@ func main() {
 	// not the default action, which exits without the final snapshot.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	srv := &http.Server{Addr: *addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case sig := <-sigc:
 		log.Printf("merlind: %v, shutting down", sig)
 	case err := <-errc:
-		log.Printf("merlind: server: %v", err)
+		if !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("merlind: server: %v", err)
+			if err := d.Close(); err != nil {
+				log.Printf("merlind: close: %v", err)
+			}
+			os.Exit(1)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

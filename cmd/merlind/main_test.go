@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"net/http"
 	"os"
@@ -69,6 +70,38 @@ func TestSIGTERMRightAfterHealthzShutsDownCleanly(t *testing.T) {
 		if !strings.Contains(out.String(), "clean shutdown") {
 			t.Fatalf("run %d: no clean shutdown logged:\n%s", run, out.String())
 		}
+	}
+}
+
+// TestListenFailureExitsNonZero starts merlind on a port another socket
+// holds. The boot must fail before recovery: a non-zero exit, the bind
+// error on stderr, and no journal written under -data.
+func TestListenFailureExitsNonZero(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	dir := t.TempDir()
+	data, policy := filepath.Join(dir, "data"), filepath.Join(dir, "genesis.m")
+	if err := os.WriteFile(policy, []byte("[ x : (eth.src = h0_0 and eth.dst = h2_0) -> .* ]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(os.Args[0], "-addr", held.Addr().String(), "-data", data,
+		"-topo", "ring,n=4,hosts=1", "-policy", policy)
+	cmd.Env = append(os.Environ(), "MERLIND_MAIN=1")
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("merlind on a taken port: %v, want a non-zero exit\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "address already in use") {
+		t.Fatalf("stderr does not name the bind error:\n%s", stderr.String())
+	}
+	if entries, err := os.ReadDir(data); !errors.Is(err, os.ErrNotExist) && len(entries) > 0 {
+		t.Fatalf("a failed boot wrote %d entries under -data (%v)", len(entries), err)
 	}
 }
 

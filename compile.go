@@ -2,7 +2,7 @@ package merlin
 
 import (
 	"fmt"
-	"math"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -68,23 +68,24 @@ type Options struct {
 // buildMissing serves n items from a cache, item i needing the artifact
 // keyed keyOf(i). Each missing key is built once, by the first item naming
 // it, over the worker pool. Either every build succeeds and is committed,
-// or the first failure in item order is returned and nothing is; built
-// counts the keys built. Callers list items in statement order, so output
-// and errors are identical for every pool size.
-func buildMissing[K comparable, V any](cache map[K]V, n, workers int, keyOf func(int) K, build func(int) (V, error)) (vals []V, built int, err error) {
+// or the first failure in item order is returned and nothing is; used is
+// the set of keys the items name, built the count of keys built. Callers
+// list items in statement order, so output and errors are identical for
+// every pool size.
+func buildMissing[K comparable, V any](cache map[K]V, n, workers int, keyOf func(int) K, build func(int) (V, error)) (vals []V, used map[K]bool, built int, err error) {
 	vals = make([]V, n)
 	var missing, dups []int
-	seen := map[K]bool{}
+	used = make(map[K]bool, n)
 	for i := 0; i < n; i++ {
 		k := keyOf(i)
 		if v, ok := cache[k]; ok {
 			vals[i] = v
-		} else if seen[k] {
+		} else if used[k] {
 			dups = append(dups, i)
 		} else {
-			seen[k] = true
 			missing = append(missing, i)
 		}
+		used[k] = true
 	}
 	errs := make([]error, len(missing))
 	parallelDo(len(missing), workers, func(mi int) {
@@ -93,7 +94,7 @@ func buildMissing[K comparable, V any](cache map[K]V, n, workers int, keyOf func
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 	}
 	for _, i := range missing {
@@ -102,7 +103,7 @@ func buildMissing[K comparable, V any](cache map[K]V, n, workers int, keyOf func
 	for _, i := range dups {
 		vals[i] = cache[keyOf(i)]
 	}
-	return vals, len(missing), nil
+	return vals, used, len(missing), nil
 }
 
 // parallelDo runs f(0..n-1) over a bounded worker pool. Each index is
@@ -222,19 +223,20 @@ func Compile(pol *Policy, t *Topology, place Placement, opts Options) (*Result, 
 type runState struct {
 	work   *Policy
 	allocs map[string]Alloc
-	// arts holds the per-statement artifacts, and anchored the guaranteed
-	// statements' product graphs (nil for best-effort), by statement index.
-	arts     []*stmtArtifact
-	anchored []*logical.Graph
-	res      *Result
-	// aliased reports that the incoming policy's statement slice is the
-	// same backing array as the previous pass's — the formula-only delta
-	// every negotiation tick produces — so per-statement fingerprints
-	// need not be recomputed. Policies are treated as immutable.
-	aliased bool
-	// provReused reports that the provisioning solution was served from
-	// cache without a solve.
-	provReused bool
+	// arts holds the per-statement artifacts and graphs the product
+	// graphs, by statement index: anchored for a guaranteed statement,
+	// minimized for a best-effort one. bestEff lists the best-effort
+	// statements' indices in order, and trees their sink trees, per
+	// statement, per destination.
+	arts    []*stmtArtifact
+	graphs  []*logical.Graph
+	bestEff []int
+	trees   []*sinktree.Tree
+	res     *Result
+	// The cache keys this pass used; the rest are evicted when it commits.
+	usedAnchors map[anchorKey]bool
+	usedGraphs  map[string]bool
+	usedTrees   map[treeKey]bool
 	// Provisioning products, shared between provisionStage (solve) and
 	// guaranteedPlans (assembly — skipped on the codegen patch path).
 	requests []provision.Request
@@ -291,10 +293,10 @@ func (c *Compiler) preprocessStage(pol *Policy, run *runState) error {
 
 // statementStage runs phase 1 against the artifact caches: path-expression
 // resolution, endpoint derivation, and anchored product-graph builds for
-// guaranteed statements. Only statements whose fingerprint misses the
-// cache are re-resolved, and only anchored graphs missing from c.anchored
-// are built; both fan out over the worker pool and merge in statement
-// order, so output and errors are identical for every pool size.
+// guaranteed statements. Only statements no cached artifact answers are
+// re-resolved, and only anchored graphs missing from c.anchored are
+// built; both fan out over the worker pool and merge in statement order,
+// so output and errors are identical for every pool size.
 func (c *Compiler) statementStage(run *runState) error {
 	gs := time.Now()
 	work := run.work
@@ -302,37 +304,27 @@ func (c *Compiler) statementStage(run *runState) error {
 	arts := make([]*stmtArtifact, n)
 	var fresh []int // statements whose artifact was (re)built: need endpoints
 
-	// Sequential pass: match artifacts against the cache; resolve dirty
-	// path expressions and intern their symbols in statement order
-	// (interning mutates the shared alphabet). When the statement slice
-	// is the previous pass's (run.aliased), cache hits skip the
-	// fingerprint — at 10k+ statements, rendering predicates dominates an
-	// otherwise no-op pass.
+	// Sequential pass: match artifacts against the cache by value; resolve
+	// the other path expressions and intern their symbols in statement
+	// order (interning mutates the shared alphabet).
 	alphaSize := c.alpha.Size()
 	for idx, s := range work.Statements {
-		fp := ""
-		if !run.aliased {
-			fp = stmtFingerprint(s)
-		}
-		if art, ok := c.stmts[s.ID]; ok && (run.aliased || art.fp == fp) {
+		if art, ok := c.stmts[s.ID]; ok && art.answers(s) {
 			arts[idx] = art
 			continue
-		}
-		if run.aliased {
-			fp = stmtFingerprint(s)
 		}
 		expr := resolveExpr(s.Path, c.place, c.ids)
 		for _, sym := range regex.Symbols(expr) {
 			c.alpha.Intern(sym)
 		}
 		arts[idx] = &stmtArtifact{
-			fp:   fp,
+			pred: s.Predicate,
+			path: s.Path,
 			expr: expr,
 			key:  regex.Key(expr),
 			pure: pureConnectivity(s.Predicate),
 		}
 		fresh = append(fresh, idx)
-		c.tainted = true
 	}
 	if c.alpha.Size() != alphaSize {
 		// The alphabet grew: automata determinized/minimized against the
@@ -372,7 +364,7 @@ func (c *Compiler) statementStage(run *runState) error {
 		}
 		guar = append(guar, idx)
 	}
-	graphs, built, err := buildMissing(c.anchored, len(guar), c.opts.Workers,
+	graphs, used, built, err := buildMissing(c.anchored, len(guar), c.opts.Workers,
 		func(i int) anchorKey { return anchorOf(arts[guar[i]]) },
 		func(i int) (*logical.Graph, error) {
 			art := arts[guar[i]]
@@ -397,17 +389,13 @@ func (c *Compiler) statementStage(run *runState) error {
 		for _, s := range work.Statements {
 			current[s.ID] = true
 		}
-		for id := range c.stmts {
-			if !current[id] {
-				delete(c.stmts, id)
-				c.tainted = true
-			}
-		}
+		maps.DeleteFunc(c.stmts, func(id string, _ *stmtArtifact) bool { return !current[id] })
 	}
 	run.arts = arts
-	run.anchored = make([]*logical.Graph, n)
+	run.usedAnchors = used
+	run.graphs = make([]*logical.Graph, n)
 	for i, idx := range guar {
-		run.anchored[idx] = graphs[i]
+		run.graphs[idx] = graphs[i]
 	}
 	run.res.Timing.GraphBuild = time.Since(gs)
 	return nil
@@ -433,7 +421,7 @@ func (c *Compiler) provisionStage(run *runState) error {
 			continue
 		}
 		run.requests = append(run.requests, provision.Request{
-			ID: s.ID, Graph: run.anchored[idx], MinRate: run.alloc(s.ID).Min,
+			ID: s.ID, Graph: run.graphs[idx], MinRate: run.alloc(s.ID).Min,
 		})
 		run.reqArts = append(run.reqArts, run.arts[idx])
 		run.reqStmt[s.ID] = n - idx
@@ -449,7 +437,6 @@ func (c *Compiler) provisionStage(run *runState) error {
 		return err
 	}
 	run.sol = sol
-	run.provReused = reused
 	if !reused {
 		run.res.Timing.LPConstruct = sol.ConstructTime
 		run.res.Timing.LPSolve = sol.SolveTime
@@ -481,21 +468,21 @@ func (c *Compiler) guaranteedPlans(run *runState) []codegen.Plan {
 }
 
 // solveRequests serves the provisioning solution from cache when the
-// request set is unchanged, and otherwise re-solves at shard granularity:
-// provision.Solve partitions the requests into link-disjoint shards and
-// the previous result's per-shard solutions (provision.Result.Shards) let
-// it reuse every shard the delta did not touch outright, warm-start
-// rates-only-changed shards from their cached bases, and solve cold only
-// the shards whose membership changed. It commits the new provisioning
-// artifact.
+// requests and cable capacities are unchanged, and otherwise re-solves at
+// shard granularity: provision.Solve partitions the requests into
+// link-disjoint shards and the previous result's per-shard solutions
+// (provision.Result.Shards) let it reuse every shard the delta did not
+// touch outright, warm-start rates-only-changed shards and shards riding
+// a re-dimensioned cable from their cached bases, and solve cold only the
+// shards whose membership or product graphs changed. It commits the new
+// provisioning artifact.
 func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.Result, reused bool, err error) {
 	cached := c.prov
-	// Topology events since the last pass (len(c.dirtyCables) > 0) bypass
-	// the identity fast path: the cached solution was computed against
-	// different capacities or connectivity, so shard-level reuse below must
-	// re-examine cable incidence even for an unchanged request set.
-	sameInputs := cached != nil && len(c.dirtyCables) == 0 &&
-		len(cached.ids) == len(requests)
+	var dirty map[topo.LinkID]bool
+	if cached != nil {
+		dirty = c.changedCables(cached.caps)
+	}
+	sameInputs := cached != nil && len(dirty) == 0 && len(cached.ids) == len(requests)
 	if sameInputs {
 		for i, r := range requests {
 			if cached.ids[i] != r.ID || cached.graphs[i] != r.Graph || cached.rates[i] != r.MinRate {
@@ -521,11 +508,10 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 			// Shard-level reuse: unchanged shards are served outright and
 			// rates-only-changed shards re-solve warm-started from their
 			// cached optimal bases (§4.3's fast re-provisioning path, now
-			// per shard). Shards incident to a dirty cable (capacity
-			// changed, link failed or restored) are excluded from outright
-			// reuse and re-solve warm where the basis survives.
+			// per shard), as do shards that can ride a cable whose capacity
+			// changed since the cached solve.
 			params.Reuse = cached.res.Shards
-			params.Dirty = c.dirtyCables
+			params.Dirty = dirty
 		}
 		sol, err = provision.Solve(c.t, requests, c.opts.Heuristic, params)
 		if err == nil {
@@ -551,74 +537,80 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 	return sol, reused, nil
 }
 
-// commitProv records a provisioning solution and the inputs it answers
-// as the cached provisioning artifact.
+// changedCables lists the cables whose capacity differs from caps, a
+// per-link snapshot of an earlier topology state; nil when none does.
+func (c *Compiler) changedCables(caps []float64) map[topo.LinkID]bool {
+	var dirty map[topo.LinkID]bool
+	links := c.t.Links()
+	for l := range links {
+		if links[l].Capacity == caps[l] {
+			continue
+		}
+		if dirty == nil {
+			dirty = map[topo.LinkID]bool{}
+		}
+		dirty[c.t.Cable(topo.LinkID(l))] = true
+	}
+	return dirty
+}
+
+// commitProv records a provisioning solution, the inputs it answers and
+// the link capacities it was solved against as the cached provisioning
+// artifact.
 func (c *Compiler) commitProv(requests []provision.Request, sol *provision.Result) {
 	art := &provArtifact{
 		ids:    make([]string, len(requests)),
 		graphs: make([]*logical.Graph, len(requests)),
 		rates:  make([]float64, len(requests)),
+		caps:   make([]float64, c.t.NumLinks()),
 		res:    sol,
 	}
 	for i, r := range requests {
 		art.ids[i], art.graphs[i], art.rates[i] = r.ID, r.Graph, r.MinRate
 	}
+	for l, link := range c.t.Links() {
+		art.caps[l] = link.Capacity
+	}
 	c.prov = art
 }
 
-// bestEffortStage runs phase 3: best-effort sink trees (§3.3). Product
-// graphs are cached per distinct path expression and sink trees per
-// (expression, destination) pair — across compiles, not just within one.
-// Missing entries build in parallel over the worker pool; plan assembly
-// stays sequential in statement order, so the generated configuration is
-// byte-identical to the sequential compiler's.
-func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codegen.Plan, error) {
+// resolveTrees runs phase 3's cache work: best-effort sink trees (§3.3).
+// Product graphs are cached per distinct path expression and sink trees
+// per (expression, destination) pair — across compiles, not just within
+// one. Missing entries build in parallel over the worker pool, so every
+// pass resolves its trees whether or not it then lowers them.
+func (c *Compiler) resolveTrees(run *runState) error {
 	rs := time.Now()
-	work := run.work
-	res := run.res
-	n := len(work.Statements)
-	type beWork struct {
-		art      *stmtArtifact
-		stmt     policy.Statement
-		classify codegen.Classify
-		priority int
-	}
-	var bestEff []beWork
-	for idx, s := range work.Statements {
-		if run.alloc(s.ID).Min > 0 {
-			continue
+	for idx, s := range run.work.Statements {
+		if run.alloc(s.ID).Min <= 0 {
+			run.bestEff = append(run.bestEff, idx)
 		}
-		art := run.arts[idx]
-		classify := codegen.ByPredicate
-		if art.pure {
-			classify = codegen.ByDestination
-		}
-		bestEff = append(bestEff, beWork{art: art, stmt: s, classify: classify, priority: n - idx})
 	}
-
-	// Product graphs per expression key and sink trees per (key,
-	// destination), each built once on its first statement's behalf.
-	graphs, built, err := buildMissing(c.graphs, len(bestEff), c.opts.Workers,
-		func(i int) string { return bestEff[i].art.key },
+	bestEff := run.bestEff
+	graphs, used, built, err := buildMissing(c.graphs, len(bestEff), c.opts.Workers,
+		func(i int) string { return run.arts[bestEff[i]].key },
 		func(i int) (*logical.Graph, error) {
-			return logical.BuildMinimized(c.t, bestEff[i].art.expr, c.alpha)
+			return logical.BuildMinimized(c.t, run.arts[bestEff[i]].expr, c.alpha)
 		})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.stats.GraphBuilds += built
+	run.usedGraphs = used
 	type treeJob struct {
 		g      *logical.Graph
 		key    treeKey
 		stmtID string
 	}
 	var jobs []treeJob
-	for i, w := range bestEff {
-		for _, dst := range w.art.dsts {
-			jobs = append(jobs, treeJob{g: graphs[i], key: treeKey{key: w.art.key, dst: dst}, stmtID: w.stmt.ID})
+	for i, idx := range bestEff {
+		run.graphs[idx] = graphs[i]
+		art := run.arts[idx]
+		for _, dst := range art.dsts {
+			jobs = append(jobs, treeJob{g: graphs[i], key: treeKey{key: art.key, dst: dst}, stmtID: run.work.Statements[idx].ID})
 		}
 	}
-	trees, built, err := buildMissing(c.trees, len(jobs), c.opts.Workers,
+	run.trees, run.usedTrees, built, err = buildMissing(c.trees, len(jobs), c.opts.Workers,
 		func(j int) treeKey { return jobs[j].key },
 		func(j int) (*sinktree.Tree, error) {
 			tr, err := sinktree.TreeTo(jobs[j].g, jobs[j].key.dst)
@@ -628,33 +620,48 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 			return tr, nil
 		})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.stats.TreeBuilds += built
+	run.res.Timing.Rateless = time.Since(rs)
+	return nil
+}
 
-	// Plan assembly, sequential in statement order. Every (destination,
-	// source) pair but a host to itself gets a plan, so Σ |dsts|·|srcs|
-	// bounds the count.
+// bestEffortPlans appends the best-effort plans to plans, sequentially in
+// statement order, so the generated configuration is byte-identical to
+// the sequential compiler's.
+func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codegen.Plan {
+	rs := time.Now()
+	work := run.work
+	res := run.res
+	n := len(work.Statements)
+	// Every (destination, source) pair but a host to itself gets a plan,
+	// so Σ |dsts|·|srcs| bounds the count.
 	total := 0
-	for _, w := range bestEff {
-		total += len(w.art.dsts) * len(w.art.srcs)
+	for _, idx := range run.bestEff {
+		total += len(run.arts[idx].dsts) * len(run.arts[idx].srcs)
 	}
 	plans = slices.Grow(plans, total)
 	j := 0
-	for i, w := range bestEff {
+	for _, idx := range run.bestEff {
+		s, art := work.Statements[idx], run.arts[idx]
+		classify := codegen.ByPredicate
+		if art.pure {
+			classify = codegen.ByDestination
+		}
 		// Tag-free expressions cannot yield placements; skip the per-pair
 		// path decode entirely.
-		hasTags := graphs[i].TagSource != nil
-		for _, dst := range w.art.dsts {
-			tree := trees[j]
+		hasTags := run.graphs[idx].TagSource != nil
+		for _, dst := range art.dsts {
+			tree := run.trees[j]
 			j++
-			for _, src := range w.art.srcs {
+			for _, src := range art.srcs {
 				if src == dst {
 					continue
 				}
 				plans = append(plans, codegen.Plan{
-					ID: w.stmt.ID, Predicate: w.stmt.Predicate, Priority: w.priority,
-					Alloc: run.alloc(w.stmt.ID), Classify: w.classify,
+					ID: s.ID, Predicate: s.Predicate, Priority: n - idx,
+					Alloc: run.alloc(s.ID), Classify: classify,
 					SrcHost: src, DstHost: dst, Tree: tree,
 				})
 				if !hasTags {
@@ -662,32 +669,30 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 				}
 				if steps := tree.PathFrom(src); steps != nil {
 					for _, pl := range logical.PlacementsOf(steps) {
-						res.Placements[w.stmt.ID] = append(res.Placements[w.stmt.ID],
+						res.Placements[s.ID] = append(res.Placements[s.ID],
 							PlacementChoice{Fn: pl.Fn, Location: c.t.Node(pl.Loc).Name})
 					}
 				}
 			}
 		}
 	}
-	res.Timing.Rateless = time.Since(rs)
-	return plans, nil
+	res.Timing.Rateless += time.Since(rs)
+	return plans
 }
 
 // codegenFull runs phase 4: code generation (§3.4). The plans are lowered
 // once into the target-neutral IR; ternary-consuming backends (the v2
 // TernaryEmitter surface) get pre-expanded, budget-checked tables, and
-// every other requested backend emits straight from the IR. The plan list
-// and lowered program are retained so a later caps-only pass can
-// regenerate just the cap-reachable sections. A budget violation surfaces
-// as *codegen.TableOverflowError before any artifact is emitted, so
-// recompile can attempt a budget-constrained re-placement.
+// every other requested backend emits straight from the IR. A budget
+// violation surfaces as *codegen.TableOverflowError before any artifact
+// is emitted, so recompile can attempt a budget-constrained re-placement.
 func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 	cs := time.Now()
 	prog, err := codegen.Lower(c.t, plans)
 	if err != nil {
 		return err
 	}
-	prog.HostFns = c.hostFunctions(run)
+	_, prog.HostFns = c.hostConfig(run)
 	terns, err := c.ternaryStage(run, prog)
 	if err != nil {
 		return err
@@ -707,7 +712,6 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 		arts[name] = art
 	}
 	run.res.IR, run.res.Outputs = prog, arts
-	c.lastPlans, c.plansSorted = plans, false
 	c.stats.FullCodegens++
 	run.res.Timing.Codegen = time.Since(cs)
 	return nil
@@ -881,7 +885,6 @@ func (c *Compiler) replaceForBudgets(run *runState) error {
 	}
 	c.commitProv(run.requests, sol)
 	run.sol = sol
-	run.provReused = false
 	c.stats.Solves++
 	return nil
 }
@@ -912,8 +915,7 @@ func (c *Compiler) codegenPatch(run *runState) {
 	cs := time.Now()
 	res := run.res
 	prog := *c.last.IR // shallow: rules/queues/filters/fns/tags shared
-	prog.Caps = c.regenerateCaps(run)
-	prog.HostFns = c.hostFunctions(run)
+	prog.Caps, prog.HostFns = c.hostConfig(run)
 	arts := make(map[string]codegen.Artifact, len(c.targets))
 	for _, name := range c.targets {
 		switch name {
@@ -940,103 +942,51 @@ func (c *Compiler) codegenPatch(run *runState) {
 }
 
 // patchableCodegen reports whether this pass may reuse the previous
-// output's rules: the statement cache is untouched since the last
-// successful pass (c.tainted covers this pass's rebuilds, a previous
-// failed pass's, and connectivity changes), the statement set and order are unchanged, no
-// guarantee moved (the provisioning solution was served from cache), and
-// no Min rate changed — so only caps (tc commands, end-host programs)
-// can differ.
+// output's rules: its statement artifacts (hence the statements and their
+// order), sink trees and provisioning solution are the objects the last
+// full codegen lowered. The same solution answers the same guaranteed
+// rates, and every other statement's Min is 0, so only caps (tc commands,
+// end-host programs) can differ.
 func (c *Compiler) patchableCodegen(run *runState) bool {
-	if c.last == nil || c.last.Outputs == nil || c.tainted {
-		return false
-	}
-	lastStmts := c.last.Policy.Statements
-	if len(lastStmts) != len(run.work.Statements) {
-		return false
-	}
-	// Always compare against the last successful order — run.aliased only
-	// certifies identity with the slice the statement cache was written
-	// from, which after a failed pass is not the last success.
-	for i, s := range run.work.Statements {
-		if lastStmts[i].ID != s.ID {
-			return false
-		}
-	}
-	// Min deltas: the allocation maps only hold formula-mentioned
-	// statements, so comparing them beats walking every statement.
-	lastAllocs := c.last.Allocations
-	for id, a := range run.allocs {
-		old, ok := lastAllocs[id]
-		if !ok {
-			old = policy.Unconstrained
-		}
-		if old.Min != a.Min {
-			return false
-		}
-	}
-	for id, old := range lastAllocs {
-		if _, ok := run.allocs[id]; !ok && old.Min != 0 {
-			return false
-		}
-	}
-	hadRequests := c.prov != nil && len(c.prov.ids) > 0
-	if hadRequests && !run.provReused {
-		return false
-	}
-	return true
+	return c.last != nil && run.sol == c.lowered.sol &&
+		slices.Equal(run.arts, c.lowered.arts) && slices.Equal(run.trees, c.lowered.trees)
 }
 
-// regenerateCaps re-lowers the rate-cap section of the IR exactly as
-// Lower would — plans stably sorted by descending priority, one cap per
-// plan with a finite nonzero maximum — from the retained plan list, with
-// each plan's cap read from the current allocations.
-func (c *Compiler) regenerateCaps(run *runState) []codegen.CapSpec {
-	if !c.plansSorted {
-		sort.SliceStable(c.lastPlans, func(i, j int) bool {
-			return c.lastPlans[i].Priority > c.lastPlans[j].Priority
-		})
-		c.plansSorted = true
-	}
-	var caps []codegen.CapSpec
-	for i := range c.lastPlans {
-		p := &c.lastPlans[i]
-		if capRate := run.alloc(p.ID).Max; codegen.CapApplies(capRate) {
-			caps = append(caps, codegen.CapSpec{Host: p.SrcHost, Stmt: p.ID, MaxBps: capRate})
-		}
-	}
-	return caps
-}
-
-// hostFunctions lowers the end-host function section of the IR: rate
-// limits for capped statements, one per source host, which the host
-// backend renders into interpreter programs. It uses the endpoints
-// derived (and validated) in the statement stage, so an endpoint error
-// aborts compilation there instead of being silently swallowed here
-// (which used to lose end-host programs for statements with caps).
-func (c *Compiler) hostFunctions(run *runState) []codegen.HostFnSpec {
-	var fns []codegen.HostFnSpec
+// hostConfig lowers the cap-reachable sections of the IR from the
+// statements in order. caps are the host-side rate caps exactly as Lower
+// emits them in its stable priority order: one at the source of a
+// guaranteed statement, one per (destination, source) pair of a
+// best-effort one. fns are the end-host rate limits for capped
+// statements, one per source host, which the host backend renders into
+// interpreter programs. Both use the endpoints derived (and validated) in
+// the statement stage.
+func (c *Compiler) hostConfig(run *runState) (caps []codegen.CapSpec, fns []codegen.HostFnSpec) {
 	for idx, s := range run.work.Statements {
 		a, ok := run.allocs[s.ID]
-		if !ok || a.Max == 0 || math.IsNaN(a.Max) {
+		if !ok || !codegen.CapApplies(a.Max) {
 			continue
 		}
-		if a.Max > 0 && !math.IsInf(a.Max, 1) {
-			for _, src := range run.arts[idx].srcs {
+		art := run.arts[idx]
+		if a.Min > 0 {
+			caps = append(caps, codegen.CapSpec{Host: art.srcs[0], Stmt: s.ID, MaxBps: a.Max})
+		} else {
+			for _, dst := range art.dsts {
+				for _, src := range art.srcs {
+					if src != dst {
+						caps = append(caps, codegen.CapSpec{Host: src, Stmt: s.ID, MaxBps: a.Max})
+					}
+				}
+			}
+		}
+		if a.Max > 0 {
+			for _, src := range art.srcs {
 				fns = append(fns, codegen.HostFnSpec{
 					Host: src, Stmt: s.ID, Pred: s.Predicate, RateBps: a.Max,
 				})
 			}
 		}
 	}
-	return fns
-}
-
-// stmtFingerprint identifies a statement's compilation-relevant inputs:
-// the predicate (endpoints, classification) and the raw path expression
-// (resolved expression and product graphs). Artifacts whose fingerprint
-// matches are reused across compiles.
-func stmtFingerprint(s policy.Statement) string {
-	return pred.Format(s.Predicate) + "\x00" + s.Path.String()
+	return caps, fns
 }
 
 // resolveExpr substitutes function placements into the path expression and

@@ -159,10 +159,11 @@ func (c *Compiler) endpoints(ev TopoEvent) (a, b topo.NodeID, err error) {
 //
 // Invalidation policy, per event:
 //
-//   - SetCapacity: graph structure is intact, so no artifact is dropped;
-//     the cable lands in the dirty set and provisioning re-solves exactly
-//     the shards whose product graphs can ride it, warm-started from
-//     their cached bases (the model shape is unchanged).
+//   - SetCapacity: graph structure is intact, so no artifact is dropped.
+//     Provisioning finds the cable's capacity differs from the one its
+//     cached solution was solved against and re-solves exactly the shards
+//     whose product graphs can ride it, warm-started from their cached
+//     bases (the model shape is unchanged).
 //   - LinkDown/SwitchDown/LinkUp/SwitchUp: every cached product graph is
 //     its full-fabric form cut by the links down now, so a failure and a
 //     recovery are one rule (applyOutage): re-cut the graphs the event can
@@ -198,19 +199,9 @@ func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 			return fmt.Errorf("merlin: topology event (%s): %w", ev.Kind, err)
 		}
 		c.stats.TopoEvents++
-		if len(im.Cables) == 0 && !im.ConnectivityChanged {
-			continue // no-op (element already in the requested state)
-		}
-		if c.dirtyCables == nil {
-			c.dirtyCables = map[topo.LinkID]bool{}
-		}
-		for _, cb := range im.Cables {
-			c.dirtyCables[cb] = true
-		}
 		if !im.ConnectivityChanged {
-			continue
+			continue // a no-op, or a capacity change (see above)
 		}
-		c.tainted = true
 		cables := make(map[topo.LinkID]bool, len(im.Cables))
 		for _, cb := range im.Cables {
 			cables[cb] = true

@@ -10,6 +10,7 @@ import (
 	"merlin/internal/logical"
 	"merlin/internal/negotiate"
 	"merlin/internal/policy"
+	"merlin/internal/pred"
 	"merlin/internal/provision"
 	"merlin/internal/regex"
 	"merlin/internal/sinktree"
@@ -25,13 +26,21 @@ type Diff = codegen.Diff
 // compilation artifact — per-statement endpoints and anchored product
 // graphs, minimized best-effort product graphs, per-destination sink
 // trees, and the provisioning solution with its optimal simplex basis —
-// cached across calls, keyed by the inputs that produced it. A recompile
-// after a small policy change (the §4 negotiation story: a tenant's cap
-// moves, a guarantee's rate is renegotiated, a statement is added)
-// rebuilds only the dirtied artifacts; everything else is served from
-// cache. A rates-only change re-solves the provisioning MIP warm-started
-// from the previous optimal basis, and a caps-only change skips rule
-// generation entirely, patching just the tc commands.
+// cached across calls. A recompile after a small policy change (the §4
+// negotiation story: a tenant's cap moves, a guarantee's rate is
+// renegotiated, a statement is added) rebuilds only the dirtied
+// artifacts; everything else is served from cache. A rates-only change
+// re-solves the provisioning MIP warm-started from the previous optimal
+// basis, and a caps-only change skips rule generation entirely, patching
+// just the tc commands.
+//
+// One validity rule covers every cached product: it records the values
+// it was built from and is reused only while they are equal now. A
+// statement artifact records the statement's predicate and raw path; the
+// provisioning solution its requests and the cable capacities it was
+// solved against; the last full codegen the statement artifacts, sink
+// trees and solution it lowered. So a policy may be edited in place
+// between calls, and a failed pass leaves nothing to reset.
 //
 // The zero Compiler is not usable; construct with NewCompiler. Methods
 // are safe for concurrent use. The first Compile (or the Compile wrapper
@@ -66,43 +75,24 @@ type Compiler struct {
 	// preprocessed policy, allocations and outputs.
 	source *Policy
 	last   *Result
-	// artSource is the statement slice the per-statement cache was last
-	// written from; a policy sharing that backing array skips fingerprint
-	// checks entirely (policies are treated as immutable).
-	artSource []policy.Statement
-	// lastPlans retains the last full pass's assembled plans so a
-	// caps-only patch can regenerate the IR's cap section without
-	// reassembling; they are sorted lazily on first patch.
-	lastPlans   []codegen.Plan
-	plansSorted bool
+	// lowered is what the last full codegen lowered; a pass whose
+	// statement artifacts, sink trees and solution are the same objects
+	// patches that output's caps instead of lowering again.
+	lowered lowering
 
-	// The artifact caches. Each entry is keyed by the inputs that produced
-	// it and is valid iff present: alphabet growth clears the three
-	// automaton-derived maps. anchored holds guaranteed statements'
-	// product graphs, graphs the minimized best-effort ones, and trees the
-	// sink trees built on those. Every cached product graph is its
-	// full-fabric form cut by the links down now (logical.Graph.Cut); a
-	// topology event re-cuts the graphs it can change (applyOutage).
+	// The artifact caches. anchored holds guaranteed statements' product
+	// graphs, graphs the minimized best-effort ones, and trees the sink
+	// trees built on those, each keyed by the resolved expression it was
+	// built from; alphabet growth clears all three. Every cached product
+	// graph is its full-fabric form cut by the links down now
+	// (logical.Graph.Cut); a topology event re-cuts the graphs it can
+	// change (applyOutage). Every successful pass evicts the entries no
+	// current statement used.
 	stmts    map[string]*stmtArtifact
 	anchored map[anchorKey]*logical.Graph
 	graphs   map[string]*logical.Graph
 	trees    map[treeKey]*sinktree.Tree
 	prov     *provArtifact
-	// dirtyCables accumulates the canonical cable IDs touched by topology
-	// events (failures, recoveries, capacity changes) since the last
-	// successful provisioning pass. While non-empty, the provisioning
-	// cache's identity fast path is bypassed and shard reuse additionally
-	// checks cable incidence against this set (provision.Params.Dirty), so
-	// a capacity change re-solves exactly the shards that can ride the
-	// re-dimensioned cable. A failed pass retains the set — stale shard
-	// solutions must not be served by a retry.
-	dirtyCables map[topo.LinkID]bool
-	// tainted records that the statement cache changed (artifact rebuilt
-	// or pruned) or connectivity changed since the last successful pass. A
-	// failed pass leaves it set, so a retry cannot take the codegen patch
-	// path against a last-good output the current artifacts no longer
-	// describe.
-	tainted bool
 	// hub is the bound negotiation hub (WatchHub), read by Stats to mirror
 	// its counters. The binding is exclusive — rebinding detaches the
 	// previous hub's commit callback.
@@ -111,16 +101,24 @@ type Compiler struct {
 	stats CompilerStats
 }
 
-// stmtArtifact caches one statement's phase-1 products. It is valid while
-// the statement's fingerprint (predicate + raw path expression) and the
-// placement table are unchanged.
+// stmtArtifact caches one statement's phase-1 products. It answers a
+// statement only while the statement's predicate and raw path expression
+// equal the ones it was built from; a placement change swaps in a fresh
+// statement cache (Update).
 type stmtArtifact struct {
-	fp   string
+	pred pred.Pred
+	path regex.Expr
 	expr regex.Expr // resolved: placements substituted, identities rewritten
 	key  string     // regex.Key(expr)
 	pure bool       // predicate only pins endpoints (ByDestination eligible)
 
 	srcs, dsts []NodeID
+}
+
+// answers reports whether the artifact was built from s's predicate and
+// path. Every pred node type is comparable, so == cannot panic.
+func (a *stmtArtifact) answers(s policy.Statement) bool {
+	return a.pred == s.Predicate && regex.Equal(a.path, s.Path)
 }
 
 // anchorKey identifies a guaranteed statement's anchored product graph:
@@ -137,17 +135,30 @@ type treeKey struct {
 	dst NodeID
 }
 
-// provArtifact caches the provisioning inputs and solution. Same inputs →
-// the solution is reused without a solve; anything else re-solves at
-// shard granularity, feeding res.Shards back through provision's Reuse so
-// only the shards the change touched are re-solved (rates-only-changed
-// shards warm-start from their cached bases). The heuristic and allocator
-// are fixed by Options at NewCompiler, so they are not part of the key.
+// provArtifact caches the provisioning inputs and solution, with the
+// capacity of every directed link it was solved against. Same requests
+// and capacities → the solution is reused without a solve; anything else
+// re-solves at shard granularity, feeding res.Shards back through
+// provision's Reuse so only the shards the change touched are re-solved
+// (rates-only-changed shards warm-start from their cached bases). The
+// heuristic and allocator are fixed by Options at NewCompiler, so they
+// are not part of the key. Connectivity needs no entry: a topology event
+// re-cuts the graphs it changes, and a re-cut graph is a new object.
 type provArtifact struct {
 	ids    []string
 	graphs []*logical.Graph
 	rates  []float64
+	caps   []float64
 	res    *provision.Result
+}
+
+// lowering records what one full codegen lowered: the statement
+// artifacts in statement order, the sink trees in resolution order, and
+// the provisioning solution.
+type lowering struct {
+	arts  []*stmtArtifact
+	trees []*sinktree.Tree
+	sol   *provision.Result
 }
 
 // CompilerStats counts what the incremental compiler actually did — the
@@ -205,7 +216,10 @@ type CompilerStats struct {
 	// identical to a cold build on the degraded topology. TreesKept counts
 	// sink trees that survived such a failure because no used path crossed
 	// a failed cable; only trees whose used paths did cross are
-	// invalidated and rebuilt.
+	// invalidated and rebuilt. When every tree, statement artifact and the
+	// solution are the ones the last full codegen lowered, the pass patches
+	// caps instead of lowering again (the one validity rule, see
+	// Compiler), so a failure off every used path generates no rules.
 	GraphsPatched int
 	TreesKept     int
 	// TernaryEntries totals the ternary table entries expanded for v2
@@ -382,12 +396,12 @@ func (c *Compiler) Update(d Delta) (*Diff, error) {
 		// stay keyed by resolved expression and survive where keys
 		// agree. The swap is committed only if the recompile succeeds —
 		// a rejected placement must not take effect on later passes.
-		oldPlace, oldStmts, oldArtSource := c.place, c.stmts, c.artSource
+		oldPlace, oldStmts := c.place, c.stmts
 		c.place = clonePlacement(d.Place)
 		c.stmts = map[string]*stmtArtifact{}
 		defer func() {
 			if err != nil {
-				c.place, c.stmts, c.artSource = oldPlace, oldStmts, oldArtSource
+				c.place, c.stmts = oldPlace, oldStmts
 			}
 		}()
 	}
@@ -424,8 +438,7 @@ func diffResults(old, new *Result) *Diff {
 // touching compiler state.
 func (c *Compiler) applyDelta(d Delta) (*Policy, error) {
 	if len(d.Add) == 0 && len(d.Remove) == 0 {
-		// Formula/placement-only delta: share the statement slice so the
-		// recompile recognizes the statements as identical by identity.
+		// Formula/placement-only delta: share the statement slice.
 		pol := &Policy{Statements: c.source.Statements, Formula: c.source.Formula}
 		if d.Formula != nil {
 			pol.Formula = d.Formula
@@ -464,14 +477,13 @@ func (c *Compiler) applyDelta(d Delta) (*Policy, error) {
 
 // recompile runs the staged pipeline over the caches and commits the
 // result. Callers hold c.mu. On error the last successful result and all
-// cache entries (each individually keyed by its inputs) remain valid.
+// cache entries (each valid only for the inputs it records) remain valid.
 func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	res := &Result{
 		Paths:      map[string][]string{},
 		Placements: map[string][]PlacementChoice{},
 	}
 	run := &runState{res: res}
-	run.aliased = c.artSource != nil && sameStatementSlice(pol.Statements, c.artSource)
 	if err := c.checkTargets(); err != nil {
 		return nil, err
 	}
@@ -481,23 +493,16 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	if err := c.statementStage(run); err != nil {
 		return nil, err
 	}
-	c.artSource = pol.Statements
 	if err := c.provisionStage(run); err != nil {
 		return nil, err
 	}
-	// The provisioning pass consumed the topology-event dirty set: the new
-	// (or revalidated) solution reflects current capacities and
-	// connectivity. A failed pass keeps the set, so a retry cannot serve
-	// stale shard solutions.
-	c.dirtyCables = nil
+	if err := c.resolveTrees(run); err != nil {
+		return nil, err
+	}
 	if c.patchableCodegen(run) {
 		c.codegenPatch(run)
 	} else {
-		plans, err := c.bestEffortStage(run, c.guaranteedPlans(run))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.codegenFull(run, plans); err != nil {
+		if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
 			var of *codegen.TableOverflowError
 			if !errors.As(err, &of) || len(run.requests) == 0 || c.opts.Greedy {
 				return nil, err
@@ -512,47 +517,32 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 			}
 			res.Paths = map[string][]string{}
 			res.Placements = map[string][]PlacementChoice{}
-			plans, perr := c.bestEffortStage(run, c.guaranteedPlans(run))
-			if perr != nil {
-				return nil, perr
-			}
-			if err := c.codegenFull(run, plans); err != nil {
+			if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
 				return nil, err
 			}
 			c.stats.OverflowReplacements++
 		}
+		c.lowered = lowering{arts: run.arts, trees: run.trees, sol: run.sol}
 	}
 	c.source = pol
 	c.last = res
 	if len(run.requests) == 0 {
 		c.prov = nil
 	}
-	if c.tainted {
-		// The statement set or connectivity changed this (or a failed
-		// earlier) pass: evict product graphs and sink trees no current
-		// statement references, so policy churn over distinct path
-		// expressions cannot grow the caches without bound. Steady-state
-		// ticks skip the sweep.
-		used := make(map[string]bool, len(run.arts))
-		anchors := make(map[anchorKey]bool, len(run.requests))
-		for _, art := range run.arts {
-			used[art.key] = true
-			if len(art.srcs) == 1 && len(art.dsts) == 1 {
-				anchors[anchorOf(art)] = true
-			}
-		}
-		maps.DeleteFunc(c.anchored, func(k anchorKey, _ *logical.Graph) bool { return !anchors[k] })
-		maps.DeleteFunc(c.graphs, func(k string, _ *logical.Graph) bool { return !used[k] })
-		maps.DeleteFunc(c.trees, func(k treeKey, _ *sinktree.Tree) bool { return !used[k.key] })
-		c.tainted = false
-	}
+	// Evict the entries no current statement used, so policy churn over
+	// distinct path expressions cannot grow the caches without bound.
+	sweep(c.anchored, run.usedAnchors)
+	sweep(c.graphs, run.usedGraphs)
+	sweep(c.trees, run.usedTrees)
 	return res, nil
 }
 
-// sameStatementSlice reports whether two statement slices share the same
-// backing array (and length) — identity, not deep equality.
-func sameStatementSlice(a, b []policy.Statement) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// sweep deletes the cache entries not in used. Every used key is cached,
+// so a cache as large as used holds nothing else and skips the walk.
+func sweep[K comparable, V any](cache map[K]V, used map[K]bool) {
+	if len(cache) != len(used) {
+		maps.DeleteFunc(cache, func(k K, _ V) bool { return !used[k] })
+	}
 }
 
 // compileDiff is Compile plus a diff against the previous result, under

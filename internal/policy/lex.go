@@ -35,6 +35,7 @@ const (
 	tDot
 	tPipe
 	tBang
+	tEpsilon // ε, the empty path: how the printer writes an optional element
 )
 
 func (k tokKind) String() string {
@@ -89,6 +90,8 @@ func (k tokKind) String() string {
 		return "'|'"
 	case tBang:
 		return "'!'"
+	case tEpsilon:
+		return "'ε'"
 	default:
 		return "token"
 	}
@@ -274,6 +277,10 @@ func (l *lexer) next() (token, error) {
 	case '|':
 		l.advance(1)
 		return mk(tPipe, "|"), nil
+	}
+	if strings.HasPrefix(l.src[l.pos:], "ε") {
+		l.advance(len("ε"))
+		return mk(tEpsilon, "ε"), nil
 	}
 	return token{}, l.errf("unexpected character %q", b)
 }

@@ -490,11 +490,12 @@ func (p *parser) pathAlt() (regex.Expr, error) {
 
 // startsPath reports whether the parser is positioned at a path element,
 // honoring statement boundaries ("ident :" starts the next statement) and
-// the reserved 'at' keyword.
+// the reserved 'at' keyword. Host identities continue a path as they may
+// start one (pathPrimary): the printer writes them wherever they occur.
 func (p *parser) startsPath() bool {
 	t := p.peek()
 	switch t.kind {
-	case tDot, tBang, tLParen:
+	case tDot, tBang, tLParen, tMAC, tIP, tNumber, tEpsilon:
 		return true
 	case tIdent:
 		if t.text == "at" || reserved[t.text] {
@@ -569,6 +570,8 @@ func (p *parser) pathPrimary() (regex.Expr, error) {
 		return regex.Sym{Name: t.text}, nil
 	case tDot:
 		return regex.Any{}, nil
+	case tEpsilon:
+		return regex.Epsilon{}, nil
 	case tLParen:
 		e, err := p.pathAlt()
 		if err != nil {

@@ -126,8 +126,11 @@ type Params struct {
 	// IDs cost 1 per budgeted switch entered.
 	EntryCost map[string]float64
 	// Dirty lists canonical cable IDs (lower directed link ID of the pair)
-	// whose capacity or state changed since the Reuse solutions were
-	// produced. A reuse-candidate shard whose product graphs can ride a
+	// whose capacity differs from the one the Reuse solutions were solved
+	// against; the caller derives it from the capacities it recorded with
+	// them. A failure or recovery needs no entry: it changes the product
+	// graphs, so no shard riding the cable matches its predecessor's
+	// shape. A reuse-candidate shard whose product graphs can ride a
 	// dirty cable is never served outright — its model's coefficients
 	// moved — but re-solves warm-started from its cached basis (the model
 	// shape is unchanged, so the old optimal basis installs directly and a

@@ -11,6 +11,7 @@ package regex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -136,6 +137,30 @@ func (s Star) String() string {
 }
 
 func (n Not) String() string { return "!(" + n.X.String() + ")" }
+
+// Equal reports whether a and b are the same expression tree. Unlike ==,
+// it does not panic on Group, whose member list is a slice.
+func Equal(a, b Expr) bool {
+	switch x := a.(type) {
+	case Group:
+		y, ok := b.(Group)
+		return ok && x.Tag == y.Tag && slices.Equal(x.Members, y.Members)
+	case Concat:
+		y, ok := b.(Concat)
+		return ok && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case Alt:
+		y, ok := b.(Alt)
+		return ok && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case Star:
+		y, ok := b.(Star)
+		return ok && Equal(x.X, y.X)
+	case Not:
+		y, ok := b.(Not)
+		return ok && Equal(x.X, y.X)
+	default:
+		return a == b
+	}
+}
 
 // Nodes counts AST nodes; the paper uses this as the regex complexity
 // measure in Fig. 9 (middle).

@@ -94,6 +94,30 @@ func TestSubstitute(t *testing.T) {
 	}
 }
 
+// TestEqual: Equal compares trees structurally, Groups (where == panics)
+// included, and tells a tagged Group from another tag or member list.
+func TestEqual(t *testing.T) {
+	sub := func(src string, locs ...string) Expr {
+		return Substitute(MustParse(src), map[string][]string{"nat": locs})
+	}
+	for _, tc := range []struct {
+		a, b Expr
+		want bool
+	}{
+		{MustParse(".* (a|b)* !(c)"), MustParse(".* (a|b)* !(c)"), true},
+		{MustParse("a b"), MustParse("a c"), false},
+		{MustParse("a b"), MustParse("(a|b)"), false},
+		{sub(".* nat .*", "m1", "h1"), sub(".* nat .*", "h1", "m1"), true},
+		{sub(".* nat .*", "m1"), sub(".* nat .*", "m1", "h1"), false},
+		{sub("nat", "m1"), Group{Tag: "dpi", Members: []string{"m1"}}, false},
+		{sub("nat", "m1"), MustParse("m1"), false},
+	} {
+		if got := Equal(tc.a, tc.b); got != tc.want {
+			t.Errorf("Equal(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
 // alphaFor builds an alphabet covering the expression plus extra names.
 func alphaFor(e Expr, extra ...string) *Alphabet {
 	a := NewAlphabet(Symbols(e))
