@@ -120,34 +120,64 @@ func main() {
 	}
 }
 
+// topoParam is one integer parameter of a -topology family: its name in
+// the usage string, its default, and the values the family can build.
+type topoParam struct {
+	name     string
+	def, min int
+	even     bool
+}
+
+// topologies are the -topology families by name, each with its
+// colon-separated parameters in order.
+var topologies = map[string]struct {
+	params []topoParam
+	build  func(p []int) *merlin.Topology
+}{
+	"fattree": {[]topoParam{{"K", 4, 2, true}},
+		func(p []int) *merlin.Topology { return topo.FatTree(p[0], topo.Gbps) }},
+	"btree": {[]topoParam{{"FANOUT", 2, 1, false}, {"DEPTH", 2, 0, false}, {"HOSTS", 2, 0, false}},
+		func(p []int) *merlin.Topology { return topo.BalancedTree(p[0], p[1], p[2], topo.Gbps) }},
+	"linear": {[]topoParam{{"N", 3, 1, false}},
+		func(p []int) *merlin.Topology { return topo.Linear(p[0], topo.Gbps) }},
+	"stanford": {[]topoParam{{"SUBNETS", 24, 1, false}, {"HOSTS", 1, 1, false}},
+		func(p []int) *merlin.Topology { return topo.Stanford(p[0], p[1], topo.Gbps) }},
+	"twopath": {nil, func([]int) *merlin.Topology { return topo.TwoPath(400*topo.MBps, 100*topo.MBps) }},
+	"example": {nil, func([]int) *merlin.Topology { return topo.Example(topo.Gbps) }},
+}
+
+// buildTopology builds a -topology spec, FAMILY[:P1[:P2...]]. Omitted
+// parameters take their defaults; a parameter the family cannot build is
+// an error naming it.
 func buildTopology(spec string) (*merlin.Topology, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(i, def int) int {
-		if i >= len(parts) {
-			return def
-		}
-		v, err := strconv.Atoi(parts[i])
-		if err != nil {
-			return def
-		}
-		return v
-	}
-	switch parts[0] {
-	case "fattree":
-		return topo.FatTree(atoi(1, 4), topo.Gbps), nil
-	case "btree":
-		return topo.BalancedTree(atoi(1, 2), atoi(2, 2), atoi(3, 2), topo.Gbps), nil
-	case "linear":
-		return topo.Linear(atoi(1, 3), topo.Gbps), nil
-	case "stanford":
-		return topo.Stanford(atoi(1, 24), atoi(2, 1), topo.Gbps), nil
-	case "twopath":
-		return topo.TwoPath(400*topo.MBps, 100*topo.MBps), nil
-	case "example":
-		return topo.Example(topo.Gbps), nil
-	default:
+	name, rest, hasArgs := strings.Cut(spec, ":")
+	fam, ok := topologies[name]
+	if !ok {
 		return nil, fmt.Errorf("unknown topology %q", spec)
 	}
+	var args []string
+	if hasArgs {
+		args = strings.Split(rest, ":")
+	}
+	if len(args) > len(fam.params) {
+		return nil, fmt.Errorf("topology %s takes %d parameters, got %d", name, len(fam.params), len(args))
+	}
+	vals := make([]int, len(fam.params))
+	for i, p := range fam.params {
+		vals[i] = p.def
+		if i >= len(args) {
+			continue
+		}
+		v, err := strconv.Atoi(args[i])
+		switch {
+		case err != nil || v < p.min:
+			return nil, fmt.Errorf("topology %s: %s must be an integer >= %d, got %q", name, p.name, p.min, args[i])
+		case p.even && v%2 != 0:
+			return nil, fmt.Errorf("topology %s: %s must be even, got %d", name, p.name, v)
+		}
+		vals[i] = v
+	}
+	return fam.build(vals), nil
 }
 
 // parseBudgets parses the -budget form dev=N;dev=N into the per-device

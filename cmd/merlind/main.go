@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -99,43 +100,74 @@ func main() {
 	log.Printf("merlind: clean shutdown")
 }
 
+// topoParam is one integer parameter of a -topo family: its default and
+// the values the family can build.
+type topoParam struct {
+	def, min int
+	even     bool
+}
+
+// topoFamilies are the -topo families by name, with their integer
+// parameters by key; every family also takes cap=<bps>.
+var topoFamilies = map[string]struct {
+	params map[string]topoParam
+	build  func(p map[string]int, capacity float64) *merlin.Topology
+}{
+	"fattree": {map[string]topoParam{"k": {4, 2, true}},
+		func(p map[string]int, c float64) *merlin.Topology { return merlin.FatTree(p["k"], c) }},
+	"ring": {map[string]topoParam{"n": {8, 3, false}, "hosts": {1, 0, false}},
+		func(p map[string]int, c float64) *merlin.Topology { return merlin.Ring(p["n"], p["hosts"], c) }},
+	"linear": {map[string]topoParam{"n": {4, 1, false}},
+		func(p map[string]int, c float64) *merlin.Topology { return merlin.Linear(p["n"], c) }},
+	"star": {map[string]topoParam{"n": {4, 1, false}, "hosts": {1, 0, false}},
+		func(p map[string]int, c float64) *merlin.Topology { return merlin.Star(p["n"], p["hosts"], c) }},
+	"example": {nil, func(_ map[string]int, c float64) *merlin.Topology { return merlin.Example(c) }},
+}
+
 // ParseTopoSpec constructs a topology from a compact spec string such as
-// "fattree,k=8" or "ring,n=16,hosts=2,cap=1e9". The same spec must be
-// given on every boot: the journal records dynamics (failures, capacity
-// changes), not the base graph.
+// "fattree,k=8" or "ring,n=16,hosts=2,cap=1e9". Omitted parameters take
+// their defaults; a parameter the family does not have or cannot build
+// is an error naming it. The same spec must be given on every boot: the
+// journal records dynamics (failures, capacity changes), not the base
+// graph.
 func ParseTopoSpec(spec string) (*merlin.Topology, error) {
 	parts := strings.Split(spec, ",")
 	kind := strings.TrimSpace(parts[0])
-	args := map[string]float64{}
-	for _, p := range parts[1:] {
-		kv := strings.SplitN(p, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("topo spec: bad parameter %q", p)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("topo spec: %q: %v", p, err)
-		}
-		args[strings.TrimSpace(kv[0])] = v
+	fam, ok := topoFamilies[kind]
+	if !ok {
+		return nil, fmt.Errorf("topo spec: unknown topology %q", kind)
 	}
-	num := func(key string, def float64) float64 {
-		if v, ok := args[key]; ok {
-			return v
+	vals := make(map[string]int, len(fam.params))
+	for key, p := range fam.params {
+		vals[key] = p.def
+	}
+	capacity := merlin.Gbps
+	for _, part := range parts[1:] {
+		key, val, ok := strings.Cut(part, "=")
+		if !ok {
+			return nil, fmt.Errorf("topo spec: bad parameter %q", part)
 		}
-		return def
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if key == "cap" {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("topo spec: cap must be a positive number of bits/s, got %q", val)
+			}
+			capacity = v
+			continue
+		}
+		p, ok := fam.params[key]
+		if !ok {
+			return nil, fmt.Errorf("topo spec: %s has no parameter %q", kind, key)
+		}
+		v, err := strconv.Atoi(val)
+		switch {
+		case err != nil || v < p.min:
+			return nil, fmt.Errorf("topo spec: %s: %s must be an integer >= %d, got %q", kind, key, p.min, val)
+		case p.even && v%2 != 0:
+			return nil, fmt.Errorf("topo spec: %s: %s must be even, got %d", kind, key, v)
+		}
+		vals[key] = v
 	}
-	cap := num("cap", merlin.Gbps)
-	switch kind {
-	case "fattree":
-		return merlin.FatTree(int(num("k", 4)), cap), nil
-	case "ring":
-		return merlin.Ring(int(num("n", 8)), int(num("hosts", 1)), cap), nil
-	case "linear":
-		return merlin.Linear(int(num("n", 4)), cap), nil
-	case "star":
-		return merlin.Star(int(num("n", 4)), int(num("hosts", 1)), cap), nil
-	case "example":
-		return merlin.Example(cap), nil
-	}
-	return nil, fmt.Errorf("topo spec: unknown topology %q", kind)
+	return fam.build(vals, capacity), nil
 }

@@ -137,3 +137,32 @@ func awaitHealthy(addr string, exited <-chan struct{}) bool {
 	}
 	return false
 }
+
+// TestParseTopoSpecNamesBadParameter: a parameter the family does not have
+// or cannot build is an error naming it, never a panic or a silent
+// truncation.
+func TestParseTopoSpecNamesBadParameter(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"fattree,k=3", "k must be even, got 3"},
+		{"fattree,k=2.5", `k must be an integer >= 2, got "2.5"`},
+		{"fattree,k=0", `k must be an integer >= 2, got "0"`},
+		{"fattree,n=4", `fattree has no parameter "n"`},
+		{"ring,n=2", `n must be an integer >= 3, got "2"`},
+		{"ring,n=8,hosts=-1", `hosts must be an integer >= 0, got "-1"`},
+		{"linear,n=0", `n must be an integer >= 1, got "0"`},
+		{"star,n=x", `n must be an integer >= 1, got "x"`},
+		{"example,cap=0", `cap must be a positive number of bits/s, got "0"`},
+		{"example,cap=-1e9", `cap must be a positive number of bits/s, got "-1e9"`},
+	} {
+		if _, err := ParseTopoSpec(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.spec, err, tc.want)
+		}
+	}
+	tp, err := ParseTopoSpec("fattree,k=2,cap=1e8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tp.Hosts()) != 2 {
+		t.Fatalf("fattree k=2: %d hosts, want 2", len(tp.Hosts()))
+	}
+}

@@ -444,8 +444,8 @@ func (c *Compiler) provisionStage(run *runState) error {
 	return nil
 }
 
-// guaranteedPlans decodes the provisioning solution into codegen plans,
-// paths, and placements.
+// guaranteedPlans decodes the provisioning solution into codegen plans
+// and paths.
 func (c *Compiler) guaranteedPlans(run *runState) []codegen.Plan {
 	res := run.res
 	var plans []codegen.Plan
@@ -459,59 +459,30 @@ func (c *Compiler) guaranteedPlans(run *runState) []codegen.Plan {
 			SrcHost: art.srcs[0], DstHost: art.dsts[0], Path: steps,
 		})
 		res.Paths[r.ID] = stepNames(c.t, steps)
-		for _, pl := range logical.PlacementsOf(steps) {
-			res.Placements[r.ID] = append(res.Placements[r.ID],
-				PlacementChoice{Fn: pl.Fn, Location: c.t.Node(pl.Loc).Name})
-		}
 	}
 	return plans
 }
 
-// solveRequests serves the provisioning solution from cache when the
-// requests and cable capacities are unchanged, and otherwise re-solves at
-// shard granularity: provision.Solve partitions the requests into
-// link-disjoint shards and the previous result's per-shard solutions
-// (provision.Result.Shards) let it reuse every shard the delta did not
-// touch outright, warm-start rates-only-changed shards and shards riding
-// a re-dimensioned cable from their cached bases, and solve cold only the
-// shards whose membership or product graphs changed. It commits the new
-// provisioning artifact.
+// solveRequests serves the last provisioning solution while it answers
+// these requests (provision.Result.Answers: same requests, and every
+// capacity it read unchanged), and otherwise re-solves at shard
+// granularity: provision.Solve partitions the requests into link-disjoint
+// shards and the last result's per-shard solutions let it reuse every
+// shard that still answers outright, warm-start shards with the same
+// requests but other rates or capacities from their cached bases, and
+// solve cold only the shards whose membership or product graphs changed.
 func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.Result, reused bool, err error) {
-	cached := c.prov
-	var dirty map[topo.LinkID]bool
-	if cached != nil {
-		dirty = c.changedCables(cached.caps)
-	}
-	sameInputs := cached != nil && len(dirty) == 0 && len(cached.ids) == len(requests)
-	if sameInputs {
-		for i, r := range requests {
-			if cached.ids[i] != r.ID || cached.graphs[i] != r.Graph || cached.rates[i] != r.MinRate {
-				sameInputs = false
-				break
-			}
-		}
-	}
-	if sameInputs {
-		// Pure cache hit: c.prov already describes these requests.
+	if c.prov.Answers(c.t, requests) {
 		c.stats.SolvesReused++
-		return cached.res, true, nil
+		return c.prov, true, nil
 	}
-	switch {
-	case c.opts.Greedy:
+	if c.opts.Greedy {
 		sol, err = provision.Greedy(c.t, requests)
 		c.stats.Solves++
-	default:
-		params := provision.Params{
-			Workers: c.opts.Workers, NoShard: c.opts.NoShard,
-		}
-		if cached != nil {
-			// Shard-level reuse: unchanged shards are served outright and
-			// rates-only-changed shards re-solve warm-started from their
-			// cached optimal bases (§4.3's fast re-provisioning path, now
-			// per shard), as do shards that can ride a cable whose capacity
-			// changed since the cached solve.
-			params.Reuse = cached.res.Shards
-			params.Dirty = dirty
+	} else {
+		params := provision.Params{Workers: c.opts.Workers, NoShard: c.opts.NoShard}
+		if c.prov != nil {
+			params.Reuse = c.prov.Shards
 		}
 		sol, err = provision.Solve(c.t, requests, c.opts.Heuristic, params)
 		if err == nil {
@@ -533,45 +504,8 @@ func (c *Compiler) solveRequests(requests []provision.Request) (sol *provision.R
 	if err != nil {
 		return nil, false, err
 	}
-	c.commitProv(requests, sol)
-	return sol, reused, nil
-}
-
-// changedCables lists the cables whose capacity differs from caps, a
-// per-link snapshot of an earlier topology state; nil when none does.
-func (c *Compiler) changedCables(caps []float64) map[topo.LinkID]bool {
-	var dirty map[topo.LinkID]bool
-	links := c.t.Links()
-	for l := range links {
-		if links[l].Capacity == caps[l] {
-			continue
-		}
-		if dirty == nil {
-			dirty = map[topo.LinkID]bool{}
-		}
-		dirty[c.t.Cable(topo.LinkID(l))] = true
-	}
-	return dirty
-}
-
-// commitProv records a provisioning solution, the inputs it answers and
-// the link capacities it was solved against as the cached provisioning
-// artifact.
-func (c *Compiler) commitProv(requests []provision.Request, sol *provision.Result) {
-	art := &provArtifact{
-		ids:    make([]string, len(requests)),
-		graphs: make([]*logical.Graph, len(requests)),
-		rates:  make([]float64, len(requests)),
-		caps:   make([]float64, c.t.NumLinks()),
-		res:    sol,
-	}
-	for i, r := range requests {
-		art.ids[i], art.graphs[i], art.rates[i] = r.ID, r.Graph, r.MinRate
-	}
-	for l, link := range c.t.Links() {
-		art.caps[l] = link.Capacity
-	}
-	c.prov = art
+	c.prov = sol
+	return sol, false, nil
 }
 
 // resolveTrees runs phase 3's cache work: best-effort sink trees (§3.3).
@@ -633,7 +567,6 @@ func (c *Compiler) resolveTrees(run *runState) error {
 func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codegen.Plan {
 	rs := time.Now()
 	work := run.work
-	res := run.res
 	n := len(work.Statements)
 	// Every (destination, source) pair but a host to itself gets a plan,
 	// so Σ |dsts|·|srcs| bounds the count.
@@ -649,9 +582,6 @@ func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codege
 		if art.pure {
 			classify = codegen.ByDestination
 		}
-		// Tag-free expressions cannot yield placements; skip the per-pair
-		// path decode entirely.
-		hasTags := run.graphs[idx].TagSource != nil
 		for _, dst := range art.dsts {
 			tree := run.trees[j]
 			j++
@@ -664,19 +594,10 @@ func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codege
 					Alloc: run.alloc(s.ID), Classify: classify,
 					SrcHost: src, DstHost: dst, Tree: tree,
 				})
-				if !hasTags {
-					continue
-				}
-				if steps := tree.PathFrom(src); steps != nil {
-					for _, pl := range logical.PlacementsOf(steps) {
-						res.Placements[s.ID] = append(res.Placements[s.ID],
-							PlacementChoice{Fn: pl.Fn, Location: c.t.Node(pl.Loc).Name})
-					}
-				}
 			}
 		}
 	}
-	res.Timing.Rateless += time.Since(rs)
+	run.res.Timing.Rateless += time.Since(rs)
 	return plans
 }
 
@@ -692,7 +613,7 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 	if err != nil {
 		return err
 	}
-	_, prog.HostFns = c.hostConfig(run)
+	prog.Caps, prog.HostFns = c.hostConfig(run)
 	terns, err := c.ternaryStage(run, prog)
 	if err != nil {
 		return err
@@ -711,7 +632,13 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 		}
 		arts[name] = art
 	}
-	run.res.IR, run.res.Outputs = prog, arts
+	// Lower recorded every function instance on a plan's path, plans in
+	// statement order and each path in order: the placements, read off.
+	placements := map[string][]PlacementChoice{}
+	for _, fn := range prog.Fns {
+		placements[fn.Stmt] = append(placements[fn.Stmt], PlacementChoice{Fn: fn.Fn, Location: c.t.Node(fn.Node).Name})
+	}
+	run.res.IR, run.res.Outputs, run.res.Placements = prog, arts, placements
 	c.stats.FullCodegens++
 	run.res.Timing.Codegen = time.Since(cs)
 	return nil
@@ -855,9 +782,9 @@ func (c *Compiler) tableBudgets() map[topo.NodeID]deviceBudget {
 // replaceForBudgets re-solves the guaranteed placement with the residual
 // per-device budgets (limit minus the immovable best-effort load) as
 // placement constraints in the provisioning MIP, each request weighted
-// by its classifier's expansion estimate. On success the new solution is
-// committed as the provisioning artifact, so subsequent incremental
-// passes reuse the budget-respecting placement.
+// by its classifier's expansion estimate. On success the new solution
+// becomes the last provisioning result, so later passes reuse the
+// budget-respecting placement while it answers them.
 func (c *Compiler) replaceForBudgets(run *runState) error {
 	budgets := make(map[topo.NodeID]float64, len(run.budgets))
 	for v, b := range run.budgets {
@@ -883,8 +810,7 @@ func (c *Compiler) replaceForBudgets(run *runState) error {
 	if err != nil {
 		return err
 	}
-	c.commitProv(run.requests, sol)
-	run.sol = sol
+	c.prov, run.sol = sol, sol
 	c.stats.Solves++
 	return nil
 }
@@ -953,10 +879,10 @@ func (c *Compiler) patchableCodegen(run *runState) bool {
 }
 
 // hostConfig lowers the cap-reachable sections of the IR from the
-// statements in order. caps are the host-side rate caps exactly as Lower
-// emits them in its stable priority order: one at the source of a
-// guaranteed statement, one per (destination, source) pair of a
-// best-effort one. fns are the end-host rate limits for capped
+// statements in order, for both codegen paths. caps are the host-side
+// rate caps in the order Lower visits plans (statement order, which is
+// descending priority): one at the source of a guaranteed statement, one
+// per (destination, source) pair of a best-effort one. fns are the end-host rate limits for capped
 // statements, one per source host, which the host backend renders into
 // interpreter programs. Both use the endpoints derived (and validated) in
 // the statement stage.

@@ -160,10 +160,12 @@ func (c *Compiler) endpoints(ev TopoEvent) (a, b topo.NodeID, err error) {
 // Invalidation policy, per event:
 //
 //   - SetCapacity: graph structure is intact, so no artifact is dropped.
-//     Provisioning finds the cable's capacity differs from the one its
-//     cached solution was solved against and re-solves exactly the shards
-//     whose product graphs can ride it, warm-started from their cached
-//     bases (the model shape is unchanged).
+//     The last provisioning solution and its shards record the capacity
+//     of every cable their requests can ride: only the shards whose
+//     graphs can ride the cable re-solve, warm-started from their cached
+//     bases (the model shape is unchanged), and a cable no request can
+//     ride re-solves nothing and keeps the solution — so the pass patches
+//     caps instead of lowering again.
 //   - LinkDown/SwitchDown/LinkUp/SwitchUp: every cached product graph is
 //     its full-fabric form cut by the links down now, so a failure and a
 //     recovery are one rule (applyOutage): re-cut the graphs the event can

@@ -37,10 +37,11 @@ type Diff = codegen.Diff
 // One validity rule covers every cached product: it records the values
 // it was built from and is reused only while they are equal now. A
 // statement artifact records the statement's predicate and raw path; the
-// provisioning solution its requests and the cable capacities it was
-// solved against; the last full codegen the statement artifacts, sink
-// trees and solution it lowered. So a policy may be edited in place
-// between calls, and a failed pass leaves nothing to reset.
+// provisioning solution its requests and the capacity of every cable
+// they can ride (each of its shards likewise); the last full codegen the
+// statement artifacts, sink trees and solution it lowered. So a policy
+// may be edited in place between calls, and a failed pass leaves nothing
+// to reset.
 //
 // The zero Compiler is not usable; construct with NewCompiler. Methods
 // are safe for concurrent use. The first Compile (or the Compile wrapper
@@ -92,7 +93,9 @@ type Compiler struct {
 	anchored map[anchorKey]*logical.Graph
 	graphs   map[string]*logical.Graph
 	trees    map[treeKey]*sinktree.Tree
-	prov     *provArtifact
+	// prov is the last provisioning solution. It records its requests
+	// and the capacities it read (provision.Result.Answers).
+	prov *provision.Result
 	// hub is the bound negotiation hub (WatchHub), read by Stats to mirror
 	// its counters. The binding is exclusive — rebinding detaches the
 	// previous hub's commit callback.
@@ -133,23 +136,6 @@ type anchorKey struct {
 type treeKey struct {
 	key string
 	dst NodeID
-}
-
-// provArtifact caches the provisioning inputs and solution, with the
-// capacity of every directed link it was solved against. Same requests
-// and capacities → the solution is reused without a solve; anything else
-// re-solves at shard granularity, feeding res.Shards back through
-// provision's Reuse so only the shards the change touched are re-solved
-// (rates-only-changed shards warm-start from their cached bases). The
-// heuristic and allocator are fixed by Options at NewCompiler, so they
-// are not part of the key. Connectivity needs no entry: a topology event
-// re-cuts the graphs it changes, and a re-cut graph is a new object.
-type provArtifact struct {
-	ids    []string
-	graphs []*logical.Graph
-	rates  []float64
-	caps   []float64
-	res    *provision.Result
 }
 
 // lowering records what one full codegen lowered: the statement
@@ -479,10 +465,7 @@ func (c *Compiler) applyDelta(d Delta) (*Policy, error) {
 // result. Callers hold c.mu. On error the last successful result and all
 // cache entries (each valid only for the inputs it records) remain valid.
 func (c *Compiler) recompile(pol *Policy) (*Result, error) {
-	res := &Result{
-		Paths:      map[string][]string{},
-		Placements: map[string][]PlacementChoice{},
-	}
+	res := &Result{Paths: map[string][]string{}}
 	run := &runState{res: res}
 	if err := c.checkTargets(); err != nil {
 		return nil, err
@@ -516,7 +499,6 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 				return nil, err
 			}
 			res.Paths = map[string][]string{}
-			res.Placements = map[string][]PlacementChoice{}
 			if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
 				return nil, err
 			}

@@ -141,7 +141,7 @@ func TestRetagRevisitingTreeIngress(t *testing.T) {
 	var plans []Plan
 	for _, src := range []topo.NodeID{hb, ha} {
 		var names []string
-		for _, loc := range logical.Locations(tree.PathFrom(src)) {
+		for _, loc := range logical.Locations(tree.PathFromBuf(nil, src)) {
 			names = append(names, tp.Node(loc).Name)
 		}
 		if got := strings.Join(names, " "); got != want[src] {
@@ -422,7 +422,17 @@ func TestTCForCaps(t *testing.T) {
 		Alloc:   policy.Alloc{Min: 0, Max: 50 * topo.MBps},
 		SrcHost: h1, DstHost: h2, Tree: tree,
 	}}
-	out := emitBuiltins(t, tp, plans)
+	prog, err := Lower(tp, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The compiler fills the host-side sections (root TestCapsLowerToOneTCCommandPerPair).
+	prog.Caps = []CapSpec{{Host: h1, Stmt: "capped", MaxBps: 50 * topo.MBps}}
+	art, err := tcBackend{}.Emit(tp, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := art.(*TCArtifact)
 	if len(out.TC) != 1 {
 		t.Fatalf("tc commands = %d, want 1", len(out.TC))
 	}

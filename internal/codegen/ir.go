@@ -282,8 +282,11 @@ type queueKey struct {
 
 // Lower turns plans into the target-neutral Program: path tags are
 // allocated, classification and forwarding rules laid out with conflict
-// retagging, queues reserved, caps, filters, and function instances
-// recorded. The output is deterministic in the plan list.
+// retagging, queues reserved, filters and function instances recorded.
+// The output is deterministic in the plan list. The host-side sections,
+// Caps and HostFns, are left to the caller: they read only the
+// statements' allocations, so a caps-only change regenerates them
+// without lowering again.
 //
 // Plans sharing a sink tree share its tag, and a tree's forwarding state
 // is laid out once: every source's walk stops after the first product
@@ -353,7 +356,6 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		default:
 			return nil, fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
 		}
-		g.lowerHostConfig(p)
 	}
 	return g.prog, nil
 }
@@ -631,13 +633,6 @@ func (g *lowerer) queueFor(sw topo.NodeID, port topo.LinkID, minBps float64) int
 	g.queueBound[key] = q
 	g.prog.Queues = append(g.prog.Queues, QueueConfig{Switch: sw, Port: port, Queue: q, MinBps: minBps})
 	return q
-}
-
-// lowerHostConfig records the statement's host-side rate cap.
-func (g *lowerer) lowerHostConfig(p Plan) {
-	if CapApplies(p.Alloc.Max) {
-		g.prog.Caps = append(g.prog.Caps, CapSpec{Host: p.SrcHost, Stmt: p.ID, MaxBps: p.Alloc.Max})
-	}
 }
 
 func sameOps(a, b []Op) bool {

@@ -20,7 +20,7 @@ import (
 // reference the tree cut-off is held to: every plan's full path is
 // lowered hop by hop, and ByDestination classification is keyed by the
 // destination's MAC. It shares the lowerer's bookkeeping (tags,
-// selectors, queues, drops, caps, retagging), which the cut-off leaves as
+// selectors, queues, drops, retagging), which the cut-off leaves as
 // it was.
 type refLowerer struct {
 	*lowerer
@@ -73,7 +73,7 @@ func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
 			} else {
 				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], tag)
 			}
-			steps := p.Tree.PathFrom(p.SrcHost)
+			steps := p.Tree.PathFromBuf(nil, p.SrcHost)
 			if steps == nil {
 				return nil, fmt.Errorf("codegen: statement %s: %s cannot reach %s under the path constraint",
 					p.ID, t.Node(p.SrcHost).Name, t.Node(p.DstHost).Name)
@@ -84,7 +84,6 @@ func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
 		default:
 			return nil, fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
 		}
-		g.lowerHostConfig(p)
 	}
 	return g.prog, nil
 }
@@ -97,8 +96,10 @@ func (g refLowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed 
 	if g.t.Node(locs[0]).Kind != topo.Host || g.t.Node(locs[len(locs)-1]).Kind != topo.Host {
 		return fmt.Errorf("path endpoints must be hosts")
 	}
-	for _, pl := range logical.PlacementsOf(steps) {
-		g.prog.Fns = append(g.prog.Fns, FnSpec{Node: pl.Loc, Fn: pl.Fn, Stmt: p.ID})
+	for _, s := range steps {
+		if s.Tag != "" {
+			g.prog.Fns = append(g.prog.Fns, FnSpec{Node: s.Loc, Fn: s.Tag, Stmt: p.ID})
+		}
 	}
 	curTag := tag
 	classified := false

@@ -334,21 +334,3 @@ func Locations(steps []Step) []topo.NodeID {
 	}
 	return out
 }
-
-// Placements extracts the function placements from a decoded path: which
-// location hosts each tagged transition, in path order.
-type Placement struct {
-	Fn  string
-	Loc topo.NodeID
-}
-
-// PlacementsOf lists the function placements along a path.
-func PlacementsOf(steps []Step) []Placement {
-	var out []Placement
-	for _, s := range steps {
-		if s.Tag != "" {
-			out = append(out, Placement{Fn: s.Tag, Loc: s.Loc})
-		}
-	}
-	return out
-}

@@ -79,14 +79,13 @@ func TestFig2PathExists(t *testing.T) {
 		t.Fatalf("path avoids m1: %v", names)
 	}
 	// Placements must include dpi and nat, with nat at m1.
-	pls := PlacementsOf(steps)
 	var natLoc, dpiLoc string
-	for _, p := range pls {
-		switch p.Fn {
+	for _, s := range steps {
+		switch s.Tag {
 		case "nat":
-			natLoc = tp.Node(p.Loc).Name
+			natLoc = tp.Node(s.Loc).Name
 		case "dpi":
-			dpiLoc = tp.Node(p.Loc).Name
+			dpiLoc = tp.Node(s.Loc).Name
 		}
 	}
 	if natLoc != "m1" {

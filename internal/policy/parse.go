@@ -467,9 +467,16 @@ func canonicalValue(field, value string) string {
 
 // path parses a path regular expression from the token stream. It stops at
 // statement terminators, the 'at' keyword, or any token that cannot start
-// a path element.
+// a path element. A path that expands past regex.MaxNodes is an error at
+// its first token.
 func (p *parser) path() (regex.Expr, error) {
-	return p.pathAlt()
+	start := p.peek()
+	e, err := p.pathAlt()
+	if err == nil && regex.OverMaxNodes(e) {
+		return nil, fmt.Errorf("policy:%d:%d: path expression expands past %d nodes (each '+' repeats its operand)",
+			start.line, start.col, regex.MaxNodes)
+	}
+	return e, err
 }
 
 func (p *parser) pathAlt() (regex.Expr, error) {

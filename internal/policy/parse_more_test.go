@@ -1,9 +1,12 @@
 package policy
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"merlin/internal/pred"
+	"merlin/internal/regex"
 )
 
 // A foreach template directly followed by a statement block must not
@@ -82,5 +85,35 @@ func TestMACVersusColonAmbiguity(t *testing.T) {
 	p := pol.Statements[0].Predicate
 	if !pred.Matches(p, map[pred.Field]string{"eth.src": "aa:bb:cc:dd:ee:ff"}) {
 		t.Fatal("MAC literal mangled")
+	}
+}
+
+// TestParseRejectsPathPastMaxNodes: e+ desugars to e e*, so every '+' on a
+// '+' doubles the path. Thirty of them would expand to a billion nodes;
+// the parser rejects the path at its first token, in microseconds, and
+// still accepts a path just under the bound.
+func TestParseRejectsPathPastMaxNodes(t *testing.T) {
+	for _, path := range []string{
+		"h1" + strings.Repeat("+", 30),
+		strings.Repeat("(", 30) + "h1" + strings.Repeat(")+", 30),
+		"h1 (h2" + strings.Repeat("+", 30) + ") h3",
+	} {
+		src := "[ x : true -> " + path + " ]"
+		start := time.Now()
+		_, err := Parse(src, Env{})
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("%q: rejecting took %v", path, elapsed)
+		}
+		if err == nil || !strings.Contains(err.Error(), "policy:1:15: path expression expands past") {
+			t.Errorf("%q: err = %v, want a positioned expansion error", path, err)
+		}
+	}
+	// h1 with 14 '+' has 4·2^14 - 2 nodes, under regex.MaxNodes = 2^16.
+	pol, err := Parse("[ x : true -> h1"+strings.Repeat("+", 14)+" ]", Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := regex.Nodes(pol.Statements[0].Path); n > regex.MaxNodes || n < regex.MaxNodes/8 {
+		t.Fatalf("14 '+' gave %d nodes", n)
 	}
 }

@@ -481,10 +481,10 @@ func legacyModel(t *topo.Topology, reqs []Request, h Heuristic) (*mip.Model, [][
 // once, pooled by cable, within capacity.
 func worstCaseFits(t *topo.Topology, s *ShardSolution) bool {
 	load := map[topo.LinkID]float64{}
-	for k, g := range s.Graphs {
-		for _, ed := range g.Edges {
+	for _, r := range s.Requests {
+		for _, ed := range r.Graph.Edges {
 			if ed.Link >= 0 {
-				load[t.Cable(ed.Link)] += s.Rates[k]
+				load[t.Cable(ed.Link)] += r.MinRate
 			}
 		}
 	}

@@ -10,6 +10,7 @@ package provision
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,8 +56,15 @@ type Request struct {
 	MinRate float64 // guaranteed bits/s (r_min^i); may be 0 for pure path constraints
 }
 
-// Result reports the provisioning outcome.
+// Result reports the provisioning outcome. It records what it was solved
+// from — its requests, and the capacity of every cable their graphs can
+// ride — so a caller holding it can ask whether it still answers a later
+// pass (Answers).
 type Result struct {
+	// Requests are the requests this result answers, in input order.
+	Requests []Request
+	// caps records the capacities the solve read (see ShardSolution).
+	caps []cableCap
 	// Paths maps request IDs to their decoded paths.
 	Paths map[string][]logical.Step
 	// Reserved is the guaranteed bits/s riding each directed link.
@@ -99,10 +107,11 @@ type Params struct {
 	// result is identical for every pool size.
 	Workers int
 	// Reuse offers the shard solutions of a previous Solve over the same
-	// topology and heuristic (Result.Shards). A shard whose requests,
-	// product graphs, and rates are unchanged is served from it without a
-	// solve; one whose rates alone changed re-solves warm-started from the
-	// shard's cached basis.
+	// topology and heuristic (Result.Shards). A shard whose requests and
+	// recorded capacities are equal now is served from it without a
+	// solve; one with the same requests and product graphs but other
+	// rates or capacities re-solves warm-started from the shard's cached
+	// basis.
 	Reuse []*ShardSolution
 	// NoNetflow disables the shortest-path fast path: a separable shard
 	// normally routes each request on its cheapest path first and keeps
@@ -125,18 +134,6 @@ type Params struct {
 	// EntryCost weighs each request in Budgets rows, by request ID; absent
 	// IDs cost 1 per budgeted switch entered.
 	EntryCost map[string]float64
-	// Dirty lists canonical cable IDs (lower directed link ID of the pair)
-	// whose capacity differs from the one the Reuse solutions were solved
-	// against; the caller derives it from the capacities it recorded with
-	// them. A failure or recovery needs no entry: it changes the product
-	// graphs, so no shard riding the cable matches its predecessor's
-	// shape. A reuse-candidate shard whose product graphs can ride a
-	// dirty cable is never served outright — its model's coefficients
-	// moved — but re-solves warm-started from its cached basis (the model
-	// shape is unchanged, so the old optimal basis installs directly and a
-	// few pivots absorb the capacity change). Shards not incident to any
-	// dirty cable reuse as usual.
-	Dirty map[topo.LinkID]bool
 }
 
 // rateUnit scales bits/s into MIP-friendly magnitudes (Mbps).
@@ -161,23 +158,30 @@ func Solve(t *topo.Topology, reqs []Request, h Heuristic, p Params) (*Result, er
 		p.NoNetflow = true
 		p.Reuse = nil
 	}
-	var comps [][]int
-	if p.NoShard {
-		all := make([]int, len(reqs))
-		for i := range all {
-			all[i] = i
-		}
-		comps = [][]int{all}
-	} else {
-		comps = Partition(t, reqs)
-	}
+	comps, cables := partition(t, reqs)
 	if len(comps) == 0 {
 		return &Result{
 			Paths:    map[string][]logical.Step{},
 			Reserved: map[topo.LinkID]float64{},
 		}, nil
 	}
-	return solveComponents(t, reqs, comps, h, p)
+	if p.NoShard {
+		all := make([]int, len(reqs))
+		for i := range all {
+			all[i] = i
+		}
+		comps, cables = [][]int{all}, [][]topo.LinkID{slices.Concat(cables...)}
+	}
+	return solveComponents(t, reqs, comps, cables, h, p)
+}
+
+// Answers reports whether r still answers reqs on t: it was solved for
+// exactly these requests (IDs, product graphs and rates, in order) and
+// every capacity it read is the cable's capacity now. Connectivity needs
+// no check of its own: a topology event that changes what a request can
+// ride gives it a new product graph. A nil Result answers nothing.
+func (r *Result) Answers(t *topo.Topology, reqs []Request) bool {
+	return r != nil && slices.Equal(r.Requests, reqs) && capsHold(t, r.caps)
 }
 
 // builtModel is one constructed provisioning MIP plus the per-request
@@ -199,7 +203,7 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, p Params) *builtM
 	model := mip.NewModel()
 
 	// Cable canonicalization is topo.Cable everywhere — Partition, the
-	// dirty-cable incidence checks, and this model must agree, or two
+	// capacities a shard records, and this model must agree, or two
 	// shards could silently share a capacity the model never couples.
 	cable := t.Cable
 	// x variables per request edge.
@@ -466,7 +470,10 @@ func Greedy(t *topo.Topology, reqs []Request) (*Result, error) {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	_, cables := partition(t, reqs)
 	res := &Result{
+		Requests: slices.Clone(reqs),
+		caps:     capsOf(t, slices.Concat(cables...)),
 		Paths:    make(map[string][]logical.Step, len(reqs)),
 		Reserved: map[topo.LinkID]float64{},
 	}

@@ -157,10 +157,11 @@ func TestWaypointPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pls := logical.PlacementsOf(res.Paths["z"])
 	fns := map[string]string{}
-	for _, p := range pls {
-		fns[p.Fn] = tp.Node(p.Loc).Name
+	for _, s := range res.Paths["z"] {
+		if s.Tag != "" {
+			fns[s.Tag] = tp.Node(s.Loc).Name
+		}
 	}
 	if fns["nat"] != "m1" {
 		t.Errorf("nat placed at %q, want m1", fns["nat"])

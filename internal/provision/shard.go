@@ -14,7 +14,7 @@ package provision
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -26,25 +26,22 @@ import (
 )
 
 // ShardSolution is one shard's provisioning outcome, retained on the
-// Result so a later Solve over an overlapping request set can reuse it:
-// an identical shard (same requests, graphs, and rates) is served without
-// a solve, and a rates-only change re-solves the shard's model
-// warm-started from its cached optimal basis.
+// Result so a later Solve over an overlapping request set can reuse it.
+// It records what it was solved from: its requests, and the capacity of
+// every cable their guaranteed graphs can ride — the only capacities its
+// model reads. While both are equal now it is served without a solve; the
+// same requests over the same product graphs with other rates or
+// capacities re-solve its model warm-started from its cached basis.
 type ShardSolution struct {
-	// Key identifies the shard by its request IDs in input order,
-	// NUL-joined. Reuse additionally requires the graphs to be the same
-	// objects, so the key is a fast filter, not the full match.
-	Key string
-	// IDs, Graphs, and Rates mirror the shard's requests in input order.
-	IDs    []string
-	Graphs []*logical.Graph
-	Rates  []float64
+	// Requests are the shard's requests in input order.
+	Requests []Request
+	caps     []cableCap
 	// Paths and Reserved are this shard's slice of the merged Result.
 	Paths    map[string][]logical.Step
 	Reserved map[topo.LinkID]float64
 	// Basis is the shard model's optimal simplex basis, used to warm-start
-	// a re-solve after a rate change. Nil when the shard took the
-	// shortest-path fast path, which has nothing to warm-start.
+	// a re-solve after a rate or capacity change. Nil when the shard took
+	// the shortest-path fast path, which has nothing to warm-start.
 	Basis *lp.Basis
 	// Nodes is the branch-and-bound node count of the shard's solve (zero
 	// on the fast path — integral relaxations never branch).
@@ -54,8 +51,31 @@ type ShardSolution struct {
 	Netflow bool
 }
 
-// shardKeyOf builds the reuse key for a request ID sequence.
-func shardKeyOf(ids []string) string { return strings.Join(ids, "\x00") }
+// cableCap is one cable's capacity as a solve read it.
+type cableCap struct {
+	cable topo.LinkID
+	bps   float64
+}
+
+// capsOf records the current capacity of each cable.
+func capsOf(t *topo.Topology, cables []topo.LinkID) []cableCap {
+	out := make([]cableCap, len(cables))
+	for i, c := range cables {
+		out[i] = cableCap{cable: c, bps: t.Link(c).Capacity}
+	}
+	return out
+}
+
+// capsHold reports whether every recorded capacity is the cable's
+// capacity now.
+func capsHold(t *topo.Topology, caps []cableCap) bool {
+	for _, c := range caps {
+		if t.Link(c.cable).Capacity != c.bps {
+			return false
+		}
+	}
+	return true
+}
 
 // Partition groups requests into link-disjoint shards: two requests land
 // in the same shard iff their product graphs can ride a common physical
@@ -64,6 +84,14 @@ func shardKeyOf(ids []string) string { return strings.Join(ids, "\x00") }
 // Shards are returned ordered by their smallest request index, with
 // request indices ascending inside each shard — fully deterministic.
 func Partition(t *topo.Topology, reqs []Request) [][]int {
+	comps, _ := partition(t, reqs)
+	return comps
+}
+
+// partition is Partition plus, per shard, the cables its guaranteed
+// requests' graphs can ride, in first-seen order: the cables whose
+// capacity the shard's model reads.
+func partition(t *topo.Topology, reqs []Request) (comps [][]int, cables [][]topo.LinkID) {
 	parent := make([]int, len(reqs))
 	for i := range parent {
 		parent[i] = i
@@ -88,6 +116,7 @@ func Partition(t *topo.Topology, reqs []Request) [][]int {
 	// owner maps each cable to the first guaranteed request that can ride
 	// it; later requests touching the cable are unioned with that owner.
 	owner := map[topo.LinkID]int{}
+	var seen []topo.LinkID
 	for i, r := range reqs {
 		if r.MinRate == 0 {
 			continue
@@ -101,24 +130,29 @@ func Partition(t *topo.Topology, reqs []Request) [][]int {
 				union(i, j)
 			} else {
 				owner[c] = i
+				seen = append(seen, c)
 			}
 		}
 	}
-	groups := map[int][]int{}
-	var roots []int
+	// A shard's root is its smallest index, so walking the requests in
+	// order meets the shards in order of their smallest index.
+	comp := map[int]int{} // root → shard index
 	for i := range reqs {
 		r := find(i)
-		if _, ok := groups[r]; !ok {
-			roots = append(roots, r)
+		ci, ok := comp[r]
+		if !ok {
+			ci = len(comps)
+			comp[r] = ci
+			comps = append(comps, nil)
 		}
-		groups[r] = append(groups[r], i)
+		comps[ci] = append(comps[ci], i)
 	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groups[r])
+	cables = make([][]topo.LinkID, len(comps))
+	for _, c := range seen {
+		ci := comp[find(owner[c])]
+		cables[ci] = append(cables[ci], c)
 	}
-	return out
+	return comps, cables
 }
 
 // solveComponents provisions each shard independently — reusing or
@@ -128,10 +162,12 @@ func Partition(t *topo.Topology, reqs []Request) [][]int {
 // holds one token, and branch-and-bound waves inside a shard borrow the
 // spare tokens for extra node relaxations (mip.Params.Sem), so shard-level
 // and node-level parallelism together never exceed Workers.
-func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristic, p Params) (*Result, error) {
+func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, cables [][]topo.LinkID, h Heuristic, p Params) (*Result, error) {
+	// Shards partition their requests, so a request's ID names at most
+	// one previous shard: the one it led.
 	reuse := make(map[string]*ShardSolution, len(p.Reuse))
 	for _, s := range p.Reuse {
-		reuse[s.Key] = s
+		reuse[s.Requests[0].ID] = s
 	}
 	workers := p.Workers
 	if workers <= 0 {
@@ -153,15 +189,12 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 			defer func() { <-sem }()
 			idxs := comps[ci]
 			sub := make([]Request, len(idxs))
-			ids := make([]string, len(idxs))
 			for k, i := range idxs {
 				sub[k] = reqs[i]
-				ids[k] = reqs[i].ID
 			}
-			key := shardKeyOf(ids)
 			var warm *lp.Basis
-			if prev, ok := reuse[key]; ok && sameShardShape(prev, sub) {
-				if sameShardRates(prev, sub) && !shardTouchesDirty(t, sub, p.Dirty) {
+			if prev := reuse[sub[0].ID]; prev != nil && slices.EqualFunc(prev.Requests, sub, sameModelShape) {
+				if slices.Equal(prev.Requests, sub) && capsHold(t, prev.caps) {
 					shards[ci] = prev
 					kind[ci] = 2
 					return
@@ -178,13 +211,7 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 				errs[ci] = err
 				return
 			}
-			out.Key = key
-			out.IDs = ids
-			out.Graphs = make([]*logical.Graph, len(sub))
-			out.Rates = make([]float64, len(sub))
-			for k, r := range sub {
-				out.Graphs[k], out.Rates[k] = r.Graph, r.MinRate
-			}
+			out.Requests, out.caps = sub, capsOf(t, cables[ci])
 			shards[ci] = out
 		}(ci)
 	}
@@ -200,11 +227,13 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 		}
 	}
 	res := &Result{
+		Requests: slices.Clone(reqs),
 		Paths:    make(map[string][]logical.Step, len(reqs)),
 		Reserved: map[topo.LinkID]float64{},
 		Shards:   shards,
 	}
 	for ci, s := range shards {
+		res.caps = append(res.caps, s.caps...)
 		for id, steps := range s.Paths {
 			res.Paths[id] = steps
 		}
@@ -241,46 +270,10 @@ func requestIDs(reqs []Request, idxs []int) []string {
 	return out
 }
 
-// sameShardShape reports whether prev describes exactly these requests
-// over the same product-graph objects (the model shape is then identical,
-// so prev.Basis installs directly).
-func sameShardShape(prev *ShardSolution, sub []Request) bool {
-	if len(prev.IDs) != len(sub) {
-		return false
-	}
-	for k, r := range sub {
-		if prev.IDs[k] != r.ID || prev.Graphs[k] != r.Graph {
-			return false
-		}
-	}
-	return true
-}
-
-func sameShardRates(prev *ShardSolution, sub []Request) bool {
-	for k, r := range sub {
-		if prev.Rates[k] != r.MinRate {
-			return false
-		}
-	}
-	return true
-}
-
-// shardTouchesDirty reports whether any of the shard's product graphs can
-// ride a dirty cable — in which case the cached solution's model had
-// different capacity coefficients and must not be served outright.
-func shardTouchesDirty(t *topo.Topology, sub []Request, dirty map[topo.LinkID]bool) bool {
-	if len(dirty) == 0 {
-		return false
-	}
-	for _, r := range sub {
-		for _, e := range r.Graph.Edges {
-			if e.Link >= 0 && dirty[t.Cable(e.Link)] {
-				return true
-			}
-		}
-	}
-	return false
-}
+// sameModelShape reports whether two requests build the same model
+// columns and rows: the same ID over the same product-graph object. A
+// basis of one installs directly in the other's model.
+func sameModelShape(a, b Request) bool { return a.ID == b.ID && a.Graph == b.Graph }
 
 // solveOne solves one request set (a shard, or the whole problem when
 // sharding is off) and decodes the outcome. A separable shard first takes

@@ -221,33 +221,54 @@ func TestShardReuseAndWarmStart(t *testing.T) {
 	}
 }
 
+// TestDirtyCableBlocksShardReuse: a shard records the capacity of every
+// cable its requests can ride. A capacity change on one of them re-solves
+// that shard warm; a change on a cable no request can ride leaves every
+// shard, and the whole result, answering.
 func TestDirtyCableBlocksShardReuse(t *testing.T) {
 	tp, reqs := ringTenants(t, 8)
 	first, err := Solve(tp, reqs, WeightedShortestPath, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setCap := func(a, b int, bps float64) {
+		t.Helper()
+		if _, err := tp.SetCableCapacity(tp.MustLookup(switchName(a)), tp.MustLookup(switchName(b)), bps); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Halve the capacity of a cable inside tenant B's arc (s5-s6). Tenant
-	// A's shard is not incident to it and reuses; tenant B's must re-solve
-	// warm-started even though its requests are unchanged.
-	s5 := tp.MustLookup(switchName(5))
-	s6 := tp.MustLookup(switchName(6))
-	im, err := tp.SetCableCapacity(s5, s6, 50*topo.MBps)
+	// s3-s4 joins the two arcs: neither tenant's graph can ride it.
+	setCap(3, 4, 50*topo.MBps)
+	if !first.Answers(tp, reqs) {
+		t.Fatal("a capacity change no request can ride invalidated the result")
+	}
+	off, err := Solve(tp, reqs, WeightedShortestPath, Params{Reuse: first.Shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := map[topo.LinkID]bool{}
-	for _, c := range im.Cables {
-		dirty[c] = true
+	if off.ShardsReused != 2 || off.ShardsWarm != 0 || off.ShardsSolved != 0 {
+		t.Fatalf("off-arc cable: solved=%d warm=%d reused=%d, want 0/0/2",
+			off.ShardsSolved, off.ShardsWarm, off.ShardsReused)
 	}
-	res, err := Solve(tp, reqs, WeightedShortestPath, Params{Reuse: first.Shards, Dirty: dirty})
+
+	// Halve the capacity of a cable inside tenant B's arc (s5-s6). Tenant
+	// A's shard does not read it and reuses; tenant B's re-solves warm
+	// even though its requests are unchanged.
+	setCap(5, 6, 50*topo.MBps)
+	if first.Answers(tp, reqs) || off.Answers(tp, reqs) {
+		t.Fatal("a result answers after a capacity it read changed")
+	}
+	res, err := Solve(tp, reqs, WeightedShortestPath, Params{Reuse: off.Shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ShardsReused != 1 || res.ShardsWarm != 1 || res.ShardsSolved != 0 {
-		t.Fatalf("dirty cable: solved=%d warm=%d reused=%d, want 0/1/1",
+		t.Fatalf("ridden cable: solved=%d warm=%d reused=%d, want 0/1/1",
 			res.ShardsSolved, res.ShardsWarm, res.ShardsReused)
+	}
+	if !res.Answers(tp, reqs) {
+		t.Fatal("the re-solved result does not answer its own inputs")
 	}
 	// The re-solved shard sees the new capacity: RMax is computed against
 	// the halved cable, matching a fresh solve.
@@ -256,16 +277,7 @@ func TestDirtyCableBlocksShardReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.RMax != fresh.RMax {
-		t.Fatalf("dirty re-solve rmax %v != fresh %v", res.RMax, fresh.RMax)
-	}
-	// Without the dirty set the stale solution would be served outright —
-	// the guard the incremental compiler relies on.
-	stale, err := Solve(tp, reqs, WeightedShortestPath, Params{Reuse: first.Shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.ShardsReused != 2 {
-		t.Fatalf("control: expected full (stale) reuse without Dirty, got %+v", stale.ShardsReused)
+		t.Fatalf("re-solve rmax %v != fresh %v", res.RMax, fresh.RMax)
 	}
 }
 

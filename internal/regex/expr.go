@@ -11,6 +11,7 @@ package regex
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -164,19 +165,41 @@ func Equal(a, b Expr) bool {
 
 // Nodes counts AST nodes; the paper uses this as the regex complexity
 // measure in Fig. 9 (middle).
-func Nodes(e Expr) int {
+func Nodes(e Expr) int { return nodesUpTo(e, math.MaxInt) }
+
+// MaxNodes bounds a parsed path expression's node count (Nodes). The
+// grammar desugars e+ to e e*, repeating e, so each '+' applied to a '+'
+// doubles the expression: thirty of them in a 45-byte path would ask for
+// a billion nodes. Parse rejects an expression past the bound, and so
+// does the policy parser; every path this project ships or generates is
+// orders of magnitude smaller.
+const MaxNodes = 1 << 16
+
+// OverMaxNodes reports whether e has more than MaxNodes nodes. It stops
+// counting there, so it costs at most MaxNodes steps however large e is:
+// a parsed expression shares its repeated operands, so its size can be
+// exponential in the text's length while building it was not.
+func OverMaxNodes(e Expr) bool { return nodesUpTo(e, MaxNodes+1) > MaxNodes }
+
+// nodesUpTo counts e's nodes, stopping once the count reaches limit.
+func nodesUpTo(e Expr, limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	n := 1
 	switch x := e.(type) {
 	case Concat:
-		return 1 + Nodes(x.L) + Nodes(x.R)
+		n += nodesUpTo(x.L, limit-n)
+		n += nodesUpTo(x.R, limit-n)
 	case Alt:
-		return 1 + Nodes(x.L) + Nodes(x.R)
+		n += nodesUpTo(x.L, limit-n)
+		n += nodesUpTo(x.R, limit-n)
 	case Star:
-		return 1 + Nodes(x.X)
+		n += nodesUpTo(x.X, limit-n)
 	case Not:
-		return 1 + Nodes(x.X)
-	default:
-		return 1
+		n += nodesUpTo(x.X, limit-n)
 	}
+	return n
 }
 
 // Symbols returns the sorted set of location/function names mentioned in e.
@@ -374,6 +397,9 @@ func Parse(src string) (Expr, error) {
 	}
 	if t := p.peek(); t.kind != tokEOF {
 		return nil, fmt.Errorf("regex: unexpected %q at offset %d", t.text, t.pos)
+	}
+	if OverMaxNodes(e) {
+		return nil, fmt.Errorf("regex: expression at offset %d expands past %d nodes (each '+' repeats its operand)", toks[0].pos, MaxNodes)
 	}
 	return e, nil
 }

@@ -563,3 +563,19 @@ func BenchmarkInclusion(b *testing.B) {
 		})
 	}
 }
+
+// TestParseRejectsExpansionPastMaxNodes: thirty stacked '+' would expand
+// to a billion nodes; Parse rejects the expression without walking it.
+func TestParseRejectsExpansionPastMaxNodes(t *testing.T) {
+	_, err := Parse("a" + strings.Repeat("+", 30))
+	if err == nil || !strings.Contains(err.Error(), "expands past") {
+		t.Fatalf("err = %v, want an expansion error", err)
+	}
+	var e Expr = Sym{Name: "a"}
+	for k := 1; k <= 16; k++ {
+		e = Concat{e, Star{e}} // what Parse makes of a '+'
+		if over, n := OverMaxNodes(e), Nodes(e); over != (n > MaxNodes) {
+			t.Fatalf("%d '+': OverMaxNodes = %v with %d nodes", k, over, n)
+		}
+	}
+}

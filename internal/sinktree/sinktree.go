@@ -144,15 +144,10 @@ func (w *Walk) Next() (*logical.Edge, bool) {
 	return e, true
 }
 
-// PathFrom returns the steps of the tree path from src to the destination,
-// or nil if src cannot reach it.
-func (tr *Tree) PathFrom(src topo.NodeID) []logical.Step {
-	return tr.PathFromBuf(nil, src)
-}
-
-// PathFromBuf is PathFrom appending into buf, for callers reusing a
-// scratch buffer across many sources. The result aliases buf unless tag
-// recovery had to rebuild it; it is nil exactly when PathFrom's would be.
+// PathFromBuf appends the steps of the tree path from src to the
+// destination into buf, for callers reusing a scratch buffer across many
+// sources, or returns nil if src cannot reach it. The result aliases buf
+// unless tag recovery had to rebuild it.
 func (tr *Tree) PathFromBuf(buf []logical.Step, src topo.NodeID) []logical.Step {
 	if !tr.Reaches(src) {
 		return nil

@@ -43,7 +43,7 @@ func TestSinkTreeAllPairsLinear(t *testing.T) {
 	if !tr.Reaches(h1) {
 		t.Fatal("h1 cannot reach h2")
 	}
-	path := names(tp, tr.PathFrom(h1))
+	path := names(tp, tr.PathFromBuf(nil, h1))
 	want := []string{"h1", "s0", "s1", "s2", "h2"}
 	if fmt.Sprint(path) != fmt.Sprint(want) {
 		t.Fatalf("path = %v, want %v", path, want)
@@ -61,7 +61,7 @@ func TestSinkTreeIsShortest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := names(tp, tr.PathFrom(tp.MustLookup("h1")))
+	path := names(tp, tr.PathFromBuf(nil, tp.MustLookup("h1")))
 	if len(path)-1 != 2 {
 		t.Fatalf("path %v, want 2 hops", path)
 	}
@@ -75,7 +75,7 @@ func TestSinkTreeRespectsWaypoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := names(tp, tr.PathFrom(tp.MustLookup("h1")))
+	path := names(tp, tr.PathFromBuf(nil, tp.MustLookup("h1")))
 	saw := false
 	for _, n := range path {
 		if n == "m1" {
@@ -86,10 +86,14 @@ func TestSinkTreeRespectsWaypoint(t *testing.T) {
 		t.Fatalf("path %v does not pass m1", path)
 	}
 	// Tag recovery: dpi must be placed at m1.
-	steps := tr.PathFrom(tp.MustLookup("h1"))
-	pls := logical.PlacementsOf(steps)
-	if len(pls) != 1 || pls[0].Fn != "dpi" || tp.Node(pls[0].Loc).Name != "m1" {
-		t.Fatalf("placements = %v", pls)
+	var tagged []logical.Step
+	for _, s := range tr.PathFromBuf(nil, tp.MustLookup("h1")) {
+		if s.Tag != "" {
+			tagged = append(tagged, s)
+		}
+	}
+	if len(tagged) != 1 || tagged[0].Tag != "dpi" || tp.Node(tagged[0].Loc).Name != "m1" {
+		t.Fatalf("placements = %v", tagged)
 	}
 }
 
@@ -101,7 +105,7 @@ func TestSinkTreeAvoidance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := names(tp, tr.PathFrom(tp.MustLookup("h1")))
+	path := names(tp, tr.PathFromBuf(nil, tp.MustLookup("h1")))
 	for _, n := range path {
 		if n == "r1" {
 			t.Fatalf("path %v passes r1", path)
@@ -161,7 +165,7 @@ func TestAllPairsFatTreeTreesCoverAllHosts(t *testing.T) {
 			if !tr.Reaches(src) {
 				t.Fatalf("%s cannot reach %s", tp.Node(src).Name, tp.Node(dst).Name)
 			}
-			path := tr.PathFrom(src)
+			path := tr.PathFromBuf(nil, src)
 			locs := logical.Locations(path)
 			if locs[0] != src || locs[len(locs)-1] != dst {
 				t.Fatalf("bad endpoints for %s->%s", tp.Node(src).Name, tp.Node(dst).Name)

@@ -101,12 +101,16 @@ func (c *Compiler) UnwatchHub() {
 func (c *Compiler) NegotiationShards() [][]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.prov == nil || c.prov.res == nil {
+	if c.prov == nil {
 		return nil
 	}
-	out := make([][]string, 0, len(c.prov.res.Shards))
-	for _, sh := range c.prov.res.Shards {
-		out = append(out, append([]string(nil), sh.IDs...))
+	out := make([][]string, 0, len(c.prov.Shards))
+	for _, sh := range c.prov.Shards {
+		ids := make([]string, len(sh.Requests))
+		for i, r := range sh.Requests {
+			ids[i] = r.ID
+		}
+		out = append(out, ids)
 	}
 	return out
 }

@@ -336,6 +336,11 @@ func TestWireDeltaDecode(t *testing.T) {
 	if _, err := c.DecodeDelta(WireDelta{Add: []string{dupA0}}); err == nil {
 		t.Fatal("add colliding with a kept statement decoded")
 	}
+	// So is a path whose thirty '+' would expand to a billion nodes.
+	bomb := "p : true -> h1_0" + strings.Repeat("+", 30)
+	if _, err := c.DecodeDelta(WireDelta{Add: []string{bomb}}); err == nil || !strings.Contains(err.Error(), "expands past") {
+		t.Fatalf("'+' bomb: err = %v, want an expansion error", err)
+	}
 }
 
 // TestApplyJournalRecordReplay replays a genesis-policy record, a wire

@@ -165,3 +165,30 @@ func TestApplyTopoRoutesP4Diff(t *testing.T) {
 		t.Fatal("non-empty reroute reported Empty")
 	}
 }
+
+// TestCapsLowerToOneTCCommandPerPair: the compiler fills Program.Caps (Lower
+// leaves them to it), one per (destination, source) pair of a capped
+// best-effort statement, and the tc backend renders each as one command
+// at the source host.
+func TestCapsLowerToOneTCCommandPerPair(t *testing.T) {
+	tp := Linear(2, Gbps)
+	pol, err := ParsePolicy("[ capped : (eth.src = h1 and eth.dst = h2) -> .* ], max(capped, 50MB/s)", tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Compile(pol, tp, nil, Options{NoDefault: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := tp.MustLookup("h1")
+	if want := []codegen.CapSpec{{Host: h1, Stmt: "capped", MaxBps: 50 * MBps}}; !reflect.DeepEqual(res.IR.Caps, want) {
+		t.Fatalf("IR caps %+v, want %+v", res.IR.Caps, want)
+	}
+	out := res.Outputs[codegen.TargetTC].(*codegen.TCArtifact)
+	if len(out.TC) != 1 {
+		t.Fatalf("tc commands = %d, want 1", len(out.TC))
+	}
+	if out.TC[0].Host != h1 {
+		t.Error("cap installed at wrong host")
+	}
+}

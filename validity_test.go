@@ -118,3 +118,83 @@ func TestCapacityChangeInRejectedDeltaResolvesOnRetry(t *testing.T) {
 	}
 	sameCompiled(t, "capacity-retry", c.Result(), pol, capTopo, nil, opts)
 }
+
+// TestOffGuaranteeCapacityChangePatchesCodegen: the provisioning solution
+// records the capacity of every cable its requests can ride, so a
+// capacity change on a cable no guarantee can ride keeps the solution and
+// the pass patches caps instead of lowering again: an empty diff, equal
+// to a cold compile on the re-dimensioned ring. The greedy allocator's
+// result records the same.
+func TestOffGuaranteeCapacityChangePatchesCodegen(t *testing.T) {
+	for _, opts := range []Options{{NoDefault: true}, {NoDefault: true, Greedy: true}} {
+		tp := Ring(5, 1, Gbps)
+		pol := ringPolicy(t, tp, "h1_0 s1 s0 h0_0", "min(x, 100Mbps)")
+		c := NewCompiler(tp, nil, opts)
+		if _, err := c.Compile(pol); err != nil {
+			t.Fatal(err)
+		}
+		base := c.Stats()
+
+		diff, err := c.ApplyTopo(CapacityChange("s2", "s3", 500*Mbps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if st.PatchedCodegens != base.PatchedCodegens+1 || st.FullCodegens != base.FullCodegens {
+			t.Fatalf("greedy=%v: off-guarantee capacity change ran %d full / %d patched codegens, want 0/1",
+				opts.Greedy, st.FullCodegens-base.FullCodegens, st.PatchedCodegens-base.PatchedCodegens)
+		}
+		if st.SolvesReused != base.SolvesReused+1 || st.Solves != base.Solves {
+			t.Fatalf("greedy=%v: the solution was not reused: %+v -> %+v", opts.Greedy, base, st)
+		}
+		for name, bd := range diff.Backends {
+			if !bd.Empty() {
+				t.Fatalf("greedy=%v: %s diff %+v, want empty", opts.Greedy, name, bd)
+			}
+		}
+		capTopo := Ring(5, 1, Gbps)
+		if _, err := capTopo.SetCableCapacity(capTopo.MustLookup("s2"), capTopo.MustLookup("s3"), 500*Mbps); err != nil {
+			t.Fatal(err)
+		}
+		sameCompiled(t, "off-guarantee-capacity", c.Result(), pol, capTopo, nil, opts)
+	}
+}
+
+// TestReplacedPlacementAnswersCapsOnlyPass: a budget re-placement becomes
+// the last provisioning solution, so a caps-only pass reuses it — no
+// solve, no second re-placement — and patches caps.
+func TestReplacedPlacementAnswersCapsOnlyPass(t *testing.T) {
+	tp := TwoPath(400*MBps, 100*MBps)
+	text := "[ g : (" + twoPathHostPred(t, tp) + ") -> .* ], min(g, 50MB/s)"
+	pol, err := ParsePolicy(text, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := ParsePolicy(text+" and max(g, 80MB/s)", tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCompiler(tp, nil, Options{NoDefault: true, Targets: tcamTargets(), TableBudgets: map[string]int{"r1": 0}})
+	first, err := c.Compile(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := c.Stats()
+	if base.OverflowReplacements != 1 {
+		t.Fatalf("OverflowReplacements = %d, want 1", base.OverflowReplacements)
+	}
+	if _, err := c.Update(Delta{Formula: capped.Formula}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.SolvesReused != base.SolvesReused+1 || st.Solves != base.Solves || st.OverflowReplacements != 1 {
+		t.Fatalf("caps-only pass did not reuse the re-placed solution: %+v -> %+v", base, st)
+	}
+	if st.PatchedCodegens != base.PatchedCodegens+1 || st.FullCodegens != base.FullCodegens {
+		t.Fatalf("caps-only pass ran %d full / %d patched codegens, want 0/1",
+			st.FullCodegens-base.FullCodegens, st.PatchedCodegens-base.PatchedCodegens)
+	}
+	if got := c.Result().Paths["g"]; !reflect.DeepEqual(got, first.Paths["g"]) {
+		t.Fatalf("path moved from %v to %v", first.Paths["g"], got)
+	}
+}
