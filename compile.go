@@ -869,12 +869,12 @@ func (c *Compiler) codegenPatch(run *runState) {
 
 // patchableCodegen reports whether this pass may reuse the previous
 // output's rules: its statement artifacts (hence the statements and their
-// order), sink trees and provisioning solution are the objects the last
-// full codegen lowered. The same solution answers the same guaranteed
-// rates, and every other statement's Min is 0, so only caps (tc commands,
-// end-host programs) can differ.
+// order) and sink trees are the objects the last full codegen lowered,
+// and its provisioning solution routes the same guaranteed rates along
+// the same paths. Every other statement's Min is 0, so only caps (tc
+// commands, end-host programs) can differ.
 func (c *Compiler) patchableCodegen(run *runState) bool {
-	return c.last != nil && run.sol == c.lowered.sol &&
+	return c.last != nil && run.sol.SameRoutes(c.lowered.sol) &&
 		slices.Equal(run.arts, c.lowered.arts) && slices.Equal(run.trees, c.lowered.trees)
 }
 

@@ -9,6 +9,7 @@ package provision
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -182,6 +183,18 @@ func Solve(t *topo.Topology, reqs []Request, h Heuristic, p Params) (*Result, er
 // ride gives it a new product graph. A nil Result answers nothing.
 func (r *Result) Answers(t *topo.Topology, reqs []Request) bool {
 	return r != nil && slices.Equal(r.Requests, reqs) && capsHold(t, r.caps)
+}
+
+// SameRoutes reports whether r and o answer the same requests (IDs,
+// product graphs and rates, in order) along the same paths: all that
+// lowering reads of a solution. A re-solve that keeps every path, as a
+// capacity change usually does, routes the same as the result it
+// replaces. Two nil Results route alike.
+func (r *Result) SameRoutes(o *Result) bool {
+	if r == nil || o == nil || r == o {
+		return r == o
+	}
+	return slices.Equal(r.Requests, o.Requests) && maps.EqualFunc(r.Paths, o.Paths, slices.Equal[[]logical.Step])
 }
 
 // builtModel is one constructed provisioning MIP plus the per-request

@@ -160,6 +160,57 @@ func TestOffGuaranteeCapacityChangePatchesCodegen(t *testing.T) {
 	}
 }
 
+// TestRiddenCapacityChangeKeepingPathsPatchesCodegen: a capacity change on
+// a cable the guarantee rides re-solves, but lowering reads only the
+// requests and their paths, so a re-solve that keeps the path patches
+// caps; one that moves it lowers again. Both equal a cold compile.
+func TestRiddenCapacityChangeKeepingPathsPatchesCodegen(t *testing.T) {
+	for _, opts := range []Options{{NoDefault: true}, {NoDefault: true, Greedy: true}} {
+		tp := Ring(5, 1, Gbps)
+		pol := ringPolicy(t, tp, ".*", "min(x, 100Mbps)")
+		c := NewCompiler(tp, nil, opts)
+		first, err := c.Compile(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []struct {
+			capacity float64
+			moves    bool
+		}{{500 * Mbps, false}, {50 * Mbps, true}} {
+			base := c.Stats()
+			diff, err := c.ApplyTopo(CapacityChange("s0", "s1", step.capacity))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := c.Stats()
+			if st.SolvesReused != base.SolvesReused {
+				t.Fatalf("greedy=%v cap=%g: a solution that read s0-s1 was reused", opts.Greedy, step.capacity)
+			}
+			got := [2]int{st.FullCodegens - base.FullCodegens, st.PatchedCodegens - base.PatchedCodegens}
+			want := [2]int{0, 1}
+			if step.moves {
+				want = [2]int{1, 0}
+			}
+			if got != want {
+				t.Fatalf("greedy=%v cap=%g: full/patched codegens %v, path moves: %v",
+					opts.Greedy, step.capacity, got, step.moves)
+			}
+			if moved := !reflect.DeepEqual(c.Result().Paths["x"], first.Paths["x"]); moved != step.moves {
+				t.Fatalf("greedy=%v cap=%g: path %v, moved %v, want %v",
+					opts.Greedy, step.capacity, c.Result().Paths["x"], moved, step.moves)
+			}
+			if !step.moves && !diff.Empty() {
+				t.Fatalf("greedy=%v cap=%g: diff %+v, want empty", opts.Greedy, step.capacity, diff)
+			}
+			capTopo := Ring(5, 1, Gbps)
+			if _, err := capTopo.SetCableCapacity(capTopo.MustLookup("s0"), capTopo.MustLookup("s1"), step.capacity); err != nil {
+				t.Fatal(err)
+			}
+			sameCompiled(t, "ridden-capacity", c.Result(), pol, capTopo, nil, opts)
+		}
+	}
+}
+
 // TestReplacedPlacementAnswersCapsOnlyPass: a budget re-placement becomes
 // the last provisioning solution, so a caps-only pass reuses it — no
 // solve, no second re-placement — and patches caps.
