@@ -614,23 +614,9 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 		return err
 	}
 	prog.Caps, prog.HostFns = c.hostConfig(run)
-	terns, err := c.ternaryStage(run, prog)
+	arts, err := c.emit(run, prog)
 	if err != nil {
 		return err
-	}
-	arts := make(map[string]codegen.Artifact, len(c.targets))
-	for _, name := range c.targets {
-		b, _ := codegen.Lookup(name) // presence checked by checkTargets before the pipeline ran
-		var art codegen.Artifact
-		if te, ok := b.(codegen.TernaryEmitter); ok {
-			art, err = te.EmitTernary(c.t, prog, terns[name])
-		} else {
-			art, err = b.Emit(c.t, prog)
-		}
-		if err != nil {
-			return fmt.Errorf("merlin: backend %s: %w", name, err)
-		}
-		arts[name] = art
 	}
 	// Lower recorded every function instance on a plan's path, plans in
 	// statement order and each path in order: the placements, read off.
@@ -642,6 +628,31 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 	c.stats.FullCodegens++
 	run.res.Timing.Codegen = time.Since(cs)
 	return nil
+}
+
+// emit renders prog for every target: ternary-consuming backends get
+// the pre-expanded, budget-checked tables of ternaryStage, and every
+// other backend emits straight from the IR.
+func (c *Compiler) emit(run *runState, prog *codegen.Program) (map[string]codegen.Artifact, error) {
+	terns, err := c.ternaryStage(run, prog)
+	if err != nil {
+		return nil, err
+	}
+	arts := make(map[string]codegen.Artifact, len(c.targets))
+	for _, name := range c.targets {
+		b, _ := codegen.Lookup(name) // presence checked by checkTargets before the pipeline ran
+		var art codegen.Artifact
+		if te, ok := b.(codegen.TernaryEmitter); ok {
+			art, err = te.EmitTernary(c.t, prog, terns[name])
+		} else {
+			art, err = b.Emit(c.t, prog)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("merlin: backend %s: %w", name, err)
+		}
+		arts[name] = art
+	}
+	return arts, nil
 }
 
 // ternaryStage expands the lowered program into ternary tables for the
@@ -830,34 +841,56 @@ func (c *Compiler) checkTargets() error {
 	return nil
 }
 
-// codegenPatch is the caps-only fast path (§4's bandwidth re-allocation
-// without recompilation), routed per backend: the previous pass's IR is
-// shallow-copied with only its cap-reachable sections (caps, host
-// functions) regenerated, the tc and host backends re-emit from it, and
-// every other target's artifact — forwarding rules, queues, Click
-// configurations, P4 table entries, tags — is shared outright with the
-// previous result, so its diff is empty by pointer identity.
-func (c *Compiler) codegenPatch(run *runState) {
+// codegenPatch is the fast path for a pass that routes as the last one
+// did (§4's bandwidth re-allocation without recompilation): the previous
+// pass's IR is shallow-copied with its cap-reachable sections (caps, host
+// functions) regenerated. When the guaranteed rates moved, queue
+// reservation (codegen.ReserveQueues, the one lowering pass a rate
+// reaches) re-runs over the previous rules at the new rates, copy-on-write
+// so the previous result is never written. If that moved a queue id or a
+// reservation, every target re-emits through codegenFull's emit step,
+// since queue ids appear in the OpenFlow, P4 and TCAM artifacts.
+// Otherwise only the tc and host backends re-emit, and every other
+// target's artifact — forwarding rules, queues, Click configurations, P4
+// table entries, tags — is shared outright with the previous result, so
+// its diff is empty by pointer identity.
+func (c *Compiler) codegenPatch(run *runState) error {
 	cs := time.Now()
 	res := run.res
-	prog := *c.last.IR // shallow: rules/queues/filters/fns/tags shared
+	ir := c.last.IR
+	if run.sol != nil && !slices.Equal(run.sol.Requests, c.lowered.sol.Requests) {
+		rates := make(map[string]float64, len(run.requests))
+		for _, r := range run.requests {
+			rates[r.ID] = r.MinRate
+		}
+		ir = codegen.ReserveQueues(ir, rates)
+	}
+	prog := *ir // shallow: rules/queues/filters/fns/tags shared
 	prog.Caps, prog.HostFns = c.hostConfig(run)
-	arts := make(map[string]codegen.Artifact, len(c.targets))
-	for _, name := range c.targets {
-		switch name {
-		case codegen.TargetTC, codegen.TargetHost:
-			b, _ := codegen.Lookup(name) // presence checked by checkTargets
-			art, err := b.Emit(c.t, &prog)
-			if err != nil {
-				// Unreachable for the built-ins; if it ever happens, a
-				// stale artifact (empty diff) is safe where an absent one
-				// would diff as "remove every cap".
+	var arts map[string]codegen.Artifact
+	if ir != c.last.IR {
+		var err error
+		if arts, err = c.emit(run, &prog); err != nil {
+			return err
+		}
+	} else {
+		arts = make(map[string]codegen.Artifact, len(c.targets))
+		for _, name := range c.targets {
+			switch name {
+			case codegen.TargetTC, codegen.TargetHost:
+				b, _ := codegen.Lookup(name) // presence checked by checkTargets
+				art, err := b.Emit(c.t, &prog)
+				if err != nil {
+					// Unreachable for the built-ins; if it ever happens, a
+					// stale artifact (empty diff) is safe where an absent one
+					// would diff as "remove every cap".
+					arts[name] = c.last.Outputs[name]
+					continue
+				}
+				arts[name] = art
+			default:
 				arts[name] = c.last.Outputs[name]
-				continue
 			}
-			arts[name] = art
-		default:
-			arts[name] = c.last.Outputs[name]
 		}
 	}
 	res.IR, res.Outputs = &prog, arts
@@ -865,14 +898,17 @@ func (c *Compiler) codegenPatch(run *runState) {
 	res.Placements = c.last.Placements
 	c.stats.PatchedCodegens++
 	res.Timing.Codegen = time.Since(cs)
+	return nil
 }
 
 // patchableCodegen reports whether this pass may reuse the previous
 // output's rules: its statement artifacts (hence the statements and their
-// order) and sink trees are the objects the last full codegen lowered,
-// and its provisioning solution routes the same guaranteed rates along
-// the same paths. Every other statement's Min is 0, so only caps (tc
-// commands, end-host programs) can differ.
+// order) and sink trees are the objects that output was generated from,
+// and its provisioning solution routes the same guaranteed requests along
+// the same paths (provision.Result.SameRoutes), at whatever rates. Every
+// other statement's Min is 0, so only caps (tc commands, end-host
+// programs) and the queues the guaranteed rates size can differ, and
+// codegenPatch regenerates both.
 func (c *Compiler) patchableCodegen(run *runState) bool {
 	return c.last != nil && run.sol.SameRoutes(c.lowered.sol) &&
 		slices.Equal(run.arts, c.lowered.arts) && slices.Equal(run.trees, c.lowered.trees)

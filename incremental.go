@@ -31,17 +31,18 @@ type Diff = codegen.Diff
 // renegotiated, a statement is added) rebuilds only the dirtied
 // artifacts; everything else is served from cache. A rates-only change
 // re-solves the provisioning MIP warm-started from the previous optimal
-// basis, and a caps-only change skips rule generation entirely, patching
-// just the tc commands.
+// basis and, when no path moves, re-reserves only the queues instead of
+// lowering again; a caps-only change skips rule generation entirely,
+// patching just the tc commands.
 //
 // One validity rule covers every cached product: it records the values
 // it was built from and is reused only while they are equal now. A
 // statement artifact records the statement's predicate and raw path; the
 // provisioning solution its requests and the capacity of every cable
-// they can ride (each of its shards likewise); the last full codegen the
-// statement artifacts, sink trees and solution it lowered. So a policy
-// may be edited in place between calls, and a failed pass leaves nothing
-// to reset.
+// they can ride (each of its shards likewise); the last output the
+// statement artifacts, sink trees and solution it was generated from. So
+// a policy may be edited in place between calls, and a failed pass leaves
+// nothing to reset.
 //
 // The zero Compiler is not usable; construct with NewCompiler. Methods
 // are safe for concurrent use. The first Compile (or the Compile wrapper
@@ -76,9 +77,10 @@ type Compiler struct {
 	// preprocessed policy, allocations and outputs.
 	source *Policy
 	last   *Result
-	// lowered is what the last full codegen lowered; a pass whose
-	// statement artifacts, sink trees and solution are the same objects
-	// patches that output's caps instead of lowering again.
+	// lowered is what the last output was generated from; a pass whose
+	// statement artifacts and sink trees are the same objects, and whose
+	// solution routes the same, patches that output's caps and queues
+	// instead of lowering again.
 	lowered lowering
 
 	// The artifact caches. anchored holds guaranteed statements' product
@@ -138,9 +140,10 @@ type treeKey struct {
 	dst NodeID
 }
 
-// lowering records what one full codegen lowered: the statement
-// artifacts in statement order, the sink trees in resolution order, and
-// the provisioning solution.
+// lowering records what one codegen generated its output from: the
+// statement artifacts in statement order, the sink trees in resolution
+// order, and the provisioning solution, whose rates the output's queues
+// are reserved at.
 type lowering struct {
 	arts  []*stmtArtifact
 	trees []*sinktree.Tree
@@ -182,7 +185,8 @@ type CompilerStats struct {
 	ShardsWarm   int
 	ShardsReused int
 	// FullCodegens and PatchedCodegens split phase 4 into full rule
-	// generation and the caps-only tc patch fast path.
+	// generation and the patch fast path (caps, and queues re-reserved
+	// when only guaranteed rates moved).
 	FullCodegens    int
 	PatchedCodegens int
 	// TopoEvents counts applied topology events (Delta.Topo / ApplyTopo).
@@ -202,10 +206,11 @@ type CompilerStats struct {
 	// identical to a cold build on the degraded topology. TreesKept counts
 	// sink trees that survived such a failure because no used path crossed
 	// a failed cable; only trees whose used paths did cross are
-	// invalidated and rebuilt. When every tree, statement artifact and the
-	// solution are the ones the last full codegen lowered, the pass patches
-	// caps instead of lowering again (the one validity rule, see
-	// Compiler), so a failure off every used path generates no rules.
+	// invalidated and rebuilt. When every tree and statement artifact is
+	// the one the last output was generated from and the solution routes
+	// the same, the pass patches instead of lowering again (the one
+	// validity rule, see Compiler), so a failure off every used path
+	// generates no rules.
 	GraphsPatched int
 	TreesKept     int
 	// TernaryEntries totals the ternary table entries expanded for v2
@@ -482,30 +487,32 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	if err := c.resolveTrees(run); err != nil {
 		return nil, err
 	}
+	var err error
 	if c.patchableCodegen(run) {
-		c.codegenPatch(run)
+		err = c.codegenPatch(run)
 	} else {
-		if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
-			var of *codegen.TableOverflowError
-			if !errors.As(err, &of) || len(run.requests) == 0 || c.opts.Greedy {
-				return nil, err
-			}
-			// A guaranteed placement overflowed a device's table budget:
-			// re-solve it with the residual budgets as MIP constraints and
-			// run codegen again. If the constrained solve is infeasible the
-			// original typed overflow error is returned — the caller learns
-			// which devices cannot fit the policy.
-			if rerr := c.replaceForBudgets(run); rerr != nil {
-				return nil, err
-			}
-			res.Paths = map[string][]string{}
-			if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
-				return nil, err
-			}
-			c.stats.OverflowReplacements++
-		}
-		c.lowered = lowering{arts: run.arts, trees: run.trees, sol: run.sol}
+		err = c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run)))
 	}
+	if err != nil {
+		var of *codegen.TableOverflowError
+		if !errors.As(err, &of) || len(run.requests) == 0 || c.opts.Greedy {
+			return nil, err
+		}
+		// A guaranteed placement overflowed a device's table budget:
+		// re-solve it with the residual budgets as MIP constraints and
+		// run codegen again. If the constrained solve is infeasible the
+		// original typed overflow error is returned — the caller learns
+		// which devices cannot fit the policy.
+		if rerr := c.replaceForBudgets(run); rerr != nil {
+			return nil, err
+		}
+		res.Paths = map[string][]string{}
+		if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
+			return nil, err
+		}
+		c.stats.OverflowReplacements++
+	}
+	c.lowered = lowering{arts: run.arts, trees: run.trees, sol: run.sol}
 	c.source = pol
 	c.last = res
 	if len(run.requests) == 0 {

@@ -29,6 +29,9 @@ func TestIncrementalMatchesColdRandom(t *testing.T) {
 		{corpus.Spec{Topo: "fattree-k4", Suite: "tenants", Tenants: 3, Guarantees: 2}, merlin.Options{}},
 		{corpus.Spec{Topo: "ring-8", Suite: "chains"}, merlin.Options{NoDefault: true}},
 		{corpus.Spec{Topo: "ring-8", Suite: "besteffort"}, merlin.Options{NoDefault: true}},
+		// Every target: queue ids reach the OpenFlow, P4 and TCAM
+		// artifacts, so a rate patch must re-emit all of them.
+		{corpus.Spec{Topo: "fattree-k4", Suite: "tenants", Tenants: 3, Guarantees: 2}, merlin.Options{NoDefault: true, Targets: merlin.BackendNames()}},
 	}
 	seeds, steps := 3, 40
 	if testing.Short() {

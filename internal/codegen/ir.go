@@ -121,7 +121,11 @@ type HostFnSpec struct {
 // priority order), so two lowerings of the same plan list are identical
 // and backends inherit that determinism for free.
 type Program struct {
-	Rules   []Rule
+	Rules []Rule
+	// Queues are the QoS queue reservations the OpForwardQueue ops of
+	// Rules use, one per (switch, port, rate): guarantees of equal rate
+	// leaving one port share one queue reserved at that rate
+	// (ReserveQueues).
 	Queues  []QueueConfig
 	Caps    []CapSpec
 	Filters []FilterSpec
@@ -145,12 +149,8 @@ type lowerer struct {
 	// carries the statement's predicate (Plan.ID), so each predicate is
 	// expanded once per Lower and never hashed — hashing a large negated
 	// predicate once per plan costs more than expanding it.
-	sels map[string][]classSel
-	// queueBound maps a queue reservation to its allocated queue id;
-	// queueNext allocates ids per port.
-	queueBound map[queueKey]int
-	queueNext  map[topo.LinkID]int
-	nextTag    int
+	sels    map[string][]classSel
+	nextTag int
 	// ingressAt is the path position of the plan being lowered's ingress
 	// switch, and ingress the classification rules that plan appended
 	// there (none when every selector reused another plan's rule).
@@ -274,19 +274,16 @@ type classSel struct {
 	sel  string
 }
 
-type queueKey struct {
-	sw     topo.NodeID
-	port   topo.LinkID
-	minBps float64
-}
-
 // Lower turns plans into the target-neutral Program: path tags are
 // allocated, classification and forwarding rules laid out with conflict
-// retagging, queues reserved, filters and function instances recorded.
+// retagging, filters and function instances recorded, and, last, queues
+// reserved by ReserveQueues at the guaranteed plans' rates (Alloc.Min).
 // The output is deterministic in the plan list. The host-side sections,
 // Caps and HostFns, are left to the caller: they read only the
 // statements' allocations, so a caps-only change regenerates them
-// without lowering again.
+// without lowering again. A guaranteed rate reaches nothing but the
+// queues, so a rate change that moves no path re-runs ReserveQueues over
+// the lowered rules instead of lowering again.
 //
 // Plans sharing a sink tree share its tag, and a tree's forwarding state
 // is laid out once: every source's walk stops after the first product
@@ -298,12 +295,10 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	g := &lowerer{
 		t:          t,
 		ids:        t.Identities(),
-		prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
+		prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, len(plans))},
 		bound:      map[ruleKey]int{},
 		classBound: map[classKey]bool{},
 		sels:       map[string][]classSel{},
-		queueBound: map[queueKey]int{},
-		queueNext:  map[topo.LinkID]int{},
 		nextTag:    2, // tags 0/1 are reserved on real switches (VLAN semantics)
 	}
 	g.hops.prog = g.prog
@@ -316,12 +311,17 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(plans[b].Priority, plans[a].Priority) })
 	trees := map[*sinktree.Tree]*treeState{}
+	var rates map[string]float64 // guaranteed plans' rates, by statement ID
 	for _, i := range order {
 		p := plans[i]
 		switch {
 		case p.Drop:
 			g.lowerDrop(p)
 		case p.Path != nil:
+			if rates == nil {
+				rates = map[string]float64{}
+			}
+			rates[p.ID] = p.Alloc.Min
 			g.hops.fromSteps(p.ID, p.Path)
 			if err := g.lowerPath(p, g.allocTag(p.ID), true, nil); err != nil {
 				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
@@ -356,6 +356,9 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		default:
 			return nil, fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
 		}
+	}
+	if rates != nil { // else no guaranteed plan, so no queue op to reserve
+		reserveQueues(g.prog, rates, true)
 	}
 	return g.prog, nil
 }
@@ -392,9 +395,12 @@ func (g *lowerer) lowerDrop(p Plan) {
 }
 
 // lowerPath walks the path g.hops streams and lays out tag-switched
-// forwarding rules, classification at the ingress device, queue
-// reservations for guarantees, and function instances for middlebox
-// placements.
+// forwarding rules, classification at the ingress device, and function
+// instances for middlebox placements. A guaranteed path forwards through
+// queue ops whose ids ReserveQueues fills in after lowering. Ops are only
+// compared under one tag, and a guaranteed plan's tags are its own; within
+// one plan every op on a port gets the same queue, so comparing ops before
+// reservation shares and retags exactly as comparing them after would.
 //
 // On a sink tree's walk (ts.lowered set) it stops after the first
 // location, from the ingress on, whose product vertex an earlier walk
@@ -466,8 +472,7 @@ func (g *lowerer) lowerHop(p Plan, locs []topo.NodeID, i int, tag *int, ingress,
 	}
 	fwd := Op{Kind: OpForward, Port: outLink.ID}
 	if guaranteed {
-		q := g.queueFor(node, outLink.ID, p.Alloc.Min)
-		fwd = Op{Kind: OpForwardQueue, Port: outLink.ID, Queue: q}
+		fwd.Kind = OpForwardQueue // its queue is reserved after lowering
 	}
 	if ingress {
 		// Ingress classification: untagged packets matching the
@@ -619,20 +624,6 @@ func cubeToPred(cube []pred.Test) pred.Pred {
 		ps[i] = t
 	}
 	return pred.Conj(ps...)
-}
-
-// queueFor allocates (or reuses) a QoS queue on the given port with the
-// statement's guaranteed rate.
-func (g *lowerer) queueFor(sw topo.NodeID, port topo.LinkID, minBps float64) int {
-	key := queueKey{sw: sw, port: port, minBps: minBps}
-	if q, ok := g.queueBound[key]; ok {
-		return q
-	}
-	q := g.queueNext[port] + 1
-	g.queueNext[port] = q
-	g.queueBound[key] = q
-	g.prog.Queues = append(g.prog.Queues, QueueConfig{Switch: sw, Port: port, Queue: q, MinBps: minBps})
-	return q
 }
 
 func sameOps(a, b []Op) bool {

@@ -2,9 +2,11 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,11 +22,29 @@ import (
 // reference the tree cut-off is held to: every plan's full path is
 // lowered hop by hop, and ByDestination classification is keyed by the
 // destination's MAC. It shares the lowerer's bookkeeping (tags,
-// selectors, queues, drops, retagging), which the cut-off leaves as
-// it was.
+// selectors, drops, retagging), which the cut-off leaves as it was. It
+// reserves each queue as it lowers the hop that first uses it, the way
+// the lowerer did before reservation became a pass (ReserveQueues), so
+// the pass is held to that order too.
 type refLowerer struct {
 	*lowerer
 	classBound map[refClassKey]bool
+	queueBound map[queueKey]int
+	queueNext  map[topo.LinkID]int
+}
+
+// queueFor returns the queue of (sw, port, minBps), reserving the port's
+// next queue id on first use.
+func (g refLowerer) queueFor(sw topo.NodeID, port topo.LinkID, minBps float64) int {
+	key := queueKey{sw: sw, port: port, minBps: minBps}
+	if q, ok := g.queueBound[key]; ok {
+		return q
+	}
+	q := g.queueNext[port] + 1
+	g.queueNext[port] = q
+	g.queueBound[key] = q
+	g.prog.Queues = append(g.prog.Queues, QueueConfig{Switch: sw, Port: port, Queue: q, MinBps: minBps})
+	return q
 }
 
 type refClassKey struct {
@@ -43,16 +63,16 @@ func (p byPriority) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
 func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
 	g := refLowerer{
 		lowerer: &lowerer{
-			t:          t,
-			ids:        t.Identities(),
-			prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
-			bound:      map[ruleKey]int{},
-			sels:       map[string][]classSel{},
-			queueBound: map[queueKey]int{},
-			queueNext:  map[topo.LinkID]int{},
-			nextTag:    2,
+			t:       t,
+			ids:     t.Identities(),
+			prog:    &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
+			bound:   map[ruleKey]int{},
+			sels:    map[string][]classSel{},
+			nextTag: 2,
 		},
 		classBound: map[refClassKey]bool{},
+		queueBound: map[queueKey]int{},
+		queueNext:  map[topo.LinkID]int{},
 	}
 	ordered := append([]Plan(nil), plans...)
 	sort.Stable(byPriority(ordered))
@@ -266,6 +286,12 @@ func (pg *planGen) predicate() pred.Pred {
 	}
 }
 
+// rate draws a guaranteed rate from a small set with a repeat, so equal-
+// rate guarantees share queues and a redraw splits or merges them.
+func (pg *planGen) rate() float64 {
+	return []float64{5, 10, 10, 20}[pg.rng.Intn(4)] * topo.Mbps
+}
+
 // guaranteed returns the cheapest path from src to dst, nil when none.
 func (pg *planGen) guaranteed(src, dst topo.NodeID) []logical.Step {
 	gg := graphFor(pg.t, pg.tp, pg.tp.Node(src).Name+" .* "+pg.tp.Node(dst).Name, nil)
@@ -319,7 +345,7 @@ func (pg *planGen) plans() []Plan {
 				}
 				p := base
 				p.ID = fmt.Sprintf("%s.%d", id, j)
-				p.Alloc = policy.Alloc{Min: float64(1+pg.rng.Intn(3)) * topo.Mbps, Max: math.Inf(1)}
+				p.Alloc = policy.Alloc{Min: pg.rate(), Max: math.Inf(1)}
 				p.SrcHost, p.DstHost, p.Path = src, dst, steps
 				plans = append(plans, p)
 			}
@@ -375,35 +401,146 @@ func checkLowerMatchesReference(t *testing.T, name string, tp *topo.Topology, pl
 // destination, guaranteed paths interleaved by priority, function
 // waypoints, drops and caps — lower to deeply equal Programs.
 func TestLowerMatchesPerSourceLowering(t *testing.T) {
-	seeds := 40
-	if testing.Short() {
-		seeds = 12
+	for seed := 1; seed <= randomSeeds(); seed++ {
+		if pg := randomPlanGen(t, seed); pg != nil {
+			checkLowerMatchesReference(t, fmt.Sprintf("seed %d", seed), pg.tp, pg.plans())
+		}
 	}
-	for seed := 1; seed <= seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		var tp *topo.Topology
-		switch seed % 4 {
-		case 0:
-			tp = topo.FatTree(4, topo.Gbps)
-		case 1:
-			tp = zoo.Generate(rng.Intn(30), 1)
-		case 2:
-			tp = topo.Ring(5+rng.Intn(4), 1, topo.Gbps)
-		default:
-			tp = topo.Waxman(8+rng.Intn(6), 0.6, 0.4, int64(seed), topo.Gbps)
-			for _, sw := range tp.Switches() {
-				tp.AddLink(tp.AddHost("h"+tp.Node(sw).Name), sw, topo.Gbps)
-			}
+}
+
+// randomSeeds is the number of random plan lists a test draws.
+func randomSeeds() int {
+	if testing.Short() {
+		return 12
+	}
+	return 40
+}
+
+// randomPlanGen draws the topology of one seed — a fat tree, a zoo
+// topology, a ring or a Waxman graph, half of them with middleboxes — and
+// returns its plan generator, nil when the topology has under two hosts.
+func randomPlanGen(t *testing.T, seed int) *planGen {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	var tp *topo.Topology
+	switch seed % 4 {
+	case 0:
+		tp = topo.FatTree(4, topo.Gbps)
+	case 1:
+		tp = zoo.Generate(rng.Intn(30), 1)
+	case 2:
+		tp = topo.Ring(5+rng.Intn(4), 1, topo.Gbps)
+	default:
+		tp = topo.Waxman(8+rng.Intn(6), 0.6, 0.4, int64(seed), topo.Gbps)
+		for _, sw := range tp.Switches() {
+			tp.AddLink(tp.AddHost("h"+tp.Node(sw).Name), sw, topo.Gbps)
 		}
-		pg := &planGen{t: t, rng: rng, tp: tp, trees: map[string]map[topo.NodeID]*sinktree.Tree{}}
-		if rng.Intn(2) == 0 {
-			pg.place = withMiddleboxes(tp, rng)
-		}
-		if len(tp.Hosts()) < 2 {
+	}
+	pg := &planGen{t: t, rng: rng, tp: tp, trees: map[string]map[topo.NodeID]*sinktree.Tree{}}
+	if rng.Intn(2) == 0 {
+		pg.place = withMiddleboxes(tp, rng)
+	}
+	if len(tp.Hosts()) < 2 {
+		return nil
+	}
+	return pg
+}
+
+// TestReserveQueuesMatchesLowerAtNewRates: a guaranteed rate reaches no
+// lowering pass but queue reservation, so re-running ReserveQueues at
+// rates B over a Program lowered at rates A must give Lower's Program at
+// rates B, and must leave the Program it read as it was (copy-on-write).
+// Rates come from {5, 10, 10, 20} Mbps, so redraws both split and merge
+// shared queues and renumber them.
+func TestReserveQueuesMatchesLowerAtNewRates(t *testing.T) {
+	moved, kept, shared := 0, 0, 0
+	for seed := 1; seed <= randomSeeds(); seed++ {
+		pg := randomPlanGen(t, seed)
+		if pg == nil {
 			continue
 		}
-		checkLowerMatchesReference(t, fmt.Sprintf("seed %d", seed), tp, pg.plans())
+		plans := pg.plans()
+		progA, err := Lower(pg.tp, plans)
+		if err != nil {
+			continue // lowering errors do not depend on rates
+		}
+		before := cloneProgram(progA)
+		plansB := slices.Clone(plans)
+		rates := map[string]float64{}
+		for i := range plansB {
+			if plansB[i].Path != nil {
+				plansB[i].Alloc.Min = pg.rate()
+				rates[plansB[i].ID] = plansB[i].Alloc.Min
+			}
+		}
+		want, err := Lower(pg.tp, plansB)
+		if err != nil {
+			t.Fatalf("seed %d: Lower at rates A succeeded, at rates B: %v", seed, err)
+		}
+		got := ReserveQueues(progA, rates)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: queues re-reserved at rates B differ from Lower at rates B:\n got %v\nwant %v",
+				seed, got.Queues, want.Queues)
+		}
+		if !reflect.DeepEqual(progA, before) {
+			t.Fatalf("seed %d: ReserveQueues wrote the Program it read", seed)
+		}
+		if got == progA {
+			kept++
+		} else {
+			moved++
+		}
+		shared += sharedQueues(want)
 	}
+	if moved == 0 || kept == 0 || shared == 0 {
+		t.Fatalf("%d redraws moved queues, %d kept them, %d queues were shared; want each > 0", moved, kept, shared)
+	}
+}
+
+// sharedQueues counts the queues of p that rules of two or more
+// statements forward through.
+func sharedQueues(p *Program) int {
+	type queue struct {
+		port  topo.LinkID
+		queue int
+	}
+	stmts := map[queue]map[string]bool{}
+	for _, r := range p.Rules {
+		for _, op := range r.Ops {
+			if op.Kind == OpForwardQueue {
+				q := queue{op.Port, op.Queue}
+				if stmts[q] == nil {
+					stmts[q] = map[string]bool{}
+				}
+				stmts[q][r.Stmt] = true
+			}
+		}
+	}
+	n := 0
+	for _, s := range stmts {
+		if len(s) > 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// cloneProgram deep-copies every section of p a pass could write.
+func cloneProgram(p *Program) *Program {
+	c := *p
+	c.Rules = slices.Clone(p.Rules)
+	for i := range c.Rules {
+		c.Rules[i].Ops = slices.Clone(c.Rules[i].Ops)
+	}
+	c.Queues = slices.Clone(p.Queues)
+	c.Caps = slices.Clone(p.Caps)
+	c.Filters = slices.Clone(p.Filters)
+	c.Fns = slices.Clone(p.Fns)
+	c.HostFns = slices.Clone(p.HostFns)
+	c.Tags = maps.Clone(p.Tags)
+	for id, tags := range c.Tags {
+		c.Tags[id] = slices.Clone(tags)
+	}
+	return &c
 }
 
 // TestLowerCutOffStopsAfterRetag forces retags on a tag-free tree, as

@@ -185,16 +185,18 @@ func (r *Result) Answers(t *topo.Topology, reqs []Request) bool {
 	return r != nil && slices.Equal(r.Requests, reqs) && capsHold(t, r.caps)
 }
 
-// SameRoutes reports whether r and o answer the same requests (IDs,
-// product graphs and rates, in order) along the same paths: all that
-// lowering reads of a solution. A re-solve that keeps every path, as a
-// capacity change usually does, routes the same as the result it
-// replaces. Two nil Results route alike.
+// SameRoutes reports whether r and o answer the same requests (IDs and
+// product graphs, in order) along the same paths, whatever their rates:
+// all that lowering reads of a solution but the rates, which size queues
+// and nothing else. A re-solve that keeps every path, as a capacity
+// change or a moved guaranteed rate usually does, routes the same as the
+// result it replaces. Two nil Results route alike.
 func (r *Result) SameRoutes(o *Result) bool {
 	if r == nil || o == nil || r == o {
 		return r == o
 	}
-	return slices.Equal(r.Requests, o.Requests) && maps.EqualFunc(r.Paths, o.Paths, slices.Equal[[]logical.Step])
+	return slices.EqualFunc(r.Requests, o.Requests, func(a, b Request) bool { return a.ID == b.ID && a.Graph == b.Graph }) &&
+		maps.EqualFunc(r.Paths, o.Paths, slices.Equal[[]logical.Step])
 }
 
 // builtModel is one constructed provisioning MIP plus the per-request

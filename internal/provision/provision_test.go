@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"slices"
 	"testing"
 
 	"merlin/internal/logical"
@@ -324,5 +325,50 @@ func BenchmarkSolveTwoPath(b *testing.B) {
 		if _, err := Solve(tp, reqs, MinMaxRatio, Params{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSameRoutesIgnoresRates: SameRoutes compares request IDs, product
+// graphs and paths, not rates, which size queues and nothing else. Fig.
+// 3's two requests share the narrow path at 50 MB/s each; a re-solve at
+// 40 MB/s keeps both paths and routes the same, one at 60 MB/s overflows
+// the narrow path and does not, nor does a request renamed or given
+// another graph object.
+func TestSameRoutesIgnoresRates(t *testing.T) {
+	tp := topo.TwoPath(400*topo.MBps, 100*topo.MBps)
+	reqs := fig3Requests(t, tp)
+	solve := func(reqs []Request) *Result {
+		t.Helper()
+		res, err := Solve(tp, reqs, WeightedShortestPath, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	withRate := func(rate float64) []Request {
+		out := slices.Clone(reqs)
+		out[0].MinRate = rate
+		return out
+	}
+	first := solve(reqs)
+	slower, faster := solve(withRate(40*topo.MBps)), solve(withRate(60*topo.MBps))
+	if slices.Equal(slower.Requests, first.Requests) || !slower.SameRoutes(first) {
+		t.Fatalf("a rate move that keeps both paths: SameRoutes %v, paths %v vs %v",
+			slower.SameRoutes(first), slower.Paths, first.Paths)
+	}
+	if faster.SameRoutes(first) {
+		t.Fatalf("a rate move that moves a path routes the same: %v vs %v", faster.Paths, first.Paths)
+	}
+	renamed := slices.Clone(reqs)
+	renamed[0].ID = "c"
+	rebuilt := slices.Clone(reqs)
+	rebuilt[0] = req(t, tp, "a", "h1 .* h2", nil, 50*topo.MBps)
+	for name, o := range map[string][]Request{"renamed": renamed, "rebuilt graph": rebuilt} {
+		if solve(o).SameRoutes(first) {
+			t.Fatalf("%s request routes the same", name)
+		}
+	}
+	if !(*Result)(nil).SameRoutes(nil) || first.SameRoutes(nil) || (*Result)(nil).SameRoutes(first) {
+		t.Fatal("nil Results: only two nils route alike")
 	}
 }

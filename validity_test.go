@@ -211,6 +211,81 @@ func TestRiddenCapacityChangeKeepingPathsPatchesCodegen(t *testing.T) {
 	}
 }
 
+// TestRateChangeKeepingPathsPatchesCodegen: a guaranteed rate sizes queues
+// and nothing else, so a formula that moves a rate but no path re-reserves
+// the queues over the last rules instead of lowering again. On Ring(5,1)
+// with s1-s0 cut to 100 Mbps, x (h1_0 s1 s0 h0_0) and y (h2_0 s2 s1 s0
+// h0_0) are guaranteed 10 Mbps each and share a queue on s1's and s0's
+// out-ports. Moving x to 20 Mbps splits both (3 queues → 5) and patches;
+// moving it to 95 Mbps overflows s1-s0, moves a path and lowers. Every
+// target's output equals a cold compile, and the first result still
+// equals its own cold compile (the patch wrote nothing it shares).
+func TestRateChangeKeepingPathsPatchesCodegen(t *testing.T) {
+	ring := func() *Topology {
+		tp := Ring(5, 1, Gbps)
+		if _, err := tp.SetCableCapacity(tp.MustLookup("s1"), tp.MustLookup("s0"), 100*Mbps); err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	policy := func(tp *Topology, xRate string) *Policy {
+		ids := tp.Identities()
+		mac := func(h string) string { id, _ := ids.Of(tp.MustLookup(h)); return id.MAC }
+		pol, err := ParsePolicy(`[ x : (eth.src = `+mac("h1_0")+` and eth.dst = `+mac("h0_0")+`) -> .* ;
+			y : (eth.src = `+mac("h2_0")+` and eth.dst = `+mac("h0_0")+`) -> .* ],
+			min(x, `+xRate+`) and min(y, 10Mbps)`, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
+	}
+	for _, opts := range []Options{
+		{NoDefault: true, Targets: BackendNames()},
+		{NoDefault: true, Targets: BackendNames(), Greedy: true},
+	} {
+		tp := ring()
+		pol := policy(tp, "10Mbps")
+		c := NewCompiler(tp, nil, opts)
+		first, err := c.Compile(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first.IR.Queues) != 3 {
+			t.Fatalf("greedy=%v: %d queues at equal rates, want 3 (x and y share two)", opts.Greedy, len(first.IR.Queues))
+		}
+		for _, step := range []struct {
+			rate   string
+			queues int
+			moves  bool
+		}{{"20Mbps", 5, false}, {"95Mbps", -1, true}} {
+			base, prev := c.Stats(), c.Result()
+			next := policy(tp, step.rate)
+			if _, err := c.Update(Delta{Formula: next.Formula}); err != nil {
+				t.Fatal(err)
+			}
+			st, res := c.Stats(), c.Result()
+			got := [2]int{st.FullCodegens - base.FullCodegens, st.PatchedCodegens - base.PatchedCodegens}
+			want := [2]int{0, 1}
+			if step.moves {
+				want = [2]int{1, 0}
+			}
+			if got != want {
+				t.Fatalf("greedy=%v x=%s: full/patched codegens %v, want %v", opts.Greedy, step.rate, got, want)
+			}
+			if moved := !reflect.DeepEqual(res.Paths, prev.Paths); moved != step.moves {
+				t.Fatalf("greedy=%v x=%s: paths %v, moved %v, want %v", opts.Greedy, step.rate, res.Paths, moved, step.moves)
+			}
+			if step.queues >= 0 && len(res.IR.Queues) != step.queues {
+				t.Fatalf("greedy=%v x=%s: %d queues, want %d", opts.Greedy, step.rate, len(res.IR.Queues), step.queues)
+			}
+			cold := ring()
+			sameCompiled(t, "rate "+step.rate, res, policy(cold, step.rate), cold, nil, opts)
+		}
+		cold := ring()
+		sameCompiled(t, "first result", first, policy(cold, "10Mbps"), cold, nil, opts)
+	}
+}
+
 // TestReplacedPlacementAnswersCapsOnlyPass: a budget re-placement becomes
 // the last provisioning solution, so a caps-only pass reuses it — no
 // solve, no second re-placement — and patches caps.
