@@ -258,6 +258,18 @@ type deviceBudget struct {
 	target string
 }
 
+// maxStatements bounds a working policy's statement count (the totality
+// default included) and is the priority of its first statement:
+// classification rules sit at 100 + priority, so the top one,
+// 100 + maxStatements, is OpenFlow's largest 16-bit priority.
+const maxStatements = 65435
+
+// stmtPriority is the classification priority of the statement at index
+// idx of the working policy. Counting from the front rather than from
+// the end keeps a statement's priority, and so its rules, unchanged when
+// statements are appended; removing one shifts only those after it.
+func stmtPriority(idx int) int { return maxStatements - idx }
+
 func (run *runState) alloc(id string) Alloc {
 	if a, ok := run.allocs[id]; ok {
 		return a
@@ -278,6 +290,9 @@ func (c *Compiler) preprocessStage(pol *Policy, run *runState) error {
 	})
 	if err != nil {
 		return err
+	}
+	if n := len(work.Statements); n > maxStatements {
+		return fmt.Errorf("merlin: policy has %d statements, more than the %d that fit OpenFlow's 16-bit priorities", n, maxStatements)
 	}
 	run.work = work
 	run.res.Policy = work
@@ -414,7 +429,6 @@ func anchorOf(art *stmtArtifact) anchorKey {
 // is left to guaranteedPlans so the codegen patch path can skip it.
 func (c *Compiler) provisionStage(run *runState) error {
 	work := run.work
-	n := len(work.Statements)
 	run.reqStmt = map[string]int{}
 	for idx, s := range work.Statements {
 		if run.alloc(s.ID).Min <= 0 {
@@ -424,7 +438,7 @@ func (c *Compiler) provisionStage(run *runState) error {
 			ID: s.ID, Graph: run.graphs[idx], MinRate: run.alloc(s.ID).Min,
 		})
 		run.reqArts = append(run.reqArts, run.arts[idx])
-		run.reqStmt[s.ID] = n - idx
+		run.reqStmt[s.ID] = stmtPriority(idx)
 	}
 	if len(run.requests) == 0 {
 		// The cached solution (if any) no longer matches; it is dropped
@@ -567,7 +581,6 @@ func (c *Compiler) resolveTrees(run *runState) error {
 func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codegen.Plan {
 	rs := time.Now()
 	work := run.work
-	n := len(work.Statements)
 	// Every (destination, source) pair but a host to itself gets a plan,
 	// so Σ |dsts|·|srcs| bounds the count.
 	total := 0
@@ -590,7 +603,7 @@ func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codege
 					continue
 				}
 				plans = append(plans, codegen.Plan{
-					ID: s.ID, Predicate: s.Predicate, Priority: n - idx,
+					ID: s.ID, Predicate: s.Predicate, Priority: stmtPriority(idx),
 					Alloc: run.alloc(s.ID), Classify: classify,
 					SrcHost: src, DstHost: dst, Tree: tree,
 				})

@@ -77,10 +77,10 @@ func TestCountsPinned(t *testing.T) {
 			cnt{TC: 1}, cnt{TC: 1}, steady},
 		{"add", func() (*Diff, error) {
 			return c.Update(Delta{Add: added.Statements, Formula: formula(20*MBps, g0, g1, g2)})
-		}, cnt{OpenFlow: 9, Queues: 5}, cnt{OpenFlow: 4}, cnt{OpenFlow: 25, Queues: 15, TC: 1, Click: 1}},
+		}, cnt{OpenFlow: 5, Queues: 5}, cnt{}, cnt{OpenFlow: 25, Queues: 15, TC: 1, Click: 1}},
 		{"remove", func() (*Diff, error) {
 			return c.Update(Delta{Remove: []string{"g1"}, Formula: formula(20*MBps, g0, g2)})
-		}, cnt{OpenFlow: 16}, cnt{OpenFlow: 21, Queues: 5}, steady},
+		}, cnt{OpenFlow: 15}, cnt{OpenFlow: 20, Queues: 5}, steady},
 		{"link-down", func() (*Diff, error) { return c.ApplyTopo(LinkFailure(a, b)) },
 			cnt{OpenFlow: 8, Queues: 6}, cnt{OpenFlow: 8, Queues: 6}, steady},
 		{"link-up", func() (*Diff, error) { return c.ApplyTopo(LinkRecovery(a, b)) },

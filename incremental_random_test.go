@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"merlin"
+	"merlin/internal/codegen"
 	"merlin/internal/corpus"
 	"merlin/internal/topo"
 )
@@ -78,19 +79,6 @@ func randomIncrementalRun(t *testing.T, spec corpus.Spec, opts merlin.Options, s
 		}
 	}
 	var added []string
-	formula := func(mins, caps map[string]int) string {
-		var terms []string
-		for _, id := range slices.Sorted(maps.Keys(mins)) {
-			terms = append(terms, fmt.Sprintf("min(%s, %dMbps)", id, mins[id]))
-		}
-		for _, id := range slices.Sorted(maps.Keys(caps)) {
-			terms = append(terms, fmt.Sprintf("max(%s, %dMbps)", id, caps[id]))
-		}
-		if len(terms) == 0 {
-			return "true"
-		}
-		return strings.Join(terms, " and ")
-	}
 	hosts := tp.Hosts()
 	var cables, hostCables []topo.Link // switch-switch cables, host access cables
 	for _, l := range tp.Links() {
@@ -147,13 +135,13 @@ func randomIncrementalRun(t *testing.T, spec corpus.Spec, opts merlin.Options, s
 			}
 			newMins = maps.Clone(mins)
 			newMins[slices.Sorted(maps.Keys(mins))[rng.Intn(len(mins))]] = 1 + rng.Intn(30)
-			wire.Formula = formula(newMins, caps)
+			wire.Formula = wireFormula(newMins, caps)
 		case k == 4 || k == 5: // cap-only change
 			label = "cap change"
 			ids := append(slices.Clone(sourceIDs), added...)
 			newCaps = maps.Clone(caps)
 			newCaps[ids[rng.Intn(len(ids))]] = 100 + rng.Intn(900)
-			wire.Formula = formula(mins, newCaps)
+			wire.Formula = wireFormula(mins, newCaps)
 		case k == 6: // add or remove a best-effort statement
 			if len(added) > 0 && rng.Intn(2) == 0 {
 				label = "remove"
@@ -162,15 +150,13 @@ func randomIncrementalRun(t *testing.T, spec corpus.Spec, opts merlin.Options, s
 				newCaps = maps.Clone(caps)
 				delete(newCaps, id)
 				wire.Remove = []string{id}
-				wire.Formula = formula(mins, newCaps)
+				wire.Formula = wireFormula(mins, newCaps)
 				commit = func() { added = slices.Delete(added, i, i+1) }
 				break
 			}
 			label = "add"
 			id := fmt.Sprintf("be%d", next)
-			a, b := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
-			wire.Add = []string{fmt.Sprintf("%s : (eth.src = %s and eth.dst = %s and tcp.dst = %d) -> .*",
-				id, topo.MACOf(a), topo.MACOf(b), 9000+next)}
+			wire.Add = []string{randomBestEffort(rng, hosts, id, next)}
 			commit = func() { added, next = append(added, id), next+1 }
 		case k == 7: // placement change: a random nonempty subset per function
 			if len(sc.Placement) == 0 {
@@ -249,6 +235,30 @@ func randomIncrementalRun(t *testing.T, spec corpus.Spec, opts merlin.Options, s
 	return st.FullCodegens - base.FullCodegens, st.PatchedCodegens - base.PatchedCodegens, failed
 }
 
+// wireFormula renders guarantee (mins) and cap (caps) rates in Mbps by
+// statement ID as a formula in concrete syntax.
+func wireFormula(mins, caps map[string]int) string {
+	var terms []string
+	for _, id := range slices.Sorted(maps.Keys(mins)) {
+		terms = append(terms, fmt.Sprintf("min(%s, %dMbps)", id, mins[id]))
+	}
+	for _, id := range slices.Sorted(maps.Keys(caps)) {
+		terms = append(terms, fmt.Sprintf("max(%s, %dMbps)", id, caps[id]))
+	}
+	if len(terms) == 0 {
+		return "true"
+	}
+	return strings.Join(terms, " and ")
+}
+
+// randomBestEffort renders the n-th added best-effort statement: traffic
+// between two random hosts on its own TCP port.
+func randomBestEffort(rng *rand.Rand, hosts []topo.NodeID, id string, n int) string {
+	a, b := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+	return fmt.Sprintf("%s : (eth.src = %s and eth.dst = %s and tcp.dst = %d) -> .*",
+		id, topo.MACOf(a), topo.MACOf(b), 9000+n)
+}
+
 // checkCold compares the compiler's last result with a fresh Compile of
 // its policy and placement on a pristine copy of the topology brought to
 // the compiler's topology state.
@@ -290,4 +300,120 @@ func guaranteedAccess(sc *corpus.Scenario, hostCables []topo.Link) topo.Link {
 		}
 	}
 	panic("corpus scenario without a guarantee")
+}
+
+// TestStatementEditsStayLocal drives seeded random statement adds and
+// removes through Update under NoDefault. A statement's priority counts
+// from the front of the policy, so appending one must leave every earlier
+// statement's OpenFlow, P4 and TCAM entries byte-identical and remove
+// nothing from any of those targets, and removing statement k may rewrite
+// only the entries of statements k and later. Every step must still equal
+// a cold compile.
+func TestStatementEditsStayLocal(t *testing.T) {
+	targets := []string{"openflow", "p4", "tcam"}
+	opts := merlin.Options{NoDefault: true, Targets: targets}
+	specs := []corpus.Spec{
+		{Topo: "fattree-k4", Suite: "tenants", Tenants: 3, Guarantees: 2},
+		{Topo: "ring-8", Suite: "chains"},
+		{Topo: "ring-8", Suite: "besteffort"},
+	}
+	seeds, steps := 2, 16
+	if testing.Short() {
+		seeds, steps = 1, 10
+	}
+	var adds, removes int
+	for _, spec := range specs {
+		for seed := 1; seed <= seeds; seed++ {
+			spec.Seed = int64(seed)
+			sc, err := corpus.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp := sc.Topology
+			pol, err := merlin.ParsePolicy(sc.PolicyText, tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := merlin.NewCompiler(tp, sc.Placement, opts)
+			if _, err := c.Compile(pol); err != nil {
+				t.Fatal(err)
+			}
+			guaranteed := map[string]bool{}
+			for _, g := range sc.Guarantee {
+				guaranteed[g.ID] = g.RateBps > 0
+			}
+			rng := rand.New(rand.NewSource(spec.Seed))
+			for step := 0; step < steps; step++ {
+				// Best-effort statements only: a guarantee added or
+				// removed may re-route the others, which is not a
+				// priority effect.
+				prev := c.Result()
+				var ids, removable []string
+				for _, s := range prev.Policy.Statements {
+					ids = append(ids, s.ID)
+					if !guaranteed[s.ID] {
+						removable = append(removable, s.ID)
+					}
+				}
+				var wire merlin.WireDelta
+				kept := ids // the statements whose entries must not move
+				label := "add"
+				if len(removable) > 1 && rng.Intn(2) == 0 {
+					label = "remove"
+					id := removable[rng.Intn(len(removable))]
+					wire.Remove = []string{id}
+					kept = ids[:slices.Index(ids, id)]
+				} else {
+					wire.Add = []string{randomBestEffort(rng, tp.Hosts(), fmt.Sprintf("loc%d", step), step)}
+				}
+				d, err := c.DecodeDelta(wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diff, err := c.Update(d)
+				if err != nil {
+					t.Fatalf("%s seed %d step %d (%s): %v", spec.Topo, seed, step, label, err)
+				}
+				checkCold(t, c, spec, opts, step, label)
+				for _, name := range targets {
+					before := stmtEntries(t, tp, name, prev.IR, kept)
+					after := stmtEntries(t, tp, name, c.Result().IR, kept)
+					if !reflect.DeepEqual(before, after) {
+						t.Fatalf("%s seed %d step %d (%s): %s entries of the %d statements before the edit changed",
+							spec.Topo, seed, step, label, name, len(kept))
+					}
+					if rm := diff.Backends[name].Remove; label == "add" && len(rm) != 0 {
+						t.Fatalf("%s seed %d step %d: add removed %d %s entries, first %q",
+							spec.Topo, seed, step, len(rm), name, rm[0].Text)
+					}
+				}
+				if label == "add" {
+					adds++
+				} else {
+					removes++
+				}
+			}
+		}
+	}
+	if adds == 0 || removes == 0 {
+		t.Fatalf("ran %d adds and %d removes; want both", adds, removes)
+	}
+}
+
+// stmtEntries renders through one backend the rules prog lowered for the
+// given statements, in program order.
+func stmtEntries(t *testing.T, tp *merlin.Topology, target string, prog *codegen.Program, ids []string) []codegen.Entry {
+	t.Helper()
+	sub := &codegen.Program{}
+	for _, r := range prog.Rules {
+		if slices.Contains(ids, r.Stmt) {
+			sub.Rules = append(sub.Rules, r)
+		}
+	}
+	b, _ := codegen.Lookup(target)
+	art, err := b.Emit(tp, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art.Entries()
 }

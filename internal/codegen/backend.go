@@ -363,8 +363,6 @@ func toOpenFlowRule(r Rule) openflow.Rule {
 			acts[i] = openflow.SetVLAN{VLAN: op.Tag}
 		case OpClearTag:
 			acts[i] = openflow.StripVLAN{}
-		case OpDrop:
-			acts[i] = openflow.Drop{}
 		}
 	}
 	return openflow.Rule{Switch: r.Device, Priority: r.Priority, Match: m, Actions: acts}
@@ -372,8 +370,9 @@ func toOpenFlowRule(r Rule) openflow.Rule {
 
 // --- tc / iptables ----------------------------------------------------
 
-// TCArtifact is the tc backend's output: host-side tc rate caps and
-// iptables edge filters.
+// TCArtifact is the tc backend's output: host-side tc rate caps.
+// IPTables stays empty — the language has no drop form — and is kept
+// because the tool and experiment tables print its count.
 type TCArtifact struct {
 	TC       []HostCommand
 	IPTables []HostCommand
@@ -400,18 +399,8 @@ func (tcBackend) Name() string { return TargetTC }
 
 func (tcBackend) Emit(t *topo.Topology, prog *Program) (Artifact, error) {
 	art := &TCArtifact{}
-	ids := t.Identities()
 	for _, c := range prog.Caps {
 		art.TC = append(art.TC, CapCommand(c.Host, c.Stmt, c.MaxBps))
-	}
-	for _, f := range prog.Filters {
-		ident, _ := ids.Of(f.Host)
-		art.IPTables = append(art.IPTables, HostCommand{
-			Host: f.Host,
-			Kind: "iptables",
-			Command: fmt.Sprintf("iptables -A OUTPUT -m merlin --stmt %s -s %s -j DROP",
-				f.Stmt, ident.IP),
-		})
 	}
 	return art, nil
 }

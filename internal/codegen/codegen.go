@@ -6,8 +6,8 @@
 // registered backends (Register / Lookup) then render that Program into
 // concrete dataplane form. The built-in backends reproduce the paper's
 // targets: OpenFlow rules using tags to pin forwarding paths
-// (FlowTags-style) plus QoS queue configurations, tc/iptables commands for
-// host-side rate limits and filters, Click configurations for middlebox
+// (FlowTags-style) plus QoS queue configurations, tc commands for
+// host-side rate limits, Click configurations for middlebox
 // packet-processing functions, and end-host interpreter programs. New
 // device families (P4, eBPF, vendor CLIs) plug in by implementing Backend
 // against the same IR.
@@ -47,7 +47,11 @@ type Plan struct {
 	ID        string
 	Predicate pred.Pred
 	// Priority orders classification: earlier statements shadow later
-	// ones (first-match). Higher values win.
+	// ones (first-match). Higher values win, and only their order
+	// matters to lowering; classification rules are installed at
+	// 100 + Priority, so a Priority above 65435 overflows OpenFlow's
+	// 16-bit priorities. The compiler counts it down from the front of
+	// the policy, so appending a statement moves no earlier one.
 	Priority int
 	Alloc    policy.Alloc
 	Classify Classify
@@ -59,9 +63,6 @@ type Plan struct {
 	// sink tree for best-effort ones. Exactly one must be set.
 	Path []logical.Step
 	Tree *sinktree.Tree
-
-	// Drop marks statements whose traffic must be filtered at the edge.
-	Drop bool
 }
 
 // HostCommand is a generated end-host configuration line.

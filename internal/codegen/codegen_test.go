@@ -281,61 +281,6 @@ func TestClassificationPriorities(t *testing.T) {
 	}
 }
 
-func TestDropPlan(t *testing.T) {
-	tp := topo.Linear(2, topo.Gbps)
-	h1, h2 := tp.MustLookup("h1"), tp.MustLookup("h2")
-	pair := pairPred(t, tp, h1, h2)
-	port := func(p string) pred.Pred { return pred.Test{Field: "tcp.dst", Value: p} }
-	for _, tc := range []struct {
-		name    string
-		pred    pred.Pred
-		dropped []uint16 // tcp.dst ports the drop rule must catch
-		passed  []uint16 // ports it must not
-	}{
-		{"one cube", pair, []uint16{80, 443}, nil},
-		{"two cubes", pred.Conj(pair, pred.Or{L: port("80"), R: port("443")}), []uint16{80, 443}, []uint16{22}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plans := []Plan{{
-				ID: "blocked", Predicate: tc.pred, Priority: 30,
-				Alloc: policy.Unconstrained, SrcHost: h1, DstHost: h2, Drop: true,
-			}}
-			prog, err := Lower(tp, plans)
-			if err != nil {
-				t.Fatal(err)
-			}
-			drops := 0
-			for _, r := range prog.Rules {
-				if len(r.Ops) == 1 && r.Ops[0].Kind == OpDrop {
-					drops++
-				}
-			}
-			if drops != 1 {
-				t.Fatalf("drop rules = %d, want 1", drops)
-			}
-			out := emitBuiltins(t, tp, plans)
-			if len(out.IPTables) != 1 {
-				t.Fatalf("iptables = %d, want 1", len(out.IPTables))
-			}
-			for _, p := range tc.dropped {
-				if tr := inject(t, tp, out, h1, h2, p); tr.Dropped != "dropped by rule" {
-					t.Errorf("tcp.dst %d: delivered=%v dropped=%q, want dropped by rule", p, tr.Delivered, tr.Dropped)
-				}
-			}
-			for _, p := range tc.passed {
-				if tr := inject(t, tp, out, h1, h2, p); tr.Dropped == "dropped by rule" {
-					t.Errorf("tcp.dst %d: dropped by the drop rule", p)
-				}
-			}
-		})
-	}
-}
-
-// TestClassifierExpansionSharedAcrossPlans pins the per-Lower selector
-// memo: plans sharing one predicate over several sink trees get one
-// classification rule per distinct positive cube per (ingress switch,
-// tag), in first-occurrence cube order, and a plan with a different
-// predicate gets its own expansion.
 func TestClassifierExpansionSharedAcrossPlans(t *testing.T) {
 	tp := topo.Star(3, 2, topo.Gbps)
 	port := func(p string) pred.Pred { return pred.Test{Field: "tcp.dst", Value: p} }

@@ -17,7 +17,7 @@ import (
 // seam between policy compilation and dataplane emission: everything a
 // concrete device config needs — classifier rules with tags and
 // priorities, queue reservations, rate caps, middlebox function
-// instances, host-side filters and functions — is decided here, once,
+// instances, host-side functions — is decided here, once,
 // deterministically. Backends (package-level Register) are pure renderers
 // from the IR into their native form, so every backend of the same
 // Program describes the same forwarding behavior.
@@ -58,8 +58,6 @@ const (
 	OpSetTag
 	// OpClearTag removes the path tag.
 	OpClearTag
-	// OpDrop discards the packet.
-	OpDrop
 )
 
 // Op is one operation of an IR rule's action sequence.
@@ -87,14 +85,6 @@ type CapSpec struct {
 	Host   topo.NodeID
 	Stmt   string
 	MaxBps float64
-}
-
-// FilterSpec is a host-side edge filter: traffic of the statement must be
-// dropped before it enters the network.
-type FilterSpec struct {
-	Host topo.NodeID
-	Stmt string
-	Pred pred.Pred
 }
 
 // FnSpec is one packet-processing function instance placed on a
@@ -128,7 +118,6 @@ type Program struct {
 	// (ReserveQueues).
 	Queues  []QueueConfig
 	Caps    []CapSpec
-	Filters []FilterSpec
 	Fns     []FnSpec
 	HostFns []HostFnSpec
 	// Tags maps statement IDs to the path tags allocated for them.
@@ -276,7 +265,7 @@ type classSel struct {
 
 // Lower turns plans into the target-neutral Program: path tags are
 // allocated, classification and forwarding rules laid out with conflict
-// retagging, filters and function instances recorded, and, last, queues
+// retagging, function instances recorded, and, last, queues
 // reserved by ReserveQueues at the guaranteed plans' rates (Alloc.Min).
 // The output is deterministic in the plan list. The host-side sections,
 // Caps and HostFns, are left to the caller: they read only the
@@ -315,8 +304,6 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	for _, i := range order {
 		p := plans[i]
 		switch {
-		case p.Drop:
-			g.lowerDrop(p)
 		case p.Path != nil:
 			if rates == nil {
 				rates = map[string]float64{}
@@ -371,27 +358,6 @@ func (g *lowerer) allocTag(id string) int {
 	}
 	g.prog.Tags[id] = append(g.prog.Tags[id], tag)
 	return tag
-}
-
-// lowerDrop installs an edge filter at the source host's ingress device —
-// one rule matching the full predicate — plus a host-side filter.
-func (g *lowerer) lowerDrop(p Plan) {
-	att, ok := g.t.Attachment(p.SrcHost)
-	if !ok {
-		return
-	}
-	g.prog.Rules = append(g.prog.Rules, Rule{
-		Device:   att,
-		Priority: 1000 + p.Priority,
-		Match:    Match{InPort: AnyPort, Tag: TagNone, Pred: p.Predicate},
-		Ops:      []Op{{Kind: OpDrop}},
-		Stmt:     p.ID,
-	})
-	g.prog.Filters = append(g.prog.Filters, FilterSpec{
-		Host: p.SrcHost,
-		Stmt: p.ID,
-		Pred: p.Predicate,
-	})
 }
 
 // lowerPath walks the path g.hops streams and lays out tag-switched
@@ -652,8 +618,6 @@ func FormatOps(ops []Op) string {
 			parts = append(parts, fmt.Sprintf("set_tag:%d", op.Tag))
 		case OpClearTag:
 			parts = append(parts, "clear_tag")
-		case OpDrop:
-			parts = append(parts, "drop")
 		}
 	}
 	return strings.Join(parts, ",")

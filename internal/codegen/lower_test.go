@@ -22,7 +22,7 @@ import (
 // reference the tree cut-off is held to: every plan's full path is
 // lowered hop by hop, and ByDestination classification is keyed by the
 // destination's MAC. It shares the lowerer's bookkeeping (tags,
-// selectors, drops, retagging), which the cut-off leaves as it was. It
+// selectors, retagging), which the cut-off leaves as it was. It
 // reserves each queue as it lowers the hop that first uses it, the way
 // the lowerer did before reservation became a pass (ReserveQueues), so
 // the pass is held to that order too.
@@ -79,8 +79,6 @@ func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
 	treeTags := map[*sinktree.Tree]int{}
 	for _, p := range ordered {
 		switch {
-		case p.Drop:
-			g.lowerDrop(p)
 		case p.Path != nil:
 			if err := g.lowerPath(p, p.Path, g.allocTag(p.ID), true); err != nil {
 				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
@@ -328,12 +326,8 @@ func (pg *planGen) plans() []Plan {
 			classify = ByDestination
 		}
 		base := Plan{ID: id, Predicate: pg.predicate(), Priority: pg.rng.Intn(n + 2), Alloc: alloc, Classify: classify}
-		switch k := pg.rng.Intn(8); {
-		case k == 0: // edge drop
-			p := base
-			p.Drop, p.SrcHost, p.DstHost = true, hosts[pg.rng.Intn(len(hosts))], hosts[0]
-			plans = append(plans, p)
-		case k <= 2: // guaranteed paths, interleaved by priority
+		switch k := pg.rng.Intn(7); {
+		case k <= 1: // guaranteed paths, interleaved by priority
 			for j := 0; j < 3; j++ {
 				src, dst := hosts[pg.rng.Intn(len(hosts))], hosts[pg.rng.Intn(len(hosts))]
 				if src == dst {
@@ -399,7 +393,7 @@ func checkLowerMatchesReference(t *testing.T, name string, tp *topo.Topology, pl
 // zoo topologies — tag-free expressions over one and several automaton
 // states, trees shared by statements classified by predicate and by
 // destination, guaranteed paths interleaved by priority, function
-// waypoints, drops and caps — lower to deeply equal Programs.
+// waypoints and caps — lower to deeply equal Programs.
 func TestLowerMatchesPerSourceLowering(t *testing.T) {
 	for seed := 1; seed <= randomSeeds(); seed++ {
 		if pg := randomPlanGen(t, seed); pg != nil {
@@ -533,7 +527,6 @@ func cloneProgram(p *Program) *Program {
 	}
 	c.Queues = slices.Clone(p.Queues)
 	c.Caps = slices.Clone(p.Caps)
-	c.Filters = slices.Clone(p.Filters)
 	c.Fns = slices.Clone(p.Fns)
 	c.HostFns = slices.Clone(p.HostFns)
 	c.Tags = maps.Clone(p.Tags)

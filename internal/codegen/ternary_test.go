@@ -62,7 +62,7 @@ func TestExpandProgram(t *testing.T) {
 			InPort: AnyPort, Tag: TagNone,
 			SrcMAC: "00:00:00:00:00:01",
 			Pred:   pred.Test{Field: "eth.src", Value: "00:00:00:00:00:09"},
-		}, Ops: []Op{{Kind: OpDrop}}, Stmt: "z"},
+		}, Ops: []Op{{Kind: OpForward, Port: 3}}, Stmt: "z"},
 	}}
 	tables, err := ExpandProgram(tp, prog, ternary.Options{})
 	if err != nil {

@@ -9,7 +9,7 @@
 // codegen.Register, so any policy the compiler accepts can target P4
 // hardware by adding "p4" to Options.Targets.
 //
-// Host-side sections of the IR (rate caps, edge filters, end-host
+// Host-side sections of the IR (rate caps, end-host
 // functions) are deliberately not rendered here: they configure end
 // hosts, not P4 switches, and remain the tc/host backends' business. A
 // caps-only policy update therefore leaves the P4 artifact untouched.
@@ -179,8 +179,6 @@ func actionFor(ops []codegen.Op) (string, []string) {
 			params = append(params, fmt.Sprintf("tag=%d", op.Tag))
 		case codegen.OpClearTag:
 			names = append(names, "pop_tag")
-		case codegen.OpDrop:
-			names = append(names, "drop")
 		}
 	}
 	if len(names) == 0 {

@@ -9,7 +9,7 @@
 // vendor shells: `tcam entry add ...` lines for the match table and
 // `scheduler port ...` lines for the queue reservations.
 //
-// Like p4, the host-side IR sections (caps, filters, host functions) are
+// Like p4, the host-side IR sections (caps, host functions) are
 // not rendered here — they configure end hosts, so a caps-only update
 // leaves the tcam artifact untouched and rides the incremental
 // compiler's artifact-sharing fast path.
