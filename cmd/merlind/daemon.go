@@ -31,6 +31,11 @@
 // *committed* is durable as a full-policy journal record. A direct
 // /v1/delta while a hub is live resets the hub (its sessions dissolve):
 // in hub mode, policy changes are expected to flow through proposals.
+// /v1/delta appends its adds after every kept statement, so a policy
+// ending in an explicit catch-all (say "zall : true -> .*") shadows
+// them: they compile, but their rules never match a packet. To put an
+// add in front, remove the catch-all in the same delta and add it back
+// last under a new ID (an add may not reuse a removed ID).
 package main
 
 import (

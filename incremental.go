@@ -338,7 +338,13 @@ func (c *Compiler) Stats() CompilerStats {
 // mean "unchanged".
 type Delta struct {
 	// Add appends statements to the policy (before the preprocessor's
-	// totality default, which is recomputed).
+	// totality default, which is recomputed). They land after every kept
+	// statement, so behind an explicit catch-all such as "zall : true ->
+	// .*" an added statement is shadowed and never matches a packet.
+	// A delta that removes the catch-all and adds it back under a new ID
+	// after the new statements puts them in front of it. Inserting
+	// before the catch-all by default would re-prioritize its rules on
+	// every add.
 	Add []Statement
 	// Remove drops statements by ID.
 	Remove []string

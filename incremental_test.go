@@ -316,7 +316,7 @@ func TestCompilerPlacementChange(t *testing.T) {
 // tenant's guarantees are confined by their path expressions to opposite
 // arcs of the ring, so provisioning decomposes into one link-disjoint
 // shard per tenant. bRate is tenant B's guarantee rate.
-func tenantRingPolicy(t *testing.T, tp *Topology, bRate string) *Policy {
+func tenantRingPolicy(t testing.TB, tp *Topology, bRate string) *Policy {
 	t.Helper()
 	ids := tp.Identities()
 	mac := func(host string) string {

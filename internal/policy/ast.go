@@ -10,7 +10,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -179,38 +178,27 @@ func Terms(f Formula) (maxes []Max, mins []Min, err error) {
 	}
 }
 
-// FormulaIDs returns the sorted set of statement identifiers a formula
-// mentions.
-func FormulaIDs(f Formula) []string {
-	set := map[string]bool{}
-	var walk func(Formula)
-	walk = func(f Formula) {
-		switch t := f.(type) {
-		case Max:
-			for _, id := range t.Expr.IDs {
-				set[id] = true
-			}
-		case Min:
-			for _, id := range t.Expr.IDs {
-				set[id] = true
-			}
-		case FAnd:
-			walk(t.L)
-			walk(t.R)
-		case FOr:
-			walk(t.L)
-			walk(t.R)
-		case FNot:
-			walk(t.F)
+// visitFormulaIDs calls visit on every statement identifier a formula
+// mentions, in formula order and with repeats.
+func visitFormulaIDs(f Formula, visit func(id string)) {
+	switch t := f.(type) {
+	case Max:
+		for _, id := range t.Expr.IDs {
+			visit(id)
 		}
+	case Min:
+		for _, id := range t.Expr.IDs {
+			visit(id)
+		}
+	case FAnd:
+		visitFormulaIDs(t.L, visit)
+		visitFormulaIDs(t.R, visit)
+	case FOr:
+		visitFormulaIDs(t.L, visit)
+		visitFormulaIDs(t.R, visit)
+	case FNot:
+		visitFormulaIDs(t.F, visit)
 	}
-	walk(f)
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FormatRate renders a bit-per-second rate using the policy units. The
@@ -235,9 +223,12 @@ func FormatRate(bps float64) string {
 }
 
 // Validate checks structural well-formedness: unique statement IDs and
-// formula identifiers referring to existing statements.
+// formula identifiers referring to existing statements. Of several
+// unknown formula identifiers it names the smallest. The walk over the
+// formula builds no identifier set, so a policy whose formula names
+// every statement costs one presized map.
 func (p *Policy) Validate() error {
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(p.Statements))
 	for _, s := range p.Statements {
 		if s.ID == "" {
 			return fmt.Errorf("policy: statement with empty identifier")
@@ -253,10 +244,14 @@ func (p *Policy) Validate() error {
 			return fmt.Errorf("policy: statement %q has no path expression", s.ID)
 		}
 	}
-	for _, id := range FormulaIDs(p.Formula) {
-		if !seen[id] {
-			return fmt.Errorf("policy: formula references unknown statement %q", id)
+	unknown, found := "", false
+	visitFormulaIDs(p.Formula, func(id string) {
+		if !seen[id] && (!found || id < unknown) {
+			unknown, found = id, true
 		}
+	})
+	if found {
+		return fmt.Errorf("policy: formula references unknown statement %q", unknown)
 	}
 	return nil
 }

@@ -464,6 +464,14 @@ func TestValidateFormulaUnknownID(t *testing.T) {
 	if err := pol.Validate(); err == nil {
 		t.Fatal("unknown formula id should fail validation")
 	}
+	// Of several unknown IDs the error names the smallest, wherever it
+	// sits in the formula.
+	pol.Formula = ConjFormula(pol.Formula,
+		Min{Expr: BandExpr{IDs: []string{"a", "zz"}}, Rate: 1},
+		FNot{F: Max{Expr: BandExpr{IDs: []string{"beta"}}, Rate: 1}})
+	if err := pol.Validate(); err == nil || !strings.Contains(err.Error(), `"beta"`) {
+		t.Fatalf("err = %v, want it to name \"beta\"", err)
+	}
 }
 
 func TestClassifyValue(t *testing.T) {

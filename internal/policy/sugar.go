@@ -15,10 +15,27 @@ type Env struct {
 	Sets map[string][]string
 }
 
-// Expand desugars the file into a flat policy: set bindings are resolved,
-// foreach loops are unrolled over cross products, and inline "at" rates
-// become formula terms.
+// Expand desugars the file into a flat, validated policy: the file's
+// formula conjoined with its inline rate terms, in source order.
 func (f *File) Expand(env Env) (*Policy, error) {
+	stmts, rates, err := f.Desugar(env)
+	if err != nil {
+		return nil, err
+	}
+	pol := &Policy{Statements: stmts, Formula: ConjFormula(append([]Formula{f.Formula}, rates...)...)}
+	if err := pol.Validate(); err != nil {
+		return nil, err
+	}
+	return pol, nil
+}
+
+// Desugar expands the file without validating it: set bindings are
+// resolved, foreach loops are unrolled over cross products, and each
+// inline "at" rate becomes a max or min term. The terms come back in
+// source order, not yet conjoined with the file's formula, so a caller
+// that joins the statements to others (a policy delta joins them to the
+// kept statements) builds the formula and validates the joined policy.
+func (f *File) Desugar(env Env) (stmts []Statement, rates []Formula, err error) {
 	sets := map[string][]string{}
 	for name, items := range env.Sets {
 		sets[name] = items
@@ -26,36 +43,32 @@ func (f *File) Expand(env Env) (*Policy, error) {
 	for _, b := range f.Bindings {
 		resolved, err := resolveItems(b.Items, sets)
 		if err != nil {
-			return nil, fmt.Errorf("policy: set %s: %w", b.Name, err)
+			return nil, nil, fmt.Errorf("policy: set %s: %w", b.Name, err)
 		}
 		sets[b.Name] = resolved
-	}
-	pol := &Policy{Formula: FTrue{}}
-	if f.Formula != nil {
-		pol.Formula = f.Formula
 	}
 	genID := 0
 	addRates := func(id string, atMax, atMin float64) {
 		if atMax > 0 {
-			pol.Formula = ConjFormula(pol.Formula, Max{Expr: BandExpr{IDs: []string{id}}, Rate: atMax})
+			rates = append(rates, Max{Expr: BandExpr{IDs: []string{id}}, Rate: atMax})
 		}
 		if atMin > 0 {
-			pol.Formula = ConjFormula(pol.Formula, Min{Expr: BandExpr{IDs: []string{id}}, Rate: atMin})
+			rates = append(rates, Min{Expr: BandExpr{IDs: []string{id}}, Rate: atMin})
 		}
 	}
 	for _, item := range f.Items {
 		switch it := item.(type) {
 		case StmtItem:
-			pol.Statements = append(pol.Statements, it.Stmt)
+			stmts = append(stmts, it.Stmt)
 			addRates(it.Stmt.ID, it.AtMax, it.AtMin)
 		case ForeachItem:
 			srcs, ok := sets[it.SetSrc]
 			if !ok {
-				return nil, fmt.Errorf("policy: unknown set %q in cross", it.SetSrc)
+				return nil, nil, fmt.Errorf("policy: unknown set %q in cross", it.SetSrc)
 			}
 			dsts, ok := sets[it.SetDst]
 			if !ok {
-				return nil, fmt.Errorf("policy: unknown set %q in cross", it.SetDst)
+				return nil, nil, fmt.Errorf("policy: unknown set %q in cross", it.SetDst)
 			}
 			for _, s := range srcs {
 				for _, d := range dsts {
@@ -70,16 +83,13 @@ func (f *File) Expand(env Env) (*Policy, error) {
 					if it.Path != nil {
 						path = substPath(it.Path, subst)
 					}
-					pol.Statements = append(pol.Statements, Statement{ID: id, Predicate: pr, Path: path})
+					stmts = append(stmts, Statement{ID: id, Predicate: pr, Path: path})
 					addRates(id, it.AtMax, it.AtMin)
 				}
 			}
 		}
 	}
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	return pol, nil
+	return stmts, rates, nil
 }
 
 // Parse is the convenience entry point: parse source and expand it with the

@@ -247,11 +247,16 @@ var (
 // exposes the set "hosts" bound to every host MAC, so policies can write
 // "foreach (s,d) in cross(hosts,hosts): ...".
 func ParsePolicy(src string, t *Topology) (*Policy, error) {
+	return policy.Parse(src, policyEnv(t))
+}
+
+// policyEnv is the sugar environment policies parse in against t.
+func policyEnv(t *Topology) policy.Env {
 	env := policy.Env{Sets: map[string][]string{}}
 	if t != nil {
 		env.Sets["hosts"] = t.Identities().MACs()
 	}
-	return policy.Parse(src, env)
+	return env
 }
 
 // CheckRefinement verifies that refined only restricts original (§4.2).

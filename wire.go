@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"merlin/internal/policy"
 )
 
 // Journal record kinds merlind writes (journal.Record.Kind). The payload
@@ -29,6 +31,11 @@ type WireDelta struct {
 	// Add lists statements to append, each in concrete syntax
 	// ("id : (pred) -> path", optionally with an "at min(...)" rate
 	// clause, which conjoins into the formula as in a full policy).
+	// A parse error names a position in the delta's own text, where
+	// Add[k] starts on line k+1 one column in (adds hold no newlines):
+	// an error at line L, column C lies in Add[L-1] at column C-1.
+	// Added statements append after every kept one, so an explicit
+	// catch-all ("zall : true -> .*") shadows them (see Delta.Add).
 	Add []string `json:"add,omitempty"`
 	// Remove lists statement IDs to drop.
 	Remove []string `json:"remove,omitempty"`
@@ -77,11 +84,18 @@ func WireTopoEvents(events []TopoEvent) []WireTopoEvent {
 }
 
 // DecodeDelta materializes a WireDelta against the compiler's current
-// policy: added statements and the replacement formula are parsed in the
-// context of the kept statements (so formulas may reference existing
-// IDs, and "at" rate clauses on added statements conjoin correctly),
-// yielding a Delta for Update. It does not apply anything — Update still
-// validates (duplicate adds, unknown removes) at application time.
+// policy, yielding a Delta for Update. It parses only the delta's own
+// text — "[" + the adds joined by ";\n " + "]", then ",\n" + the formula
+// when one is sent — and joins the parsed adds to the kept statements
+// as they are, so its cost does not grow with the policy. The joined
+// policy is validated once: an added ID that collides with any current
+// statement, kept or removed, or with another add is an error, and so
+// is a formula naming a removed or unknown statement. "at" rate clauses
+// on added statements conjoin into the sent formula, or into the current
+// one when none is sent. A delta that leaves the formula as it is
+// decodes with a nil Formula, and one that neither adds nor removes with
+// nil Add and Remove, preserving Update's identity fast paths. It does
+// not apply anything; Update still rejects unknown removes.
 func (c *Compiler) DecodeDelta(w WireDelta) (Delta, error) {
 	c.mu.Lock()
 	src := c.source
@@ -90,61 +104,69 @@ func (c *Compiler) DecodeDelta(w WireDelta) (Delta, error) {
 		return Delta{}, fmt.Errorf("merlin: Compiler.DecodeDelta called before the first Compile")
 	}
 
-	removed := make(map[string]bool, len(w.Remove))
-	for _, id := range w.Remove {
-		removed[id] = true
+	text := "[" + strings.Join(w.Add, ";\n ") + "]"
+	if w.Formula != "" {
+		text += ",\n" + w.Formula
 	}
-	current := make(map[string]bool, len(src.Statements))
-	var stmts []string
-	for _, s := range src.Statements {
-		current[s.ID] = true
-		if !removed[s.ID] {
-			stmts = append(stmts, s.String())
-		}
-	}
-	stmts = append(stmts, w.Add...)
-
-	var sb strings.Builder
-	sb.WriteString("[")
-	sb.WriteString(strings.Join(stmts, ";\n "))
-	sb.WriteString("]")
-	formulaChanged := w.Formula != ""
-	if formulaChanged {
-		sb.WriteString(",\n")
-		sb.WriteString(w.Formula)
-	} else if src.Formula != nil {
-		if f := src.Formula.String(); f != "true" {
-			sb.WriteString(",\n")
-			sb.WriteString(f)
-		}
-	}
-	pol, err := ParsePolicy(sb.String(), c.t)
+	f, err := policy.ParseFile(text)
 	if err != nil {
-		return Delta{}, fmt.Errorf("merlin: delta does not parse against the current policy: %w", err)
+		return Delta{}, fmt.Errorf("merlin: delta does not parse: %w", err)
+	}
+	// Only foreach reads the environment, whose "hosts" set costs a walk
+	// of the topology's identity table.
+	var env policy.Env
+	for _, it := range f.Items {
+		if _, ok := it.(policy.ForeachItem); ok {
+			env = policyEnv(c.t)
+			break
+		}
+	}
+	adds, rates, err := f.Desugar(env)
+	if err != nil {
+		return Delta{}, fmt.Errorf("merlin: delta does not parse: %w", err)
+	}
+	if len(adds) != len(w.Add) {
+		return Delta{}, fmt.Errorf("merlin: delta lists %d added statements but its text holds %d", len(w.Add), len(adds))
 	}
 
-	d := Delta{Remove: w.Remove, Place: w.Place}
-	for _, s := range pol.Statements {
-		if !current[s.ID] {
-			d.Add = append(d.Add, s)
+	// The joined policy: kept statements, then the adds. A formula-only
+	// delta shares the current statement slice.
+	post := &Policy{Statements: src.Statements, Formula: src.Formula}
+	if len(w.Remove) > 0 || len(adds) > 0 {
+		removed := make(map[string]bool, len(w.Remove)) // ID → names a current statement
+		for _, id := range w.Remove {
+			removed[id] = false
 		}
-	}
-	if len(d.Add) != len(w.Add) {
-		return Delta{}, fmt.Errorf("merlin: delta adds %d statements but %d parsed as new — an added ID collides with a kept statement", len(w.Add), len(d.Add))
-	}
-	// "at" clauses on added statements conjoin into the parsed formula,
-	// so the formula also changes when any add carried one. Compare
-	// canonical renderings; identical formulas stay nil to preserve
-	// Update's identity fast path.
-	if !formulaChanged {
-		oldF := "true"
-		if src.Formula != nil {
-			oldF = src.Formula.String()
+		post.Statements = make([]Statement, 0, len(src.Statements)+len(adds))
+		for _, s := range src.Statements {
+			if _, ok := removed[s.ID]; ok {
+				removed[s.ID] = true
+				continue
+			}
+			post.Statements = append(post.Statements, s)
 		}
-		formulaChanged = pol.Formula != nil && pol.Formula.String() != oldF
+		for _, s := range adds {
+			if removed[s.ID] {
+				return Delta{}, fmt.Errorf("merlin: delta adds %q, which collides with a removed statement", s.ID)
+			}
+		}
+		post.Statements = append(post.Statements, adds...)
 	}
-	if formulaChanged {
-		d.Formula = pol.Formula
+	// The formula changes when one is sent, or when the adds' rate
+	// terms (or a formula written into an add's text) conjoin onto the
+	// current one. The fold matches a full policy's: formulas in text
+	// order, then the rate terms in statement order.
+	d := Delta{Add: adds, Remove: w.Remove, Place: w.Place}
+	if _, nothing := policy.ConjFormula(append([]policy.Formula{f.Formula}, rates...)...).(policy.FTrue); w.Formula != "" || !nothing {
+		base := f.Formula
+		if w.Formula == "" {
+			base = policy.ConjFormula(base, src.Formula)
+		}
+		d.Formula = policy.ConjFormula(append([]policy.Formula{base}, rates...)...)
+		post.Formula = d.Formula
+	}
+	if err := post.Validate(); err != nil {
+		return Delta{}, fmt.Errorf("merlin: delta does not apply to the current policy: %w", err)
 	}
 	return d, nil
 }
