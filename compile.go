@@ -653,19 +653,28 @@ func (c *Compiler) emit(run *runState, prog *codegen.Program) (map[string]codege
 	}
 	arts := make(map[string]codegen.Artifact, len(c.targets))
 	for _, name := range c.targets {
-		b, _ := codegen.Lookup(name) // presence checked by checkTargets before the pipeline ran
-		var art codegen.Artifact
-		if te, ok := b.(codegen.TernaryEmitter); ok {
-			art, err = te.EmitTernary(c.t, prog, terns[name])
-		} else {
-			art, err = b.Emit(c.t, prog)
+		if arts[name], err = c.emitTarget(name, prog, terns); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("merlin: backend %s: %w", name, err)
-		}
-		arts[name] = art
 	}
 	return arts, nil
+}
+
+// emitTarget renders prog for one target, from its ternary tables when
+// the backend consumes them.
+func (c *Compiler) emitTarget(name string, prog *codegen.Program, terns map[string]*codegen.TernaryTables) (codegen.Artifact, error) {
+	b, _ := codegen.Lookup(name) // presence checked by checkTargets before the pipeline ran
+	var art codegen.Artifact
+	var err error
+	if te, ok := b.(codegen.TernaryEmitter); ok {
+		art, err = te.EmitTernary(c.t, prog, terns[name])
+	} else {
+		art, err = b.Emit(c.t, prog)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("merlin: backend %s: %w", name, err)
+	}
+	return art, nil
 }
 
 // ternaryStage expands the lowered program into ternary tables for the
@@ -860,51 +869,58 @@ func (c *Compiler) checkTargets() error {
 // functions) regenerated. When the guaranteed rates moved, queue
 // reservation (codegen.ReserveQueues, the one lowering pass a rate
 // reaches) re-runs over the previous rules at the new rates, copy-on-write
-// so the previous result is never written. If that moved a queue id or a
-// reservation, every target re-emits through codegenFull's emit step,
-// since queue ids appear in the OpenFlow, P4 and TCAM artifacts.
-// Otherwise only the tc and host backends re-emit, and every other
-// target's artifact — forwarding rules, queues, Click configurations, P4
-// table entries, tags — is shared outright with the previous result, so
-// its diff is empty by pointer identity.
+// so the previous result is never written, and reports the rules whose
+// queue id moved. Each target then costs what the pass changed for it:
+//   - tc and host re-emit, from the regenerated caps and host functions;
+//   - click is shared, since a patch never changes the function instances;
+//   - every other target is shared when no queue id or reservation moved;
+//   - otherwise openflow re-renders only the moved rules
+//     (codegen.PatchOpenFlow), and the rest re-emit as codegenFull's emit
+//     step does, after the same ternary stage: ternary targets from its
+//     tables, and table budgets checked against them.
+//
+// A shared artifact diffs as empty by pointer identity.
 func (c *Compiler) codegenPatch(run *runState) error {
 	cs := time.Now()
 	res := run.res
-	ir := c.last.IR
+	ir, moved := c.last.IR, []int(nil)
 	if run.sol != nil && !slices.Equal(run.sol.Requests, c.lowered.sol.Requests) {
 		rates := make(map[string]float64, len(run.requests))
 		for _, r := range run.requests {
 			rates[r.ID] = r.MinRate
 		}
-		ir = codegen.ReserveQueues(ir, rates)
+		ir, moved = codegen.ReserveQueues(ir, rates)
 	}
 	prog := *ir // shallow: rules/queues/filters/fns/tags shared
 	prog.Caps, prog.HostFns = c.hostConfig(run)
-	var arts map[string]codegen.Artifact
-	if ir != c.last.IR {
+	queuesMoved := ir != c.last.IR
+	var terns map[string]*codegen.TernaryTables
+	if queuesMoved {
 		var err error
-		if arts, err = c.emit(run, &prog); err != nil {
+		if terns, err = c.ternaryStage(run, &prog); err != nil {
 			return err
 		}
-	} else {
-		arts = make(map[string]codegen.Artifact, len(c.targets))
-		for _, name := range c.targets {
-			switch name {
-			case codegen.TargetTC, codegen.TargetHost:
-				b, _ := codegen.Lookup(name) // presence checked by checkTargets
-				art, err := b.Emit(c.t, &prog)
-				if err != nil {
-					// Unreachable for the built-ins; if it ever happens, a
-					// stale artifact (empty diff) is safe where an absent one
-					// would diff as "remove every cap".
-					arts[name] = c.last.Outputs[name]
-					continue
-				}
-				arts[name] = art
-			default:
-				arts[name] = c.last.Outputs[name]
+	}
+	arts := make(map[string]codegen.Artifact, len(c.targets))
+	for _, name := range c.targets {
+		prev := c.last.Outputs[name]
+		switch {
+		case name == codegen.TargetTC || name == codegen.TargetHost:
+			// re-emitted below, from the regenerated caps and host functions
+		case !queuesMoved || name == codegen.TargetClick:
+			arts[name] = prev
+			continue
+		case name == codegen.TargetOpenFlow:
+			if of, ok := prev.(*codegen.OpenFlowArtifact); ok {
+				arts[name] = codegen.PatchOpenFlow(of, &prog, moved)
+				continue
 			}
 		}
+		art, err := c.emitTarget(name, &prog, terns)
+		if err != nil {
+			return err
+		}
+		arts[name] = art
 	}
 	res.IR, res.Outputs = &prog, arts
 	res.Paths = c.last.Paths

@@ -64,8 +64,11 @@ func (d ArtifactDiff) Empty() bool { return len(d.Install) == 0 && len(d.Remove)
 // artifacts (the incremental compiler shares untouched artifacts across
 // results) diff as empty without rendering. Two OpenFlow artifacts (or
 // one and nil) are compared by rule value, and only the rules of a
-// changed class (see changedOpenFlowEntries) are rendered; the delta is
-// the one their full Entries give.
+// changed class (see changedOpenFlowEntries) are rendered, with the
+// queues only when they differ; the delta is the one their full Entries
+// give. A queue patch's artifact (PatchOpenFlow) keeps every rule at its
+// index and shares the unmoved rules' actions, so its diff compares
+// those by address and counts only the moved ones.
 func DiffArtifacts(backend string, old, new Artifact) ArtifactDiff {
 	d := ArtifactDiff{Backend: backend}
 	if old == new {
@@ -233,8 +236,18 @@ func classOf(r *openflow.Rule) flowClass {
 
 func keyOf(r *openflow.Rule) flowKey { return flowKey{classOf(r), r.Match} }
 
+// sameRule reports whether two rules are equal. Rules a patched artifact
+// kept share their action slice with the artifact they came from
+// (PatchOpenFlow), and one whose queues alone moved shares its rule
+// slice, so rules and actions compare by address first.
 func sameRule(a, b *openflow.Rule) bool {
-	return a.Switch == b.Switch && a.Priority == b.Priority && a.Match == b.Match && slices.Equal(a.Actions, b.Actions)
+	if a == b {
+		return true
+	}
+	if a.Switch != b.Switch || a.Priority != b.Priority || a.Match != b.Match || len(a.Actions) != len(b.Actions) {
+		return false
+	}
+	return len(a.Actions) == 0 || &a.Actions[0] == &b.Actions[0] || slices.Equal(a.Actions, b.Actions)
 }
 
 // openflowPair returns the two sides as OpenFlow artifacts when both are
@@ -256,10 +269,12 @@ func openflowPair(old, new Artifact) (o, n *OpenFlowArtifact, ok bool) {
 
 // changedOpenFlowEntries renders, in entry order, the rules of every
 // class whose multiset of keys differs between the two artifacts, and
-// all queues. Every occurrence of a text lies in one class, so a text
-// outside those classes occurs equally often on both sides, and the
-// text multiset over what is rendered here installs and removes exactly
-// the entries it would over the full Entries.
+// the queues when they differ. Every occurrence of a text lies in one
+// class, so a text outside those classes occurs equally often on both
+// sides, and the text multiset over what is rendered here installs and
+// removes exactly the entries it would over the full Entries. Equal
+// queue lists render to equal entries, and no rule text starts with
+// queuePrefix, so they too cancel exactly and are left out.
 func changedOpenFlowEntries(old, new *OpenFlowArtifact) (oldE, newE []Entry) {
 	// Equal rules at the same offset from either end cancel in the count
 	// below; skipping them keeps a recompile's unchanged runs out of it.
@@ -269,6 +284,19 @@ func changedOpenFlowEntries(old, new *OpenFlowArtifact) (oldE, newE []Entry) {
 	}
 	for len(o) > 0 && len(n) > 0 && sameRule(&o[len(o)-1], &n[len(n)-1]) {
 		o, n = o[:len(o)-1], n[:len(n)-1]
+	}
+	// Of equally long runs, only the pairs that differ are counted: an
+	// equal pair adds one to its key's count and takes one away. A queue
+	// patch (PatchOpenFlow) keeps every rule at its index, so its diff
+	// counts only the rules it re-rendered.
+	if len(o) == len(n) {
+		var no, nn []openflow.Rule
+		for i := range o {
+			if !sameRule(&o[i], &n[i]) {
+				no, nn = append(no, o[i]), append(nn, n[i])
+			}
+		}
+		o, n = no, nn
 	}
 	changed := map[flowClass]bool{}
 	// count[k] is o's number of rules with key k minus n's.
@@ -290,23 +318,31 @@ func changedOpenFlowEntries(old, new *OpenFlowArtifact) (oldE, newE []Entry) {
 			changed[k.flowClass] = true
 		}
 	}
-	return old.changedEntries(changed), new.changedEntries(changed)
-}
-
-// changedEntries renders the rules whose class is in changed, then the
-// queues. A rule on a switch no changed class names is passed over
-// before its class is built.
-func (a *OpenFlowArtifact) changedEntries(changed map[flowClass]bool) []Entry {
-	switches := make(map[topo.NodeID]bool, len(changed))
+	var switches []bool // switches[sw]: a changed class is on sw
 	for c := range changed {
+		if int(c.sw) >= len(switches) {
+			switches = append(switches, make([]bool, int(c.sw)+1-len(switches))...)
+		}
 		switches[c.sw] = true
 	}
+	queues := !slices.Equal(old.Queues, new.Queues)
+	return old.changedEntries(changed, switches, queues), new.changedEntries(changed, switches, queues)
+}
+
+// changedEntries renders the rules whose class is in changed, then, if
+// queues is set, the queues. A rule on a switch no changed class names
+// (switches, indexed by switch) is passed over before its class is
+// built.
+func (a *OpenFlowArtifact) changedEntries(changed map[flowClass]bool, switches []bool, queues bool) []Entry {
 	var out []Entry
 	for i := range a.Rules {
 		r := &a.Rules[i]
-		if switches[r.Switch] && changed[classOf(r)] {
+		if int(r.Switch) < len(switches) && switches[r.Switch] && changed[classOf(r)] {
 			out = append(out, Entry{Device: r.Switch, Text: r.String()})
 		}
+	}
+	if !queues {
+		return out
 	}
 	return a.appendQueues(out)
 }
@@ -325,6 +361,23 @@ func (openflowBackend) Emit(t *topo.Topology, prog *Program) (Artifact, error) {
 		art.Rules[i] = toOpenFlowRule(r)
 	}
 	return art, nil
+}
+
+// PatchOpenFlow renders prog's OpenFlow artifact from prev, the artifact
+// of a Program whose rules equal prog's but at the indices in moved (as
+// ReserveQueues reports them): prev's rules are copied, only the moved
+// ones are converted again, and the queues and tags are prog's. The
+// result equals what Emit gives for prog, and every rule not moved
+// shares its action slice with prev's, which is never written.
+func PatchOpenFlow(prev *OpenFlowArtifact, prog *Program, moved []int) *OpenFlowArtifact {
+	rules := prev.Rules
+	if len(moved) > 0 {
+		rules = slices.Clone(rules)
+		for _, i := range moved {
+			rules[i] = toOpenFlowRule(prog.Rules[i])
+		}
+	}
+	return &OpenFlowArtifact{Rules: rules, Queues: prog.Queues, Tags: prog.Tags}
 }
 
 func (b openflowBackend) Diff(old, new Artifact) ArtifactDiff {

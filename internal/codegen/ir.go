@@ -272,7 +272,8 @@ type classSel struct {
 // statements' allocations, so a caps-only change regenerates them
 // without lowering again. A guaranteed rate reaches nothing but the
 // queues, so a rate change that moves no path re-runs ReserveQueues over
-// the lowered rules instead of lowering again.
+// the lowered rules instead of lowering again. Plans that need more path
+// tags than the VLAN space holds fail with a *TagSpaceError.
 //
 // Plans sharing a sink tree share its tag, and a tree's forwarding state
 // is laid out once: every source's walk stops after the first product
@@ -288,7 +289,7 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		bound:      map[ruleKey]int{},
 		classBound: map[classKey]bool{},
 		sels:       map[string][]classSel{},
-		nextTag:    2, // tags 0/1 are reserved on real switches (VLAN semantics)
+		nextTag:    firstTag,
 	}
 	g.hops.prog = g.prog
 	// Stable order: guaranteed paths first (their classification has
@@ -309,14 +310,22 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 				rates = map[string]float64{}
 			}
 			rates[p.ID] = p.Alloc.Min
+			tag, err := g.allocTag(p.ID)
+			if err != nil {
+				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+			}
 			g.hops.fromSteps(p.ID, p.Path)
-			if err := g.lowerPath(p, g.allocTag(p.ID), true, nil); err != nil {
+			if err := g.lowerPath(p, tag, true, nil); err != nil {
 				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
 			}
 		case p.Tree != nil:
 			ts := trees[p.Tree]
 			if ts == nil {
-				ts = &treeState{tag: g.allocTag(p.ID)}
+				tag, err := g.allocTag(p.ID)
+				if err != nil {
+					return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+				}
+				ts = &treeState{tag: tag}
 				if tg := p.Tree.Graph(); tg.TagSource == nil {
 					ts.lowered = make([]bool, tg.NumVerts)
 				}
@@ -350,14 +359,38 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	return g.prog, nil
 }
 
-func (g *lowerer) allocTag(id string) int {
+// Path tags are VLAN ids from firstTag to maxTag: ids 0 and 1 are
+// reserved on real switches, and the top of the 12-bit space is left
+// unused.
+const (
+	firstTag = 2
+	maxTag   = 4093
+)
+
+// TagSpaceError reports a Lower call whose plans need more path tags
+// than the VLAN tag space holds: one per guaranteed statement, per sink
+// tree and per retag. Lower wraps it in the statement whose tag did not
+// fit, and stops there.
+type TagSpaceError struct {
+	// Count is the number of tags asked for when the space ran out, the
+	// one that did not fit included; Limit is the number the space holds.
+	Count, Limit int
+}
+
+func (e *TagSpaceError) Error() string {
+	return fmt.Sprintf("tag space exhausted: %d path tags needed, only %d fit", e.Count, e.Limit)
+}
+
+// allocTag hands plan id the next path tag, or a *TagSpaceError past
+// maxTag.
+func (g *lowerer) allocTag(id string) (int, error) {
 	tag := g.nextTag
-	g.nextTag++
-	if g.nextTag >= 4095 {
-		panic("codegen: tag space exhausted")
+	if tag > maxTag {
+		return 0, &TagSpaceError{Count: tag - firstTag + 1, Limit: maxTag - firstTag + 1}
 	}
+	g.nextTag++
 	g.prog.Tags[id] = append(g.prog.Tags[id], tag)
-	return tag
+	return tag, nil
 }
 
 // lowerPath walks the path g.hops streams and lays out tag-switched
@@ -459,7 +492,10 @@ func (g *lowerer) lowerHop(p Plan, locs []topo.NodeID, i int, tag *int, ingress,
 		}
 		// Conflict: this (device, tag, port) already forwards elsewhere.
 		// Retag the previous hop onto a fresh tag.
-		fresh := g.allocTag(p.ID)
+		fresh, err := g.allocTag(p.ID)
+		if err != nil {
+			return false, err
+		}
 		if err := g.retagPrevious(p, locs, i, *tag, fresh); err != nil {
 			return false, err
 		}

@@ -68,7 +68,7 @@ func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
 			prog:    &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, 2*len(plans))},
 			bound:   map[ruleKey]int{},
 			sels:    map[string][]classSel{},
-			nextTag: 2,
+			nextTag: firstTag,
 		},
 		classBound: map[refClassKey]bool{},
 		queueBound: map[queueKey]int{},
@@ -80,13 +80,20 @@ func referenceLower(t *topo.Topology, plans []Plan) (*Program, error) {
 	for _, p := range ordered {
 		switch {
 		case p.Path != nil:
-			if err := g.lowerPath(p, p.Path, g.allocTag(p.ID), true); err != nil {
+			tag, err := g.allocTag(p.ID)
+			if err == nil {
+				err = g.lowerPath(p, p.Path, tag, true)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
 			}
 		case p.Tree != nil:
 			tag, ok := treeTags[p.Tree]
 			if !ok {
-				tag = g.allocTag(p.ID)
+				var err error
+				if tag, err = g.allocTag(p.ID); err != nil {
+					return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+				}
 				treeTags[p.Tree] = tag
 			} else {
 				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], tag)
@@ -154,7 +161,10 @@ func (g refLowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed 
 		}
 		if idx, exists := g.bound[key]; exists {
 			if !sameOps(g.prog.Rules[idx].Ops, ops) {
-				fresh := g.allocTag(p.ID)
+				fresh, err := g.allocTag(p.ID)
+				if err != nil {
+					return err
+				}
 				if err := g.retagPrevious(p, locs, i, curTag, fresh); err != nil {
 					return err
 				}
@@ -443,8 +453,9 @@ func randomPlanGen(t *testing.T, seed int) *planGen {
 // lowering pass but queue reservation, so re-running ReserveQueues at
 // rates B over a Program lowered at rates A must give Lower's Program at
 // rates B, and must leave the Program it read as it was (copy-on-write).
-// Rates come from {5, 10, 10, 20} Mbps, so redraws both split and merge
-// shared queues and renumber them.
+// It must report exactly the rules whose ops it changed, and every other
+// rule must keep its op slice. Rates come from {5, 10, 10, 20} Mbps, so
+// redraws both split and merge shared queues and renumber them.
 func TestReserveQueuesMatchesLowerAtNewRates(t *testing.T) {
 	moved, kept, shared := 0, 0, 0
 	for seed := 1; seed <= randomSeeds(); seed++ {
@@ -470,10 +481,21 @@ func TestReserveQueuesMatchesLowerAtNewRates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Lower at rates A succeeded, at rates B: %v", seed, err)
 		}
-		got := ReserveQueues(progA, rates)
+		got, movedRules := ReserveQueues(progA, rates)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: queues re-reserved at rates B differ from Lower at rates B:\n got %v\nwant %v",
 				seed, got.Queues, want.Queues)
+		}
+		var differ []int
+		for i := range got.Rules {
+			if !slices.Equal(got.Rules[i].Ops, progA.Rules[i].Ops) {
+				differ = append(differ, i)
+			} else if len(got.Rules[i].Ops) > 0 && &got.Rules[i].Ops[0] != &progA.Rules[i].Ops[0] {
+				t.Fatalf("seed %d: rule %d kept its ops but not their slice", seed, i)
+			}
+		}
+		if !slices.Equal(movedRules, differ) {
+			t.Fatalf("seed %d: ReserveQueues reports rules %v moved, the ops of %v differ", seed, movedRules, differ)
 		}
 		if !reflect.DeepEqual(progA, before) {
 			t.Fatalf("seed %d: ReserveQueues wrote the Program it read", seed)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"merlin/internal/openflow"
@@ -185,15 +186,38 @@ func (g flowGen) variant(old *OpenFlowArtifact) *OpenFlowArtifact {
 	return &OpenFlowArtifact{Rules: rules, Queues: qs}
 }
 
+// patched derives a new artifact from old the way a queue patch does:
+// every rule stays at its index, some are mutated (the rest share their
+// action slices with old's), and the queues are old's own or have one
+// redrawn.
+func (g flowGen) patched(old *OpenFlowArtifact) *OpenFlowArtifact {
+	rules := slices.Clone(old.Rules)
+	for i := range rules {
+		if g.pick(5) == 0 {
+			rules[i] = g.mutate(rules[i])
+		}
+	}
+	qs := old.Queues
+	if len(qs) > 0 && g.pick(2) == 0 {
+		qs = slices.Clone(qs)
+		qs[g.pick(len(qs))] = g.queues(1)[0]
+	}
+	return &OpenFlowArtifact{Rules: rules, Queues: qs}
+}
+
+// TestDiffArtifactsOpenFlowMatchesText: the structural diff equals the
+// text diff on drawn pairs, queue patches among them, and renders no
+// queue entry for a pair whose queues are equal.
 func TestDiffArtifactsOpenFlowMatchesText(t *testing.T) {
 	g := flowGen{rand.New(rand.NewSource(5))}
+	equalQueues, unequalQueues := 0, 0
 	for i := 0; i < 1500; i++ {
 		old := &OpenFlowArtifact{Queues: g.queues(g.pick(4))}
 		for n := g.pick(30); len(old.Rules) < n; {
 			old.Rules = append(old.Rules, g.rule())
 		}
-		new := g.variant(old)
-		pairs := [][2]Artifact{{old, new}, {new, old}}
+		new, patched := g.variant(old), g.patched(old)
+		pairs := [][2]Artifact{{old, new}, {new, old}, {old, patched}, {patched, old}}
 		switch i % 4 {
 		case 0:
 			pairs = append(pairs, [2]Artifact{nil, new}, [2]Artifact{old, nil})
@@ -205,7 +229,22 @@ func TestDiffArtifactsOpenFlowMatchesText(t *testing.T) {
 			if want := textDiff(TargetOpenFlow, p[0], p[1]); !reflect.DeepEqual(got, want) {
 				t.Fatalf("case %d: structural diff\n%+v\nwant text diff\n%+v", i, got, want)
 			}
+			o, n, _ := openflowPair(p[0], p[1])
+			if len(o.Queues) == 0 || !reflect.DeepEqual(o.Queues, n.Queues) {
+				unequalQueues++
+				continue
+			}
+			equalQueues++
+			oldE, newE := changedOpenFlowEntries(o, n)
+			for _, e := range append(oldE, newE...) {
+				if strings.HasPrefix(e.Text, queuePrefix) {
+					t.Fatalf("case %d: equal queues rendered: %q", i, e.Text)
+				}
+			}
 		}
+	}
+	if equalQueues == 0 || unequalQueues == 0 {
+		t.Fatalf("%d pairs with equal queues, %d with unequal ones; want each > 0", equalQueues, unequalQueues)
 	}
 }
 

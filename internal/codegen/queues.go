@@ -30,20 +30,28 @@ type queueKey struct {
 // rules and their op slices are never written. A rule whose queue id
 // moves gets a fresh op slice in a fresh rule slice, and prog itself is
 // returned when no queue id and no reservation moved.
-func ReserveQueues(prog *Program, rates map[string]float64) *Program {
-	out := *prog
-	if !reserveQueues(&out, rates, false) {
-		return prog
+//
+// moved lists, in ascending order, the indices of the rules given a
+// fresh op slice; every other rule of the result equals prog's and
+// shares its op slice. It is what a backend re-renders (PatchOpenFlow):
+// the result may be a new Program with no rule moved, when only a
+// reservation did.
+func ReserveQueues(prog *Program, rates map[string]float64) (out *Program, moved []int) {
+	p := *prog
+	changed, moved := reserveQueues(&p, rates, false)
+	if !changed {
+		return prog, nil
 	}
-	return &out
+	return &p, moved
 }
 
 // reserveQueues runs the pass on p's own sections: it sets p.Queues and
 // each queue op's id, and reports whether any id or reservation moved.
 // owned says p's rules and op slices are the caller's to write, as
 // Lower's fresh ones are; otherwise p.Rules becomes a fresh slice, and a
-// rule's op slice a fresh one, before the first write to either.
-func reserveQueues(p *Program, rates map[string]float64, owned bool) bool {
+// rule's op slice a fresh one, before the first write to either, and
+// fresh lists the rules given one.
+func reserveQueues(p *Program, rates map[string]float64, owned bool) (moved bool, fresh []int) {
 	var queues []QueueConfig
 	bound := map[queueKey]int{}
 	next := map[topo.LinkID]int{}
@@ -73,11 +81,12 @@ func reserveQueues(p *Program, rates map[string]float64, owned bool) bool {
 			idMoved = true
 			if !opsFresh {
 				r.Ops, opsFresh = slices.Clone(r.Ops), true
+				fresh = append(fresh, i)
 			}
 			r.Ops[j].Queue = q
 		}
 	}
-	moved := idMoved || !slices.Equal(queues, p.Queues)
+	moved = idMoved || !slices.Equal(queues, p.Queues)
 	p.Queues = queues
-	return moved
+	return moved, fresh
 }

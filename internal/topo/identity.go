@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -20,6 +21,8 @@ type Identity struct {
 type IdentityTable struct {
 	byKey map[string]NodeID
 	byID  map[NodeID]Identity
+	// hosts lists the identities in node-ID order.
+	hosts []Identity
 }
 
 // MACOf returns the deterministic MAC assigned to node id:
@@ -37,20 +40,31 @@ func IPOf(id NodeID) string {
 	return fmt.Sprintf("10.%d.%d.%d", byte(v>>16), byte(v>>8), byte(v))
 }
 
-// Identities builds the identity table for every host in the topology.
+// Identities returns the identity table for every host in the topology.
+// A host's identity is a function of its ID and name, which AddNode fixes,
+// so the table is built on the first call after the last AddNode and
+// shared by every later one; callers must not modify it. Concurrent
+// callers are safe: each may build the table, and all get an equal one.
 func (t *Topology) Identities() *IdentityTable {
-	tab := &IdentityTable{
-		byKey: make(map[string]NodeID),
-		byID:  make(map[NodeID]Identity),
+	if tab := t.idents.Load(); tab != nil {
+		return tab
 	}
-	for _, h := range t.Hosts() {
+	hosts := t.Hosts()
+	tab := &IdentityTable{
+		byKey: make(map[string]NodeID, 3*len(hosts)),
+		byID:  make(map[NodeID]Identity, len(hosts)),
+		hosts: make([]Identity, 0, len(hosts)),
+	}
+	for _, h := range hosts {
 		node := t.Node(h)
 		ident := Identity{Node: h, Name: node.Name, MAC: MACOf(h), IP: IPOf(h)}
 		tab.byID[h] = ident
+		tab.hosts = append(tab.hosts, ident)
 		tab.byKey[strings.ToLower(node.Name)] = h
 		tab.byKey[ident.MAC] = h
 		tab.byKey[ident.IP] = h
 	}
+	t.idents.Store(tab)
 	return tab
 }
 
@@ -68,26 +82,13 @@ func (tab *IdentityTable) Of(n NodeID) (Identity, bool) {
 }
 
 // Hosts returns all host identities, in node-ID order.
-func (tab *IdentityTable) Hosts() []Identity {
-	var out []Identity
-	for _, ident := range tab.byID {
-		out = append(out, ident)
-	}
-	// insertion order from map is random; sort by node id
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Node < out[j-1].Node; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func (tab *IdentityTable) Hosts() []Identity { return slices.Clone(tab.hosts) }
 
 // MACs returns every host MAC in node-ID order, the natural set for the
 // foreach/cross sugar ("hosts").
 func (tab *IdentityTable) MACs() []string {
-	hosts := tab.Hosts()
-	out := make([]string, len(hosts))
-	for i, h := range hosts {
+	out := make([]string, len(tab.hosts))
+	for i, h := range tab.hosts {
 		out[i] = h.MAC
 	}
 	return out

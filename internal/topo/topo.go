@@ -11,6 +11,7 @@ package topo
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Kind classifies a topology node.
@@ -80,6 +81,9 @@ type Topology struct {
 	// the first failure, so static topologies pay nothing.
 	linkDown []bool
 	nodeDown []bool
+
+	// idents memoizes Identities; AddNode clears it.
+	idents atomic.Pointer[IdentityTable]
 }
 
 // New returns an empty topology.
@@ -102,6 +106,7 @@ func (t *Topology) AddNode(name string, kind Kind) NodeID {
 	t.out = append(t.out, nil)
 	t.in = append(t.in, nil)
 	t.byName[name] = id
+	t.idents.Store(nil)
 	return id
 }
 

@@ -198,6 +198,9 @@ type (
 	// placement's expanded ternary tables exceed some device's budget and
 	// budget-constrained re-placement was infeasible.
 	TableOverflowError = codegen.TableOverflowError
+	// TagSpaceError is the typed error a compile returns when its plans
+	// need more path tags than the VLAN tag space holds.
+	TagSpaceError = codegen.TagSpaceError
 )
 
 // Backend registry, re-exported from the codegen substrate: new device

@@ -1,6 +1,7 @@
 package merlin
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,6 +56,62 @@ func TestStatementCountGuard(t *testing.T) {
 	}
 	_, err = c.Update(Delta{Add: all[1:]})
 	check("update", c, err, 1)
+	if c.Result() != first {
+		t.Fatal("update: a rejected delta replaced the last result")
+	}
+}
+
+// TestTagSpaceGuard: one path tag per guaranteed statement, so 4,100
+// one-Mbps guarantees on a 16-host fat tree need more tags than the VLAN
+// space holds. Compile and Update return a TagSpaceError naming the
+// count and the limit instead of panicking, and a rejected Update keeps
+// the last result.
+func TestTagSpaceGuard(t *testing.T) {
+	tp := topo.FatTree(4, Gbps)
+	hosts := tp.Hosts()
+	ids := tp.Identities()
+	mac := func(h topo.NodeID) string { id, _ := ids.Of(h); return id.MAC }
+	const n = 4100
+	stmts := make([]string, n)
+	terms := make([]string, n)
+	for i := range stmts {
+		src, dst := hosts[i%16], hosts[(i%16+1+i/16%15)%16]
+		stmts[i] = fmt.Sprintf("g%d : (eth.src = %s and eth.dst = %s and tcp.dst = %d) -> .*", i, mac(src), mac(dst), 1000+i)
+		terms[i] = fmt.Sprintf("min(g%d, 1Mbps)", i)
+	}
+	parse := func(k int) *Policy {
+		pol, err := ParsePolicy("[ "+strings.Join(stmts[:k], " ;\n")+" ], "+strings.Join(terms[:k], " and "), tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
+	}
+	check := func(name string, err error) {
+		t.Helper()
+		var tse *TagSpaceError
+		if !errors.As(err, &tse) {
+			t.Fatalf("%s: error %v, want a TagSpaceError", name, err)
+		}
+		if tse.Count != tse.Limit+1 || tse.Limit != 4092 {
+			t.Fatalf("%s: %+v, want count 4093 past a limit of 4092", name, tse)
+		}
+		if want := "4093 path tags needed, only 4092 fit"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name the count and the limit (%q)", name, err, want)
+		}
+	}
+
+	c := NewCompiler(tp, nil, Options{NoDefault: true})
+	_, err := c.Compile(parse(n))
+	check("compile", err)
+
+	all := parse(n)
+	c = NewCompiler(tp, nil, Options{NoDefault: true})
+	first, err := c.Compile(parse(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Update(Delta{Add: all.Statements[4000:], Formula: all.Formula})
+	check("update", err)
 	if c.Result() != first {
 		t.Fatal("update: a rejected delta replaced the last result")
 	}

@@ -2,7 +2,10 @@ package merlin
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"merlin/internal/codegen"
 )
 
 // ringPolicy parses one best-effort statement x from h1_0 to h0_0 on a
@@ -217,7 +220,8 @@ func TestRiddenCapacityChangeKeepingPathsPatchesCodegen(t *testing.T) {
 // with s1-s0 cut to 100 Mbps, x (h1_0 s1 s0 h0_0) and y (h2_0 s2 s1 s0
 // h0_0) are guaranteed 10 Mbps each and share a queue on s1's and s0's
 // out-ports. Moving x to 20 Mbps splits both (3 queues → 5) and patches;
-// moving it to 95 Mbps overflows s1-s0, moves a path and lowers. Every
+// moving it to 95 Mbps overflows s1-s0, moves a path and lowers. The
+// patch re-renders only the OpenFlow rules whose queue moved. Every
 // target's output equals a cold compile, and the first result still
 // equals its own cold compile (the patch wrote nothing it shares).
 func TestRateChangeKeepingPathsPatchesCodegen(t *testing.T) {
@@ -278,11 +282,36 @@ func TestRateChangeKeepingPathsPatchesCodegen(t *testing.T) {
 			if step.queues >= 0 && len(res.IR.Queues) != step.queues {
 				t.Fatalf("greedy=%v x=%s: %d queues, want %d", opts.Greedy, step.rate, len(res.IR.Queues), step.queues)
 			}
+			if !step.moves {
+				sharesUnmovedRules(t, prev, res)
+			}
 			cold := ring()
 			sameCompiled(t, "rate "+step.rate, res, policy(cold, step.rate), cold, nil, opts)
 		}
 		cold := ring()
 		sameCompiled(t, "first result", first, policy(cold, "10Mbps"), cold, nil, opts)
+	}
+}
+
+// sharesUnmovedRules checks that a queue patch from prev to res re-rendered
+// only the OpenFlow rules whose IR ops moved: every other rule shares its
+// action slice with prev's artifact, and at least one rule moved.
+func sharesUnmovedRules(t *testing.T, prev, res *Result) {
+	t.Helper()
+	po := prev.Outputs[codegen.TargetOpenFlow].(*codegen.OpenFlowArtifact)
+	ro := res.Outputs[codegen.TargetOpenFlow].(*codegen.OpenFlowArtifact)
+	moved := 0
+	for i, r := range res.IR.Rules {
+		if !slices.Equal(r.Ops, prev.IR.Rules[i].Ops) {
+			moved++
+			continue
+		}
+		if a, b := ro.Rules[i].Actions, po.Rules[i].Actions; len(a) > 0 && &a[0] != &b[0] {
+			t.Fatalf("rule %d (%s) kept its queue but was rendered again", i, ro.Rules[i])
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no rule's queue moved")
 	}
 }
 
