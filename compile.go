@@ -151,8 +151,12 @@ type Timing struct {
 	GraphBuild  time.Duration
 	LPConstruct time.Duration
 	LPSolve     time.Duration
-	Rateless    time.Duration
-	Codegen     time.Duration
+	// Rateless is the best-effort phase: minimized product graphs and
+	// sink trees.
+	Rateless time.Duration
+	// Codegen is phase 4 from the plans on: building the codegen plans
+	// of the statements it lowers, lowering, and emitting every target.
+	Codegen time.Duration
 }
 
 // Total sums all phases.
@@ -216,7 +220,9 @@ func (r *Result) Counts() codegen.Counts {
 // Compile/Update methods instead, which reuse cached artifacts across
 // calls.
 func Compile(pol *Policy, t *Topology, place Placement, opts Options) (*Result, error) {
-	return NewCompiler(t, place, opts).Compile(pol)
+	c := NewCompiler(t, place, opts)
+	c.oneShot = true
+	return c.Compile(pol)
 }
 
 // runState carries one compilation pass over the Compiler's caches.
@@ -238,11 +244,12 @@ type runState struct {
 	usedGraphs  map[string]bool
 	usedTrees   map[treeKey]bool
 	// Provisioning products, shared between provisionStage (solve) and
-	// guaranteedPlans (assembly — skipped on the codegen patch path).
+	// plan assembly (skipped on the codegen patch path).
 	requests []provision.Request
-	reqArts  []*stmtArtifact
-	reqStmt  map[string]int // request ID -> statement priority
 	sol      *provision.Result
+	// lowered is what this pass's codegen generated its output from; it
+	// becomes the Compiler's when the pass commits.
+	lowered lowering
 	// Ternary products of the last codegenFull attempt: the resolved
 	// per-device budget set, and the per-device count of expanded entries
 	// owned by statements with no provisioning request — the entries a
@@ -426,10 +433,9 @@ func anchorOf(art *stmtArtifact) anchorKey {
 // or the greedy baseline when requested. An unchanged request set reuses
 // the cached solution outright; a rates-only change re-solves the same
 // model shape warm-started from the previous optimal basis. Plan assembly
-// is left to guaranteedPlans so the codegen patch path can skip it.
+// is left to codegenFull so the codegen patch path can skip it.
 func (c *Compiler) provisionStage(run *runState) error {
 	work := run.work
-	run.reqStmt = map[string]int{}
 	for idx, s := range work.Statements {
 		if run.alloc(s.ID).Min <= 0 {
 			continue
@@ -437,8 +443,6 @@ func (c *Compiler) provisionStage(run *runState) error {
 		run.requests = append(run.requests, provision.Request{
 			ID: s.ID, Graph: run.graphs[idx], MinRate: run.alloc(s.ID).Min,
 		})
-		run.reqArts = append(run.reqArts, run.arts[idx])
-		run.reqStmt[s.ID] = stmtPriority(idx)
 	}
 	if len(run.requests) == 0 {
 		// The cached solution (if any) no longer matches; it is dropped
@@ -456,25 +460,6 @@ func (c *Compiler) provisionStage(run *runState) error {
 		run.res.Timing.LPSolve = sol.SolveTime
 	}
 	return nil
-}
-
-// guaranteedPlans decodes the provisioning solution into codegen plans
-// and paths.
-func (c *Compiler) guaranteedPlans(run *runState) []codegen.Plan {
-	res := run.res
-	var plans []codegen.Plan
-	for ri, r := range run.requests {
-		steps := run.sol.Paths[r.ID]
-		stmt, _ := run.work.Statement(r.ID)
-		art := run.reqArts[ri]
-		plans = append(plans, codegen.Plan{
-			ID: r.ID, Predicate: stmt.Predicate, Priority: run.reqStmt[r.ID],
-			Alloc: run.alloc(r.ID), Classify: codegen.ByPredicate,
-			SrcHost: art.srcs[0], DstHost: art.dsts[0], Path: steps,
-		})
-		res.Paths[r.ID] = stepNames(c.t, steps)
-	}
-	return plans
 }
 
 // solveRequests serves the last provisioning solution while it answers
@@ -575,29 +560,53 @@ func (c *Compiler) resolveTrees(run *runState) error {
 	return nil
 }
 
-// bestEffortPlans appends the best-effort plans to plans, sequentially in
-// statement order, so the generated configuration is byte-identical to
-// the sequential compiler's.
-func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codegen.Plan {
-	rs := time.Now()
+// plans assembles the codegen plans of the statements from index from
+// on, sequentially in statement order, which is Lower's order: a
+// statement's priority falls with its index. A guaranteed statement
+// lowers to one plan along its provisioned path, a best-effort one to a
+// plan per (destination, source) pair but a host to itself, on the sink
+// tree to the destination. It records every statement's plan count in
+// run.lowered, the earlier statements' from the last lowering, and names
+// every guaranteed path in the result.
+func (c *Compiler) plans(run *runState, from int) []codegen.Plan {
 	work := run.work
+	n := len(work.Statements)
+	counts := make([]int, n)
+	copy(counts, c.lowered.plans[:from])
 	// Every (destination, source) pair but a host to itself gets a plan,
 	// so Σ |dsts|·|srcs| bounds the count.
 	total := 0
-	for _, idx := range run.bestEff {
-		total += len(run.arts[idx].dsts) * len(run.arts[idx].srcs)
+	for _, art := range run.arts[from:] {
+		total += len(art.dsts) * len(art.srcs)
 	}
-	plans = slices.Grow(plans, total)
-	j := 0
-	for _, idx := range run.bestEff {
-		s, art := work.Statements[idx], run.arts[idx]
+	plans := make([]codegen.Plan, 0, total)
+	tree := 0 // index in run.trees of the next best-effort statement's first tree
+	for idx, s := range work.Statements {
+		art := run.arts[idx]
+		if run.alloc(s.ID).Min > 0 {
+			path := run.sol.Paths[s.ID]
+			run.res.Paths[s.ID] = stepNames(c.t, path)
+			if idx >= from {
+				plans = append(plans, codegen.Plan{
+					ID: s.ID, Predicate: s.Predicate, Priority: stmtPriority(idx),
+					Alloc: run.alloc(s.ID), Classify: codegen.ByPredicate,
+					SrcHost: art.srcs[0], DstHost: art.dsts[0], Path: path,
+				})
+				counts[idx] = 1
+			}
+			continue
+		}
+		trees := run.trees[tree : tree+len(art.dsts)]
+		tree += len(art.dsts)
+		if idx < from {
+			continue
+		}
 		classify := codegen.ByPredicate
 		if art.pure {
 			classify = codegen.ByDestination
 		}
-		for _, dst := range art.dsts {
-			tree := run.trees[j]
-			j++
+		start := len(plans)
+		for j, dst := range art.dsts {
 			for _, src := range art.srcs {
 				if src == dst {
 					continue
@@ -605,14 +614,70 @@ func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codege
 				plans = append(plans, codegen.Plan{
 					ID: s.ID, Predicate: s.Predicate, Priority: stmtPriority(idx),
 					Alloc: run.alloc(s.ID), Classify: classify,
-					SrcHost: src, DstHost: dst, Tree: tree,
+					SrcHost: src, DstHost: dst, Tree: trees[j],
 				})
 			}
 		}
+		counts[idx] = len(plans) - start
 	}
-	run.res.Timing.Rateless += time.Since(rs)
+	run.lowered.plans = counts
 	return plans
 }
+
+// resumePoint returns how many leading statements of this pass lower to
+// the plans the last codegen lowered them to, and how many plans those
+// are: each has the same statement artifact as then (so the same ID,
+// predicate, endpoints and classification) at the same index (so the
+// same priority), and either the same guaranteed path or the same sink
+// trees. It is 0 when there is no state to resume, and when the state
+// would undo more than undoPerKept plans per plan it keeps. Lowering
+// reads the topology only through the plans' paths and trees and the
+// link table, which topology events leave as it is, so an event needs
+// no check of its own: a statement it re-routes has a new path or tree.
+func (c *Compiler) resumePoint(run *runState, state *codegen.Lowering) (stmts, plans int) {
+	l := &c.lowered
+	if state == nil {
+		return 0, 0
+	}
+	tree := 0
+	for idx, art := range run.arts {
+		if idx >= len(l.arts) || art != l.arts[idx] {
+			break
+		}
+		id := run.work.Statements[idx].ID
+		var path []logical.Step // the guaranteed path it was lowered along
+		if l.sol != nil {
+			path = l.sol.Paths[id]
+		}
+		if path != nil {
+			if run.alloc(id).Min <= 0 || !slices.Equal(run.sol.Paths[id], path) {
+				break
+			}
+		} else {
+			n := len(art.dsts)
+			if run.alloc(id).Min > 0 || !slices.Equal(run.trees[tree:tree+n], l.trees[tree:tree+n]) {
+				break
+			}
+			tree += n
+		}
+		stmts++
+		plans += l.plans[idx]
+	}
+	if undoPerKept*plans < state.Len()-plans {
+		return 0, 0
+	}
+	return stmts, plans
+}
+
+// undoPerKept is where resuming the lowering state stops paying: rolling
+// a plan back costs about an eighth of lowering it, so a resume that
+// undoes more than eight plans per plan it keeps is slower than lowering
+// every plan into an emptied state. internal/codegen's BenchmarkResume
+// measures it on a 16k-plan list: keeping 10 % lowers the rest as fast
+// as starting over, keeping 1 % takes 8 % longer, keeping 50 % 43 % less.
+// A link or switch event that re-routes a tree of the first statements
+// lands on the fresh side.
+const undoPerKept = 8
 
 // codegenFull runs phase 4: code generation (§3.4). The plans are lowered
 // once into the target-neutral IR; ternary-consuming backends (the v2
@@ -620,14 +685,52 @@ func (c *Compiler) bestEffortPlans(run *runState, plans []codegen.Plan) []codege
 // every other requested backend emits straight from the IR. A budget
 // violation surfaces as *codegen.TableOverflowError before any artifact
 // is emitted, so recompile can attempt a budget-constrained re-placement.
-func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
+//
+// Lowering resumes the last codegen's state (codegen.Lowering) past the
+// statements this pass shares with it (resumePoint): only the later
+// statements' plans are built and lowered, the IR is the previous one's
+// rules up to there plus theirs, and openflow re-renders only the rules
+// after that point and the ones before it whose ops moved
+// (codegen.PatchOpenFlow). Every other target re-emits. Without a point
+// to resume at, the pass empties the state and lowers every plan. The
+// state is taken from the last lowering record for the pass, so any
+// error drops it and the next pass starts from a new one. A one-shot
+// compile keeps no state: it lowers with codegen.Lower, which records
+// none of the undo logs a resume needs.
+func (c *Compiler) codegenFull(run *runState) error {
 	cs := time.Now()
-	prog, err := codegen.Lower(c.t, plans)
+	state := c.lowered.state
+	c.lowered.state = nil
+	from, keep := c.resumePoint(run, state)
+	plans := c.plans(run, from)
+	c.stats.PlansLowered += len(plans)
+	var (
+		prog  *codegen.Program
+		kept  int
+		moved []int
+		err   error
+	)
+	if c.oneShot {
+		prog, err = codegen.Lower(c.t, plans)
+	} else {
+		var prev *codegen.Program
+		switch {
+		case keep > 0:
+			prev = c.last.IR
+		case state == nil:
+			state = codegen.NewLowering(c.t)
+		}
+		rates := make(map[string]float64, len(run.requests))
+		for _, r := range run.requests {
+			rates[r.ID] = r.MinRate
+		}
+		prog, kept, moved, err = state.Resume(prev, keep, plans, rates)
+	}
 	if err != nil {
 		return err
 	}
 	prog.Caps, prog.HostFns = c.hostConfig(run)
-	arts, err := c.emit(run, prog)
+	arts, err := c.emit(run, prog, kept, moved)
 	if err != nil {
 		return err
 	}
@@ -638,6 +741,7 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 		placements[fn.Stmt] = append(placements[fn.Stmt], PlacementChoice{Fn: fn.Fn, Location: c.t.Node(fn.Node).Name})
 	}
 	run.res.IR, run.res.Outputs, run.res.Placements = prog, arts, placements
+	run.lowered.state = state
 	c.stats.FullCodegens++
 	run.res.Timing.Codegen = time.Since(cs)
 	return nil
@@ -645,14 +749,22 @@ func (c *Compiler) codegenFull(run *runState, plans []codegen.Plan) error {
 
 // emit renders prog for every target: ternary-consuming backends get
 // the pre-expanded, budget-checked tables of ternaryStage, and every
-// other backend emits straight from the IR.
-func (c *Compiler) emit(run *runState, prog *codegen.Program) (map[string]codegen.Artifact, error) {
+// other backend emits straight from the IR. With kept > 0, prog's first
+// kept rules are the last IR's but at moved (codegen.Lowering.Resume),
+// and openflow patches the last artifact instead.
+func (c *Compiler) emit(run *runState, prog *codegen.Program, kept int, moved []int) (map[string]codegen.Artifact, error) {
 	terns, err := c.ternaryStage(run, prog)
 	if err != nil {
 		return nil, err
 	}
 	arts := make(map[string]codegen.Artifact, len(c.targets))
 	for _, name := range c.targets {
+		if kept > 0 {
+			if of, ok := c.last.Outputs[name].(*codegen.OpenFlowArtifact); ok {
+				arts[name] = codegen.PatchOpenFlow(of, prog, kept, moved)
+				continue
+			}
+		}
 		if arts[name], err = c.emitTarget(name, prog, terns); err != nil {
 			return nil, err
 		}
@@ -912,7 +1024,7 @@ func (c *Compiler) codegenPatch(run *runState) error {
 			continue
 		case name == codegen.TargetOpenFlow:
 			if of, ok := prev.(*codegen.OpenFlowArtifact); ok {
-				arts[name] = codegen.PatchOpenFlow(of, &prog, moved)
+				arts[name] = codegen.PatchOpenFlow(of, &prog, len(prog.Rules), moved)
 				continue
 			}
 		}

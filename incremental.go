@@ -82,6 +82,9 @@ type Compiler struct {
 	// solution routes the same, patches that output's caps and queues
 	// instead of lowering again.
 	lowered lowering
+	// oneShot says no pass follows the first (the package-level Compile),
+	// so codegen keeps no lowering state to resume (codegenFull).
+	oneShot bool
 
 	// The artifact caches. anchored holds guaranteed statements' product
 	// graphs, graphs the minimized best-effort ones, and trees the sink
@@ -143,11 +146,17 @@ type treeKey struct {
 // lowering records what one codegen generated its output from: the
 // statement artifacts in statement order, the sink trees in resolution
 // order, and the provisioning solution, whose rates the output's queues
-// are reserved at.
+// are reserved at and whose paths the guaranteed plans followed. plans
+// counts each statement's plans, by statement index. state is the
+// lowerer's state after those plans, which the next codegen resumes past
+// the statements it shares with them (codegenFull); it is nil once a
+// codegen failed, and on a one-shot compile.
 type lowering struct {
 	arts  []*stmtArtifact
 	trees []*sinktree.Tree
 	sol   *provision.Result
+	plans []int
+	state *codegen.Lowering
 }
 
 // CompilerStats counts what the incremental compiler actually did — the
@@ -184,11 +193,19 @@ type CompilerStats struct {
 	ShardsSolved int
 	ShardsWarm   int
 	ShardsReused int
-	// FullCodegens and PatchedCodegens split phase 4 into full rule
-	// generation and the patch fast path (caps, and queues re-reserved
-	// when only guaranteed rates moved).
+	// FullCodegens and PatchedCodegens split phase 4 into rule generation
+	// (lowering from a fresh state or resuming the last one) and the patch
+	// fast path (caps, and queues re-reserved when only guaranteed rates
+	// moved).
 	FullCodegens    int
 	PatchedCodegens int
+	// PlansLowered totals the plans that went through the lowerer: every
+	// plan on a full codegen that lowers from scratch, only the plans of
+	// the statements after the kept prefix on a resumed one, none on a
+	// patch.
+	// An appended statement lowers its own plans, a removed statement k
+	// the plans of the statements after k.
+	PlansLowered int
 	// TopoEvents counts applied topology events (Delta.Topo / ApplyTopo).
 	// AnchoredInvalidated counts the anchored product graphs those events
 	// re-cut against the links down now: on a failure the graphs with an
@@ -495,9 +512,10 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	}
 	var err error
 	if c.patchableCodegen(run) {
+		run.lowered = c.lowered // the output keeps the rules it had
 		err = c.codegenPatch(run)
 	} else {
-		err = c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run)))
+		err = c.codegenFull(run)
 	}
 	if err != nil {
 		var of *codegen.TableOverflowError
@@ -513,12 +531,13 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 			return nil, err
 		}
 		res.Paths = map[string][]string{}
-		if err := c.codegenFull(run, c.bestEffortPlans(run, c.guaranteedPlans(run))); err != nil {
+		if err := c.codegenFull(run); err != nil {
 			return nil, err
 		}
 		c.stats.OverflowReplacements++
 	}
-	c.lowered = lowering{arts: run.arts, trees: run.trees, sol: run.sol}
+	run.lowered.arts, run.lowered.trees, run.lowered.sol = run.arts, run.trees, run.sol
+	c.lowered = run.lowered
 	c.source = pol
 	c.last = res
 	if len(run.requests) == 0 {

@@ -308,7 +308,11 @@ func guaranteedAccess(sc *corpus.Scenario, hostCables []topo.Link) topo.Link {
 // statement's OpenFlow, P4 and TCAM entries byte-identical and remove
 // nothing from any of those targets, and removing statement k may rewrite
 // only the entries of statements k and later. Every step must still equal
-// a cold compile.
+// a cold compile. Lowering resumes past the statements an edit keeps: an
+// add lowers only its own statement's plans, and removing statement k
+// only the plans of the statements after k (CompilerStats.PlansLowered),
+// unless the rollback would undo more than UndoPerKept plans per plan it
+// keeps, when every plan lowers from an emptied state.
 func TestStatementEditsStayLocal(t *testing.T) {
 	targets := []string{"openflow", "p4", "tcam"}
 	opts := merlin.Options{NoDefault: true, Targets: targets}
@@ -321,7 +325,7 @@ func TestStatementEditsStayLocal(t *testing.T) {
 	if testing.Short() {
 		seeds, steps = 1, 10
 	}
-	var adds, removes int
+	var adds, removes, resumedRemoves int
 	for _, spec := range specs {
 		for seed := 1; seed <= seeds; seed++ {
 			spec.Seed = int64(seed)
@@ -341,6 +345,31 @@ func TestStatementEditsStayLocal(t *testing.T) {
 			guaranteed := map[string]bool{}
 			for _, g := range sc.Guarantee {
 				guaranteed[g.ID] = g.RateBps > 0
+			}
+			// planCount is the number of plans a statement lowers to: one
+			// for a guarantee, and what a compile of it alone lowers for a
+			// best-effort statement.
+			counts := map[string]int{}
+			planCount := func(s merlin.Statement) int {
+				if guaranteed[s.ID] {
+					return 1
+				}
+				if n, ok := counts[s.ID]; ok {
+					return n
+				}
+				one := merlin.NewCompiler(tp, sc.Placement, opts)
+				if _, err := one.Compile(&merlin.Policy{Statements: []merlin.Statement{s}}); err != nil {
+					t.Fatal(err)
+				}
+				counts[s.ID] = one.Stats().PlansLowered
+				return counts[s.ID]
+			}
+			sumPlans := func(stmts []merlin.Statement) int {
+				n := 0
+				for _, s := range stmts {
+					n += planCount(s)
+				}
+				return n
 			}
 			rng := rand.New(rand.NewSource(spec.Seed))
 			for step := 0; step < steps; step++ {
@@ -370,11 +399,25 @@ func TestStatementEditsStayLocal(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				lowered := c.Stats().PlansLowered
 				diff, err := c.Update(d)
 				if err != nil {
 					t.Fatalf("%s seed %d step %d (%s): %v", spec.Topo, seed, step, label, err)
 				}
 				checkCold(t, c, spec, opts, step, label)
+				lowered = c.Stats().PlansLowered - lowered
+				now := c.Result().Policy.Statements
+				want := sumPlans(now[len(kept):])
+				if label == "remove" && len(kept) > 0 {
+					if keep := sumPlans(now[:len(kept)]); merlin.UndoPerKept*keep < sumPlans(prev.Policy.Statements)-keep {
+						want += keep // past the crossover: every plan lowers
+					} else {
+						resumedRemoves++
+					}
+				}
+				if lowered != want {
+					t.Fatalf("%s seed %d step %d (%s): lowered %d plans, want %d", spec.Topo, seed, step, label, lowered, want)
+				}
 				for _, name := range targets {
 					before := stmtEntries(t, tp, name, prev.IR, kept)
 					after := stmtEntries(t, tp, name, c.Result().IR, kept)
@@ -395,9 +438,11 @@ func TestStatementEditsStayLocal(t *testing.T) {
 			}
 		}
 	}
-	if adds == 0 || removes == 0 {
-		t.Fatalf("ran %d adds and %d removes; want both", adds, removes)
+	if adds == 0 || resumedRemoves == 0 {
+		t.Fatalf("ran %d adds and %d removes, %d of them resumed; want adds and resumed removes",
+			adds, removes, resumedRemoves)
 	}
+	t.Logf("%d adds, %d removes (%d resumed)", adds, removes, resumedRemoves)
 }
 
 // stmtEntries renders through one backend the rules prog lowered for the

@@ -66,9 +66,9 @@ func (d ArtifactDiff) Empty() bool { return len(d.Install) == 0 && len(d.Remove)
 // one and nil) are compared by rule value, and only the rules of a
 // changed class (see changedOpenFlowEntries) are rendered, with the
 // queues only when they differ; the delta is the one their full Entries
-// give. A queue patch's artifact (PatchOpenFlow) keeps every rule at its
-// index and shares the unmoved rules' actions, so its diff compares
-// those by address and counts only the moved ones.
+// give. A patched artifact (PatchOpenFlow) keeps every rule before the
+// patch's cut at its index and shares the unmoved ones' actions, so its
+// diff compares those by address and counts only the rest.
 func DiffArtifacts(backend string, old, new Artifact) ArtifactDiff {
 	d := ArtifactDiff{Backend: backend}
 	if old == new {
@@ -364,16 +364,22 @@ func (openflowBackend) Emit(t *topo.Topology, prog *Program) (Artifact, error) {
 }
 
 // PatchOpenFlow renders prog's OpenFlow artifact from prev, the artifact
-// of a Program whose rules equal prog's but at the indices in moved (as
-// ReserveQueues reports them): prev's rules are copied, only the moved
-// ones are converted again, and the queues and tags are prog's. The
-// result equals what Emit gives for prog, and every rule not moved
-// shares its action slice with prev's, which is never written.
-func PatchOpenFlow(prev *OpenFlowArtifact, prog *Program, moved []int) *OpenFlowArtifact {
+// of a Program whose first kept rules equal prog's but at the indices in
+// moved (as ReserveQueues or Lowering.Resume report them): prev's first
+// kept rules are copied, the moved ones and every rule from kept on are
+// converted, and the queues and tags are prog's. A queue patch keeps
+// every rule, kept = len(prog.Rules). The result equals what Emit gives
+// for prog, and every rule not converted shares its action slice with
+// prev's, which is never written.
+func PatchOpenFlow(prev *OpenFlowArtifact, prog *Program, kept int, moved []int) *OpenFlowArtifact {
 	rules := prev.Rules
-	if len(moved) > 0 {
-		rules = slices.Clone(rules)
+	if len(moved) > 0 || kept != len(prog.Rules) || kept != len(prev.Rules) {
+		rules = make([]openflow.Rule, len(prog.Rules))
+		copy(rules, prev.Rules[:kept])
 		for _, i := range moved {
+			rules[i] = toOpenFlowRule(prog.Rules[i])
+		}
+		for i := kept; i < len(rules); i++ {
 			rules[i] = toOpenFlowRule(prog.Rules[i])
 		}
 	}

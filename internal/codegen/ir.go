@@ -138,7 +138,9 @@ type lowerer struct {
 	// carries the statement's predicate (Plan.ID), so each predicate is
 	// expanded once per Lower and never hashed — hashing a large negated
 	// predicate once per plan costs more than expanding it.
-	sels    map[string][]classSel
+	sels map[string][]classSel
+	// trees holds the lowering state of each sink tree a plan rode.
+	trees   map[*sinktree.Tree]*treeState
 	nextTag int
 	// ingressAt is the path position of the plan being lowered's ingress
 	// switch, and ingress the classification rules that plan appended
@@ -149,13 +151,53 @@ type lowerer struct {
 	hops    hops
 	locBuf  []topo.NodeID
 	stepBuf []logical.Step
+
+	// undo says the lowerer records what a rollback needs: checkpoints[i]
+	// is the state before the i-th plan lowered, and the logs record, in
+	// order, what a rollback to a checkpoint reverts besides the appended
+	// rules and function instances (rollback). Lower, which never rolls
+	// back, records none of it.
+	undo        bool
+	checkpoints []checkpoint
+	// shared says prog.Rules is a handed-out Program's: it is never
+	// written again, and the next pass lowers into a fresh slice.
+	shared   bool
+	classLog []classKey   // classBound insertions
+	markLog  []mark       // cut-off marks
+	treeLog  []*treeState // trees insertions; a treeState's index is its place here
+	selLog   []string     // sels insertions
+	// tagLog records Tags appends as runs of appends to one statement ID
+	// (a statement's plans are consecutive), tags counting them all.
+	tagLog []tagRun
+	tags   int32
+	edits  []edit // rule-op rewrites and cut-off turn-offs
 }
 
-// treeState is one sink tree's lowering state within a Lower call: the
+// newLowerer returns the state of a Lower over no plans, with room for
+// the rules of n, recording undo logs when undo is set.
+func newLowerer(t *topo.Topology, n int, undo bool) *lowerer {
+	g := &lowerer{
+		t:          t,
+		ids:        t.Identities(),
+		prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, n)},
+		bound:      map[ruleKey]int{},
+		classBound: map[classKey]bool{},
+		sels:       map[string][]classSel{},
+		trees:      map[*sinktree.Tree]*treeState{},
+		nextTag:    firstTag,
+		undo:       undo,
+	}
+	g.hops.prog = g.prog
+	return g
+}
+
+// treeState is one sink tree's lowering state within a lowering: the
 // tag its plans share and, while the cut-off holds, the product vertices
 // whose path suffix has been lowered under that tag.
 type treeState struct {
-	tag int
+	tree  *sinktree.Tree
+	index int32 // in the lowerer's treeLog
+	tag   int
 	// lowered is nil when the cut-off is off: the tree's graph carries
 	// function tags (each source's path emits its own FnSpecs), or a retag
 	// rewrote rules under the tree's tag that an earlier walk lowered.
@@ -281,17 +323,12 @@ type classSel struct {
 // (lowerPath), so lowering a tree costs its size, not sources × path
 // length. Trees whose graph carries function tags walk full recovered
 // paths, since each source emits its own FnSpecs.
+//
+// Lower is a Lowering resumed from no plans, without the undo logs a
+// later resume would need: a caller that lowers lists sharing a prefix
+// keeps a Lowering and resumes it past the prefix.
 func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
-	g := &lowerer{
-		t:          t,
-		ids:        t.Identities(),
-		prog:       &Program{Tags: map[string][]int{}, Rules: make([]Rule, 0, len(plans))},
-		bound:      map[ruleKey]int{},
-		classBound: map[classKey]bool{},
-		sels:       map[string][]classSel{},
-		nextTag:    firstTag,
-	}
-	g.hops.prog = g.prog
+	g := newLowerer(t, len(plans), false)
 	// Stable order: guaranteed paths first (their classification has
 	// higher effective priority anyway), then by ID. The plans stay where
 	// they are; their indices are sorted.
@@ -300,63 +337,79 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		order[i] = int32(i)
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(plans[b].Priority, plans[a].Priority) })
-	trees := map[*sinktree.Tree]*treeState{}
 	var rates map[string]float64 // guaranteed plans' rates, by statement ID
 	for _, i := range order {
-		p := plans[i]
-		switch {
-		case p.Path != nil:
+		p := &plans[i]
+		if p.Path != nil {
 			if rates == nil {
 				rates = map[string]float64{}
 			}
 			rates[p.ID] = p.Alloc.Min
-			tag, err := g.allocTag(p.ID)
-			if err != nil {
-				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
-			}
-			g.hops.fromSteps(p.ID, p.Path)
-			if err := g.lowerPath(p, tag, true, nil); err != nil {
-				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
-			}
-		case p.Tree != nil:
-			ts := trees[p.Tree]
-			if ts == nil {
-				tag, err := g.allocTag(p.ID)
-				if err != nil {
-					return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
-				}
-				ts = &treeState{tag: tag}
-				if tg := p.Tree.Graph(); tg.TagSource == nil {
-					ts.lowered = make([]bool, tg.NumVerts)
-				}
-				trees[p.Tree] = ts
-			} else {
-				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], ts.tag)
-			}
-			if !p.Tree.Reaches(p.SrcHost) {
-				return nil, fmt.Errorf("codegen: statement %s: %s cannot reach %s under the path constraint",
-					p.ID, t.Node(p.SrcHost).Name, t.Node(p.DstHost).Name)
-			}
-			if ts.lowered != nil {
-				g.hops.fromWalk(p.ID, p.Tree, p.SrcHost)
-			} else {
-				steps := p.Tree.PathFromBuf(g.stepBuf, p.SrcHost)
-				if cap(steps) > cap(g.stepBuf) {
-					g.stepBuf = steps[:0]
-				}
-				g.hops.fromSteps(p.ID, steps)
-			}
-			if err := g.lowerPath(p, ts.tag, false, ts); err != nil {
-				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
-			}
-		default:
-			return nil, fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
+		}
+		if err := g.lowerPlan(p); err != nil {
+			return nil, err
 		}
 	}
 	if rates != nil { // else no guaranteed plan, so no queue op to reserve
-		reserveQueues(g.prog, rates, true)
+		reserveQueues(g.prog, rates, true, true)
 	}
 	return g.prog, nil
+}
+
+// lowerPlan lowers one plan, after a checkpoint of the state before it
+// when the lowerer records undo logs.
+func (g *lowerer) lowerPlan(p *Plan) error {
+	if g.undo {
+		g.checkpoints = append(g.checkpoints, g.checkpoint())
+	}
+	switch {
+	case p.Path != nil:
+		tag, err := g.allocTag(p.ID)
+		if err != nil {
+			return fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+		}
+		g.hops.fromSteps(p.ID, p.Path)
+		if err := g.lowerPath(p, tag, true, nil); err != nil {
+			return fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+		}
+	case p.Tree != nil:
+		ts := g.trees[p.Tree]
+		if ts == nil {
+			tag, err := g.allocTag(p.ID)
+			if err != nil {
+				return fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+			}
+			ts = &treeState{tree: p.Tree, index: int32(len(g.treeLog)), tag: tag}
+			if tg := p.Tree.Graph(); tg.TagSource == nil {
+				ts.lowered = make([]bool, tg.NumVerts)
+			}
+			g.trees[p.Tree] = ts
+			if g.undo {
+				g.treeLog = append(g.treeLog, ts)
+			}
+		} else {
+			g.appendTag(p.ID, ts.tag)
+		}
+		if !p.Tree.Reaches(p.SrcHost) {
+			return fmt.Errorf("codegen: statement %s: %s cannot reach %s under the path constraint",
+				p.ID, g.t.Node(p.SrcHost).Name, g.t.Node(p.DstHost).Name)
+		}
+		if ts.lowered != nil {
+			g.hops.fromWalk(p.ID, p.Tree, p.SrcHost)
+		} else {
+			steps := p.Tree.PathFromBuf(g.stepBuf, p.SrcHost)
+			if cap(steps) > cap(g.stepBuf) {
+				g.stepBuf = steps[:0]
+			}
+			g.hops.fromSteps(p.ID, steps)
+		}
+		if err := g.lowerPath(p, ts.tag, false, ts); err != nil {
+			return fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+		}
+	default:
+		return fmt.Errorf("codegen: statement %s has neither path nor tree", p.ID)
+	}
+	return nil
 }
 
 // Path tags are VLAN ids from firstTag to maxTag: ids 0 and 1 are
@@ -389,8 +442,22 @@ func (g *lowerer) allocTag(id string) (int, error) {
 		return 0, &TagSpaceError{Count: tag - firstTag + 1, Limit: maxTag - firstTag + 1}
 	}
 	g.nextTag++
-	g.prog.Tags[id] = append(g.prog.Tags[id], tag)
+	g.appendTag(id, tag)
 	return tag, nil
+}
+
+// appendTag records tag as one of plan id's path tags.
+func (g *lowerer) appendTag(id string, tag int) {
+	g.prog.Tags[id] = append(g.prog.Tags[id], tag)
+	if !g.undo {
+		return
+	}
+	g.tags++
+	if n := len(g.tagLog); n > 0 && g.tagLog[n-1].id == id {
+		g.tagLog[n-1].n++
+		return
+	}
+	g.tagLog = append(g.tagLog, tagRun{id: id, n: 1})
 }
 
 // lowerPath walks the path g.hops streams and lays out tag-switched
@@ -407,8 +474,8 @@ func (g *lowerer) allocTag(id string) (int, error) {
 // later hop would find its (switch, tag, in-port) key bound with equal
 // ops and change nothing. It marks the vertices it lowers as it goes. A
 // retag rewrites rules under the tree's tag, so it turns the cut-off off
-// for the rest of the Lower call.
-func (g *lowerer) lowerPath(p Plan, tag int, guaranteed bool, ts *treeState) error {
+// for the rest of the lowering.
+func (g *lowerer) lowerPath(p *Plan, tag int, guaranteed bool, ts *treeState) error {
 	h := &g.hops
 	prev, _ := h.next()
 	cur, ok := h.next()
@@ -434,7 +501,10 @@ func (g *lowerer) lowerPath(p Plan, tag int, guaranteed bool, ts *treeState) err
 			if err != nil {
 				return err
 			}
-			if retagged && ts != nil {
+			if retagged && ts != nil && ts.lowered != nil {
+				if g.undo {
+					g.edits = append(g.edits, edit{rule: -1, ts: ts, lowered: ts.lowered})
+				}
 				ts.lowered = nil
 			}
 			classified = true
@@ -444,6 +514,9 @@ func (g *lowerer) lowerPath(p Plan, tag int, guaranteed bool, ts *treeState) err
 				return nil
 			}
 			ts.lowered[cur.vert] = true
+			if g.undo {
+				g.markLog = append(g.markLog, mark{tree: ts.index, vert: int32(cur.vert)})
+			}
 		}
 		cur = nxt
 	}
@@ -459,7 +532,7 @@ func (g *lowerer) lowerPath(p Plan, tag int, guaranteed bool, ts *treeState) err
 // rule on *tag after it. A forwarding rule whose (switch, tag, in-port)
 // is bound with equal ops is shared; one bound with other ops moves the
 // path onto a fresh tag, which *tag then holds and retagged reports.
-func (g *lowerer) lowerHop(p Plan, locs []topo.NodeID, i int, tag *int, ingress, guaranteed, last bool) (retagged bool, err error) {
+func (g *lowerer) lowerHop(p *Plan, locs []topo.NodeID, i int, tag *int, ingress, guaranteed, last bool) (retagged bool, err error) {
 	node := locs[i]
 	inLink, ok := g.t.FindLink(locs[i-1], node)
 	if !ok {
@@ -487,7 +560,7 @@ func (g *lowerer) lowerHop(p Plan, locs []topo.NodeID, i int, tag *int, ingress,
 	}
 	key := ruleKey{sw: node, vlan: *tag, in: inLink.ID}
 	if idx, exists := g.bound[key]; exists {
-		if sameOps(g.prog.Rules[idx].Ops, ops) {
+		if sameOpsButQueue(g.prog.Rules[idx].Ops, ops) {
 			return false, nil
 		}
 		// Conflict: this (device, tag, port) already forwards elsewhere.
@@ -516,7 +589,7 @@ func (g *lowerer) lowerHop(p Plan, locs []topo.NodeID, i int, tag *int, ingress,
 // the packet arrives with the fresh tag. When that hop is the ingress, the
 // plan's own classification rules move onto the fresh tag; a rule another
 // plan's selector reused is never edited.
-func (g *lowerer) retagPrevious(p Plan, locs []topo.NodeID, i, oldTag, fresh int) error {
+func (g *lowerer) retagPrevious(p *Plan, locs []topo.NodeID, i, oldTag, fresh int) error {
 	// Find the previous switch hop.
 	for j := i - 1; j >= 1; j-- {
 		if g.t.Node(locs[j]).Kind != topo.Switch {
@@ -526,7 +599,7 @@ func (g *lowerer) retagPrevious(p Plan, locs []topo.NodeID, i, oldTag, fresh int
 			for _, idx := range g.ingress {
 				ops := slices.Clone(g.prog.Rules[idx].Ops)
 				ops[0].Tag = fresh
-				g.prog.Rules[idx].Ops = ops
+				g.rewriteOps(idx, ops)
 			}
 			return nil
 		}
@@ -536,16 +609,25 @@ func (g *lowerer) retagPrevious(p Plan, locs []topo.NodeID, i, oldTag, fresh int
 		if !ok {
 			return fmt.Errorf("retag: no prior rule at %s", g.t.Node(locs[j]).Name)
 		}
-		rule := &g.prog.Rules[idx]
-		rule.Ops = append([]Op{{Kind: OpSetTag, Tag: fresh}}, rule.Ops...)
+		g.rewriteOps(idx, append([]Op{{Kind: OpSetTag, Tag: fresh}}, g.prog.Rules[idx].Ops...))
 		return nil
 	}
 	return fmt.Errorf("retag: no prior switch hop")
 }
 
+// rewriteOps replaces the ops of an earlier rule, logging the ones it
+// had. Op slices are never written in place, so a Program that shares a
+// rule's old slice keeps it.
+func (g *lowerer) rewriteOps(idx int, ops []Op) {
+	if g.undo {
+		g.edits = append(g.edits, edit{rule: int32(idx), ops: g.prog.Rules[idx].Ops})
+	}
+	g.prog.Rules[idx].Ops = ops
+}
+
 // lowerClassification installs the ingress rules mapping untagged packets
 // of the statement onto the path tag.
-func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, tag int, fwd Op, last bool) {
+func (g *lowerer) lowerClassification(p *Plan, sw topo.NodeID, in topo.LinkID, tag int, fwd Op, last bool) {
 	var buf [2]Op
 	ops := append(buf[:0], Op{Kind: OpSetTag, Tag: tag}, fwd)
 	if last {
@@ -559,7 +641,7 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 		if g.classBound[key] {
 			return
 		}
-		g.classBound[key] = true
+		g.bindClass(key)
 		ident, _ := g.ids.Of(p.DstHost)
 		g.ingress = append(g.ingress, len(g.prog.Rules))
 		g.prog.Rules = append(g.prog.Rules, Rule{
@@ -575,7 +657,7 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 			if g.classBound[key] {
 				continue
 			}
-			g.classBound[key] = true
+			g.bindClass(key)
 			g.ingress = append(g.ingress, len(g.prog.Rules))
 			g.prog.Rules = append(g.prog.Rules, Rule{
 				Device:   sw,
@@ -588,11 +670,18 @@ func (g *lowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, ta
 	}
 }
 
+func (g *lowerer) bindClass(key classKey) {
+	g.classBound[key] = true
+	if g.undo {
+		g.classLog = append(g.classLog, key)
+	}
+}
+
 // selectors returns the distinct classification selectors of the plan's
 // predicate in first-occurrence cube order, expanding it at most once per
 // statement and Lower. When the expansion is too large, the full
 // predicate is the one selector.
-func (g *lowerer) selectors(plan Plan) []classSel {
+func (g *lowerer) selectors(plan *Plan) []classSel {
 	if sels, ok := g.sels[plan.ID]; ok {
 		return sels
 	}
@@ -617,6 +706,9 @@ func (g *lowerer) selectors(plan Plan) []classSel {
 		sels = append(sels, classSel{pred: cubePred, sel: sel})
 	}
 	g.sels[plan.ID] = sels
+	if g.undo {
+		g.selLog = append(g.selLog, plan.ID)
+	}
 	return sels
 }
 
@@ -628,12 +720,22 @@ func cubeToPred(cube []pred.Test) pred.Pred {
 	return pred.Conj(ps...)
 }
 
-func sameOps(a, b []Op) bool {
+// sameOpsButQueue reports whether two op lists are equal but for queue
+// ids: the comparison lowerHop makes between a bound rule and a hop's
+// fresh ops, which carry no queue yet. A resumed lowering's bound rules
+// may hold the queues a handed-out Program reserved (Lowering.Resume), and
+// ignoring them compares such a rule as it was before reservation. Nothing
+// else can differ in queue alone: the lowerer compares ops under one tag,
+// a guaranteed plan's tags are its own, and within one plan every op on a
+// port gets the same queue.
+func sameOpsButQueue(a, b []Op) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		x, y := a[i], b[i]
+		x.Queue, y.Queue = 0, 0
+		if x != y {
 			return false
 		}
 	}

@@ -165,7 +165,7 @@ func (g refLowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed 
 				if err != nil {
 					return err
 				}
-				if err := g.retagPrevious(p, locs, i, curTag, fresh); err != nil {
+				if err := g.retagPrevious(&p, locs, i, curTag, fresh); err != nil {
 					return err
 				}
 				curTag = fresh
@@ -192,6 +192,22 @@ func (g refLowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed 
 	return nil
 }
 
+// sameOps reports whether two op lists are equal, queue ids included:
+// the reference reserves queues as it lowers, so the ops it compares
+// carry them (the lowerer's own comparison, sameOpsButQueue, ignores
+// them).
+func sameOps(a, b []Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func (g refLowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, tag int, fwd Op, last bool) {
 	ops := []Op{{Kind: OpSetTag, Tag: tag}, fwd}
 	if last {
@@ -212,7 +228,7 @@ func (g refLowerer) lowerClassification(p Plan, sw topo.NodeID, in topo.LinkID, 
 			Ops:   ops, Stmt: p.ID,
 		})
 	default:
-		for _, s := range g.selectors(p) {
+		for _, s := range g.selectors(&p) {
 			key := refClassKey{sw: sw, vlan: tag, sel: s.sel}
 			if g.classBound[key] {
 				continue
@@ -565,6 +581,23 @@ func cloneProgram(p *Program) *Program {
 // hop. Whatever the source order and classification, Lower must match the
 // per-source lowering, retags and retag failures included.
 func TestLowerCutOffStopsAfterRetag(t *testing.T) {
+	tp, lists := cutOffRetagLists(t)
+	retagged := 0
+	for _, plans := range lists {
+		checkLowerMatchesReference(t, fmt.Sprintf("sources %v", srcHosts(plans)), tp, plans)
+		if prog, err := Lower(tp, plans); err == nil && len(prog.Tags["c"]) > len(plans) {
+			retagged++
+		}
+	}
+	if retagged < 4 {
+		t.Fatalf("%d lowerings retagged, want at least 4", retagged)
+	}
+}
+
+// cutOffRetagLists returns TestLowerCutOffStopsAfterRetag's topology and
+// plan lists: one statement's plans toward h2 on one tree, in seven
+// source orders, each classified by predicate and by destination.
+func cutOffRetagLists(t testing.TB) (*topo.Topology, [][]Plan) {
 	tp := topo.New()
 	x, y := tp.AddSwitch("x"), tp.AddSwitch("y")
 	ha, hb, h2 := tp.AddHost("ha"), tp.AddHost("hb"), tp.AddHost("h2")
@@ -584,9 +617,12 @@ func TestLowerCutOffStopsAfterRetag(t *testing.T) {
 	}
 	di, _ := tp.Identities().Of(h2)
 	toH2 := pred.Test{Field: "eth.dst", Value: di.MAC}
-	retagged := 0
+	var lists [][]Plan
 	for _, order := range [][]topo.NodeID{
 		{hb, ha, hd}, {hd, hb, ha}, {hb, ha, hd, hc}, {hb, hc, ha, hd}, {hd, ha, hb, hc},
+		// A retag of the second and third plans rewrites a rule of the
+		// first's.
+		{ha, hb, hd}, {ha, hd, hb, hc},
 	} {
 		for _, classify := range []Classify{ByPredicate, ByDestination} {
 			var plans []Plan
@@ -596,15 +632,18 @@ func TestLowerCutOffStopsAfterRetag(t *testing.T) {
 					Alloc: policy.Unconstrained, SrcHost: src, DstHost: h2, Tree: tree,
 				})
 			}
-			checkLowerMatchesReference(t, fmt.Sprintf("order %v", order), tp, plans)
-			if prog, err := Lower(tp, plans); err == nil && len(prog.Tags["c"]) > len(order) {
-				retagged++
-			}
+			lists = append(lists, plans)
 		}
 	}
-	if retagged < 4 {
-		t.Fatalf("%d lowerings retagged, want at least 4", retagged)
+	return tp, lists
+}
+
+func srcHosts(plans []Plan) []topo.NodeID {
+	out := make([]topo.NodeID, len(plans))
+	for i, p := range plans {
+		out[i] = p.SrcHost
 	}
+	return out
 }
 
 // TestLowerAllocatesPerRule lowers all-pairs ".*" on a k=8 fat tree, one

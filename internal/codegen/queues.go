@@ -38,7 +38,7 @@ type queueKey struct {
 // reservation did.
 func ReserveQueues(prog *Program, rates map[string]float64) (out *Program, moved []int) {
 	p := *prog
-	changed, moved := reserveQueues(&p, rates, false)
+	changed, moved := reserveQueues(&p, rates, false, false)
 	if !changed {
 		return prog, nil
 	}
@@ -47,18 +47,18 @@ func ReserveQueues(prog *Program, rates map[string]float64) (out *Program, moved
 
 // reserveQueues runs the pass on p's own sections: it sets p.Queues and
 // each queue op's id, and reports whether any id or reservation moved.
-// owned says p's rules and op slices are the caller's to write, as
-// Lower's fresh ones are; otherwise p.Rules becomes a fresh slice, and a
-// rule's op slice a fresh one, before the first write to either, and
-// fresh lists the rules given one.
-func reserveQueues(p *Program, rates map[string]float64, owned bool) (moved bool, fresh []int) {
+// rulesOwned says p's rules are the caller's to write, and opsOwned
+// their op slices too, as a fresh Lower's are; a rule slice not owned
+// becomes a fresh one before its first write, and an op slice not owned
+// likewise, fresh listing the rules given one.
+func reserveQueues(p *Program, rates map[string]float64, rulesOwned, opsOwned bool) (moved bool, fresh []int) {
 	var queues []QueueConfig
 	bound := map[queueKey]int{}
 	next := map[topo.LinkID]int{}
 	idMoved := false
 	for i := range p.Rules {
 		r := &p.Rules[i]
-		opsFresh := owned
+		opsFresh := opsOwned
 		for j, op := range r.Ops {
 			if op.Kind != OpForwardQueue {
 				continue
@@ -74,7 +74,7 @@ func reserveQueues(p *Program, rates map[string]float64, owned bool) (moved bool
 			if q == op.Queue {
 				continue
 			}
-			if !owned && !idMoved {
+			if !rulesOwned && !idMoved {
 				p.Rules = slices.Clone(p.Rules)
 				r = &p.Rules[i]
 			}
