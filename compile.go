@@ -244,13 +244,13 @@ type runState struct {
 	usedGraphs  map[string]bool
 	usedTrees   map[treeKey]bool
 	// Provisioning products, shared between provisionStage (solve) and
-	// plan assembly (skipped on the codegen patch path).
+	// plan assembly (skipped when codegen keeps every statement).
 	requests []provision.Request
 	sol      *provision.Result
 	// lowered is what this pass's codegen generated its output from; it
 	// becomes the Compiler's when the pass commits.
 	lowered lowering
-	// Ternary products of the last codegenFull attempt: the resolved
+	// Ternary products of the last ternaryStage run: the resolved
 	// per-device budget set, and the per-device count of expanded entries
 	// owned by statements with no provisioning request — the entries a
 	// budget-driven re-placement cannot move.
@@ -282,6 +282,16 @@ func (run *runState) alloc(id string) Alloc {
 		return a
 	}
 	return policy.Unconstrained
+}
+
+// rates maps each guaranteed statement's ID to its rate, which sizes its
+// queues.
+func (run *runState) rates() map[string]float64 {
+	rates := make(map[string]float64, len(run.requests))
+	for _, r := range run.requests {
+		rates[r.ID] = r.MinRate
+	}
+	return rates
 }
 
 // preprocessStage runs phase 0: preprocess and localize.
@@ -433,7 +443,7 @@ func anchorOf(art *stmtArtifact) anchorKey {
 // or the greedy baseline when requested. An unchanged request set reuses
 // the cached solution outright; a rates-only change re-solves the same
 // model shape warm-started from the previous optimal basis. Plan assembly
-// is left to codegenFull so the codegen patch path can skip it.
+// is left to codegenStage, which skips it for the statements it keeps.
 func (c *Compiler) provisionStage(run *runState) error {
 	work := run.work
 	for idx, s := range work.Statements {
@@ -629,16 +639,13 @@ func (c *Compiler) plans(run *runState, from int) []codegen.Plan {
 // are: each has the same statement artifact as then (so the same ID,
 // predicate, endpoints and classification) at the same index (so the
 // same priority), and either the same guaranteed path or the same sink
-// trees. It is 0 when there is no state to resume, and when the state
-// would undo more than undoPerKept plans per plan it keeps. Lowering
-// reads the topology only through the plans' paths and trees and the
-// link table, which topology events leave as it is, so an event needs
-// no check of its own: a statement it re-routes has a new path or tree.
-func (c *Compiler) resumePoint(run *runState, state *codegen.Lowering) (stmts, plans int) {
+// trees. It is the one check of what a pass reuses of the last output.
+// Lowering reads the topology only through the plans' paths and trees
+// and the link table, which topology events leave as it is, so an event
+// needs no check of its own: a statement it re-routes has a new path or
+// tree, and one whose graph it re-cuts but whose path it keeps is kept.
+func (c *Compiler) resumePoint(run *runState) (stmts, plans int) {
 	l := &c.lowered
-	if state == nil {
-		return 0, 0
-	}
 	tree := 0
 	for idx, art := range run.arts {
 		if idx >= len(l.arts) || art != l.arts[idx] {
@@ -663,9 +670,6 @@ func (c *Compiler) resumePoint(run *runState, state *codegen.Lowering) (stmts, p
 		stmts++
 		plans += l.plans[idx]
 	}
-	if undoPerKept*plans < state.Len()-plans {
-		return 0, 0
-	}
 	return stmts, plans
 }
 
@@ -679,97 +683,127 @@ func (c *Compiler) resumePoint(run *runState, state *codegen.Lowering) (stmts, p
 // lands on the fresh side.
 const undoPerKept = 8
 
-// codegenFull runs phase 4: code generation (§3.4). The plans are lowered
-// once into the target-neutral IR; ternary-consuming backends (the v2
+// codegenStage runs phase 4: code generation (§3.4). The plans are
+// lowered into the target-neutral IR; ternary-consuming backends (the v2
 // TernaryEmitter surface) get pre-expanded, budget-checked tables, and
 // every other requested backend emits straight from the IR. A budget
 // violation surfaces as *codegen.TableOverflowError before any artifact
 // is emitted, so recompile can attempt a budget-constrained re-placement.
 //
-// Lowering resumes the last codegen's state (codegen.Lowering) past the
-// statements this pass shares with it (resumePoint): only the later
-// statements' plans are built and lowered, the IR is the previous one's
-// rules up to there plus theirs, and openflow re-renders only the rules
-// after that point and the ones before it whose ops moved
-// (codegen.PatchOpenFlow). Every other target re-emits. Without a point
-// to resume at, the pass empties the state and lowers every plan. The
-// state is taken from the last lowering record for the pass, so any
-// error drops it and the next pass starts from a new one. A one-shot
-// compile keeps no state: it lowers with codegen.Lower, which records
-// none of the undo logs a resume needs.
-func (c *Compiler) codegenFull(run *runState) error {
+// Only the statements after the ones the pass keeps (resumePoint) are
+// lowered:
+//   - A pass that keeps every statement routes as the last one did (§4's
+//     bandwidth re-allocation without recompilation) and lowers nothing.
+//     Its IR is the last one's, with queues re-reserved copy-on-write
+//     (codegen.ReserveQueues, the one lowering pass a rate reaches) when
+//     the guaranteed rates moved, and the lowering state, paths,
+//     placements and plan counts are carried forward untouched.
+//   - Any other pass resumes the last codegen's state (codegen.Lowering)
+//     past the kept statements: only the later statements' plans are
+//     built and lowered, and the IR is the previous one's rules up to
+//     there plus theirs. Without a state to resume, or when resuming
+//     would undo more than undoPerKept plans per plan it keeps, it lowers
+//     every plan into an emptied state. The state is taken from the last
+//     lowering record, so any error drops it and the next pass starts
+//     from a new one. A one-shot compile keeps no state: it lowers with
+//     codegen.Lower, which records none of the undo logs a resume needs.
+//
+// Each target then costs what the pass changed for it. tc and host
+// re-emit from the regenerated caps and host functions. click is shared
+// when every statement is kept, since the function instances are the
+// last IR's; every other target is shared when the rules and queues are
+// the last IR's too, and the ternary stage is skipped. Otherwise
+// openflow re-renders only the rules after the kept ones and those at
+// moved (codegen.PatchOpenFlow), and the rest re-emit. A shared artifact
+// diffs as empty by pointer identity.
+func (c *Compiler) codegenStage(run *runState) error {
 	cs := time.Now()
-	state := c.lowered.state
-	c.lowered.state = nil
-	from, keep := c.resumePoint(run, state)
-	plans := c.plans(run, from)
-	c.stats.PlansLowered += len(plans)
+	from, keep := c.resumePoint(run)
+	all := c.last != nil && from == len(run.arts) && from == len(c.lowered.arts)
 	var (
-		prog  *codegen.Program
-		kept  int
-		moved []int
-		err   error
+		ir         *codegen.Program
+		kept       int
+		moved      []int
+		placements map[string][]PlacementChoice
 	)
-	if c.oneShot {
-		prog, err = codegen.Lower(c.t, plans)
+	if all {
+		run.lowered = c.lowered
+		ir, placements, run.res.Paths = c.last.IR, c.last.Placements, c.last.Paths
+		if run.sol != nil && !slices.Equal(run.sol.Requests, c.lowered.sol.Requests) {
+			ir, moved = codegen.ReserveQueues(ir, run.rates())
+		}
+		kept = len(ir.Rules)
 	} else {
-		var prev *codegen.Program
-		switch {
-		case keep > 0:
-			prev = c.last.IR
-		case state == nil:
-			state = codegen.NewLowering(c.t)
+		state := c.lowered.state
+		c.lowered.state = nil
+		if state == nil || undoPerKept*keep < state.Len()-keep {
+			from, keep = 0, 0
 		}
-		rates := make(map[string]float64, len(run.requests))
-		for _, r := range run.requests {
-			rates[r.ID] = r.MinRate
+		plans := c.plans(run, from)
+		c.stats.PlansLowered += len(plans)
+		var err error
+		if c.oneShot {
+			ir, err = codegen.Lower(c.t, plans)
+		} else {
+			var prev *codegen.Program
+			switch {
+			case keep > 0:
+				prev = c.last.IR
+			case state == nil:
+				state = codegen.NewLowering(c.t)
+			}
+			ir, kept, moved, err = state.Resume(prev, keep, plans, run.rates())
 		}
-		prog, kept, moved, err = state.Resume(prev, keep, plans, rates)
+		if err != nil {
+			return err
+		}
+		run.lowered.state = state
+		// Lower recorded every function instance on a plan's path, plans
+		// in statement order and each path in order: the placements,
+		// read off.
+		placements = map[string][]PlacementChoice{}
+		for _, fn := range ir.Fns {
+			placements[fn.Stmt] = append(placements[fn.Stmt], PlacementChoice{Fn: fn.Fn, Location: c.t.Node(fn.Node).Name})
+		}
 	}
-	if err != nil {
-		return err
-	}
+	prog := *ir // shallow: the host-side sections are this pass's own
 	prog.Caps, prog.HostFns = c.hostConfig(run)
-	arts, err := c.emit(run, prog, kept, moved)
-	if err != nil {
-		return err
-	}
-	// Lower recorded every function instance on a plan's path, plans in
-	// statement order and each path in order: the placements, read off.
-	placements := map[string][]PlacementChoice{}
-	for _, fn := range prog.Fns {
-		placements[fn.Stmt] = append(placements[fn.Stmt], PlacementChoice{Fn: fn.Fn, Location: c.t.Node(fn.Node).Name})
-	}
-	run.res.IR, run.res.Outputs, run.res.Placements = prog, arts, placements
-	run.lowered.state = state
-	c.stats.FullCodegens++
-	run.res.Timing.Codegen = time.Since(cs)
-	return nil
-}
-
-// emit renders prog for every target: ternary-consuming backends get
-// the pre-expanded, budget-checked tables of ternaryStage, and every
-// other backend emits straight from the IR. With kept > 0, prog's first
-// kept rules are the last IR's but at moved (codegen.Lowering.Resume),
-// and openflow patches the last artifact instead.
-func (c *Compiler) emit(run *runState, prog *codegen.Program, kept int, moved []int) (map[string]codegen.Artifact, error) {
-	terns, err := c.ternaryStage(run, prog)
-	if err != nil {
-		return nil, err
+	same := all && ir == c.last.IR // no rule, queue id or reservation moved
+	var terns map[string]*codegen.TernaryTables
+	if !same {
+		var err error
+		if terns, err = c.ternaryStage(run, &prog); err != nil {
+			return err
+		}
 	}
 	arts := make(map[string]codegen.Artifact, len(c.targets))
 	for _, name := range c.targets {
-		if kept > 0 {
+		switch {
+		case name == codegen.TargetTC || name == codegen.TargetHost:
+			// re-emitted below, from the regenerated caps and host functions
+		case same || all && name == codegen.TargetClick:
+			arts[name] = c.last.Outputs[name]
+			continue
+		case kept > 0:
 			if of, ok := c.last.Outputs[name].(*codegen.OpenFlowArtifact); ok {
-				arts[name] = codegen.PatchOpenFlow(of, prog, kept, moved)
+				arts[name] = codegen.PatchOpenFlow(of, &prog, kept, moved)
 				continue
 			}
 		}
-		if arts[name], err = c.emitTarget(name, prog, terns); err != nil {
-			return nil, err
+		art, err := c.emitTarget(name, &prog, terns)
+		if err != nil {
+			return err
 		}
+		arts[name] = art
 	}
-	return arts, nil
+	if all {
+		c.stats.PatchedCodegens++
+	} else {
+		c.stats.FullCodegens++
+	}
+	run.res.IR, run.res.Outputs, run.res.Placements = &prog, arts, placements
+	run.res.Timing.Codegen = time.Since(cs)
+	return nil
 }
 
 // emitTarget renders prog for one target, from its ternary tables when
@@ -975,88 +1009,8 @@ func (c *Compiler) checkTargets() error {
 	return nil
 }
 
-// codegenPatch is the fast path for a pass that routes as the last one
-// did (§4's bandwidth re-allocation without recompilation): the previous
-// pass's IR is shallow-copied with its cap-reachable sections (caps, host
-// functions) regenerated. When the guaranteed rates moved, queue
-// reservation (codegen.ReserveQueues, the one lowering pass a rate
-// reaches) re-runs over the previous rules at the new rates, copy-on-write
-// so the previous result is never written, and reports the rules whose
-// queue id moved. Each target then costs what the pass changed for it:
-//   - tc and host re-emit, from the regenerated caps and host functions;
-//   - click is shared, since a patch never changes the function instances;
-//   - every other target is shared when no queue id or reservation moved;
-//   - otherwise openflow re-renders only the moved rules
-//     (codegen.PatchOpenFlow), and the rest re-emit as codegenFull's emit
-//     step does, after the same ternary stage: ternary targets from its
-//     tables, and table budgets checked against them.
-//
-// A shared artifact diffs as empty by pointer identity.
-func (c *Compiler) codegenPatch(run *runState) error {
-	cs := time.Now()
-	res := run.res
-	ir, moved := c.last.IR, []int(nil)
-	if run.sol != nil && !slices.Equal(run.sol.Requests, c.lowered.sol.Requests) {
-		rates := make(map[string]float64, len(run.requests))
-		for _, r := range run.requests {
-			rates[r.ID] = r.MinRate
-		}
-		ir, moved = codegen.ReserveQueues(ir, rates)
-	}
-	prog := *ir // shallow: rules/queues/filters/fns/tags shared
-	prog.Caps, prog.HostFns = c.hostConfig(run)
-	queuesMoved := ir != c.last.IR
-	var terns map[string]*codegen.TernaryTables
-	if queuesMoved {
-		var err error
-		if terns, err = c.ternaryStage(run, &prog); err != nil {
-			return err
-		}
-	}
-	arts := make(map[string]codegen.Artifact, len(c.targets))
-	for _, name := range c.targets {
-		prev := c.last.Outputs[name]
-		switch {
-		case name == codegen.TargetTC || name == codegen.TargetHost:
-			// re-emitted below, from the regenerated caps and host functions
-		case !queuesMoved || name == codegen.TargetClick:
-			arts[name] = prev
-			continue
-		case name == codegen.TargetOpenFlow:
-			if of, ok := prev.(*codegen.OpenFlowArtifact); ok {
-				arts[name] = codegen.PatchOpenFlow(of, &prog, len(prog.Rules), moved)
-				continue
-			}
-		}
-		art, err := c.emitTarget(name, &prog, terns)
-		if err != nil {
-			return err
-		}
-		arts[name] = art
-	}
-	res.IR, res.Outputs = &prog, arts
-	res.Paths = c.last.Paths
-	res.Placements = c.last.Placements
-	c.stats.PatchedCodegens++
-	res.Timing.Codegen = time.Since(cs)
-	return nil
-}
-
-// patchableCodegen reports whether this pass may reuse the previous
-// output's rules: its statement artifacts (hence the statements and their
-// order) and sink trees are the objects that output was generated from,
-// and its provisioning solution routes the same guaranteed requests along
-// the same paths (provision.Result.SameRoutes), at whatever rates. Every
-// other statement's Min is 0, so only caps (tc commands, end-host
-// programs) and the queues the guaranteed rates size can differ, and
-// codegenPatch regenerates both.
-func (c *Compiler) patchableCodegen(run *runState) bool {
-	return c.last != nil && run.sol.SameRoutes(c.lowered.sol) &&
-		slices.Equal(run.arts, c.lowered.arts) && slices.Equal(run.trees, c.lowered.trees)
-}
-
 // hostConfig lowers the cap-reachable sections of the IR from the
-// statements in order, for both codegen paths. caps are the host-side
+// statements in order, on every codegen pass. caps are the host-side
 // rate caps in the order Lower visits plans (statement order, which is
 // descending priority): one at the source of a guaranteed statement, one
 // per (destination, source) pair of a best-effort one. fns are the end-host rate limits for capped

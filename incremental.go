@@ -77,13 +77,13 @@ type Compiler struct {
 	// preprocessed policy, allocations and outputs.
 	source *Policy
 	last   *Result
-	// lowered is what the last output was generated from; a pass whose
-	// statement artifacts and sink trees are the same objects, and whose
-	// solution routes the same, patches that output's caps and queues
-	// instead of lowering again.
+	// lowered is what the last output was generated from; a pass lowers
+	// only the statements after the ones whose plans it keeps
+	// (resumePoint), and one that keeps every statement patches that
+	// output's caps and queues instead of lowering again.
 	lowered lowering
 	// oneShot says no pass follows the first (the package-level Compile),
-	// so codegen keeps no lowering state to resume (codegenFull).
+	// so codegen keeps no lowering state to resume (codegenStage).
 	oneShot bool
 
 	// The artifact caches. anchored holds guaranteed statements' product
@@ -149,8 +149,9 @@ type treeKey struct {
 // are reserved at and whose paths the guaranteed plans followed. plans
 // counts each statement's plans, by statement index. state is the
 // lowerer's state after those plans, which the next codegen resumes past
-// the statements it shares with them (codegenFull); it is nil once a
-// codegen failed, and on a one-shot compile.
+// the statements it shares with them (codegenStage); it is nil once a
+// codegen that lowered failed, and on a one-shot compile. A pass that
+// keeps every statement carries the record forward as it is.
 type lowering struct {
 	arts  []*stmtArtifact
 	trees []*sinktree.Tree
@@ -193,16 +194,17 @@ type CompilerStats struct {
 	ShardsSolved int
 	ShardsWarm   int
 	ShardsReused int
-	// FullCodegens and PatchedCodegens split phase 4 into rule generation
-	// (lowering from a fresh state or resuming the last one) and the patch
-	// fast path (caps, and queues re-reserved when only guaranteed rates
-	// moved).
+	// FullCodegens and PatchedCodegens split phase 4's passes: a patched
+	// one kept every statement's plans, so it lowered nothing and only
+	// regenerated caps and, when guaranteed rates moved, re-reserved
+	// queues; a full one is every other pass, lowering from a fresh state
+	// or resuming the last one past the statements it kept.
 	FullCodegens    int
 	PatchedCodegens int
 	// PlansLowered totals the plans that went through the lowerer: every
 	// plan on a full codegen that lowers from scratch, only the plans of
 	// the statements after the kept prefix on a resumed one, none on a
-	// patch.
+	// patched one.
 	// An appended statement lowers its own plans, a removed statement k
 	// the plans of the statements after k.
 	PlansLowered int
@@ -223,17 +225,17 @@ type CompilerStats struct {
 	// identical to a cold build on the degraded topology. TreesKept counts
 	// sink trees that survived such a failure because no used path crossed
 	// a failed cable; only trees whose used paths did cross are
-	// invalidated and rebuilt. When every tree and statement artifact is
-	// the one the last output was generated from and the solution routes
-	// the same, the pass patches instead of lowering again (the one
-	// validity rule, see Compiler), so a failure off every used path
-	// generates no rules.
+	// invalidated and rebuilt. When every statement keeps its artifact,
+	// its sink trees or its guaranteed path, the pass patches instead of
+	// lowering again (the one validity rule, see Compiler), so a failure
+	// off every used path generates no rules, even where it re-cut a
+	// guarantee's anchored graph.
 	GraphsPatched int
 	TreesKept     int
 	// TernaryEntries totals the ternary table entries expanded for v2
 	// (TernaryEmitter) targets and budget checks — one count per distinct
-	// expansion actually run, so patch-path passes that share artifacts
-	// add nothing. OverflowReplacements counts the compiles whose initial
+	// expansion actually run, so patched passes that share artifacts add
+	// nothing. OverflowReplacements counts the compiles whose initial
 	// placement overflowed a device's table budget and was successfully
 	// re-placed through the budget-constrained provisioning MIP.
 	TernaryEntries       int
@@ -510,14 +512,7 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	if err := c.resolveTrees(run); err != nil {
 		return nil, err
 	}
-	var err error
-	if c.patchableCodegen(run) {
-		run.lowered = c.lowered // the output keeps the rules it had
-		err = c.codegenPatch(run)
-	} else {
-		err = c.codegenFull(run)
-	}
-	if err != nil {
+	if err := c.codegenStage(run); err != nil {
 		var of *codegen.TableOverflowError
 		if !errors.As(err, &of) || len(run.requests) == 0 || c.opts.Greedy {
 			return nil, err
@@ -531,7 +526,7 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 			return nil, err
 		}
 		res.Paths = map[string][]string{}
-		if err := c.codegenFull(run); err != nil {
+		if err := c.codegenStage(run); err != nil {
 			return nil, err
 		}
 		c.stats.OverflowReplacements++

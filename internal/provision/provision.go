@@ -9,7 +9,6 @@ package provision
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -183,20 +182,6 @@ func Solve(t *topo.Topology, reqs []Request, h Heuristic, p Params) (*Result, er
 // ride gives it a new product graph. A nil Result answers nothing.
 func (r *Result) Answers(t *topo.Topology, reqs []Request) bool {
 	return r != nil && slices.Equal(r.Requests, reqs) && capsHold(t, r.caps)
-}
-
-// SameRoutes reports whether r and o answer the same requests (IDs and
-// product graphs, in order) along the same paths, whatever their rates:
-// all that lowering reads of a solution but the rates, which size queues
-// and nothing else. A re-solve that keeps every path, as a capacity
-// change or a moved guaranteed rate usually does, routes the same as the
-// result it replaces. Two nil Results route alike.
-func (r *Result) SameRoutes(o *Result) bool {
-	if r == nil || o == nil || r == o {
-		return r == o
-	}
-	return slices.EqualFunc(r.Requests, o.Requests, func(a, b Request) bool { return a.ID == b.ID && a.Graph == b.Graph }) &&
-		maps.EqualFunc(r.Paths, o.Paths, slices.Equal[[]logical.Step])
 }
 
 // builtModel is one constructed provisioning MIP plus the per-request

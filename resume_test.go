@@ -24,11 +24,13 @@ func loweringSize(c *Compiler) (entries, log int) {
 }
 
 // TestLoweringStateStaysBoundedUnderChurn runs 200 add/remove cycles,
-// each returning to the genesis policy: one statement added and removed,
-// or two added and removed oldest first. Every edit resumes the lowering
-// state, and back at genesis the state must retain exactly what a fresh
-// compiler's does — map entries and undo-log length — and the result
-// must equal a cold compile.
+// each returning to the genesis statements: one statement added and
+// removed, or two added and removed oldest first, with g0's rate toggled
+// after the first add. Every edit resumes the lowering state, and every
+// toggle keeps every statement, lowers nothing and carries the state to
+// the next edit untouched. Back at genesis the state must retain exactly
+// what a fresh compiler's does — map entries and undo-log length — and,
+// once the rate is back too, the result must equal a cold compile.
 func TestLoweringStateStaysBoundedUnderChurn(t *testing.T) {
 	tp := topo.FatTree(4, Gbps)
 	ids := tp.Identities()
@@ -65,14 +67,18 @@ func TestLoweringStateStaysBoundedUnderChurn(t *testing.T) {
 		}
 	}
 	stmt := func(id string, port int) string { return fmt.Sprintf("%s : tcp.dst = %d -> .*", id, port) }
-	full := c.Stats().FullCodegens
+	full, patched := c.Stats().FullCodegens, c.Stats().PatchedCodegens
 	for cycle := 0; cycle < 200; cycle++ {
 		a, b := fmt.Sprintf("a%d", cycle), fmt.Sprintf("b%d", cycle)
+		g0 := []string{"15Mbps", "10Mbps"}[cycle%2]
+		toggle := WireDelta{Formula: "min(g0, " + g0 + ") and min(g1, 20Mbps) and max(web, 50Mbps)"}
 		if cycle%2 == 0 {
 			update(WireDelta{Add: []string{stmt(a, 1000+cycle)}})
+			update(toggle)
 			update(WireDelta{Remove: []string{a}})
 		} else {
 			update(WireDelta{Add: []string{stmt(a, 1000+cycle)}})
+			update(toggle)
 			update(WireDelta{Add: []string{fmt.Sprintf("%s : (eth.src = %s) -> .*", b, mac(cycle%16))}})
 			update(WireDelta{Remove: []string{a}})
 			update(WireDelta{Remove: []string{b}})
@@ -85,6 +91,9 @@ func TestLoweringStateStaysBoundedUnderChurn(t *testing.T) {
 	st := c.Stats()
 	if got := st.FullCodegens - full; got != 600 {
 		t.Fatalf("the cycles took %d full codegens, want 600", got)
+	}
+	if got := st.PatchedCodegens - patched; got != 200 {
+		t.Fatalf("the rate toggles took %d patched codegens, want 200", got)
 	}
 	// Each add lowers its own statement's plans (240 for a port class,
 	// 15 for one host's), a remove of the newest none, and a remove of

@@ -50,41 +50,59 @@ func TestCompileSeesStatementEditedInPlace(t *testing.T) {
 	sameCompiled(t, "edited-in-place", res, pol, Ring(5, 1, Gbps), nil, opts)
 }
 
-// TestOffPathFailurePatchesCodegen: a failure that no used tree path
-// crosses keeps every sink tree, so a pass delivering it with a cap change
-// patches the caps instead of lowering again — and still equals a cold
-// compile on the degraded ring.
+// TestOffPathFailurePatchesCodegen: a failure that no used path crosses
+// keeps every statement's plans, so the pass delivering it lowers nothing
+// and patches the last output — and still equals a cold compile on the
+// degraded ring. For a best-effort statement it keeps the sink tree, and
+// a cap change riding the delta patches the caps. For a guarantee it
+// re-cuts the anchored graph, whose `.*` can take the long way through
+// s2-s3, but keeps the path.
 func TestOffPathFailurePatchesCodegen(t *testing.T) {
-	tp := Ring(5, 1, Gbps)
-	opts := Options{NoDefault: true}
-	pol := ringPolicy(t, tp, ".*", "max(x, 100Mbps)")
-	c := NewCompiler(tp, nil, opts)
-	if _, err := c.Compile(pol); err != nil {
-		t.Fatal(err)
-	}
-	base := c.Stats()
+	for _, tc := range []struct {
+		name, before, after string
+		guaranteed          bool
+	}{
+		{name: "cap", before: "max(x, 100Mbps)", after: "max(x, 50Mbps)"},
+		{name: "guarantee", before: "min(x, 100Mbps)", after: "min(x, 100Mbps)", guaranteed: true},
+	} {
+		tp := Ring(5, 1, Gbps)
+		opts := Options{NoDefault: true}
+		c := NewCompiler(tp, nil, opts)
+		if _, err := c.Compile(ringPolicy(t, tp, ".*", tc.before)); err != nil {
+			t.Fatal(err)
+		}
+		base := c.Stats()
 
-	// Toward h0_0, s2 routes via s1 and s3 via s4: no tree path uses s2-s3.
-	capped := ringPolicy(t, tp, ".*", "max(x, 50Mbps)")
-	if _, err := c.Update(Delta{Formula: capped.Formula, Topo: []TopoEvent{LinkFailure("s2", "s3")}}); err != nil {
-		t.Fatal(err)
+		// Toward h0_0, s2 routes via s1 and s3 via s4: no tree path uses
+		// s2-s3, and the guarantee rides h1_0 s1 s0 h0_0.
+		after := ringPolicy(t, tp, ".*", tc.after)
+		if _, err := c.Update(Delta{Formula: after.Formula, Topo: []TopoEvent{LinkFailure("s2", "s3")}}); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if tc.guaranteed {
+			if st.AnchoredInvalidated != base.AnchoredInvalidated+1 {
+				t.Fatalf("%s: the failure re-cut %d anchored graphs, want 1", tc.name, st.AnchoredInvalidated-base.AnchoredInvalidated)
+			}
+		} else if st.TreesKept != base.TreesKept+1 || st.TreeBuilds != base.TreeBuilds {
+			t.Fatalf("%s: off-path failure did not keep the sink tree: %+v -> %+v", tc.name, base, st)
+		}
+		if st.PatchedCodegens != base.PatchedCodegens+1 || st.FullCodegens != base.FullCodegens {
+			t.Fatalf("%s: off-path failure ran %d full / %d patched codegens, want 0/1", tc.name,
+				st.FullCodegens-base.FullCodegens, st.PatchedCodegens-base.PatchedCodegens)
+		}
+		if st.PlansLowered != base.PlansLowered {
+			t.Fatalf("%s: off-path failure lowered %d plans, want 0", tc.name, st.PlansLowered-base.PlansLowered)
+		}
+		if caps := c.Result().IR.Caps; !tc.guaranteed && (len(caps) != 1 || caps[0].MaxBps != 50*Mbps) {
+			t.Fatalf("%s: patched caps %+v, want one 50Mbps cap", tc.name, caps)
+		}
+		degraded := Ring(5, 1, Gbps)
+		if _, err := degraded.SetLinkState(degraded.MustLookup("s2"), degraded.MustLookup("s3"), false); err != nil {
+			t.Fatal(err)
+		}
+		sameCompiled(t, "off-path-failure-"+tc.name, c.Result(), after, degraded, nil, opts)
 	}
-	st := c.Stats()
-	if st.TreesKept != base.TreesKept+1 || st.TreeBuilds != base.TreeBuilds {
-		t.Fatalf("off-path failure did not keep the sink tree: %+v -> %+v", base, st)
-	}
-	if st.PatchedCodegens != base.PatchedCodegens+1 || st.FullCodegens != base.FullCodegens {
-		t.Fatalf("off-path failure ran %d full / %d patched codegens, want 0/1",
-			st.FullCodegens-base.FullCodegens, st.PatchedCodegens-base.PatchedCodegens)
-	}
-	if caps := c.Result().IR.Caps; len(caps) != 1 || caps[0].MaxBps != 50*Mbps {
-		t.Fatalf("patched caps %+v, want one 50Mbps cap", caps)
-	}
-	degraded := Ring(5, 1, Gbps)
-	if _, err := degraded.SetLinkState(degraded.MustLookup("s2"), degraded.MustLookup("s3"), false); err != nil {
-		t.Fatal(err)
-	}
-	sameCompiled(t, "off-path-failure", c.Result(), capped, degraded, nil, opts)
 }
 
 // TestCapacityChangeInRejectedDeltaResolvesOnRetry: a capacity change is a
