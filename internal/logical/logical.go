@@ -87,94 +87,226 @@ func Alphabet(t *topo.Topology) *regex.Alphabet {
 // Build constructs the full-fabric product graph of the topology with an
 // epsilon-free NFA whose alphabet was produced by Alphabet(t) (node IDs
 // must equal symbol IDs; extra symbols beyond the topology's nodes —
-// unplaced function names — simply never match). Every link is
-// enumerated, live or down, in link-ID order per node — the order the
-// topology's live adjacency keeps — so on a live topology the graph is
-// exactly the live one, and a degraded topology's live graph is this one
-// cut by its down links (Cut).
+// unplaced function names — simply never match), unpruned: every
+// vertex's edges, in eachEdge's order, over every link, live or down. It
+// is the reference the pruned builder the compiler runs (buildPruned) is
+// held to: buildPruned(t, nfa) equals Build(t, nfa).Prune().
 func Build(t *topo.Topology, nfa *regex.EpsFree) *Graph {
-	g := &Graph{
-		Topo:   t,
-		NFA:    nfa,
-		States: nfa.States,
-	}
-	n := t.NumNodes()
-	g.NumVerts = n*nfa.States + 2
-	g.Source = n * nfa.States
-	g.Sink = g.Source + 1
-	addEdge := func(from, to int, entering topo.NodeID, link topo.LinkID, tag string) {
-		g.Edges = append(g.Edges, Edge{ID: len(g.Edges), From: from, To: to, Entering: entering, Link: link, Tag: tag})
-	}
-	// Every link by source node, live or down, in link-ID order.
-	adj := make([][]topo.LinkID, n)
-	for _, l := range t.Links() {
-		adj[l.Src] = append(adj[l.Src], l.ID)
-	}
+	return build(t, nfa, nil)
+}
 
-	// Source edges: si -> (v, q') for every transition q0 --v--> q'.
+// buildPruned constructs Build(t, nfa).Prune() without materializing the
+// vertices Prune would drop: it marks the live vertices first
+// (liveVertices) and then emits only the edges between them, in Build's
+// order, so the result is the same graph byte for byte.
+func buildPruned(t *topo.Topology, nfa *regex.EpsFree) *Graph {
+	return build(t, nfa, liveVertices(t, nfa))
+}
+
+// build is Build (live nil) and buildPruned: the product graph's edges
+// between live vertices, counted in one eachEdge walk and stored in a
+// second into an Edges array of exactly that size.
+func build(t *topo.Topology, nfa *regex.EpsFree, live []bool) *Graph {
+	n := t.NumNodes()
+	g := &Graph{
+		Topo:     t,
+		NFA:      nfa,
+		States:   nfa.States,
+		NumVerts: n*nfa.States + 2,
+		Source:   n * nfa.States,
+		Sink:     n*nfa.States + 1,
+	}
+	total := 0
+	eachEdge(t, nfa, live, func(Edge) { total++ })
+	if total > 0 {
+		g.Edges = make([]Edge, 0, total)
+		eachEdge(t, nfa, live, func(e Edge) {
+			e.ID = len(g.Edges)
+			g.Edges = append(g.Edges, e)
+		})
+	}
+	g.index()
+	return g
+}
+
+// eachEdge calls emit for every edge of the product of t with nfa whose
+// endpoints are both live (every edge when live is nil), without its ID.
+// It is the one definition of the edge order every graph numbers its
+// edges by: the source edges si -> (v, q') per start transition, v
+// ascending; then per location u and state q ascending, per transition
+// q --v--> q' the self edge (u = v), the moves over every link from u,
+// live or down, in link-ID order, and last (u, q)'s sink edge when q
+// accepts.
+func eachEdge(t *topo.Topology, nfa *regex.EpsFree, live []bool, emit func(Edge)) {
+	n, states := t.NumNodes(), nfa.States
+	sink := n*states + 1
+	keep := func(v int) bool { return live == nil || live[v] }
+	// A live vertex makes the source and the sink live too, so only the
+	// product vertices need the check.
 	for _, tr := range nfa.Out[nfa.Start] {
 		for v := 0; v < n; v++ {
-			if tr.Set.Has(v) {
-				addEdge(g.Source, g.vertex(topo.NodeID(v), tr.To), topo.NodeID(v), -1, tr.Tag)
+			if to := v*states + tr.To; tr.Set.Has(v) && keep(to) {
+				emit(Edge{From: n * states, To: to, Entering: topo.NodeID(v), Link: -1, Tag: tr.Tag})
 			}
 		}
 	}
-	// Interior edges: (u,q) -> (v,q') iff (u=v or (u,v) physical) and
-	// q --v--> q'.
 	for u := 0; u < n; u++ {
-		for q := 0; q < nfa.States; q++ {
-			from := g.vertex(topo.NodeID(u), q)
+		links := t.LinksFrom(topo.NodeID(u))
+		for q := 0; q < states; q++ {
+			from := u*states + q
+			if !keep(from) {
+				continue
+			}
 			for _, tr := range nfa.Out[q] {
-				// Self-transition: stay at u, apply another NFA step.
-				if tr.Set.Has(u) {
-					addEdge(from, g.vertex(topo.NodeID(u), tr.To), topo.NodeID(u), -1, tr.Tag)
+				if to := u*states + tr.To; tr.Set.Has(u) && keep(to) {
+					emit(Edge{From: from, To: to, Entering: topo.NodeID(u), Link: -1, Tag: tr.Tag})
 				}
-				// Physical moves to neighbors in the transition's set.
-				for _, lid := range adj[u] {
-					link := t.Link(lid)
-					v := int(link.Dst)
-					if tr.Set.Has(v) {
-						addEdge(from, g.vertex(link.Dst, tr.To), link.Dst, lid, tr.Tag)
+				for _, lid := range links {
+					v := t.Link(lid).Dst
+					if to := int(v)*states + tr.To; tr.Set.Has(int(v)) && keep(to) {
+						emit(Edge{From: from, To: to, Entering: v, Link: lid, Tag: tr.Tag})
 					}
 				}
 			}
-			// Sink edges from accepting states.
 			if nfa.Accept[q] {
-				addEdge(from, g.Sink, -1, -1, "")
+				emit(Edge{From: from, To: sink, Entering: -1, Link: -1})
 			}
 		}
 	}
-	// Derive the adjacency lists from the edge list in one shot: count
-	// degrees, carve both flat backing arrays, and fill in edge order
-	// (identical to appending during construction, without the per-vertex
-	// slice growth that used to dominate the compiler's allocations).
-	total := len(g.Edges)
+}
+
+// liveVertices marks the product vertices (u, q) of t with nfa that lie on
+// some Source→Sink path — the ones Prune keeps — without building an edge:
+// first the vertices reachable from the source, over every link from each
+// location, then, among those, the ones that reach the sink, walking the
+// automaton's transitions backwards over every link into each location.
+// A vertex reachable from the source reaches the sink only through
+// vertices reachable from the source, so confining the second sweep to
+// the first's marks finds exactly the live set.
+func liveVertices(t *topo.Topology, nfa *regex.EpsFree) []bool {
+	n, states := t.NumNodes(), nfa.States
+	numVerts := n*states + 2
+	sink := numVerts - 1
+	marks := make([]bool, 2*numVerts)
+	fwd, live := marks[:numVerts], marks[numVerts:]
+	stack := make([]int32, 0, numVerts)
+
+	mark := func(seen []bool, v int) {
+		if !seen[v] {
+			seen[v] = true
+			stack = append(stack, int32(v))
+		}
+	}
+	for _, tr := range nfa.Out[nfa.Start] {
+		for v := 0; v < n; v++ {
+			if tr.Set.Has(v) {
+				mark(fwd, v*states+tr.To)
+			}
+		}
+	}
+	for len(stack) > 0 {
+		from := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		u, q := from/states, from%states
+		for _, tr := range nfa.Out[q] {
+			if tr.Set.Has(u) {
+				mark(fwd, u*states+tr.To)
+			}
+			for _, lid := range t.LinksFrom(topo.NodeID(u)) {
+				if v := int(t.Link(lid).Dst); tr.Set.Has(v) {
+					mark(fwd, v*states+tr.To)
+				}
+			}
+		}
+		if nfa.Accept[q] {
+			fwd[sink] = true
+		}
+	}
+	if !fwd[sink] {
+		return live
+	}
+
+	// The transitions into each state, grouped by target state: into[q']
+	// is rev[revOff[q']:revOff[q'+1]].
+	revOff := make([]int32, states+1)
+	for q := range nfa.Out {
+		for _, tr := range nfa.Out[q] {
+			revOff[tr.To+1]++
+		}
+	}
+	for q := 0; q < states; q++ {
+		revOff[q+1] += revOff[q]
+	}
+	rev := make([]regex.Edge, revOff[states])
+	fill := append([]int32(nil), revOff[:states]...)
+	for q := range nfa.Out {
+		for _, tr := range nfa.Out[q] {
+			rev[fill[tr.To]] = tr
+			fill[tr.To]++
+		}
+	}
+
+	for v := 0; v < n*states; v++ {
+		if fwd[v] && nfa.Accept[v%states] {
+			mark(live, v)
+		}
+	}
+	// (u, q) -> (v, q') is an edge iff q --v--> q' and u = v or a link
+	// runs from u to v.
+	for len(stack) > 0 {
+		to := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		v, q2 := to/states, to%states
+		for _, tr := range rev[revOff[q2]:revOff[q2+1]] {
+			if !tr.Set.Has(v) {
+				continue
+			}
+			if from := v*states + tr.From; fwd[from] {
+				mark(live, from)
+			}
+			for _, lid := range t.LinksInto(topo.NodeID(v)) {
+				if from := int(t.Link(lid).Src)*states + tr.From; fwd[from] {
+					mark(live, from)
+				}
+			}
+		}
+	}
+	return live
+}
+
+// index derives Out and In from Edges, in edge order. Each direction's
+// lists are windows of one flat array, capped so an append cannot run
+// into the next vertex's window; a vertex without edges in a direction
+// keeps a nil list.
+func (g *Graph) index() {
 	g.Out = make([][]int32, g.NumVerts)
 	g.In = make([][]int32, g.NumVerts)
-	outDeg := make([]int32, g.NumVerts)
-	inDeg := make([]int32, g.NumVerts)
+	if len(g.Edges) == 0 {
+		return
+	}
+	deg := make([]int32, 2*g.NumVerts) // out-degrees, then in-degrees
 	for i := range g.Edges {
-		outDeg[g.Edges[i].From]++
-		inDeg[g.Edges[i].To]++
+		deg[g.Edges[i].From]++
+		deg[g.NumVerts+g.Edges[i].To]++
 	}
-	outFlat := make([]int32, total)
-	inFlat := make([]int32, total)
+	flat := make([]int32, 2*len(g.Edges))
 	off := int32(0)
-	for v := 0; v < g.NumVerts; v++ {
-		g.Out[v] = outFlat[off : off : off+outDeg[v]]
-		off += outDeg[v]
-	}
-	off = 0
-	for v := 0; v < g.NumVerts; v++ {
-		g.In[v] = inFlat[off : off : off+inDeg[v]]
-		off += inDeg[v]
+	for v, d := range deg {
+		if d == 0 {
+			continue
+		}
+		if v < g.NumVerts {
+			g.Out[v] = flat[off : off : off+d]
+		} else {
+			g.In[v-g.NumVerts] = flat[off : off : off+d]
+		}
+		off += d
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
 		g.Out[e.From] = append(g.Out[e.From], int32(i))
 		g.In[e.To] = append(g.In[e.To], int32(i))
 	}
-	return g
 }
 
 // CheapestPath returns the edge IDs of a minimum-cost Source→Sink path

@@ -31,7 +31,9 @@ func BuildAnchored(t *topo.Topology, e regex.Expr, alpha *regex.Alphabet, src, d
 
 // buildCut is BuildMinimized and BuildAnchored: the minimal DFA of e,
 // intersected with anchor's when anchor is not nil, built over the full
-// fabric, pruned, tagged, and cut by the topology's down links.
+// fabric already pruned (buildPruned, equal to Build(...).Prune() without
+// materializing the vertices Prune drops), tagged, and cut by the
+// topology's down links.
 func buildCut(t *topo.Topology, e, anchor regex.Expr, alpha *regex.Alphabet) (*Graph, error) {
 	nfa, err := regex.Compile(e, alpha)
 	if err != nil {
@@ -47,7 +49,7 @@ func buildCut(t *topo.Topology, e, anchor regex.Expr, alpha *regex.Alphabet) (*G
 	if anchorNFA != nil {
 		dfa = dfa.Intersect(anchorNFA.Determinize())
 	}
-	g := Build(t, dfa.Minimize().EpsFree()).Prune()
+	g := buildPruned(t, dfa.Minimize().EpsFree())
 	if regex.HasTags(e) {
 		g.TagSource = nfa.EpsFree()
 	}
@@ -59,78 +61,62 @@ func linkDown(t *topo.Topology) func(topo.LinkID) bool {
 	return func(l topo.LinkID) bool { return !t.LinkIsUp(l) }
 }
 
-// Prune removes vertices that are unreachable from the source or cannot
-// reach the sink, along with their edges, returning a compacted graph.
-// Paths and their decodings are unaffected (every source-sink path
-// survives); only dead weight the MIP would otherwise carry is dropped.
-func (g *Graph) Prune() *Graph {
-	fwd := make([]bool, g.NumVerts)
-	fwd[g.Source] = true
-	stack := []int{g.Source}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.Out[v] {
-			to := g.Edges[eid].To
-			if !fwd[to] {
-				fwd[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-	bwd := make([]bool, g.NumVerts)
-	bwd[g.Sink] = true
-	stack = append(stack[:0], g.Sink)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.In[v] {
-			from := g.Edges[eid].From
-			if !bwd[from] {
-				bwd[from] = true
-				stack = append(stack, from)
-			}
-		}
-	}
-	out := &Graph{
-		Topo:      g.Topo,
-		NFA:       g.NFA,
-		States:    g.States,
-		NumVerts:  g.NumVerts,
-		Source:    g.Source,
-		Sink:      g.Sink,
-		TagSource: g.TagSource,
-		Full:      g.Full,
-	}
-	out.Out = make([][]int32, g.NumVerts)
-	out.In = make([][]int32, g.NumVerts)
-	for _, e := range g.Edges {
-		if fwd[e.From] && bwd[e.From] && fwd[e.To] && bwd[e.To] {
-			id := len(out.Edges)
-			ne := e
-			ne.ID = id
-			out.Edges = append(out.Edges, ne)
-			out.Out[e.From] = append(out.Out[e.From], int32(id))
-			out.In[e.To] = append(out.In[e.To], int32(id))
-		}
-	}
-	return out
-}
-
 // WithoutLinks returns the graph with every edge whose physical link
-// satisfies drop removed, re-pruned, recording the full form it was cut
-// from (g.Full, or g itself). Because Prune preserves vertex numbering
-// and renumbers surviving edges compactly in input order, cutting a
-// pruned full-fabric graph by a topology's down links is byte-identical
-// to building the graph's live form on that degraded topology: the live
-// form has the same edges minus the dropped links, in the same order, and
-// prunes the same dead vertices. That identity is what lets the
-// incremental compiler re-cut cached graphs on every topology event
-// instead of rebuilding them.
+// satisfies drop removed and the vertices left off every Source→Sink path
+// pruned, recording the full form it was cut from (g.Full, or g itself).
+// Because pruning preserves vertex numbering and renumbers surviving
+// edges compactly in input order, cutting a pruned full-fabric graph by a
+// topology's down links is byte-identical to building the graph's live
+// form on that degraded topology: the live form has the same edges minus
+// the dropped links, in the same order, and prunes the same dead
+// vertices. That identity is what lets the incremental compiler re-cut
+// cached graphs on every topology event instead of rebuilding them.
 func (g *Graph) WithoutLinks(drop func(topo.LinkID) bool) *Graph {
 	full := g.Full
 	if full == nil {
 		full = g
+	}
+	return g.filter(drop, full)
+}
+
+// filter is WithoutLinks and, with a nil drop, Prune: it keeps the edges
+// that ride no link satisfying drop and join two vertices that are
+// reachable from the source and reach the sink over such edges, renumbered
+// compactly in input order, and records full as the result's full form.
+// Vertex numbering is unchanged; a vertex left without edges keeps nil
+// Out and In lists.
+func (g *Graph) filter(drop func(topo.LinkID) bool, full *Graph) *Graph {
+	kept := func(e *Edge) bool { return drop == nil || e.Link < 0 || !drop(e.Link) }
+	marks := make([]bool, 2*g.NumVerts)
+	fwd, live := marks[:g.NumVerts], marks[g.NumVerts:]
+	stack := make([]int32, 0, g.NumVerts)
+	fwd[g.Source] = true
+	stack = append(stack, int32(g.Source))
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, eid := range g.Out[v] {
+			if e := &g.Edges[eid]; !fwd[e.To] && kept(e) {
+				fwd[e.To] = true
+				stack = append(stack, int32(e.To))
+			}
+		}
+	}
+	// A vertex reachable from the source reaches the sink only through
+	// such vertices, so the backward sweep stays among fwd's marks.
+	if fwd[g.Sink] {
+		live[g.Sink] = true
+		stack = append(stack, int32(g.Sink))
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, eid := range g.In[v] {
+			if e := &g.Edges[eid]; fwd[e.From] && !live[e.From] && kept(e) {
+				live[e.From] = true
+				stack = append(stack, int32(e.From))
+			}
+		}
 	}
 	out := &Graph{
 		Topo:      g.Topo,
@@ -142,20 +128,24 @@ func (g *Graph) WithoutLinks(drop func(topo.LinkID) bool) *Graph {
 		TagSource: g.TagSource,
 		Full:      full,
 	}
-	out.Out = make([][]int32, g.NumVerts)
-	out.In = make([][]int32, g.NumVerts)
-	for _, e := range g.Edges {
-		if e.Link >= 0 && drop(e.Link) {
-			continue
+	keep := func(e *Edge) bool { return live[e.From] && live[e.To] && kept(e) }
+	total := 0
+	for i := range g.Edges {
+		if keep(&g.Edges[i]) {
+			total++
 		}
-		id := len(out.Edges)
-		ne := e
-		ne.ID = id
-		out.Edges = append(out.Edges, ne)
-		out.Out[e.From] = append(out.Out[e.From], int32(id))
-		out.In[e.To] = append(out.In[e.To], int32(id))
 	}
-	return out.Prune()
+	if total > 0 {
+		out.Edges = make([]Edge, 0, total)
+		for i := range g.Edges {
+			if e := g.Edges[i]; keep(&e) {
+				e.ID = len(out.Edges)
+				out.Edges = append(out.Edges, e)
+			}
+		}
+	}
+	out.index()
+	return out
 }
 
 // Cut returns the graph's full form cut by the links satisfying down: the

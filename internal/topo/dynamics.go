@@ -12,7 +12,10 @@
 // re-deriving it.
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Impact reports what a topology mutation affected.
 type Impact struct {
@@ -169,6 +172,11 @@ func (t *Topology) SetCableCapacity(a, b NodeID, capacity float64) (Impact, erro
 // appended them — so a restored topology reproduces the original adjacency
 // byte for byte, and with it every downstream deterministic choice.
 func (t *Topology) rebuildAdjacency() {
+	if t.from == nil {
+		// Until the first failure the live adjacency listed every link:
+		// keep those lists as the full-fabric adjacency.
+		t.from, t.into = slices.Clone(t.out), slices.Clone(t.in)
+	}
 	// Fresh slices, not truncation: Out/In hand out the underlying slices
 	// and earlier callers may still be iterating them.
 	for i := range t.out {

@@ -188,3 +188,49 @@ func TestMutatorsAreIdempotent(t *testing.T) {
 		t.Fatalf("restoring an up node should be a no-op, got %+v, %v", im, err)
 	}
 }
+
+// TestFullFabricAdjacencyIgnoresFailures: LinksFrom and LinksInto list
+// every link, live or down, in link-ID order — the filter of Links by
+// source and by destination — before and after link and switch failures
+// and a link added while they last, while Out and In drop the failed ones.
+func TestFullFabricAdjacencyIgnoresFailures(t *testing.T) {
+	tp := FatTree(4, Gbps)
+	check := func(stage string) {
+		t.Helper()
+		for _, n := range tp.Nodes() {
+			var from, into []LinkID
+			for _, l := range tp.Links() {
+				if l.Src == n.ID {
+					from = append(from, l.ID)
+				}
+				if l.Dst == n.ID {
+					into = append(into, l.ID)
+				}
+			}
+			if !reflect.DeepEqual(tp.LinksFrom(n.ID), from) {
+				t.Fatalf("%s: LinksFrom(%s) = %v, want %v", stage, n.Name, tp.LinksFrom(n.ID), from)
+			}
+			if !reflect.DeepEqual(tp.LinksInto(n.ID), into) {
+				t.Fatalf("%s: LinksInto(%s) = %v, want %v", stage, n.Name, tp.LinksInto(n.ID), into)
+			}
+		}
+	}
+	check("healthy")
+	if _, err := tp.SetLinkState(tp.MustLookup("agg0_0"), tp.MustLookup("edge0_0"), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.SetNodeState(tp.MustLookup("core0"), false); err != nil {
+		t.Fatal(err)
+	}
+	core := tp.MustLookup("core0")
+	if len(tp.Out(core)) != 0 || len(tp.LinksFrom(core)) == 0 {
+		t.Fatalf("core0 down: %d live and %d full-fabric links out", len(tp.Out(core)), len(tp.LinksFrom(core)))
+	}
+	check("degraded")
+	tp.AddLink(tp.AddSwitch("late"), core, Gbps)
+	check("grown while degraded")
+	if _, err := tp.SetNodeState(core, true); err != nil {
+		t.Fatal(err)
+	}
+	check("recovered")
+}

@@ -68,8 +68,9 @@ type Link struct {
 // is an empty topology ready for use. Structure is append-only (AddNode,
 // AddLink), but elements can fail and recover: see dynamics.go's
 // SetLinkState, SetNodeState, and SetCableCapacity. Out, In, Neighbors,
-// FindLink, and the path helpers see only live links; Links and Link
-// still expose failed elements by their stable IDs.
+// FindLink, and the path helpers see only live links; Links, Link,
+// LinksFrom, and LinksInto still expose failed elements by their stable
+// IDs.
 type Topology struct {
 	nodes  []Node
 	links  []Link
@@ -81,6 +82,11 @@ type Topology struct {
 	// the first failure, so static topologies pay nothing.
 	linkDown []bool
 	nodeDown []bool
+	// from and into are the full-fabric adjacency (LinksFrom, LinksInto):
+	// every link by source and by destination node. Nil until the first
+	// failure, which is when out and in stop listing every link.
+	from [][]LinkID
+	into [][]LinkID
 
 	// idents memoizes Identities; AddNode clears it.
 	idents atomic.Pointer[IdentityTable]
@@ -105,6 +111,10 @@ func (t *Topology) AddNode(name string, kind Kind) NodeID {
 	t.nodes = append(t.nodes, Node{ID: id, Name: name, Kind: kind})
 	t.out = append(t.out, nil)
 	t.in = append(t.in, nil)
+	if t.from != nil {
+		t.from = append(t.from, nil)
+		t.into = append(t.into, nil)
+	}
 	t.byName[name] = id
 	t.idents.Store(nil)
 	return id
@@ -136,6 +146,12 @@ func (t *Topology) AddLink(a, b NodeID, capacity float64) (LinkID, LinkID) {
 	t.in[b] = append(t.in[b], ab)
 	t.out[b] = append(t.out[b], ba)
 	t.in[a] = append(t.in[a], ba)
+	if t.from != nil {
+		t.from[a] = append(t.from[a], ab)
+		t.into[b] = append(t.into[b], ab)
+		t.from[b] = append(t.from[b], ba)
+		t.into[a] = append(t.into[a], ba)
+	}
 	return ab, ba
 }
 
@@ -171,6 +187,24 @@ func (t *Topology) Out(n NodeID) []LinkID { return t.out[n] }
 
 // In returns the incoming link IDs of n. The slice must not be modified.
 func (t *Topology) In(n NodeID) []LinkID { return t.in[n] }
+
+// LinksFrom returns every link leaving n, live or down, in link-ID order.
+// The slice must not be modified.
+func (t *Topology) LinksFrom(n NodeID) []LinkID {
+	if t.from == nil {
+		return t.out[n] // nothing has failed: every link is live
+	}
+	return t.from[n]
+}
+
+// LinksInto returns every link entering n, live or down, in link-ID order.
+// The slice must not be modified.
+func (t *Topology) LinksInto(n NodeID) []LinkID {
+	if t.into == nil {
+		return t.in[n]
+	}
+	return t.into[n]
+}
 
 // Nodes returns all nodes in ID order. The slice must not be modified.
 func (t *Topology) Nodes() []Node { return t.nodes }
