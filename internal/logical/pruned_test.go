@@ -51,8 +51,8 @@ var prunedExprs = []struct {
 	}},
 	{"region", func(tp *topo.Topology, rng *rand.Rand) (regex.Expr, regex.Expr) {
 		anchor := anchorPair(tp, rng)
-		region := []string{}
-		for _, n := range tp.Nodes() {
+		region := []string{tp.Node(0).Name} // never empty: "( )*" does not parse
+		for _, n := range tp.Nodes()[1:] {
 			if rng.Intn(3) > 0 {
 				region = append(region, n.Name)
 			}
