@@ -5,7 +5,6 @@ import (
 	"maps"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -687,8 +686,9 @@ const undoPerKept = 8
 // lowered into the target-neutral IR; ternary-consuming backends (the v2
 // TernaryEmitter surface) get pre-expanded, budget-checked tables, and
 // every other requested backend emits straight from the IR. A budget
-// violation surfaces as *codegen.TableOverflowError before any artifact
-// is emitted, so recompile can attempt a budget-constrained re-placement.
+// violation surfaces as *codegen.TableOverflowError before any ternary
+// artifact is emitted, so recompile can attempt a budget-constrained
+// re-placement.
 //
 // Only the statements after the ones the pass keeps (resumePoint) are
 // lowered:
@@ -716,6 +716,13 @@ const undoPerKept = 8
 // openflow re-renders only the rules after the kept ones and those at
 // moved (codegen.PatchOpenFlow), and the rest re-emit. A shared artifact
 // diffs as empty by pointer identity.
+//
+// The targets that re-emit run in two slots under Options.Workers: the
+// ternary chain (ternaryStage, then the TernaryEmitter targets) beside
+// every other target. A pass with no ternary chain — no ternary target
+// and no budget, as under DefaultTargets — has one slot and emits inline.
+// A ternaryStage error, a budget violation included, outranks any
+// target's; targets' errors rank in target order.
 func (c *Compiler) codegenStage(run *runState) error {
 	cs := time.Now()
 	from, keep := c.resumePoint(run)
@@ -769,18 +776,12 @@ func (c *Compiler) codegenStage(run *runState) error {
 	prog := *ir // shallow: the host-side sections are this pass's own
 	prog.Caps, prog.HostFns = c.hostConfig(run)
 	same := all && ir == c.last.IR // no rule, queue id or reservation moved
-	var terns map[string]*codegen.TernaryTables
-	if !same {
-		var err error
-		if terns, err = c.ternaryStage(run, &prog); err != nil {
-			return err
-		}
-	}
 	arts := make(map[string]codegen.Artifact, len(c.targets))
-	for _, name := range c.targets {
+	var ternTargets, restTargets []int // indices into c.targets of the targets to emit
+	for i, name := range c.targets {
 		switch {
 		case name == codegen.TargetTC || name == codegen.TargetHost:
-			// re-emitted below, from the regenerated caps and host functions
+			// re-emitted: the caps and host functions are this pass's own
 		case same || all && name == codegen.TargetClick:
 			arts[name] = c.last.Outputs[name]
 			continue
@@ -790,11 +791,51 @@ func (c *Compiler) codegenStage(run *runState) error {
 				continue
 			}
 		}
-		art, err := c.emitTarget(name, &prog, terns)
+		b, _ := codegen.Lookup(name) // presence checked by checkTargets before the pipeline ran
+		if _, ok := b.(codegen.TernaryEmitter); ok {
+			ternTargets = append(ternTargets, i)
+		} else {
+			restTargets = append(restTargets, i)
+		}
+	}
+	// The emit phase runs in up to two slots: the ternary chain (expand,
+	// check budgets, then emit the ternary targets) and every other target.
+	// Each slot writes only its own targets' entries.
+	emitted := make([]codegen.Artifact, len(c.targets))
+	errs := make([]error, len(c.targets))
+	emit := func(targets []int, terns map[string]*codegen.TernaryTables) {
+		for _, i := range targets {
+			emitted[i], errs[i] = c.emitTarget(c.targets[i], &prog, terns)
+		}
+	}
+	var slots []func()
+	var ternErr error
+	if !same {
+		if run.budgets = c.tableBudgets(); len(ternTargets) > 0 || len(run.budgets) > 0 {
+			slots = append(slots, func() {
+				var terns map[string]*codegen.TernaryTables
+				if terns, ternErr = c.ternaryStage(run, &prog, ternTargets); ternErr == nil {
+					emit(ternTargets, terns)
+				}
+			})
+		}
+	}
+	if len(restTargets) > 0 {
+		slots = append(slots, func() { emit(restTargets, nil) })
+	}
+	parallelDo(len(slots), c.opts.Workers, func(i int) { slots[i]() })
+	// A budget violation outranks any target's error; targets' errors
+	// rank in c.targets order.
+	if ternErr != nil {
+		return ternErr
+	}
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		arts[name] = art
+	}
+	for _, i := range slices.Concat(ternTargets, restTargets) {
+		arts[c.targets[i]] = emitted[i]
 	}
 	if all {
 		c.stats.PatchedCodegens++
@@ -824,24 +865,13 @@ func (c *Compiler) emitTarget(name string, prog *codegen.Program, terns map[stri
 }
 
 // ternaryStage expands the lowered program into ternary tables for the
-// v2 targets — once per distinct expansion option set, shared across
-// targets with the same table semantics — and checks the resolved
-// per-device budgets against every expansion before anything is emitted.
-// With budgets set but no ternary target, the default expansion is run
-// purely for the check, so Options.TableBudgets constrains symbolic-only
-// compiles too.
-func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program) (map[string]*codegen.TernaryTables, error) {
-	run.budgets = c.tableBudgets()
-	var v2 []string
-	for _, name := range c.targets {
-		b, _ := codegen.Lookup(name)
-		if _, ok := b.(codegen.TernaryEmitter); ok {
-			v2 = append(v2, name)
-		}
-	}
-	if len(v2) == 0 && len(run.budgets) == 0 {
-		return nil, nil
-	}
+// v2 targets (indices into c.targets) — once per distinct expansion
+// option set, shared across targets with the same table semantics — and
+// checks the per-device budgets run.budgets against every expansion
+// before any of them is emitted. With budgets set but no ternary target,
+// the default expansion is run purely for the check, so
+// Options.TableBudgets constrains symbolic-only compiles too.
+func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program, v2 []int) (map[string]*codegen.TernaryTables, error) {
 	byOpt := map[ternary.Options]*codegen.TernaryTables{}
 	expand := func(opt ternary.Options) (*codegen.TernaryTables, error) {
 		if tb, ok := byOpt[opt]; ok {
@@ -856,7 +886,8 @@ func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program) (map[strin
 		return tb, nil
 	}
 	out := make(map[string]*codegen.TernaryTables, len(v2))
-	for _, name := range v2 {
+	for _, i := range v2 {
+		name := c.targets[i]
 		opt := ternary.Options{}
 		if m, ok := codegen.BackendModel(name, topo.Switch); ok {
 			opt.SupportsRange = m.SupportsRange
@@ -884,8 +915,13 @@ func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program) (map[strin
 		guaranteed[r.ID] = true
 	}
 	run.ternNonG = map[topo.NodeID]int{}
-	var overflows []codegen.TableOverflow
-	target := ""
+	// worst keeps each overflowing device's largest count across
+	// expansions, with the backend its budget came from.
+	type overflow struct {
+		codegen.TableOverflow
+		target string
+	}
+	worst := map[topo.NodeID]overflow{}
 	for _, tb := range byOpt {
 		nonG := map[topo.NodeID]int{}
 		for _, e := range tb.Entries {
@@ -899,33 +935,25 @@ func (c *Compiler) ternaryStage(run *runState, prog *codegen.Program) (map[strin
 			}
 		}
 		for dev, b := range run.budgets {
-			if n := tb.PerDevice[dev]; n > b.limit {
-				overflows = append(overflows, codegen.TableOverflow{
+			n := tb.PerDevice[dev]
+			if w, ok := worst[dev]; n > b.limit && (!ok || n > w.Entries) {
+				worst[dev] = overflow{codegen.TableOverflow{
 					Device: dev, Name: c.t.Node(dev).Name, Entries: n, Budget: b.limit,
-				})
-				if target == "" {
-					target = b.target
-				}
+				}, b.target}
 			}
 		}
 	}
-	if len(overflows) > 0 {
-		// Dedup (multiple expansions can flag one device; keep the worst)
-		// and sort for a deterministic error.
-		worst := map[topo.NodeID]codegen.TableOverflow{}
-		for _, o := range overflows {
-			if w, ok := worst[o.Device]; !ok || o.Entries > w.Entries {
-				worst[o.Device] = o
-			}
-		}
-		uniq := make([]codegen.TableOverflow, 0, len(worst))
-		for _, o := range worst {
-			uniq = append(uniq, o)
-		}
-		sort.Slice(uniq, func(i, j int) bool { return uniq[i].Device < uniq[j].Device })
-		return nil, &codegen.TableOverflowError{Target: target, Overflows: uniq}
+	if len(worst) == 0 {
+		return out, nil
 	}
-	return out, nil
+	// Sort for a deterministic error; the error names the backend of the
+	// lowest overflowing device.
+	devs := slices.Sorted(maps.Keys(worst))
+	err := &codegen.TableOverflowError{Target: worst[devs[0]].target}
+	for _, dev := range devs {
+		err.Overflows = append(err.Overflows, worst[dev].TableOverflow)
+	}
+	return nil, err
 }
 
 // tableBudgets resolves the per-device ternary budget set for this

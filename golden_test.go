@@ -270,3 +270,23 @@ func firstDiff(want, got string) string {
 	}
 	return "outputs equal length but differ (unreachable)"
 }
+
+// GoldenInput is one golden scenario's compile input, for the tests of
+// package merlin_test, which cannot reach goldenScenarios.
+type GoldenInput struct {
+	Name   string
+	Policy *Policy
+	Topo   *Topology
+	Place  Placement
+	Opts   Options
+}
+
+// GoldenInputs builds every golden scenario's input.
+func GoldenInputs(t *testing.T) []GoldenInput {
+	var out []GoldenInput
+	for _, sc := range goldenScenarios() {
+		pol, tp, place, opts := sc.build(t)
+		out = append(out, GoldenInput{Name: sc.name, Policy: pol, Topo: tp, Place: place, Opts: opts})
+	}
+	return out
+}

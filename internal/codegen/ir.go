@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"merlin/internal/logical"
 	"merlin/internal/pred"
@@ -742,21 +742,32 @@ func sameOpsButQueue(a, b []Op) bool {
 	return true
 }
 
-// FormatOps renders an op sequence compactly ("set_tag:2,forward:5") —
-// shared by diagnostics and backends that want a canonical action name.
-func FormatOps(ops []Op) string {
-	parts := make([]string, 0, len(ops))
+// appendOps appends the canonical action text of an op sequence to b:
+// the ops comma-joined in their compact form ("set_tag:2,forward:5").
+func appendOps(b []byte, ops []Op) []byte {
+	start := len(b)
 	for _, op := range ops {
+		mark := len(b)
+		if mark > start {
+			b = append(b, ',')
+		}
 		switch op.Kind {
 		case OpForward:
-			parts = append(parts, fmt.Sprintf("forward:%d", op.Port))
+			b = append(b, "forward:"...)
+			b = strconv.AppendInt(b, int64(op.Port), 10)
 		case OpForwardQueue:
-			parts = append(parts, fmt.Sprintf("forward_queue:%d:%d", op.Port, op.Queue))
+			b = append(b, "forward_queue:"...)
+			b = strconv.AppendInt(b, int64(op.Port), 10)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(op.Queue), 10)
 		case OpSetTag:
-			parts = append(parts, fmt.Sprintf("set_tag:%d", op.Tag))
+			b = append(b, "set_tag:"...)
+			b = strconv.AppendInt(b, int64(op.Tag), 10)
 		case OpClearTag:
-			parts = append(parts, "clear_tag")
+			b = append(b, "clear_tag"...)
+		default:
+			b = b[:mark] // an unknown kind renders as nothing
 		}
 	}
-	return strings.Join(parts, ",")
+	return b
 }

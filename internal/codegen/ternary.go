@@ -62,7 +62,7 @@ type TernaryEntry struct {
 	Tag int
 	// Match is the header value/mask row; empty matches every header.
 	Match ternary.Row
-	// Ops is the canonical action string (FormatOps of the rule's ops).
+	// Ops is the rule's canonical action text ("set_tag:2,forward:5").
 	Ops string
 	// Stmt is the owning policy statement.
 	Stmt string
@@ -130,28 +130,50 @@ func (e *TableOverflowError) Error() string {
 // constraints, rows the intersection empties are dropped, and exact
 // duplicate entries — same device, priority, structural match, row, and
 // action — collapse. Entry order is deterministic in the Program.
+//
+// The expansion is a function of the match's header part alone, so it
+// runs once per distinct (Match.Pred, SrcMAC, DstMAC) through one memo,
+// which also holds each row's String form, rendered once. Duplicates
+// collapse on the comparable key {device, priority, in-port, tag, row
+// text, ops text}.
 func ExpandProgram(t *topo.Topology, prog *Program, opt ternary.Options) (*TernaryTables, error) {
-	tables := &TernaryTables{PerDevice: map[topo.NodeID]int{}, Opt: opt}
-	seen := map[string]bool{}
+	tables := &TernaryTables{
+		Entries:   make([]TernaryEntry, 0, len(prog.Rules)),
+		PerDevice: map[topo.NodeID]int{},
+		Opt:       opt,
+	}
+	memo := map[headerMatch][]renderedRow{}
+	seen := make(map[entryKey]struct{}, len(prog.Rules))
+	var buf []byte
 	ids := t.Identities()
 	for _, r := range prog.Rules {
-		rows, err := expandMatch(r.Match, opt, ids)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: statement %s on %s: %w", r.Stmt, t.Node(r.Device).Name, err)
+		hm := headerMatch{pred: r.Match.Pred, src: r.Match.SrcMAC, dst: r.Match.DstMAC}
+		rows, ok := memo[hm]
+		if !ok {
+			expanded, err := expandMatch(r.Match, opt, ids)
+			if err != nil {
+				return nil, fmt.Errorf("codegen: statement %s on %s: %w", r.Stmt, t.Node(r.Device).Name, err)
+			}
+			rows = make([]renderedRow, len(expanded))
+			for i, row := range expanded {
+				rows[i] = renderedRow{row: row, text: row.String()}
+			}
+			memo[hm] = rows
 		}
-		ops := FormatOps(r.Ops)
+		buf = appendOps(buf[:0], r.Ops)
+		ops := string(buf)
 		for _, row := range rows {
-			key := fmt.Sprintf("%d|%d|%d|%d|%s|%s", r.Device, r.Priority, r.Match.InPort, r.Match.Tag, row, ops)
-			if seen[key] {
+			k := entryKey{device: r.Device, priority: r.Priority, inPort: r.Match.InPort, tag: r.Match.Tag, row: row.text, ops: ops}
+			if _, dup := seen[k]; dup {
 				continue
 			}
-			seen[key] = true
+			seen[k] = struct{}{}
 			tables.Entries = append(tables.Entries, TernaryEntry{
 				Device:   r.Device,
 				Priority: r.Priority,
 				InPort:   r.Match.InPort,
 				Tag:      r.Match.Tag,
-				Match:    row,
+				Match:    row.row,
 				Ops:      ops,
 				Stmt:     r.Stmt,
 			})
@@ -160,6 +182,28 @@ func ExpandProgram(t *topo.Topology, prog *Program, opt ternary.Options) (*Terna
 	}
 	tables.Total = len(tables.Entries)
 	return tables, nil
+}
+
+// headerMatch is the part of an IR match ExpandProgram's rows depend on.
+// Every pred.Pred is a comparable value, so it keys the memo directly.
+type headerMatch struct {
+	pred     pred.Pred
+	src, dst string
+}
+
+// renderedRow is one expanded row and its String form.
+type renderedRow struct {
+	row  ternary.Row
+	text string
+}
+
+// entryKey identifies an expanded entry for the duplicate collapse.
+type entryKey struct {
+	device   topo.NodeID
+	priority int
+	inPort   topo.LinkID
+	tag      int
+	row, ops string
 }
 
 // expandMatch turns one IR match's header constraints into ternary rows.

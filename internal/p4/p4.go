@@ -17,6 +17,7 @@ package p4
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"merlin/internal/codegen"
@@ -51,11 +52,32 @@ type TableEntry struct {
 }
 
 // String renders the entry in a stable, human-auditable form.
-func (e TableEntry) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "table=%s prio=%d match={%s} action=%s(%s)",
-		e.Table, e.Priority, strings.Join(e.Match, ","), e.Action, strings.Join(e.Params, ","))
-	return sb.String()
+func (e TableEntry) String() string { return string(e.AppendTo(nil)) }
+
+// AppendTo appends the String form of the entry to b.
+func (e TableEntry) AppendTo(b []byte) []byte {
+	b = append(b, "table="...)
+	b = append(b, e.Table...)
+	b = append(b, " prio="...)
+	b = strconv.AppendInt(b, int64(e.Priority), 10)
+	b = append(b, " match={"...)
+	b = appendJoined(b, e.Match)
+	b = append(b, "} action="...)
+	b = append(b, e.Action...)
+	b = append(b, '(')
+	b = appendJoined(b, e.Params)
+	return append(b, ')')
+}
+
+// appendJoined appends the comma-joined list to b.
+func appendJoined(b []byte, list []string) []byte {
+	for i, s := range list {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
+	}
+	return b
 }
 
 // Artifact is the p4 backend's emitted configuration.
@@ -69,8 +91,10 @@ func (a *Artifact) Backend() string { return Name }
 // Entries implements codegen.Artifact.
 func (a *Artifact) Entries() []codegen.Entry {
 	out := make([]codegen.Entry, len(a.TableEntries))
+	var buf []byte
 	for i, e := range a.TableEntries {
-		out[i] = codegen.Entry{Device: e.Device, Text: e.String()}
+		buf = e.AppendTo(buf[:0])
+		out[i] = codegen.Entry{Device: e.Device, Text: string(buf)}
 	}
 	return out
 }
@@ -104,8 +128,8 @@ func (backend) Emit(t *topo.Topology, prog *codegen.Program) (codegen.Artifact, 
 			Device: q.Switch,
 			Table:  TableQueue,
 			Match: []string{
-				fmt.Sprintf("egress_port=%d", q.Port),
-				fmt.Sprintf("queue_id=%d", q.Queue),
+				"egress_port=" + strconv.Itoa(int(q.Port)),
+				"queue_id=" + strconv.Itoa(q.Queue),
 			},
 			Action: "set_min_rate",
 			Params: []string{fmt.Sprintf("bps=%.0f", q.MinBps)},
@@ -135,9 +159,10 @@ func tableFor(r codegen.Rule) string {
 // entries here are already single positive cubes for classification
 // rules.
 func matchKeys(m codegen.Match) []string {
-	var keys []string
+	var buf [6]string // the most keys a match renders
+	keys := buf[:0]
 	if m.InPort != codegen.AnyPort {
-		keys = append(keys, fmt.Sprintf("ingress_port=%d", m.InPort))
+		keys = append(keys, "ingress_port="+strconv.Itoa(int(m.InPort)))
 	}
 	switch m.Tag {
 	case codegen.TagAny:
@@ -145,7 +170,7 @@ func matchKeys(m codegen.Match) []string {
 	case codegen.TagNone:
 		keys = append(keys, "tag_valid=0")
 	default:
-		keys = append(keys, "tag_valid=1", fmt.Sprintf("tag=%d", m.Tag))
+		keys = append(keys, "tag_valid=1", "tag="+strconv.Itoa(m.Tag))
 	}
 	if m.SrcMAC != "" {
 		keys = append(keys, "eth_src="+m.SrcMAC)
@@ -156,7 +181,7 @@ func matchKeys(m codegen.Match) []string {
 	if m.Pred != nil {
 		keys = append(keys, "cls="+pred.Format(m.Pred))
 	}
-	return keys
+	return append([]string(nil), keys...)
 }
 
 // actionFor folds an IR op sequence into one pipeline action name plus
@@ -165,18 +190,20 @@ func matchKeys(m codegen.Match) []string {
 // is generic, so any op sequence the lowerer can produce (including
 // retag-over-clear chains) maps to a well-formed compound action.
 func actionFor(ops []codegen.Op) (string, []string) {
-	var names, params []string
+	var buf [4]string // the names only feed the Join below
+	names := buf[:0]
+	var params []string
 	for _, op := range ops {
 		switch op.Kind {
 		case codegen.OpForward:
 			names = append(names, "forward")
-			params = append(params, fmt.Sprintf("port=%d", op.Port))
+			params = append(params, "port="+strconv.Itoa(int(op.Port)))
 		case codegen.OpForwardQueue:
 			names = append(names, "forward_queue")
-			params = append(params, fmt.Sprintf("port=%d", op.Port), fmt.Sprintf("queue=%d", op.Queue))
+			params = append(params, "port="+strconv.Itoa(int(op.Port)), "queue="+strconv.Itoa(op.Queue))
 		case codegen.OpSetTag:
 			names = append(names, "push_tag")
-			params = append(params, fmt.Sprintf("tag=%d", op.Tag))
+			params = append(params, "tag="+strconv.Itoa(op.Tag))
 		case codegen.OpClearTag:
 			names = append(names, "pop_tag")
 		}

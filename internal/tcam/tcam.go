@@ -17,7 +17,7 @@ package tcam
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"merlin/internal/codegen"
 	"merlin/internal/ternary"
@@ -69,8 +69,10 @@ func (backend) EmitTernary(t *topo.Topology, prog *codegen.Program, tables *code
 		Lines:     make([]codegen.Entry, 0, tables.Total+len(prog.Queues)),
 		PerDevice: make(map[topo.NodeID]int, len(tables.PerDevice)),
 	}
+	var buf []byte
 	for _, e := range tables.Entries {
-		art.Lines = append(art.Lines, codegen.Entry{Device: e.Device, Text: renderEntry(e)})
+		buf = appendEntry(buf[:0], e)
+		art.Lines = append(art.Lines, codegen.Entry{Device: e.Device, Text: string(buf)})
 		art.PerDevice[e.Device]++
 	}
 	for _, q := range prog.Queues {
@@ -87,37 +89,36 @@ func (backend) Diff(old, new codegen.Artifact) codegen.ArtifactDiff {
 	return codegen.DiffArtifacts(Name, old, new)
 }
 
-// renderEntry formats one expanded entry as a vendor-CLI line. The
+// appendEntry appends one expanded entry's vendor-CLI line to b. The
 // structural keys (ingress port, path tag) print first, then the header
 // value/mask row in canonical field order, then the action and owning
 // statement.
-func renderEntry(e codegen.TernaryEntry) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "tcam entry add priority %d key port=%s tag=%s", e.Priority, portKey(e.InPort), tagKey(e.Tag))
-	for _, m := range e.Match {
-		sb.WriteByte(' ')
-		sb.WriteString(m.String())
+func appendEntry(b []byte, e codegen.TernaryEntry) []byte {
+	b = append(b, "tcam entry add priority "...)
+	b = strconv.AppendInt(b, int64(e.Priority), 10)
+	b = append(b, " key port="...)
+	if e.InPort == codegen.AnyPort {
+		b = append(b, "any"...)
+	} else {
+		b = strconv.AppendInt(b, int64(e.InPort), 10)
 	}
-	fmt.Fprintf(&sb, " action %q stmt %s", e.Ops, e.Stmt)
-	return sb.String()
-}
-
-func portKey(p topo.LinkID) string {
-	if p == codegen.AnyPort {
-		return "any"
-	}
-	return fmt.Sprintf("%d", p)
-}
-
-func tagKey(tag int) string {
-	switch tag {
+	b = append(b, " tag="...)
+	switch e.Tag {
 	case codegen.TagAny:
-		return "any"
+		b = append(b, "any"...)
 	case codegen.TagNone:
-		return "none"
+		b = append(b, "none"...)
 	default:
-		return fmt.Sprintf("%d", tag)
+		b = strconv.AppendInt(b, int64(e.Tag), 10)
 	}
+	for _, m := range e.Match {
+		b = append(b, ' ')
+		b = m.AppendTo(b)
+	}
+	b = append(b, " action "...)
+	b = strconv.AppendQuote(b, e.Ops)
+	b = append(b, " stmt "...)
+	return append(b, e.Stmt...)
 }
 
 // Artifact is the tcam backend's emitted configuration: rendered CLI

@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,12 +71,35 @@ type FieldMatch struct {
 }
 
 // String renders the match in the canonical audit form.
-func (m FieldMatch) String() string {
+func (m FieldMatch) String() string { return string(m.AppendTo(nil)) }
+
+// AppendTo appends the canonical audit form to b: "field=lo..hi" for a
+// range match, else "field=0xVALUE/0xMASK" with both hex numbers
+// zero-padded to the field's width in nibbles.
+func (m FieldMatch) AppendTo(b []byte) []byte {
+	b = append(b, m.Field...)
+	b = append(b, '=')
 	if m.Range {
-		return fmt.Sprintf("%s=%d..%d", m.Field, m.Lo, m.Hi)
+		b = strconv.AppendUint(b, m.Lo, 10)
+		b = append(b, ".."...)
+		return strconv.AppendUint(b, m.Hi, 10)
 	}
 	w := (m.Bits + 3) / 4
-	return fmt.Sprintf("%s=0x%0*x/0x%0*x", m.Field, w, m.Value, w, m.Mask)
+	b = appendHex(b, m.Value, w)
+	b = append(b, '/')
+	return appendHex(b, m.Mask, w)
+}
+
+// appendHex appends "0x" and v in lowercase hex, zero-padded to width
+// digits.
+func appendHex(b []byte, v uint64, width int) []byte {
+	var digits [16]byte
+	d := strconv.AppendUint(digits[:0], v, 16)
+	b = append(b, "0x"...)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Row is one ternary entry's header match: a conjunction of field
@@ -85,15 +108,20 @@ func (m FieldMatch) String() string {
 type Row []FieldMatch
 
 // String renders the row, comma-joined; the empty row renders as "*".
-func (r Row) String() string {
+func (r Row) String() string { return string(r.AppendTo(nil)) }
+
+// AppendTo appends the row's String form to b.
+func (r Row) AppendTo(b []byte) []byte {
 	if len(r) == 0 {
-		return "*"
+		return append(b, '*')
 	}
-	parts := make([]string, len(r))
 	for i, m := range r {
-		parts[i] = m.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = m.AppendTo(b)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // fieldOrder is the canonical TCAM key layout; rows list their
@@ -316,6 +344,10 @@ func Expand(p pred.Pred, opt Options) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(cubes) == 1 {
+			rows = produced // the rows of one cube are pairwise distinct
+			break
+		}
 		for _, r := range produced {
 			k := r.String()
 			if seen[k] {
@@ -375,7 +407,7 @@ func Estimate(p pred.Pred, opt Options) (int, error) {
 // canonical field order. ok is false when some field's constraints are
 // contradictory (e.g. tcp.dst = 80 ∧ tcp.dst = 90-99).
 func normalizeCube(cube []pred.Test) (ivs []interval, ok bool, err error) {
-	byField := map[pred.Field]*interval{}
+	ivs = make([]interval, 0, len(cube))
 	for _, t := range cube {
 		nbits, known := fieldBits[t.Field]
 		if !known {
@@ -385,11 +417,12 @@ func normalizeCube(cube []pred.Test) (ivs []interval, ok bool, err error) {
 		if perr != nil {
 			return nil, false, perr
 		}
-		iv := byField[t.Field]
-		if iv == nil {
-			byField[t.Field] = &interval{f: t.Field, nbits: nbits, lo: lo, hi: hi}
+		i := slices.IndexFunc(ivs, func(iv interval) bool { return iv.f == t.Field })
+		if i < 0 {
+			ivs = append(ivs, interval{f: t.Field, nbits: nbits, lo: lo, hi: hi})
 			continue
 		}
+		iv := &ivs[i]
 		if lo > iv.lo {
 			iv.lo = lo
 		}
@@ -400,11 +433,7 @@ func normalizeCube(cube []pred.Test) (ivs []interval, ok bool, err error) {
 			return nil, false, nil
 		}
 	}
-	ivs = make([]interval, 0, len(byField))
-	for _, iv := range byField {
-		ivs = append(ivs, *iv)
-	}
-	sort.Slice(ivs, func(i, j int) bool { return fieldIndex[ivs[i].f] < fieldIndex[ivs[j].f] })
+	slices.SortFunc(ivs, func(a, b interval) int { return fieldIndex[a.f] - fieldIndex[b.f] })
 	return ivs, true, nil
 }
 

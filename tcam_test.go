@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/tcam"
 	"merlin/internal/topo"
 )
@@ -118,7 +122,8 @@ func TestApplyTopoRoutesTcamDiff(t *testing.T) {
 
 // TestTableBudgetReject: when the overflowing traffic is best-effort —
 // there is no guaranteed placement the MIP could move — the compiler
-// must reject with the typed overflow error naming the device.
+// must reject with the typed overflow error naming the device, the same
+// one whether the emit phase runs its slots in turn or side by side.
 func TestTableBudgetReject(t *testing.T) {
 	tp := TwoPath(400*MBps, 100*MBps)
 	src := "p : (" + twoPathHostPred(t, tp) + ") -> .*"
@@ -126,22 +131,30 @@ func TestTableBudgetReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Compile(pol, tp, nil, Options{
-		NoDefault:    true,
-		Targets:      tcamTargets(),
-		TableBudgets: map[string]int{"r1": 0, "l1": 0, "l2": 0},
-	})
-	var of *TableOverflowError
-	if !errors.As(err, &of) {
-		t.Fatalf("expected *TableOverflowError, got %v", err)
-	}
-	if len(of.Overflows) == 0 {
-		t.Fatal("overflow error names no devices")
-	}
-	for _, o := range of.Overflows {
-		if o.Budget != 0 || o.Entries <= 0 || o.Name == "" {
-			t.Fatalf("bad overflow record: %+v", o)
+	var errs []*TableOverflowError
+	for _, workers := range []int{1, 2} {
+		_, err = Compile(pol, tp, nil, Options{
+			NoDefault:    true,
+			Workers:      workers,
+			Targets:      tcamTargets(),
+			TableBudgets: map[string]int{"r1": 0, "l1": 0, "l2": 0},
+		})
+		var of *TableOverflowError
+		if !errors.As(err, &of) {
+			t.Fatalf("%d workers: expected *TableOverflowError, got %v", workers, err)
 		}
+		if len(of.Overflows) == 0 {
+			t.Fatal("overflow error names no devices")
+		}
+		for _, o := range of.Overflows {
+			if o.Budget != 0 || o.Entries <= 0 || o.Name == "" {
+				t.Fatalf("bad overflow record: %+v", o)
+			}
+		}
+		errs = append(errs, of)
+	}
+	if !reflect.DeepEqual(errs[0], errs[1]) {
+		t.Fatalf("1 worker: %v; 2 workers: %v", errs[0], errs[1])
 	}
 }
 
@@ -191,27 +204,114 @@ func TestTableBudgetReplacement(t *testing.T) {
 		t.Fatalf("baseline path avoids r1 already: %v", base.Paths["g"])
 	}
 
-	c := NewCompiler(tp, nil, Options{
-		NoDefault:    true,
-		Targets:      tcamTargets(),
-		TableBudgets: map[string]int{"r1": 0},
-	})
-	res, err := c.Compile(pol)
+	var results []*Result
+	for _, workers := range []int{1, 2} {
+		c := NewCompiler(tp, nil, Options{
+			NoDefault:    true,
+			Workers:      workers,
+			Targets:      tcamTargets(),
+			TableBudgets: map[string]int{"r1": 0},
+		})
+		res, err := c.Compile(pol)
+		if err != nil {
+			t.Fatalf("%d workers: budget-constrained compile failed: %v", workers, err)
+		}
+		path := strings.Join(res.Paths["g"], " ")
+		if strings.Contains(path, "r1") {
+			t.Fatalf("re-placed path still crosses the zero-budget switch: %v", res.Paths["g"])
+		}
+		if st := c.Stats(); st.OverflowReplacements != 1 {
+			t.Fatalf("OverflowReplacements = %d, want 1 (%+v)", st.OverflowReplacements, st)
+		}
+		// The tcam artifact must hold no entries on r1.
+		art := res.Outputs[tcam.Name].(*tcam.Artifact)
+		r1 := tp.MustLookup("r1")
+		if n := art.PerDevice[r1]; n != 0 {
+			t.Fatalf("%d tcam entries on the zero-budget switch", n)
+		}
+		results = append(results, res)
+	}
+	if !reflect.DeepEqual(results[0].Outputs, results[1].Outputs) || !reflect.DeepEqual(results[0].Paths, results[1].Paths) {
+		t.Fatal("the re-placed result differs between 1 and 2 workers")
+	}
+}
+
+// smallTcam is a ternary backend rendering as tcam whose switch table
+// holds smallTcamEntries entries while that is set, and is unconstrained
+// otherwise, so the tests that compile to every registered backend are
+// unaffected once it is registered.
+type smallTcam struct{}
+
+var (
+	smallTcamEntries  atomic.Int32
+	registerSmallTcam sync.Once
+)
+
+const smallTcamName = "tcam-small"
+
+func (smallTcam) Name() string { return smallTcamName }
+
+func (smallTcam) TableModel(class topo.Kind) (codegen.TableModel, bool) {
+	n := smallTcamEntries.Load()
+	if class != topo.Switch || n == 0 {
+		return codegen.TableModel{}, false
+	}
+	return codegen.TableModel{MaxEntries: int(n)}, true
+}
+
+func (smallTcam) Emit(t *topo.Topology, prog *codegen.Program) (codegen.Artifact, error) {
+	b, _ := codegen.Lookup(tcam.Name)
+	return b.Emit(t, prog)
+}
+
+func (smallTcam) EmitTernary(t *topo.Topology, prog *codegen.Program, tables *codegen.TernaryTables) (codegen.Artifact, error) {
+	b, _ := codegen.Lookup(tcam.Name)
+	return b.(codegen.TernaryEmitter).EmitTernary(t, prog, tables)
+}
+
+func (smallTcam) Diff(old, new codegen.Artifact) codegen.ArtifactDiff {
+	return codegen.DiffArtifacts(smallTcamName, old, new)
+}
+
+// TestTableOverflowTargetDeterministic: when a backend's table model and
+// an Options.TableBudgets override both overflow, the error names the
+// budget source of the lowest overflowing device, whatever order the
+// budgets are visited in.
+func TestTableOverflowTargetDeterministic(t *testing.T) {
+	registerSmallTcam.Do(func() { RegisterBackend(smallTcam{}) })
+	smallTcamEntries.Store(1)
+	t.Cleanup(func() { smallTcamEntries.Store(0) })
+	tp := FatTree(4, Gbps)
+	pol, err := ParsePolicy(`foreach (s,d) in cross(hosts,hosts): .*`, tp)
 	if err != nil {
-		t.Fatalf("budget-constrained compile failed: %v", err)
+		t.Fatal(err)
 	}
-	path := strings.Join(res.Paths["g"], " ")
-	if strings.Contains(path, "r1") {
-		t.Fatalf("re-placed path still crosses the zero-budget switch: %v", res.Paths["g"])
+	// Every switch overflows the one-entry model; the lowest-numbered
+	// switch carries the override, so the error's target is "".
+	first := tp.Switches()[0]
+	for _, sw := range tp.Switches() {
+		first = min(first, sw)
 	}
-	if st := c.Stats(); st.OverflowReplacements != 1 {
-		t.Fatalf("OverflowReplacements = %d, want 1 (%+v)", st.OverflowReplacements, st)
+	opts := Options{
+		NoDefault:    true,
+		Targets:      []string{smallTcamName},
+		TableBudgets: map[string]int{tp.Node(first).Name: 0},
 	}
-	// The tcam artifact must hold no entries on r1.
-	art := c.Result().Outputs[tcam.Name].(*tcam.Artifact)
-	r1 := tp.MustLookup("r1")
-	if n := art.PerDevice[r1]; n != 0 {
-		t.Fatalf("%d tcam entries on the zero-budget switch", n)
+	var want string
+	for i := 0; i < 50; i++ {
+		_, err := Compile(pol, tp, nil, opts)
+		var of *TableOverflowError
+		if !errors.As(err, &of) {
+			t.Fatalf("expected *TableOverflowError, got %v", err)
+		}
+		if i == 0 {
+			if of.Target != "" || of.Overflows[0].Device != first || len(of.Overflows) < 2 {
+				t.Fatalf("want the override's empty target on %s first among several overflows: %v", tp.Node(first).Name, err)
+			}
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("run %d: %v\nrun 0: %s", i, err, want)
+		}
 	}
 }
 
